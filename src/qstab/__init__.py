@@ -25,7 +25,6 @@ from .certify import (
     sample_level_set,
 )
 from .errors import (
-    ChainDimensionError,
     DegeneratePencilError,
     DimensionMismatchError,
     FileFormatError,

@@ -49,6 +49,7 @@ from .operators import (
     hermiticity_defect,
     hermitize,
     hermitian_eigenvalues,
+    require_positive,
     spectral_norm,
 )
 
@@ -101,8 +102,7 @@ class LevelSetSpec:
     family: HermitianBall | DirectionFamily = field(default_factory=HermitianBall)
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        require_positive(self.epsilon, "epsilon")
         if self.sample_count < 1:
             raise ValueError("sample_count must be at least 1")
 
@@ -353,14 +353,14 @@ def _check_flow(model, candidate, center, spec, mode, *, rate=None, margin=None,
         if mode == "local":
             worst_drift = max(worst_drift, target_max)
             if target_max > tol:
-                violations.append((target_max, "drift has a positive eigenvalue on a sample", x))
+                violations.append((target_max - tol, "drift has a positive eigenvalue on a sample", x))
             continue
 
         # Strict modes: nonpositive everywhere, strictly negative on the
         # support of V at the sample.
         if target_max > tol:
             worst_drift = max(worst_drift, target_max)
-            violations.append((target_max, "drift has a positive eigenvalue on a sample", x))
+            violations.append((target_max - tol, "drift has a positive eigenvalue on a sample", x))
             continue
         basis = _support_basis(v_x, SUPPORT_CUTOFF)
         if basis is None:
@@ -414,8 +414,7 @@ def check_asymptotic(
     On every sample the drift must be nonpositive and, on the support of
     the candidate there, at most ``-margin`` (the explicit strict bound b).
     """
-    if margin <= 0:
-        raise ValueError("margin must be positive")
+    require_positive(margin, "margin")
     return _check_flow(
         model, candidate, center, spec, "asymptotic", margin=margin, tol=tol, tol_strict=tol_strict
     )
@@ -430,8 +429,7 @@ def check_exponential(
     negative (below ``-tol_strict``) on the support of V at every sample;
     the certificate records the rate.
     """
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    require_positive(rate, "rate")
     return _check_flow(model, candidate, center, spec, "exponential", rate=rate, tol=tol, tol_strict=tol_strict)
 
 
@@ -498,9 +496,10 @@ def check_state(
     """
     if mode not in ("local", "asymptotic", "exponential"):
         raise ValueError(f"mode must be local, asymptotic or exponential, got {mode!r}")
-    if mode == "exponential":
-        if rate is None or rate <= 0:
-            raise ValueError("exponential mode needs a positive rate")
+    if mode == "exponential" and rate is None:
+        raise ValueError("exponential mode needs a rate")
+    if rate is not None:
+        require_positive(rate, "rate")
 
     validate(model, tol=tol)
     cand = candidate if candidate.is_canonical else canonicalize(candidate)
@@ -591,8 +590,10 @@ def recheck_witness(model, candidate, certificate: StabilityCertificate, *, refe
     """Re-evaluate a failing certificate's witness against its condition.
 
     Returns the recomputed violation magnitude (0.0 where the stored
-    condition is no longer violated).  Useful to confirm that a failure is
-    a property of the reported sample, not of the sampling run.
+    condition is no longer violated); for every condition except empty
+    support it is measured as the check measures it and equals the
+    certificate's ``violation``.  Useful to confirm that a failure is a
+    property of the reported sample, not of the sampling run.
     """
     if certificate.witness is None:
         raise ValueError("certificate carries no witness")

@@ -38,10 +38,6 @@ class UnsupportedScatteringError(QstabError, ValueError):
     """The collision simulator only supports trivial scattering (S = I)."""
 
 
-class ChainDimensionError(QstabError, ValueError):
-    """Requested collision chain exceeds the configured dimension guard."""
-
-
 class SamplingError(QstabError, RuntimeError):
     """Level-set sampling produced no feasible nonzero sample."""
 

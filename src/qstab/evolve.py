@@ -15,10 +15,12 @@ I - iH dt - (1/2) L†L dt + O(dt^2), the damping term arising at second
 order from the coupling.  Nontrivial scattering would need a different step
 construction and is rejected rather than approximated.
 
-The chain state grows by one ancilla per step and observables are only ever
-applied as matrix-vector products, so the memory/work ceiling is set by
-``dim_guard``.  An independent oracle integrates the reduced master
-equation
+Every ancilla meets the system exactly once, so the chain is a sequentially
+generated matrix-product state of bond dimension d and each ancilla is
+traced out as soon as its collision ends: the simulation carries one pair
+state of d^4 entries per distinct candidate coefficient, each step costs
+O((levels+1)^2 d^5) for each of them, and a run grows linearly in steps.
+An independent oracle integrates the reduced master equation
 
     d rho / dt = -i[H, rho] + L rho L† - (1/2){L†L, rho}
 
@@ -41,7 +43,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
-    ChainDimensionError,
     InternalCheckError,
     InvalidCandidateError,
     UnsupportedScatteringError,
@@ -54,10 +55,9 @@ from .operators import (
     QuantumState,
     adjoint,
     expectation,
+    require_positive,
     spectral_norm,
 )
-
-DIM_GUARD = 8192
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,9 @@ class CollisionConfig:
     dt: float
     steps: int
     ancilla_levels: int = 1
-    dim_guard: int = DIM_GUARD
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        require_positive(self.dt, "dt")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
         if self.ancilla_levels < 1:
@@ -80,13 +78,6 @@ class CollisionConfig:
     @property
     def horizon(self) -> float:
         return self.dt * self.steps
-
-    def check_chain(self, dim_system: int) -> None:
-        total = dim_system * (self.ancilla_levels + 1) ** self.steps
-        if total > self.dim_guard:
-            raise ChainDimensionError(
-                f"collision chain dimension {total} exceeds dim_guard {self.dim_guard}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,8 +115,7 @@ def collision_step_unitary(model: QsdeModel, dt: float, ancilla_levels: int = 1,
         raise UnsupportedScatteringError(
             "the collision simulator supports S = I only; nontrivial scattering is not discretized"
         )
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    require_positive(dt, "dt")
     a, a_dag, _ = ladder_operators(ancilla_levels)
     anc_eye = np.eye(ancilla_levels + 1)
     exponent = (
@@ -137,60 +127,6 @@ def collision_step_unitary(model: QsdeModel, dt: float, ancilla_levels: int = 1,
     if defect > 1e-12:
         raise InternalCheckError(f"collision step is not unitary: defect {defect:.3e}")
     return u
-
-
-class _CollisionChain:
-    """Grows a system (x) ancilla-chain state one vacuum ancilla per step.
-
-    Vectors are stored flat; the step unitary acts on the (system, newest
-    ancilla) index pair, and inverse sweeps apply the step adjoint on every
-    ancilla slot in reverse order.  Only matrix-vector work is performed.
-    """
-
-    def __init__(self, model: QsdeModel, config: CollisionConfig, psi0: np.ndarray):
-        config.check_chain(model.dim)
-        self.dim_s = model.dim
-        self.dim_a = config.ancilla_levels + 1
-        self.u_step = collision_step_unitary(model, config.dt, config.ancilla_levels)
-        self.u4 = self.u_step.reshape(self.dim_s, self.dim_a, self.dim_s, self.dim_a)
-        self.u4_dag = adjoint(self.u_step).reshape(self.dim_s, self.dim_a, self.dim_s, self.dim_a)
-        self.vacuum = vacuum_vector(config.ancilla_levels)
-        self.k = 0
-        self.psi = np.asarray(psi0, dtype=complex).copy()
-
-    def _apply_on_slot(self, u4: np.ndarray, psi: np.ndarray, slot: int, n_slots: int) -> np.ndarray:
-        pre = self.dim_a ** (slot - 1)
-        post = self.dim_a ** (n_slots - slot)
-        work = psi.reshape(self.dim_s, pre, self.dim_a, post)
-        return np.einsum("SAsa,spaq->SpAq", u4, work).reshape(-1)
-
-    def step_vector(self, psi: np.ndarray) -> np.ndarray:
-        """Append a vacuum ancilla (slot k+1) and collide it with the system."""
-        grown = np.kron(psi, self.vacuum)
-        return self._apply_on_slot(self.u4, grown, self.k + 1, self.k + 1)
-
-    def advance(self, tracked: dict | None = None) -> None:
-        """Step the chain state and any auxiliary vectors evolving with it."""
-        if tracked is not None:
-            for key, vec in tracked.items():
-                tracked[key] = self.step_vector(vec)
-        self.psi = self.step_vector(self.psi)
-        self.k += 1
-
-    def conjugate_back(self, psi: np.ndarray) -> np.ndarray:
-        """Apply the adjoint of the full step product (U_k ... U_1)†."""
-        for slot in range(self.k, 0, -1):
-            psi = self._apply_on_slot(self.u4_dag, psi, slot, self.k)
-        return psi
-
-    def conjugate_forward(self, psi: np.ndarray) -> np.ndarray:
-        """Apply the full step product U_k ... U_1 to a chain vector."""
-        for slot in range(1, self.k + 1):
-            psi = self._apply_on_slot(self.u4, psi, slot, self.k)
-        return psi
-
-    def apply_system(self, op: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        return (op @ psi.reshape(self.dim_s, -1)).reshape(-1)
 
 
 def simulate_flow_expectation(
@@ -206,85 +142,74 @@ def simulate_flow_expectation(
     At step k the expectation sums <Psi| f(X^n) Theta f(X^m) |Psi> over the
     candidate's terms, with f the conjugation by the ordered product of k
     collision unitaries and Psi the initial system vector tensored with k
-    vacuum ancillas.  All operator applications are matrix-vector products;
-    nothing of size (chain x chain) is ever formed.  The k = 0 value is
-    exactly the expectation of V(x0) in the initial state.
+    vacuum ancillas.  Every ancilla meets the system exactly once, so it is
+    traced out as soon as its collision ends and nothing grows with k.
 
-    One-sided terms (n = 0 or m = 0) pair the chain state against an
-    auxiliary vector U_t (T (x) I) Psi0 evolved alongside it, so they cost
-    one inner product per step; two-sided sandwiches conjugate Theta back
-    and forth through the step product at each recorded time.
+    With E_ab = <a|U_step|b> the system blocks of the step unitary, each
+    distinct Theta carries a pair state W of d^4 entries, started at
+    W_0 = Theta (x) rho0 and advanced by the recursion
+
+        W'[P,Q,R,S] = sum_abc E_ac[P,p] W[p,q,r,s] conj(E_bc[Q,q])
+                              E_b0[R,r] conj(E_a0[S,s]),
+
+    and a term reads sum X^n[s,p] W_k[p,q,r,s] X^m[q,r].  Constant,
+    one-sided and two-sided terms all take this one path, and terms that
+    share a Theta share one W.  The contraction is factored pairwise, so a
+    step costs O((levels+1)^2 d^5) for each distinct Theta and a run costs
+    that times the number of steps.  The k = 0 value is the expectation of
+    V(x0) in the initial state.
 
     ``observables`` maps names to system operators whose flowed
-    expectations are recorded alongside E[V].
+    expectations are recorded alongside E[V]; they are read from the
+    reduced state, advanced by rho -> sum_a E_a0 rho E_a0†.
     """
     cand = candidate if candidate.is_canonical else canonicalize(candidate)
     x0 = np.asarray(x0, dtype=complex)
     if x0.shape[0] != model.dim or cand.dim != model.dim:
         raise ValueError("x0, candidate and model must share the system dimension")
     psi0 = system_state.pure_vector()
+    rho = np.outer(psi0, psi0.conj())
+
+    dim, width = model.dim, config.ancilla_levels + 1
+    u_step = collision_step_unitary(model, config.dt, config.ancilla_levels)
+    blocks = u_step.reshape(dim, width, dim, width).transpose(1, 3, 0, 2)  # blocks[a, b] = E_ab
+    kraus = blocks[:, 0]
 
     max_pow = max(max(n, m) for n, m, _ in cand.terms)
-    x_powers = [np.eye(model.dim, dtype=complex)]
+    x_powers = [np.eye(dim, dtype=complex)]
     for _ in range(max_pow):
         x_powers.append(x_powers[-1] @ x0)
 
-    chain = _CollisionChain(model, config, psi0)
+    thetas: list[np.ndarray] = []
+    readout: list[np.ndarray] = []  # per distinct Theta, the sum of X^n[s,p] X^m[q,r] over its terms
+    for n, m, theta in cand.terms:
+        i = next((i for i, t in enumerate(thetas) if np.array_equal(t, theta)), len(thetas))
+        if i == len(thetas):
+            thetas.append(theta)
+            readout.append(np.zeros((dim,) * 4, dtype=complex))
+        readout[i] += np.einsum("sp,qr->pqrs", x_powers[n], x_powers[m])
+    readout_flat = np.array(readout).reshape(-1)
+    pairs = np.einsum("tpq,rs->tpqrs", np.array(thetas), rho)
+
     observables = dict(observables or {})
-    eye = np.eye(model.dim, dtype=complex)
-
-    constants: dict[int, float] = {}
-    tracked: dict[int, np.ndarray] = {}  # term index -> U_t (T (x) I) Psi0
-    identity_tracked: set[int] = set()  # terms whose auxiliary vector is Psi_t itself
-    sandwich: list[int] = []
-    for idx, (n, m, theta) in enumerate(cand.terms):
-        if n == 0 and m == 0:
-            constants[idx] = complex(np.vdot(psi0, theta @ psi0)).real
-        elif n == 0 or m == 0:
-            t_init = theta if m == 0 else adjoint(theta)
-            if spectral_norm(t_init - eye) == 0.0:
-                identity_tracked.add(idx)
-            else:
-                tracked[idx] = t_init @ psi0
-        else:
-            sandwich.append(idx)
-
-    times = [0.0]
     v_vals = []
     obs_vals = {name: [] for name in observables}
-
-    def record():
-        psi_t = chain.psi
-        total = 0.0 + 0.0j
-        for idx, (n, m, theta) in enumerate(cand.terms):
-            if idx in constants:
-                total += constants[idx]
-            elif idx in sandwich:
-                # <psi0| f(X^n) Theta f(X^m) |psi0> via back-and-forth conjugation.
-                right = chain.apply_system(x_powers[m], psi_t)
-                right = chain.conjugate_back(right)
-                right = chain.apply_system(theta, right)
-                right = chain.conjugate_forward(right)
-                left = chain.apply_system(adjoint(x_powers[n]), psi_t)
-                total += complex(np.vdot(left, right))
-            else:
-                aux = psi_t if idx in identity_tracked else tracked[idx]
-                if m == 0:
-                    total += complex(np.vdot(chain.apply_system(adjoint(x_powers[n]), psi_t), aux))
-                else:
-                    total += complex(np.vdot(aux, chain.apply_system(x_powers[m], psi_t)))
-        v_vals.append(total.real)
+    for k in range(config.steps + 1):
+        if k:
+            # One pairwise contraction per factor, each O(width^2 d^5) per Theta;
+            # the comments give the axes of the intermediate.
+            w = np.tensordot(pairs, kraus, axes=([3], [2]))  # t p q s b R
+            w = np.tensordot(w, blocks.conj(), axes=([2, 4], [3, 0]))  # t p s R c Q
+            w = np.tensordot(w, blocks, axes=([1, 4], [3, 1]))  # t s R Q a P
+            w = np.tensordot(w, kraus.conj(), axes=([1, 4], [2, 0]))  # t R Q P S
+            pairs = w.transpose(0, 3, 2, 1, 4)
+            rho = sum(e @ rho @ adjoint(e) for e in kraus)
+        v_vals.append((readout_flat @ pairs.reshape(-1)).real)
         for name, op in observables.items():
-            obs_vals[name].append(np.vdot(psi_t, chain.apply_system(op, psi_t)).real)
-
-    record()
-    for k in range(1, config.steps + 1):
-        chain.advance(tracked)
-        times.append(k * config.dt)
-        record()
+            obs_vals[name].append(np.trace(op @ rho).real)
 
     return Trajectory(
-        times=np.array(times),
+        times=config.dt * np.arange(config.steps + 1),
         v_expect=np.array(v_vals),
         method="collision",
         obs_expect={k: np.array(v) for k, v in obs_vals.items()} or None,
@@ -403,7 +328,7 @@ def finite_difference_drift_check(
     analytic = float(np.vdot(psi0, drift @ psi0).real)
 
     def one_step_slope(dt):
-        cfg = CollisionConfig(dt=dt, steps=1, ancilla_levels=config.ancilla_levels, dim_guard=config.dim_guard)
+        cfg = CollisionConfig(dt=dt, steps=1, ancilla_levels=config.ancilla_levels)
         traj = simulate_flow_expectation(model, cand, x0, system_state, cfg)
         return (traj.v_expect[1] - traj.v_expect[0]) / dt
 
@@ -473,8 +398,7 @@ def ito_table_check(ancilla_levels: int = 1, dt: float = 1e-3) -> ItoTableReport
     """
     if ancilla_levels < 1:
         raise ValueError("ancilla_levels must be at least 1")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    require_positive(dt, "dt")
     a, a_dag, number = ladder_operators(ancilla_levels)
     eye = np.eye(ancilla_levels + 1)
     vac = vacuum_vector(ancilla_levels)

@@ -97,6 +97,8 @@ def load_model(path, tol: float = 1e-9) -> QsdeModel:
     data = _load_json(path)
     _check_schema(data, path)
     dim = _require(data, "dim", path)
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise FileFormatError(f"{path}: dim must be a JSON integer >= 1, got {dim!r}")
     h = decode_matrix(_require(data, "H", path), "H")
     l = decode_matrix(_require(data, "L", path), "L")
     s_raw = data.get("S")

@@ -17,6 +17,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,12 @@ def as_operator(entries) -> np.ndarray:
         raise InvalidOperatorError("operator entries must be finite")
     x.flags.writeable = False
     return x
+
+
+def require_positive(value, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is finite and positive."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 def require_same_dim(*ops: np.ndarray) -> int:

@@ -142,10 +142,7 @@ def test_criterion_04_oracle_agreement():
     excited = QuantumState.from_vector(KET_E)
 
     def max_gap(dt, steps):
-        coll = simulate_flow_expectation(
-            model, cand, NUMBER, excited,
-            CollisionConfig(dt=dt, steps=steps, dim_guard=1 << 22),
-        )
+        coll = simulate_flow_expectation(model, cand, NUMBER, excited, CollisionConfig(dt=dt, steps=steps))
         oracle = master_flow_expectation(model, cand, NUMBER, excited, coll.times)
         return float(np.max(np.abs(coll.v_expect - oracle.v_expect)))
 

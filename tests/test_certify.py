@@ -202,6 +202,17 @@ class TestCheckExponential:
         assert not cert.passed
         assert recheck_witness(damping_model, damping_candidate, cert) > 0
 
+    @pytest.mark.parametrize("mode", ["local", "exponential"])
+    def test_recheck_equals_stored_violation(self, damping_model, damping_candidate, mode):
+        if mode == "local":
+            spec = LevelSetSpec(epsilon=1.0, sample_count=6, seed=11, family=DirectionFamily(directions=(GROUND,)))
+            cert = check_local(damping_model, damping_candidate, -EYE2, spec)
+        else:
+            spec = LevelSetSpec(epsilon=1.0, sample_count=16, seed=42, family=DirectionFamily(directions=(NUMBER,)))
+            cert = check_exponential(damping_model, damping_candidate, -EYE2, spec, rate=2 * GAMMA)
+        assert cert.violated_condition == "drift has a positive eigenvalue on a sample"
+        assert abs(recheck_witness(damping_model, damping_candidate, cert) - cert.violation) <= 1e-15
+
     def test_rate_consistency_around_estimate(self, damping_model, damping_candidate):
         family = DirectionFamily(directions=(NUMBER,), scale_min=0.5, scale_max=1.0)
         spec = LevelSetSpec(epsilon=1.0, sample_count=10, seed=23, family=family)

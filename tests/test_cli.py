@@ -52,6 +52,15 @@ class TestValidateCommand:
     def test_missing_file_exits_2(self, capsys):
         assert main(["validate", "/nonexistent/model.json"]) == 2
 
+    @pytest.mark.parametrize("dim", ["2", True, 2.0, 0])
+    def test_non_integer_dim_exits_2(self, files, tmp_path, capsys, dim):
+        data = json.loads(open(files["model"]).read())
+        data["dim"] = dim
+        path = tmp_path / "bad_dim.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 2
+        assert "dim must be a JSON integer" in capsys.readouterr().err
+
 
 class TestDriftCommand:
     def test_flow_picture(self, files, capsys):
@@ -159,6 +168,13 @@ class TestSimulateCommand:
         vm = np.array([float(l.split(",")[1]) for l in out_m.read_text().strip().split("\n")[1:]])
         assert np.max(np.abs(vc - vm)) <= 0.05
 
+    def test_long_collision_run(self, files, tmp_path):
+        out = tmp_path / "long.csv"
+        argv = self.args(files, "collision", str(out))
+        argv[argv.index("--steps") + 1] = "1000"
+        assert main(argv) == 0
+        assert len(out.read_text().strip().split("\n")) == 1 + 1001
+
     def test_byte_identical_reruns(self, files, tmp_path):
         out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
         main(self.args(files, "collision", str(out1)))
@@ -182,6 +198,34 @@ class TestCrosscheckCommand:
         out = capsys.readouterr().out
         assert "finite-difference drift check" in out
         assert "Ito table check" in out
+
+
+class TestNumericFlags:
+    """Non-finite or non-positive --epsilon, --rate, --margin and --dt are input errors naming the field."""
+
+    def argv(self, files, case):
+        certify = ["certify", files["model"], files["lyap"], "--center", files["center"],
+                   "--epsilon", "1.0", "--samples", "4", "--family", files["family"]]
+        simulate = ["simulate", files["model"], files["lyap"], "--x0", files["x0"], "--psi0", files["psi0"],
+                    "--dt", "0.01", "--steps", "3"]
+        return {
+            "epsilon": certify + ["--mode", "local"],
+            "rate": certify + ["--mode", "exponential", "--rate", "0.5"],
+            "margin": certify + ["--mode", "asymptotic", "--margin", "0.5"],
+            "dt": simulate,
+            "dt-master": simulate + ["--method", "master"],
+            "dt-crosscheck": ["crosscheck", files["model"], files["lyap"], "--x0", files["x0"],
+                              "--psi0", files["psi0"], "--dt", "0.01"],
+        }[case]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("case", ["epsilon", "rate", "margin", "dt", "dt-master", "dt-crosscheck"])
+    def test_bad_value_exits_2(self, files, capsys, case, value):
+        field = case.split("-")[0]
+        argv = self.argv(files, case)
+        argv[argv.index(f"--{field}") + 1] = value
+        assert main(argv) == 2
+        assert f"{field} must be a finite positive number" in capsys.readouterr().err
 
 
 class TestUsageErrors:

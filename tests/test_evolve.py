@@ -3,7 +3,6 @@ import pytest
 import scipy.linalg
 
 from qstab import (
-    ChainDimensionError,
     CollisionConfig,
     InvalidCandidateError,
     LyapunovCandidate,
@@ -25,7 +24,7 @@ from qstab import (
     transit_time_check,
 )
 
-from conftest import EYE2, KET_E, NUMBER, SIGMA_MINUS, SIGMA_X, SIGMA_Z, random_hermitian
+from conftest import EYE2, KET_E, NUMBER, SIGMA_MINUS, SIGMA_X, SIGMA_Z, random_complex, random_hermitian
 
 GAMMA = 1.0
 
@@ -125,12 +124,16 @@ class TestSimulateFlowExpectation:
         )
         assert np.allclose(traj.obs_expect["number"], traj.v_expect, atol=1e-12)
 
-    def test_dim_guard(self, damping_model, v_linear, excited):
-        with pytest.raises(ChainDimensionError):
-            simulate_flow_expectation(
-                damping_model, v_linear, NUMBER, excited,
-                CollisionConfig(dt=0.01, steps=14, dim_guard=8192),
-            )
+    def test_long_run_tracks_master(self, damping_model, v_linear, excited):
+        # t = 10 is ten decay times; the cost grows linearly in steps.
+        def gap(dt, steps):
+            coll = simulate_flow_expectation(damping_model, v_linear, NUMBER, excited, CollisionConfig(dt, steps))
+            oracle = master_flow_expectation(damping_model, v_linear, NUMBER, excited, coll.times)
+            allowance = 1e-12 + dt * coll.times * np.max(np.abs(oracle.v_expect))
+            assert np.all(np.abs(coll.v_expect - oracle.v_expect) <= allowance)
+            return np.max(np.abs(coll.v_expect - oracle.v_expect))
+
+        assert 1.5 <= gap(0.01, 1000) / gap(0.005, 2000) <= 2.5
 
     def test_supermartingale_on_certified_run(self, damping_model, damping_candidate, excited):
         cfg = CollisionConfig(dt=0.01, steps=10)
@@ -141,11 +144,77 @@ class TestSimulateFlowExpectation:
     def test_ancilla_truncation_insensitivity(self, damping_model, damping_candidate, excited):
         dt = 0.01
         cfg1 = CollisionConfig(dt=dt, steps=8, ancilla_levels=1)
-        cfg2 = CollisionConfig(dt=dt, steps=8, ancilla_levels=2, dim_guard=1 << 15)
+        cfg2 = CollisionConfig(dt=dt, steps=8, ancilla_levels=2)
         t1 = simulate_flow_expectation(damping_model, damping_candidate, SIGMA_Z, excited, cfg1)
         t2 = simulate_flow_expectation(damping_model, damping_candidate, SIGMA_Z, excited, cfg2)
         per_step = np.max(np.abs(t1.v_expect - t2.v_expect)) / cfg1.steps
         assert per_step <= 10.0 * dt**2
+
+
+def reference_chain(model, candidate, x0, psi0, dt, steps, ancilla_levels, observables):
+    """Dense-vector collision chain: the independent oracle for the pair-state recursion.
+
+    Keeps the full system (x) k-ancilla state and the step product
+    U_k ... U_1 as a dense matrix, so memory grows as (levels+1)^(2k):
+    only for short runs.  Returns E[V] and the observables per step.
+    """
+    d, w = model.dim, ancilla_levels + 1
+    u4 = collision_step_unitary(model, dt, ancilla_levels).reshape(d, w, d, w)
+    x_powers = [np.linalg.matrix_power(x0, p) for p in range(candidate.degree + 1)]
+    product = np.eye(d, dtype=complex)
+    v_vals, obs_vals = [], {name: [] for name in observables}
+    for k in range(steps + 1):
+        if k:
+            # ancilla k joins last, in vacuum, and collides with the system
+            step = np.einsum("SAsa,pq->SpAsqa", u4, np.eye(w ** (k - 1))).reshape(d * w**k, d * w**k)
+            product = step @ np.kron(product, np.eye(w))
+        vacua = np.zeros(w**k)
+        vacua[0] = 1.0
+        psi = product @ np.kron(psi0, vacua)
+
+        def on_system(op, vec):
+            return (op @ vec.reshape(d, -1)).reshape(-1)
+
+        total = 0.0
+        for n, m, theta in candidate.terms:
+            # <psi| X^n U (Theta (x) I) U† X^m |psi> with U the step product
+            right = product @ on_system(theta, adjoint(product) @ on_system(x_powers[m], psi))
+            total += np.vdot(on_system(adjoint(x_powers[n]), psi), right)
+        v_vals.append(total.real)
+        for name, op in observables.items():
+            obs_vals[name].append(np.vdot(psi, on_system(op, psi)).real)
+    return np.array(v_vals), {name: np.array(v) for name, v in obs_vals.items()}
+
+
+class TestAgainstReferenceChain:
+    @pytest.mark.parametrize("levels, steps", [(1, 7), (2, 5)])
+    def test_nonscalar_theta_nonnormal_coupling(self, levels, steps):
+        rng = np.random.default_rng(303)
+
+        def unit(m):
+            return m / spectral_norm(m)
+
+        coupling = unit(random_complex(rng, 3))
+        assert spectral_norm(coupling @ adjoint(coupling) - adjoint(coupling) @ coupling) > 0.1
+        model = QsdeModel(hamiltonian=unit(random_hermitian(rng, 3)), coupling=coupling)
+        sandwich, square = unit(random_hermitian(rng, 3)), unit(random_complex(rng, 3))
+        constant = unit(random_hermitian(rng, 3))
+        cand = LyapunovCandidate(
+            terms=((1, 1, sandwich), (2, 0, square), (0, 2, adjoint(square)), (0, 0, constant))
+        )
+        x0 = unit(random_hermitian(rng, 3))
+        psi0 = rng.normal(size=3) + 1j * rng.normal(size=3)
+        state = QuantumState.from_vector(psi0 / np.linalg.norm(psi0))
+        observables = {"sandwich": sandwich, "x0": x0}
+
+        traj = simulate_flow_expectation(
+            model, cand, x0, state, CollisionConfig(dt=0.05, steps=steps, ancilla_levels=levels), observables
+        )
+        v_ref, obs_ref = reference_chain(model, cand, x0, state.pure_vector(), 0.05, steps, levels, observables)
+        assert np.max(np.abs(traj.v_expect - v_ref)) <= 1e-12
+        for name in observables:
+            assert np.max(np.abs(traj.obs_expect[name] - obs_ref[name])) <= 1e-12
+        assert np.max(np.abs(np.diff(v_ref))) > 1e-3  # the dynamics is not trivial
 
 
 class TestMasterEvolve:
@@ -196,8 +265,7 @@ class TestMasterEvolve:
         oracle = master_flow_expectation(damping_model, v_linear, NUMBER, excited, coll.times)
         gap1 = np.max(np.abs(coll.v_expect - oracle.v_expect))
         coll2 = simulate_flow_expectation(
-            damping_model, v_linear, NUMBER, excited,
-            CollisionConfig(dt=dt / 2, steps=2 * steps, dim_guard=1 << 22),
+            damping_model, v_linear, NUMBER, excited, CollisionConfig(dt=dt / 2, steps=2 * steps)
         )
         oracle2 = master_flow_expectation(damping_model, v_linear, NUMBER, excited, coll2.times)
         gap2 = np.max(np.abs(coll2.v_expect - oracle2.v_expect))
