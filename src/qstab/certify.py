@@ -19,9 +19,9 @@ space would reject every such certificate.  Off the support the drift must
 still be nonpositive within tolerance.  The decay-rate estimator uses the
 same support convention via a generalized eigenvalue pencil.
 
-Sampling and per-sample checks are embarrassingly parallel in principle:
-each sample derives its own random stream from (seed, sample index), so
-results do not depend on evaluation order.
+Each sample derives its own random stream from (seed, sample index), and
+the bisection runs all samples in lockstep over one (N, d, d) stack, bit
+for bit as if each sample were bisected alone.
 """
 
 from __future__ import annotations
@@ -181,10 +181,6 @@ def _family_description(family) -> dict:
     }
 
 
-def _max_level_eig(candidate: LyapunovCandidate, x: np.ndarray, tol: float) -> float:
-    return float(hermitian_eigenvalues(evaluate(candidate, x), tol=max(tol, 1e-7))[-1])
-
-
 def sample_level_set(
     candidate: LyapunovCandidate,
     center: np.ndarray,
@@ -202,12 +198,15 @@ def sample_level_set(
     until the level constraint binds, and the uniform draw multiplies the
     feasible cap, so shrinking epsilon rescales the same sample set inward
     (nested sampling).  Every returned sample is re-verified against the
-    level constraint.
+    level constraint.  All samples are bisected in lockstep as one
+    (N, d, d) stack, each keeping or cutting its own bracket, which gives
+    bit for bit the samples that bisecting each one alone gives.
 
     A family whose scale range is degenerate at zero yields an empty list;
     a family that admits no feasible nonzero sample raises
     :class:`SamplingError`.
     """
+    require_positive(tol, "tol")
     cand = candidate if candidate.is_canonical else canonicalize(candidate)
     center = as_operator(center)
     if center.shape[0] != cand.dim:
@@ -219,43 +218,38 @@ def sample_level_set(
         scale_min, scale_hi = 0.0, family.radius
     if scale_hi == 0.0:
         return []
+    streams = [_seeded_rng(spec.seed, i) for i in range(spec.sample_count)]
+    if isinstance(family, DirectionFamily):
+        unit = [d / spectral_norm(d) for d in family.directions[: spec.sample_count]]
+        if traceless and any(abs(np.trace(d)) > tol for d in unit):
+            raise InvalidStateError("state-picture directions must be traceless to keep unit trace")
+        directions = np.stack([unit[i % len(unit)] for i in range(spec.sample_count)])
+    else:
+        directions = np.stack([_random_hermitian_direction(rng, cand.dim, traceless) for rng in streams])
+    u = 1.0 - np.array([rng.random() for rng in streams])  # uniform on (0, 1]
 
-    samples: list[np.ndarray] = []
-    for i in range(spec.sample_count):
-        rng = _seeded_rng(spec.seed, i)
-        if isinstance(family, DirectionFamily):
-            direction = family.directions[i % len(family.directions)]
-            direction = direction / spectral_norm(direction)
-            if traceless and abs(np.trace(direction)) > tol:
-                raise InvalidStateError("state-picture directions must be traceless to keep unit trace")
-        else:
-            direction = _random_hermitian_direction(rng, cand.dim, traceless)
-        u = 1.0 - rng.random()  # uniform on (0, 1]
+    def top_level(x):
+        return hermitian_eigenvalues(evaluate(cand, x), tol=max(tol, 1e-7))[:, -1]
 
-        if _max_level_eig(cand, center + scale_hi * direction, tol) <= spec.epsilon:
-            cap = scale_hi
-        else:
-            lo, hi = 0.0, scale_hi
-            for _ in range(bisection_steps):
-                mid = 0.5 * (lo + hi)
-                if _max_level_eig(cand, center + mid * direction, tol) <= spec.epsilon:
-                    lo = mid
-                else:
-                    hi = mid
-            cap = lo
-        if cap <= scale_min or cap == 0.0:
-            continue
-        t = scale_min + u * (cap - scale_min)
-        x = center + t * direction
-        if _max_level_eig(cand, x, tol) > spec.epsilon + max(tol, 1e-9):
-            raise InternalCheckError("level-set sample failed its own constraint re-check")
-        samples.append(x)
-
-    if not samples:
+    cap = np.full(spec.sample_count, scale_hi)
+    bisect = ~(top_level(center + scale_hi * directions) <= spec.epsilon)
+    if bisect.any():
+        dirs = directions[bisect]
+        lo, hi = np.zeros(len(dirs)), cap[bisect]
+        for _ in range(bisection_steps):
+            mid = 0.5 * (lo + hi)
+            ok = top_level(center + mid[:, None, None] * dirs) <= spec.epsilon
+            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+        cap[bisect] = lo
+    keep = (cap > scale_min) & (cap != 0.0)
+    if not keep.any():
         raise SamplingError(
             f"family yielded no feasible nonzero sample inside the level set (epsilon={spec.epsilon})"
         )
-    return samples
+    samples = center + (scale_min + u[keep] * (cap[keep] - scale_min))[:, None, None] * directions[keep]
+    if np.any(top_level(samples) > spec.epsilon + max(tol, 1e-9)):
+        raise InternalCheckError("level-set sample failed its own constraint re-check")
+    return list(samples)
 
 
 def _support_basis(v: np.ndarray, cutoff: float) -> np.ndarray | None:

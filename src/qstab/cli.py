@@ -202,6 +202,8 @@ def _cmd_simulate(args) -> int:
         traj = simulate_flow_expectation(model, candidate, x0, psi0, config)
     else:
         require_positive(args.dt, "dt")
+        if args.steps < 0:
+            raise QstabCliInputError(f"steps must be nonnegative, got {args.steps}")
         t_grid = args.dt * np.arange(args.steps + 1)
         traj = master_flow_expectation(model, candidate, x0, psi0, t_grid)
     payload = fileio.trajectory_csv_bytes(traj)

@@ -248,8 +248,8 @@ def master_evolve(model: QsdeModel, rho0: QuantumState, t_grid) -> list[QuantumS
     state revalidates those invariants at construction.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must increase strictly from 0")
+    if t_grid.ndim != 1 or t_grid.size == 0 or t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
+        raise ValueError("t_grid must be a nonempty 1-D grid increasing strictly from 0")
     validate(model)
     liouville = liouvillian_matrix(model)
     vec0 = rho0.rho.reshape(-1)

@@ -206,11 +206,11 @@ def evaluate(candidate: LyapunovCandidate, x: np.ndarray) -> np.ndarray:
 
     Hermitian for Hermitian arguments when the candidate is
     Hermitian-closed; zero at the center when the candidate has no
-    constant term.
+    constant term.  A stack of arguments gives the stack of values.
     """
     x = np.asarray(x, dtype=complex)
-    if x.shape[0] != candidate.dim:
-        raise DimensionMismatchError(f"argument dimension {x.shape[0]} != candidate dimension {candidate.dim}")
+    if x.shape[-1] != candidate.dim:
+        raise DimensionMismatchError(f"argument dimension {x.shape[-1]} != candidate dimension {candidate.dim}")
     y = x - candidate.center if candidate.center is not None else x
     powers = _powers(y, max(max(n, m) for n, m, _ in candidate.terms))
     out = np.zeros_like(y)
@@ -221,7 +221,7 @@ def evaluate(candidate: LyapunovCandidate, x: np.ndarray) -> np.ndarray:
 
 def _powers(x: np.ndarray, up_to: int) -> list[np.ndarray]:
     # Repeated multiplication keeps nilpotent / idempotent arguments exact.
-    powers = [np.eye(x.shape[0], dtype=complex), np.array(x)]
+    powers = [np.eye(x.shape[-1], dtype=complex), np.array(x)]
     for _ in range(2, up_to + 1):
         powers.append(powers[-1] @ x)
     return powers[: up_to + 1]

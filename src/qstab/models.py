@@ -40,6 +40,7 @@ from .operators import (
     as_operator,
     commutator,
     hermiticity_defect,
+    require_positive,
     require_same_dim,
     spectral_norm,
 )
@@ -96,6 +97,7 @@ def diagnose(model: QsdeModel, tol: float = DEFAULT_TOL) -> ModelDiagnostics:
     worse of ||S†S - I|| and ||SS† - I||), operator norms, and the decay
     scale ||L†L|| implied by the coupling's units.
     """
+    require_positive(tol, "tol")
     h, l, s = model.hamiltonian, model.coupling, model.scattering
     eye = np.eye(model.dim)
     h_defect = hermiticity_defect(h)

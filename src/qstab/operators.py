@@ -13,6 +13,7 @@ Conventions
   symmetric solver on the Hermitized matrix ``(X + X†)/2``; an asymmetry
   beyond tolerance is an error, never silently repaired.
 * Default absolute tolerance on eigenvalues and norms is ``DEFAULT_TOL``.
+* Matrix functions act per member, bit for bit, on an ``(N, d, d)`` stack.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def require_same_dim(*ops: np.ndarray) -> int:
 
 def adjoint(x: np.ndarray) -> np.ndarray:
     """Conjugate transpose.  An exact involution: adjoint(adjoint(X)) == X."""
-    return np.asarray(x).conj().T
+    return np.asarray(x).conj().swapaxes(-1, -2)
 
 
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -82,9 +83,10 @@ def anticommutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y + y @ x
 
 
-def spectral_norm(x: np.ndarray) -> float:
+def spectral_norm(x: np.ndarray) -> float | np.ndarray:
     """Largest singular value; equals max |eigenvalue| for normal matrices."""
-    return float(np.linalg.norm(np.asarray(x), ord=2))
+    norms = np.linalg.norm(np.asarray(x), ord=2, axis=(-2, -1))
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def hermitize(x: np.ndarray) -> np.ndarray:
@@ -92,7 +94,7 @@ def hermitize(x: np.ndarray) -> np.ndarray:
     return (x + adjoint(x)) / 2.0
 
 
-def hermiticity_defect(x: np.ndarray) -> float:
+def hermiticity_defect(x: np.ndarray) -> float | np.ndarray:
     """Spectral-norm distance from X to its Hermitian part, ||X - X†||."""
     return spectral_norm(x - adjoint(x))
 
@@ -101,9 +103,9 @@ def hermitian_eigenvalues(x: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray
     """Ascending eigenvalues of a Hermitian matrix via a symmetric solver.
 
     The input is Hermitized before the eigen-solve; an asymmetry larger
-    than ``tol`` raises :class:`NonHermitianError` instead of being fixed.
+    than ``tol`` (in any member of a stack) raises :class:`NonHermitianError`.
     """
-    defect = hermiticity_defect(x)
+    defect = np.max(hermiticity_defect(x))
     if defect > tol:
         raise NonHermitianError(f"matrix is not Hermitian within tolerance: defect {defect:.3e} > {tol:.3e}")
     return np.linalg.eigvalsh(hermitize(x))

@@ -1,11 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qstab.certify
 from qstab import (
     DegeneratePencilError,
     DirectionFamily,
     HermitianBall,
+    InternalCheckError,
     InvalidModelError,
+    InvalidStateError,
     LevelSetSpec,
     LyapunovCandidate,
     QsdeModel,
@@ -22,11 +27,13 @@ from qstab import (
     hermitian_eigenvalues,
     recheck_witness,
     sample_level_set,
+    spectral_norm,
 )
+from qstab.fileio import load_lyapunov, load_operator
 
-from conftest import EYE2, GROUND, NUMBER, SIGMA_MINUS, SIGMA_Z
+from conftest import EYE2, GROUND, NUMBER, SIGMA_MINUS, SIGMA_X, SIGMA_Z, random_complex
 
-
+DEMO_FILES = Path(__file__).resolve().parents[1] / "demos" / "files"
 GAMMA = 1.0
 
 
@@ -89,11 +96,163 @@ class TestSampleLevelSet:
         with pytest.raises(SamplingError):
             sample_level_set(cand, np.zeros((2, 2)), spec)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_tol_rejected(self, damping_candidate, spec_number, tol):
+        with pytest.raises(ValueError, match="tol must be a finite positive number"):
+            sample_level_set(damping_candidate, -EYE2, spec_number, tol=tol)
+
     def test_traceless_sampling_keeps_trace(self):
         cand = canonicalize(LyapunovCandidate(terms=((1, 1, EYE2),), center=EYE2 / 2))
         spec = LevelSetSpec(epsilon=0.5, sample_count=10, seed=5)
         for rho in sample_level_set(cand, EYE2 / 2, spec, traceless=True):
             assert abs(np.trace(rho) - 1.0) <= 1e-12
+
+
+def reference_sample_level_set(candidate, center, spec, *, traceless=False, tol=1e-9, bisection_steps=60):
+    """The level-set sampler written one sample at a time: the oracle for the lockstep sampler.
+
+    Each sample draws its direction and u from the stream seeded by
+    (seed, index), bisects its own scale cap and is re-checked on its own.
+    """
+    cand = candidate if candidate.is_canonical else canonicalize(candidate)
+    center = np.asarray(center, dtype=complex)
+    dim = center.shape[0]
+
+    def top(x):
+        return float(hermitian_eigenvalues(evaluate(cand, x), tol=max(tol, 1e-7))[-1])
+
+    family = spec.family
+    if isinstance(family, DirectionFamily):
+        scale_min, scale_hi = family.scale_min, family.scale_max
+    else:
+        scale_min, scale_hi = 0.0, family.radius
+    if scale_hi == 0.0:
+        return []
+
+    samples = []
+    for i in range(spec.sample_count):
+        rng = np.random.default_rng(np.random.SeedSequence([spec.seed & 0xFFFFFFFFFFFFFFFF, i]))
+        if isinstance(family, DirectionFamily):
+            direction = family.directions[i % len(family.directions)]
+            direction = direction / spectral_norm(direction)
+            if traceless and abs(np.trace(direction)) > tol:
+                raise InvalidStateError("state-picture directions must be traceless to keep unit trace")
+        else:
+            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            direction = (a + a.conj().T) / 2.0
+            if traceless:
+                direction = direction - (np.trace(direction) / dim) * np.eye(dim)
+            direction = direction / spectral_norm(direction)
+        u = 1.0 - rng.random()
+
+        if top(center + scale_hi * direction) <= spec.epsilon:
+            cap = scale_hi
+        else:
+            lo, hi = 0.0, scale_hi
+            for _ in range(bisection_steps):
+                mid = 0.5 * (lo + hi)
+                if top(center + mid * direction) <= spec.epsilon:
+                    lo = mid
+                else:
+                    hi = mid
+            cap = lo
+        if cap <= scale_min or cap == 0.0:
+            continue
+        x = center + (scale_min + u * (cap - scale_min)) * direction
+        if top(x) > spec.epsilon + max(tol, 1e-9):
+            raise InternalCheckError("level-set sample failed its own constraint re-check")
+        samples.append(x)
+    if not samples:
+        raise SamplingError("family yielded no feasible nonzero sample inside the level set")
+    return samples
+
+
+def cubic_candidate(dim, seed):
+    """A degree-3 candidate with non-scalar Theta around a scalar center."""
+    rng = np.random.default_rng(seed)
+    a = random_complex(rng, dim)
+    theta = 0.2 * random_complex(rng, dim)
+    return canonicalize(
+        LyapunovCandidate(
+            terms=((1, 1, a @ a.conj().T + np.eye(dim)), (2, 1, theta), (1, 2, theta.conj().T)),
+            center=0.5 * np.eye(dim),
+        )
+    )
+
+
+class TestAgainstReferenceSampler:
+    """The lockstep sampler returns the per-sample loop's samples bit for bit."""
+
+    def assert_same(self, candidate, center, spec, **kw):
+        batched = sample_level_set(candidate, center, spec, **kw)
+        reference = reference_sample_level_set(candidate, center, spec, **kw)
+        assert len(batched) == len(reference)
+        assert all(np.array_equal(x, y) for x, y in zip(batched, reference))
+        return batched
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_demo_qubit_ball(self, seed):
+        cand = load_lyapunov(DEMO_FILES / "square_candidate.json")
+        center = load_operator(DEMO_FILES / "center.json")
+        spec = LevelSetSpec(epsilon=0.5, sample_count=256, seed=seed, family=HermitianBall(1.0))
+        assert len(self.assert_same(cand, center, spec)) == 256
+
+    def test_scale_min_drops_samples(self):
+        # V(-I + yD) = y^2 D Theta D caps the scale at 0.25 along N (below
+        # scale_min, dropped) and at 0.83 along diag(0.3, 1) (bisected); along
+        # G the whole range is feasible.
+        cand = canonicalize(LyapunovCandidate(terms=((1, 1, np.diag([4.0, 0.1])),), center=-EYE2))
+        family = DirectionFamily(directions=(NUMBER, GROUND, np.diag([0.3, 1.0])), scale_min=0.5, scale_max=1.0)
+        spec = LevelSetSpec(epsilon=0.25, sample_count=9, seed=4, family=family)
+        assert len(self.assert_same(cand, -EYE2, spec)) == 6
+
+    @pytest.mark.parametrize("family", [HermitianBall(0.8), DirectionFamily(directions=(SIGMA_Z, SIGMA_X))])
+    def test_traceless(self, family):
+        cand = canonicalize(LyapunovCandidate(terms=((1, 1, EYE2),), center=EYE2 / 2))
+        spec = LevelSetSpec(epsilon=0.1, sample_count=10, seed=5, family=family)
+        self.assert_same(cand, EYE2 / 2, spec, traceless=True)
+
+    @pytest.mark.parametrize("dim", [3, 5])
+    @pytest.mark.parametrize("epsilon", [0.05, 0.5])
+    def test_cubic_non_scalar_theta(self, dim, epsilon):
+        cand = cubic_candidate(dim, seed=dim)
+        spec = LevelSetSpec(epsilon=epsilon, sample_count=24, seed=dim + 1, family=HermitianBall(2.0))
+        self.assert_same(cand, 0.5 * np.eye(dim), spec)
+
+    def test_feasible_scale_hi_runs_no_bisection(self, damping_candidate, monkeypatch):
+        calls = []
+        evaluate_stack = qstab.certify.evaluate
+
+        def counting_evaluate(candidate, x):
+            calls.append(x.shape)
+            return evaluate_stack(candidate, x)
+
+        monkeypatch.setattr(qstab.certify, "evaluate", counting_evaluate)
+        family = DirectionFamily(directions=(NUMBER, SIGMA_Z), scale_min=0.05, scale_max=0.1)
+        spec = LevelSetSpec(epsilon=1.0, sample_count=6, seed=2, family=family)
+        self.assert_same(damping_candidate, -EYE2, spec)
+        assert calls == [(6, 2, 2), (6, 2, 2)]  # the scale_hi probe and the re-check
+
+    def test_same_errors(self):
+        infeasible = canonicalize(LyapunovCandidate(terms=((1, 1, EYE2), (0, 0, EYE2))))
+        spec = LevelSetSpec(epsilon=0.5, sample_count=4, seed=0)
+        for sampler in (sample_level_set, reference_sample_level_set):
+            with pytest.raises(SamplingError):
+                sampler(infeasible, np.zeros((2, 2)), spec)
+        cand = canonicalize(LyapunovCandidate(terms=((1, 1, EYE2),), center=EYE2 / 2))
+        family = DirectionFamily(directions=(SIGMA_Z, NUMBER))
+        spec = LevelSetSpec(epsilon=0.5, sample_count=4, seed=0, family=family)
+        for sampler in (sample_level_set, reference_sample_level_set):
+            with pytest.raises(InvalidStateError):
+                sampler(cand, EYE2 / 2, spec, traceless=True)
+
+    def test_samples_depend_only_on_seed_and_index(self):
+        cand = cubic_candidate(3, seed=9)
+        center = 0.5 * np.eye(3)
+        short = sample_level_set(cand, center, LevelSetSpec(epsilon=0.5, sample_count=8, seed=21))
+        long = sample_level_set(cand, center, LevelSetSpec(epsilon=0.5, sample_count=16, seed=21))
+        assert len(short) == 8 and len(long) == 16
+        assert all(np.array_equal(x, y) for x, y in zip(short, long[:8]))
 
 
 class TestCheckLocal:

@@ -187,6 +187,16 @@ class TestSimulateCommand:
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("t,v_expect")
 
+    def test_master_steps(self, files, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        argv = self.args(files, "master", str(out))
+        argv[argv.index("--steps") + 1] = "-1"
+        assert main(argv) == 2
+        assert "steps must be nonnegative" in capsys.readouterr().err
+        argv[argv.index("--steps") + 1] = "0"
+        assert main(argv) == 0
+        assert out.read_text().strip().split("\n") == ["t,v_expect", "0,4"]
+
 
 class TestCrosscheckCommand:
     def test_crosscheck_ok(self, files, capsys):
@@ -201,7 +211,7 @@ class TestCrosscheckCommand:
 
 
 class TestNumericFlags:
-    """Non-finite or non-positive --epsilon, --rate, --margin and --dt are input errors naming the field."""
+    """Non-finite or non-positive --epsilon, --rate, --margin, --dt and --tol are input errors naming the field."""
 
     def argv(self, files, case):
         certify = ["certify", files["model"], files["lyap"], "--center", files["center"],
@@ -216,10 +226,14 @@ class TestNumericFlags:
             "dt-master": simulate + ["--method", "master"],
             "dt-crosscheck": ["crosscheck", files["model"], files["lyap"], "--x0", files["x0"],
                               "--psi0", files["psi0"], "--dt", "0.01"],
+            "tol": certify + ["--mode", "local", "--tol", "1e-9"],
+            "tol-validate": ["validate", files["model"], "--tol", "1e-9"],
         }[case]
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
-    @pytest.mark.parametrize("case", ["epsilon", "rate", "margin", "dt", "dt-master", "dt-crosscheck"])
+    @pytest.mark.parametrize(
+        "case", ["epsilon", "rate", "margin", "dt", "dt-master", "dt-crosscheck", "tol", "tol-validate"]
+    )
     def test_bad_value_exits_2(self, files, capsys, case, value):
         field = case.split("-")[0]
         argv = self.argv(files, case)

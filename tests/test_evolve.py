@@ -277,6 +277,11 @@ class TestMasterEvolve:
         with pytest.raises(InvalidCandidateError):
             master_flow_expectation(damping_model, cand, SIGMA_Z, excited, np.linspace(0, 1, 3))
 
+    @pytest.mark.parametrize("t_grid", [[], [[0.0, 0.1]]])
+    def test_master_rejects_empty_or_nested_grid(self, damping_model, v_linear, excited, t_grid):
+        with pytest.raises(ValueError, match="t_grid"):
+            master_flow_expectation(damping_model, v_linear, NUMBER, excited, t_grid)
+
 
 class TestFiniteDifferenceDriftCheck:
     def test_trivial_model_zero(self, v_linear):

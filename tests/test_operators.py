@@ -5,14 +5,19 @@ from qstab import (
     DimensionMismatchError,
     InvalidOperatorError,
     InvalidStateError,
+    LyapunovCandidate,
     NonHermitianError,
     QuantumState,
     adjoint,
     anticommutator,
     as_operator,
     commutator,
+    canonicalize,
+    evaluate,
     expectation,
     hermitian_eigenvalues,
+    hermiticity_defect,
+    hermitize,
     is_psd,
     spectral_norm,
 )
@@ -149,6 +154,46 @@ class TestHermitianEigenvalues:
     def test_asymmetry_is_an_error_not_a_fix(self):
         with pytest.raises(NonHermitianError):
             hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]), tol=1e-9)
+
+
+class TestStacks:
+    """On an (N, d, d) stack each function equals its per-matrix result bit for bit."""
+
+    @pytest.fixture(params=[1, 2, 3, 5])
+    def stack(self, request):
+        rng = np.random.default_rng(100 + request.param)
+        return np.stack([random_hermitian(rng, request.param) for _ in range(7)])
+
+    @pytest.mark.parametrize("fn", [adjoint, hermitize, spectral_norm, hermiticity_defect, hermitian_eigenvalues])
+    def test_operator_functions_match_per_matrix(self, stack, fn):
+        for x in (stack, stack + 1e-12j * np.arange(stack.shape[-1])):
+            batched = fn(x)
+            assert np.array_equal(batched, np.array([fn(m) for m in x]))
+
+    def test_evaluate_matches_per_matrix(self, stack):
+        rng = np.random.default_rng(200)
+        d = stack.shape[-1]
+        theta = random_complex(rng, d)
+        cand = canonicalize(
+            LyapunovCandidate(terms=((1, 1, random_hermitian(rng, d)), (2, 1, theta), (1, 2, adjoint(theta))),
+                              center=0.3 * np.eye(d))
+        )
+        batched = evaluate(cand, stack)
+        assert batched.shape == stack.shape
+        assert np.array_equal(batched, np.array([evaluate(cand, m) for m in stack]))
+
+    def test_matrix_input_keeps_return_types(self):
+        assert type(spectral_norm(SIGMA_X)) is float
+        assert type(hermiticity_defect(SIGMA_X)) is float
+        assert adjoint(SIGMA_MINUS).shape == (2, 2)
+        assert hermitian_eigenvalues(SIGMA_Z).shape == (2,)
+
+    def test_one_non_hermitian_member_raises(self, stack):
+        bad = stack.copy()
+        bad[4] = bad[4] + 1j * np.eye(stack.shape[-1])
+        with pytest.raises(NonHermitianError):
+            hermitian_eigenvalues(bad)
+        assert hermitian_eigenvalues(stack).shape == stack.shape[:2]
 
 
 class TestQuantumState:
