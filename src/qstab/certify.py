@@ -19,6 +19,14 @@ space would reject every such certificate.  Off the support the drift must
 still be nonpositive within tolerance.  The decay-rate estimator uses the
 same support convention via a generalized eigenvalue pencil.
 
+One condition table serves every check and every witness recheck: each
+label has one ``measure(point)`` giving the violation at a point, or None
+where the condition holds.  A mode is its ordered conditions at the center,
+on V at a sample, and on the drift at a sample; the first violated one
+decides a point and the most violated sample is the witness.
+:func:`recheck_witness` calls the stored condition's measure at the
+witness, so it reproduces the stored violation by construction.
+
 Each sample derives its own random stream from (seed, sample index), and
 the bisection runs all samples in lockstep over one (N, d, d) stack, bit
 for bit as if each sample were bisected alone.
@@ -27,6 +35,8 @@ for bit as if each sample were bisected alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -40,7 +50,7 @@ from .errors import (
     SamplingError,
 )
 from .lyapunov import LyapunovCandidate, canonicalize, evaluate, flow_ito_coefficients, state_ito_coefficients
-from .models import equilibrium_residual, validate
+from .models import QsdeModel, equilibrium_residual, validate
 from .operators import (
     DEFAULT_TOL,
     QuantumState,
@@ -83,8 +93,10 @@ class DirectionFamily:
         if not 0.0 <= self.scale_min <= self.scale_max:
             raise ValueError("scalar range must satisfy 0 <= scale_min <= scale_max")
         frozen = []
-        for d in self.directions:
+        for i, d in enumerate(self.directions):
             d = as_operator(d)
+            if not d.any():
+                raise ValueError(f"directions[{i}] is zero; every direction needs a nonzero norm")
             defect = hermiticity_defect(d)
             if defect > DEFAULT_TOL:
                 raise NonHermitianError(f"directions must be Hermitian, defect {defect:.3e}")
@@ -264,128 +276,183 @@ def _support_basis(v: np.ndarray, cutoff: float) -> np.ndarray | None:
     return vecs[:, mask]
 
 
-def _support_max_eig(m: np.ndarray, basis: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(hermitize(basis.conj().T @ m @ basis))[-1])
+@dataclass(eq=False)
+class _Point:
+    """One point of a check and the values its conditions read, each computed at most once."""
+
+    model: QsdeModel
+    cand: LyapunovCandidate
+    x: np.ndarray
+    picture: str  # "flow" | "state"
+    rate: float | None
+    margin: float | None
+    tol: float
+    tol_strict: float
+    reference_state: QuantumState | None
+
+    @cached_property
+    def residual(self) -> float:
+        return equilibrium_residual(self.model, self.x, picture=self.picture)
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        return evaluate(self.cand, self.x)
+
+    @cached_property
+    def v_eigs(self) -> np.ndarray:
+        return hermitian_eigenvalues(self.v, tol=max(self.tol, 1e-7))
+
+    @cached_property
+    def drift(self) -> np.ndarray:
+        ito = flow_ito_coefficients if self.picture == "flow" else state_ito_coefficients
+        return ito(self.model, self.cand, self.x).drift
+
+    @cached_property
+    def target(self) -> np.ndarray:
+        """drift + rate * V, or the drift alone without a rate."""
+        return self.drift if self.rate is None else self.drift + self.rate * self.v
+
+    @cached_property
+    def target_max(self) -> float:
+        return float(hermitian_eigenvalues(self.target, tol=max(self.tol, 1e-7))[-1])
+
+    @cached_property
+    def support_max(self) -> float:
+        # Read only after V's top eigenvalue passed tol_strict > 0, so the support is nonempty.
+        basis = _support_basis(self.v, SUPPORT_CUTOFF)
+        return float(np.linalg.eigvalsh(hermitize(basis.conj().T @ self.target @ basis))[-1])
+
+    @cached_property
+    def e_v(self) -> complex:
+        return expectation(self.reference_state, self.v)
+
+    @cached_property
+    def e_target(self) -> float:
+        """E[drift] + rate * E[V], or E[drift] alone without a rate."""
+        e_drift = expectation(self.reference_state, self.drift).real
+        return e_drift if self.rate is None else e_drift + self.rate * self.e_v.real
 
 
-def _certificate(
-    mode,
-    verdict,
-    residual,
-    spec,
-    *,
-    worst_drift=None,
-    worst_v_min=None,
-    rate=None,
-    margin=None,
-    witness=None,
-    condition=None,
-    violation=None,
-    used=0,
-    tol=DEFAULT_TOL,
-    tol_strict=TOL_STRICT,
-) -> StabilityCertificate:
+# Measures: the violation where a condition fails, None where it holds.
+def _above(value, bound):
+    return value if value > bound else None
+
+
+def _excess(value, bound):
+    return value - bound if value > bound else None
+
+
+def _shortfall(value, bound):  # the condition asks value > bound; 0.0 at the bound
+    return bound - value if value <= bound else None
+
+
+class _Condition(NamedTuple):
+    label: str
+    measure: Callable[[_Point], float | None]
+    level: str = ""  # drift conditions: the point value recorded as the worst drift when this one decides a sample
+
+
+_FLOW_EQUILIBRIUM = _Condition("center is not a flow equilibrium", lambda p: _above(p.residual, p.tol))
+_STATE_EQUILIBRIUM = _Condition("center is not a state equilibrium", lambda p: _above(p.residual, p.tol))
+_V_AT_CENTER = _Condition("candidate does not vanish at the center", lambda p: _above(spectral_norm(p.v), p.tol))
+_E_AT_CENTER = _Condition("candidate expectation does not vanish at the center", lambda p: _above(abs(p.e_v), p.tol))
+_NOT_PSD = _Condition("candidate is not positive semidefinite at a sample", lambda p: _above(-p.v_eigs[0], p.tol))
+_V_VANISHES = _Condition(
+    "candidate vanishes at a sample away from the center", lambda p: _shortfall(p.v_eigs[-1], p.tol_strict)
+)
+_E_VANISHES = _Condition(
+    "candidate expectation vanishes at a sample away from the center", lambda p: _shortfall(p.e_v.real, p.tol_strict)
+)
+_DRIFT = _Condition("drift has a positive eigenvalue on a sample", lambda p: _excess(p.target_max, p.tol), "target_max")
+_MARGIN = _Condition(
+    "drift exceeds -margin on the support of the candidate", lambda p: _excess(p.support_max, -p.margin), "support_max"
+)
+_RATE = _Condition(
+    "drift plus rate*candidate is not strictly negative on the support",
+    lambda p: _excess(p.support_max, -p.tol_strict),
+    "support_max",
+)
+_E_DRIFT = _Condition("drift expectation is positive on a sample", lambda p: _excess(p.e_target, p.tol), "e_target")
+_E_STRICT = _Condition(
+    "drift expectation is not strictly negative on a sample",
+    lambda p: _shortfall(-p.e_target, p.tol_strict),
+    "e_target",
+)
+_E_RATE = _Condition(
+    "drift plus rate*candidate expectation is not strictly negative on a sample",
+    lambda p: _shortfall(-p.e_target, p.tol_strict),
+    "e_target",
+)
+
+# mode -> (picture, conditions at the center, on V at a sample, on the drift at a
+# sample whose V conditions hold); each group is checked in order.
+_FLOW = ("flow", (_FLOW_EQUILIBRIUM, _V_AT_CENTER), (_NOT_PSD, _V_VANISHES))
+_STATE = ("state", (_STATE_EQUILIBRIUM, _E_AT_CENTER), (_E_VANISHES,))
+_MODES = {
+    "local": (*_FLOW, (_DRIFT,)),
+    "asymptotic": (*_FLOW, (_DRIFT, _MARGIN)),
+    "exponential": (*_FLOW, (_DRIFT, _RATE)),
+    "state-local": (*_STATE, (_E_DRIFT,)),
+    "state-asymptotic": (*_STATE, (_E_STRICT,)),
+    "state-exponential": (*_STATE, (_E_RATE,)),
+}
+
+
+def _first_violation(conditions, point):
+    """The first condition violated at the point and its violation, else the last condition and None."""
+    for condition in conditions:
+        violation = condition.measure(point)
+        if violation is not None:
+            break
+    return condition, violation
+
+
+def _check(model, candidate, center, spec, mode, *, rate=None, margin=None, reference_state=None, tol, tol_strict):
+    """Check one mode's conditions at the center, then at every level-set sample, and certify the outcome."""
+    require_positive(tol_strict, "tol_strict")
+    validate(model, tol=tol)
+    cand = candidate if candidate.is_canonical else canonicalize(candidate)
+    center = as_operator(center)
+    picture, center_conditions, v_conditions, drift_conditions = _MODES[mode]
+    state = picture == "state"
+    point = partial(_Point, model, cand, picture=picture, rate=rate, margin=margin, tol=tol,
+                    tol_strict=tol_strict, reference_state=reference_state)
+
+    at_center = point(center)
+    condition, violation = _first_violation(center_conditions, at_center)
+    worst = None if violation is None else (violation, condition.label, center)
+    samples = [] if worst else sample_level_set(cand, center, spec, traceless=state, tol=tol)
+    worst_drift, worst_v = -np.inf, np.inf
+    for x in samples:
+        if state and abs(np.trace(x) - np.trace(center)) > max(tol, 1e-9):
+            raise InvalidStateError("state-picture sample lost unit trace")
+        p = point(x)
+        worst_v = min(worst_v, p.e_v.real if state else float(p.v_eigs[0]))
+        condition, violation = _first_violation(v_conditions, p)
+        if violation is None:
+            condition, violation = _first_violation(drift_conditions, p)
+            worst_drift = max(worst_drift, getattr(p, condition.level))
+        # report the most violated sample, not the first encountered
+        if violation is not None and (worst is None or violation > worst[0]):
+            worst = (violation, condition.label, x)
+
+    violation, condition, witness = worst or (None, None, None)
     return StabilityCertificate(
         mode=mode,
-        verdict=verdict,
-        equilibrium_residual=float(residual),
-        worst_drift_eigenvalue=None if worst_drift is None else float(worst_drift),
-        worst_v_min_eigenvalue=None if worst_v_min is None else float(worst_v_min),
+        verdict="fail" if worst else "pass",
+        equilibrium_residual=float(at_center.residual),
+        worst_drift_eigenvalue=None if worst_drift == -np.inf else float(worst_drift),
+        worst_v_min_eigenvalue=float(worst_v) if samples else None,
         rate=None if rate is None else float(rate),
         margin=None if margin is None else float(margin),
         witness=witness,
         violated_condition=condition,
         violation=None if violation is None else float(violation),
-        sample_count_used=int(used),
+        sample_count_used=len(samples),
         seed=int(spec.seed),
         epsilon=float(spec.epsilon),
         family=_family_description(spec.family),
         tolerances={"tol": tol, "tol_strict": tol_strict, "support_cutoff": SUPPORT_CUTOFF},
-    )
-
-
-def _check_flow(model, candidate, center, spec, mode, *, rate=None, margin=None, tol, tol_strict):
-    validate(model, tol=tol)
-    cand = candidate if candidate.is_canonical else canonicalize(candidate)
-    center = as_operator(center)
-
-    residual = equilibrium_residual(model, center, picture="flow")
-    kw = dict(rate=rate, margin=margin, tol=tol, tol_strict=tol_strict)
-    if residual > tol:
-        return _certificate(
-            mode, "fail", residual, spec,
-            witness=center, condition="center is not a flow equilibrium", violation=residual, **kw,
-        )
-    v_center = spectral_norm(evaluate(cand, center))
-    if v_center > tol:
-        return _certificate(
-            mode, "fail", residual, spec,
-            witness=center, condition="candidate does not vanish at the center", violation=v_center, **kw,
-        )
-
-    samples = sample_level_set(cand, center, spec, tol=tol)
-    worst_drift = -np.inf
-    worst_v_min = np.inf
-    violations: list[tuple[float, str, np.ndarray]] = []
-    for x in samples:
-        v_x = evaluate(cand, x)
-        v_eigs = hermitian_eigenvalues(v_x, tol=max(tol, 1e-7))
-        worst_v_min = min(worst_v_min, float(v_eigs[0]))
-        if v_eigs[0] < -tol:
-            violations.append((float(-v_eigs[0]), "candidate is not positive semidefinite at a sample", x))
-            continue
-        if v_eigs[-1] <= tol_strict:
-            violations.append(
-                (float(tol_strict - v_eigs[-1]), "candidate vanishes at a sample away from the center", x)
-            )
-            continue
-
-        drift = flow_ito_coefficients(model, cand, x).drift
-        target = drift if rate is None else drift + rate * v_x
-        target_max = float(hermitian_eigenvalues(target, tol=max(tol, 1e-7))[-1])
-
-        if mode == "local":
-            worst_drift = max(worst_drift, target_max)
-            if target_max > tol:
-                violations.append((target_max - tol, "drift has a positive eigenvalue on a sample", x))
-            continue
-
-        # Strict modes: nonpositive everywhere, strictly negative on the
-        # support of V at the sample.
-        if target_max > tol:
-            worst_drift = max(worst_drift, target_max)
-            violations.append((target_max - tol, "drift has a positive eigenvalue on a sample", x))
-            continue
-        basis = _support_basis(v_x, SUPPORT_CUTOFF)
-        if basis is None:
-            violations.append((0.0, "candidate has empty support at a sample", x))
-            continue
-        support_max = _support_max_eig(target, basis)
-        worst_drift = max(worst_drift, support_max)
-        threshold = -margin if mode == "asymptotic" else -tol_strict
-        label = (
-            "drift exceeds -margin on the support of the candidate"
-            if mode == "asymptotic"
-            else "drift plus rate*candidate is not strictly negative on the support"
-        )
-        if support_max > threshold:
-            violations.append((float(support_max - threshold), label, x))
-
-    if violations:
-        # report the most violated sample, not the first encountered
-        violation, condition, witness = max(violations, key=lambda entry: entry[0])
-        return _certificate(
-            mode, "fail", residual, spec,
-            worst_drift=None if worst_drift == -np.inf else worst_drift,
-            worst_v_min=worst_v_min,
-            witness=witness, condition=condition, violation=violation,
-            used=len(samples), **kw,
-        )
-    return _certificate(
-        mode, "pass", residual, spec,
-        worst_drift=None if not samples or worst_drift == -np.inf else worst_drift,
-        worst_v_min=None if not samples else worst_v_min,
-        used=len(samples), **kw,
     )
 
 
@@ -397,7 +464,7 @@ def check_local(model, candidate, center, spec, *, tol=DEFAULT_TOL, tol_strict=T
     and nonvanishing at every sample, (iv) the drift is nonpositive (within
     ``tol``) at every sample.
     """
-    return _check_flow(model, candidate, center, spec, "local", tol=tol, tol_strict=tol_strict)
+    return _check(model, candidate, center, spec, "local", tol=tol, tol_strict=tol_strict)
 
 
 def check_asymptotic(
@@ -409,9 +476,7 @@ def check_asymptotic(
     the candidate there, at most ``-margin`` (the explicit strict bound b).
     """
     require_positive(margin, "margin")
-    return _check_flow(
-        model, candidate, center, spec, "asymptotic", margin=margin, tol=tol, tol_strict=tol_strict
-    )
+    return _check(model, candidate, center, spec, "asymptotic", margin=margin, tol=tol, tol_strict=tol_strict)
 
 
 def check_exponential(
@@ -424,7 +489,7 @@ def check_exponential(
     the certificate records the rate.
     """
     require_positive(rate, "rate")
-    return _check_flow(model, candidate, center, spec, "exponential", rate=rate, tol=tol, tol_strict=tol_strict)
+    return _check(model, candidate, center, spec, "exponential", rate=rate, tol=tol, tol_strict=tol_strict)
 
 
 def estimate_max_rate(
@@ -468,16 +533,8 @@ def estimate_max_rate(
 
 
 def check_state(
-    model,
-    candidate,
-    center,
-    reference_state: QuantumState,
-    spec,
-    mode: str,
-    rate: float | None = None,
-    *,
-    tol=DEFAULT_TOL,
-    tol_strict=TOL_STRICT,
+    model, candidate, center, reference_state: QuantumState, spec, mode: str, rate: float | None = None,
+    *, tol=DEFAULT_TOL, tol_strict=TOL_STRICT,
 ) -> StabilityCertificate:
     """Scalar expectation-level stability check for a state equilibrium.
 
@@ -486,84 +543,20 @@ def check_state(
     against ``reference_state``, pass requires E[V(center)] = 0,
     E[V(sample)] > 0, and per mode: E[drift] <= tol (local),
     E[drift] < -tol_strict (asymptotic), or
-    E[drift] + rate * E[V] < -tol_strict (exponential).
+    E[drift] + rate * E[V] < -tol_strict (exponential).  A ``rate`` is
+    required in exponential mode and an input error in the others.
     """
     if mode not in ("local", "asymptotic", "exponential"):
         raise ValueError(f"mode must be local, asymptotic or exponential, got {mode!r}")
-    if mode == "exponential" and rate is None:
-        raise ValueError("exponential mode needs a rate")
-    if rate is not None:
+    if mode == "exponential":
+        if rate is None:
+            raise ValueError("exponential mode needs a rate")
         require_positive(rate, "rate")
-
-    validate(model, tol=tol)
-    cand = candidate if candidate.is_canonical else canonicalize(candidate)
-    center = as_operator(center)
-    cert_mode = f"state-{mode}"
-    kw = dict(rate=rate, tol=tol, tol_strict=tol_strict)
-
-    residual = equilibrium_residual(model, center, picture="state")
-    if residual > tol:
-        return _certificate(
-            cert_mode, "fail", residual, spec,
-            witness=center, condition="center is not a state equilibrium", violation=residual, **kw,
-        )
-    e_v_center = expectation(reference_state, evaluate(cand, center))
-    if abs(e_v_center) > tol:
-        return _certificate(
-            cert_mode, "fail", residual, spec,
-            witness=center, condition="candidate expectation does not vanish at the center",
-            violation=abs(e_v_center), **kw,
-        )
-
-    samples = sample_level_set(cand, center, spec, traceless=True, tol=tol)
-    worst_drift = -np.inf
-    worst_v = np.inf
-    violations: list[tuple[float, str, np.ndarray]] = []
-    for rho in samples:
-        if abs(np.trace(rho) - np.trace(center)) > max(tol, 1e-9):
-            raise InvalidStateError("state-picture sample lost unit trace")
-        e_v = expectation(reference_state, evaluate(cand, rho)).real
-        worst_v = min(worst_v, e_v)
-        if e_v <= tol_strict:
-            violations.append(
-                (float(tol_strict - e_v), "candidate expectation vanishes at a sample away from the center", rho)
-            )
-            continue
-        e_drift = expectation(reference_state, state_ito_coefficients(model, cand, rho).drift).real
-        value = e_drift if mode != "exponential" else e_drift + rate * e_v
-        worst_drift = max(worst_drift, value)
-        if mode == "local":
-            if value > tol:
-                violations.append((float(value - tol), "drift expectation is positive on a sample", rho))
-        elif mode == "asymptotic":
-            if value >= -tol_strict:
-                violations.append(
-                    (float(value + tol_strict), "drift expectation is not strictly negative on a sample", rho)
-                )
-        else:
-            if value >= -tol_strict:
-                violations.append(
-                    (
-                        float(value + tol_strict),
-                        "drift plus rate*candidate expectation is not strictly negative on a sample",
-                        rho,
-                    )
-                )
-
-    if violations:
-        violation, condition, witness = max(violations, key=lambda entry: entry[0])
-        return _certificate(
-            cert_mode, "fail", residual, spec,
-            worst_drift=None if worst_drift == -np.inf else worst_drift,
-            worst_v_min=worst_v,
-            witness=witness, condition=condition, violation=violation,
-            used=len(samples), **kw,
-        )
-    return _certificate(
-        cert_mode, "pass", residual, spec,
-        worst_drift=None if not samples else worst_drift,
-        worst_v_min=None if not samples else worst_v,
-        used=len(samples), **kw,
+    elif rate is not None:
+        raise ValueError(f"rate applies only to exponential mode, got rate={rate!r} in {mode} mode")
+    return _check(
+        model, candidate, center, spec, f"state-{mode}",
+        rate=rate, reference_state=reference_state, tol=tol, tol_strict=tol_strict,
     )
 
 
@@ -583,51 +576,29 @@ def chebyshev_bound(expected_v0: float, alpha: float) -> ChebyshevBound:
 def recheck_witness(model, candidate, certificate: StabilityCertificate, *, reference_state=None) -> float:
     """Re-evaluate a failing certificate's witness against its condition.
 
-    Returns the recomputed violation magnitude (0.0 where the stored
-    condition is no longer violated); for every condition except empty
-    support it is measured as the check measures it and equals the
-    certificate's ``violation``.  Useful to confirm that a failure is a
-    property of the reported sample, not of the sampling run.
+    Rebuilds the check's point at the witness from the certificate's mode,
+    rate, margin and tolerances and calls the stored condition's own
+    measure from the condition table, so the result equals the
+    certificate's ``violation`` whenever the inputs are the ones the check
+    ran on; it is 0.0 where the condition now holds at the witness.
+    Useful to confirm that a failure is a property of the reported
+    sample, not of the sampling run.  State-picture certificates need the
+    ``reference_state`` the check used.
     """
     if certificate.witness is None:
         raise ValueError("certificate carries no witness")
-    cond = certificate.violated_condition
+    picture, *groups = _MODES[certificate.mode]
+    label = certificate.violated_condition
+    condition = next((c for group in groups for c in group if c.label == label), None)
+    if condition is None:
+        raise ValueError(f"unknown violated condition {label!r} for mode {certificate.mode!r}")
+    if picture == "state" and reference_state is None:
+        raise ValueError("reference_state is required to recheck a state-picture certificate")
     cand = candidate if candidate.is_canonical else canonicalize(candidate)
-    x = certificate.witness
-    tol = certificate.tolerances["tol"]
-    tol_strict = certificate.tolerances["tol_strict"]
-    is_state = certificate.mode.startswith("state-")
-
-    if cond in ("center is not a flow equilibrium", "center is not a state equilibrium"):
-        return equilibrium_residual(model, x, picture="state" if is_state else "flow")
-    if cond == "candidate does not vanish at the center":
-        return spectral_norm(evaluate(cand, x))
-    if cond == "candidate expectation does not vanish at the center":
-        return abs(expectation(reference_state, evaluate(cand, x)))
-
-    v_x = evaluate(cand, x)
-    if cond == "candidate is not positive semidefinite at a sample":
-        return max(0.0, -float(hermitian_eigenvalues(v_x, tol=1e-7)[0]))
-    if cond == "candidate vanishes at a sample away from the center":
-        return max(0.0, tol_strict - float(hermitian_eigenvalues(v_x, tol=1e-7)[-1]))
-
-    if is_state:
-        e_v = expectation(reference_state, v_x).real
-        e_drift = expectation(reference_state, state_ito_coefficients(model, cand, x).drift).real
-        if cond == "candidate expectation vanishes at a sample away from the center":
-            return max(0.0, tol_strict - e_v)
-        value = e_drift if certificate.rate is None else e_drift + certificate.rate * e_v
-        if cond == "drift expectation is positive on a sample":
-            return max(0.0, value - tol)
-        return max(0.0, value + tol_strict)
-
-    drift = flow_ito_coefficients(model, cand, x).drift
-    target = drift if certificate.rate is None else drift + certificate.rate * v_x
-    if cond == "drift has a positive eigenvalue on a sample":
-        return max(0.0, float(hermitian_eigenvalues(target, tol=1e-7)[-1]) - tol)
-    basis = _support_basis(v_x, SUPPORT_CUTOFF)
-    if cond == "candidate has empty support at a sample":
-        return 0.0 if basis is not None else 1.0
-    support_max = _support_max_eig(target, basis)
-    threshold = -certificate.margin if certificate.margin is not None else -tol_strict
-    return max(0.0, support_max - threshold)
+    tolerances = certificate.tolerances
+    point = _Point(
+        model, cand, as_operator(certificate.witness), picture, certificate.rate, certificate.margin,
+        tolerances["tol"], tolerances["tol_strict"], reference_state,
+    )
+    violation = condition.measure(point)
+    return 0.0 if violation is None else float(violation)

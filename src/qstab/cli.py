@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--samples", type=int, required=True)
     p_cert.add_argument("--seed", type=int, default=0)
     p_cert.add_argument("--rate", type=float, help="decay rate a for exponential modes")
-    p_cert.add_argument("--margin", type=float, help="uniform drift bound b for asymptotic modes")
+    p_cert.add_argument("--margin", type=float, help="uniform drift bound b for asymptotic mode")
     p_cert.add_argument("--family", help="direction-family file (default: random Hermitian ball)")
     p_cert.add_argument("--reference", help="reference state file for state-* modes (default: the center)")
     p_cert.add_argument("--tol", type=float, default=1e-9)
@@ -148,6 +148,10 @@ def _cmd_drift(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    if args.rate is not None and not args.mode.endswith("exponential"):
+        raise QstabCliInputError(f"--rate applies only to exponential modes, not {args.mode}")
+    if args.margin is not None and args.mode != "asymptotic":
+        raise QstabCliInputError(f"--margin applies only to asymptotic mode, not {args.mode}")
     model = fileio.load_model(args.model, tol=args.tol)
     candidate = fileio.load_lyapunov(args.lyapunov)
     _describe_candidate(candidate)

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qstab import LyapunovCandidate, QsdeModel, canonicalize
+
+# Property tests draw the same examples on every run and keep no example database.
+settings.register_profile("qstab", derandomize=True, database=None, deadline=None)
+settings.load_profile("qstab")
 
 # Qubit basis ordered (|e>, |g|): excited first, so N = |e><e| = diag(1, 0)
 # and sigma_minus |e> = |g>.

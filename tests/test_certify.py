@@ -1,7 +1,10 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import qstab.certify
 from qstab import (
@@ -31,7 +34,18 @@ from qstab import (
 )
 from qstab.fileio import load_lyapunov, load_operator
 
-from conftest import EYE2, GROUND, NUMBER, SIGMA_MINUS, SIGMA_X, SIGMA_Z, random_complex
+from conftest import (
+    EYE2,
+    GROUND,
+    NUMBER,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    SIGMA_X,
+    SIGMA_Z,
+    random_complex,
+    random_density,
+    random_hermitian,
+)
 
 DEMO_FILES = Path(__file__).resolve().parents[1] / "demos" / "files"
 GAMMA = 1.0
@@ -100,6 +114,10 @@ class TestSampleLevelSet:
     def test_bad_tol_rejected(self, damping_candidate, spec_number, tol):
         with pytest.raises(ValueError, match="tol must be a finite positive number"):
             sample_level_set(damping_candidate, -EYE2, spec_number, tol=tol)
+
+    def test_zero_direction_rejected(self):
+        with pytest.raises(ValueError, match=r"directions\[1\] is zero"):
+            DirectionFamily(directions=(NUMBER, np.zeros((2, 2))))
 
     def test_traceless_sampling_keeps_trace(self):
         cand = canonicalize(LyapunovCandidate(terms=((1, 1, EYE2),), center=EYE2 / 2))
@@ -459,6 +477,12 @@ class TestCheckState:
         with pytest.raises(ValueError):
             check_state(model, cand, EYE2 / 2, reference, spec, "exponential")
 
+    @pytest.mark.parametrize("mode", ["local", "asymptotic"])
+    def test_rate_outside_exponential_rejected(self, state_setup, mode):
+        model, cand, spec, reference = state_setup
+        with pytest.raises(ValueError, match="rate applies only to exponential mode"):
+            check_state(model, cand, EYE2 / 2, reference, spec, mode, rate=5.0)
+
 
 class TestChebyshevBound:
     def test_simple_ratio(self):
@@ -498,3 +522,189 @@ class TestDeterminism:
     def test_negative_seed_accepted(self, damping_candidate, number_family):
         spec = LevelSetSpec(epsilon=1.0, sample_count=2, seed=-12345, family=number_family)
         assert len(sample_level_set(damping_candidate, -EYE2, spec)) == 2
+
+
+def run_check(model, cand, center, spec, mode, param=None, reference=None, **kw):
+    """Run one of the six modes; ``param`` is the margin (asymptotic) or the rate (exponential modes)."""
+    if mode == "local":
+        return check_local(model, cand, center, spec, **kw)
+    if mode == "asymptotic":
+        return check_asymptotic(model, cand, center, spec, param, **kw)
+    if mode == "exponential":
+        return check_exponential(model, cand, center, spec, param, **kw)
+    return check_state(model, cand, center, reference, spec, mode.removeprefix("state-"), rate=param, **kw)
+
+
+MODES = ["local", "asymptotic", "exponential", "state-local", "state-asymptotic", "state-exponential"]
+DAMPING = QsdeModel(hamiltonian=np.zeros((2, 2)), coupling=SIGMA_MINUS)
+AMPLIFYING = QsdeModel(hamiltonian=np.zeros((2, 2)), coupling=SIGMA_PLUS)
+MIXED = QuantumState.maximally_mixed(2)
+ALONG_N = LevelSetSpec(epsilon=1.0, sample_count=16, seed=42, family=DirectionFamily(directions=(NUMBER,)))
+ALONG_Z = LevelSetSpec(epsilon=0.5, sample_count=8, seed=77, family=DirectionFamily(directions=(SIGMA_Z / 2,)))
+
+
+def centered(*terms, center):
+    return canonicalize(LyapunovCandidate(terms=terms, center=center))
+
+
+# label -> arguments of run_check for a check that fails with that label
+FAILING_RUNS = {
+    "center is not a flow equilibrium": (
+        DAMPING, centered((1, 1, EYE2), center=NUMBER), NUMBER, LevelSetSpec(1.0, 4, 0), "local"),
+    "candidate does not vanish at the center": (
+        DAMPING, canonicalize(LyapunovCandidate(terms=((1, 1, EYE2), (0, 0, EYE2)))), -EYE2, ALONG_N, "local"),
+    "candidate is not positive semidefinite at a sample": (
+        DAMPING, canonicalize(LyapunovCandidate(terms=((1, 0, EYE2), (0, 1, EYE2)))), np.zeros((2, 2)),
+        LevelSetSpec(1.0, 4, 1, DirectionFamily(directions=(SIGMA_Z,))), "local"),
+    "candidate vanishes at a sample away from the center": (
+        DAMPING, centered((1, 1, 1e-12 * EYE2), center=-EYE2), -EYE2, ALONG_N, "local"),
+    "drift has a positive eigenvalue on a sample": (
+        DAMPING, centered((1, 1, EYE2), center=-EYE2), -EYE2,
+        LevelSetSpec(1.0, 6, 11, DirectionFamily(directions=(GROUND,))), "local"),
+    "drift exceeds -margin on the support of the candidate": (
+        DAMPING, centered((1, 1, EYE2), center=-EYE2), -EYE2, ALONG_N, "asymptotic", 2.0),
+    # drift + gamma V vanishes along N, so the strict margin fails by exactly tol_strict
+    "drift plus rate*candidate is not strictly negative on the support": (
+        DAMPING, centered((1, 1, EYE2), center=-EYE2), -EYE2, ALONG_N, "exponential", GAMMA),
+    "center is not a state equilibrium": (
+        DAMPING, centered((1, 1, EYE2), center=NUMBER), NUMBER, ALONG_Z, "state-local", None, MIXED),
+    "candidate expectation does not vanish at the center": (
+        DAMPING, centered((1, 1, EYE2), (0, 0, 0.3 * EYE2), center=EYE2 / 2), EYE2 / 2, ALONG_Z,
+        "state-local", None, MIXED),
+    "candidate expectation vanishes at a sample away from the center": (
+        DAMPING, centered((1, 1, 1e-12 * EYE2), center=EYE2 / 2), EYE2 / 2, ALONG_Z, "state-local", None, MIXED),
+    "drift expectation is positive on a sample": (
+        AMPLIFYING, centered((1, 1, NUMBER), center=EYE2 / 2), EYE2 / 2, LevelSetSpec(0.5, 6, 5),
+        "state-local", None, MIXED),
+    "drift expectation is not strictly negative on a sample": (
+        DAMPING, centered((1, 1, EYE2), center=EYE2 / 2), EYE2 / 2, ALONG_Z, "state-asymptotic", None, MIXED),
+    "drift plus rate*candidate expectation is not strictly negative on a sample": (
+        DAMPING, centered((1, 1, EYE2), center=EYE2 / 2), EYE2 / 2, ALONG_Z, "state-exponential", 0.5, MIXED),
+}
+
+
+def failing_run(label):
+    """Model, candidate, certificate and reference state of the FAILING_RUNS entry for ``label``."""
+    model, cand, center, spec, mode, *rest = FAILING_RUNS[label]
+    param, reference = (*rest, None, None)[:2]
+    return model, cand, run_check(model, cand, center, spec, mode, param, reference), reference
+
+
+class TestConditionTable:
+    """Checks and witness rechecks reach each condition through the same measure."""
+
+    def test_every_label_has_a_failing_run(self):
+        labels = {c.label for _, *groups in qstab.certify._MODES.values() for group in groups for c in group}
+        assert set(FAILING_RUNS) == labels
+
+    @pytest.mark.parametrize("label", sorted(FAILING_RUNS))
+    def test_recheck_reproduces_violation(self, label):
+        model, cand, cert, reference = failing_run(label)
+        assert cert.violated_condition == label
+        assert recheck_witness(model, cand, cert, reference_state=reference) == cert.violation
+
+    def test_recheck_is_zero_where_the_condition_holds(self):
+        _, cand, cert, _ = failing_run("center is not a flow equilibrium")
+        # N commutes with H and L = 0, so N is an equilibrium of this flow
+        hamiltonian = QsdeModel(hamiltonian=SIGMA_Z, coupling=np.zeros((2, 2)))
+        assert recheck_witness(hamiltonian, cand, cert) == 0.0
+
+    def test_unknown_label_raises_naming_it(self):
+        model, cand, cert, _ = failing_run("drift has a positive eigenvalue on a sample")
+        cert = dataclasses.replace(cert, violated_condition="no such condition")
+        with pytest.raises(ValueError, match="no such condition"):
+            recheck_witness(model, cand, cert)
+
+    def test_label_of_another_mode_raises(self):
+        model, cand, cert, _ = failing_run("drift has a positive eigenvalue on a sample")
+        cert = dataclasses.replace(cert, violated_condition="drift exceeds -margin on the support of the candidate")
+        with pytest.raises(ValueError, match="drift exceeds -margin .* for mode 'local'"):
+            recheck_witness(model, cand, cert)
+
+    def test_state_recheck_needs_reference_state(self):
+        model, cand, cert, _ = failing_run("drift expectation is not strictly negative on a sample")
+        with pytest.raises(ValueError, match="reference_state"):
+            recheck_witness(model, cand, cert)
+
+    def test_worst_drift_is_the_level_of_the_deciding_condition(self, damping_model, damping_candidate):
+        # Along N the drift -gamma y^2 N has top eigenvalue 0 but equals -gamma y^2 on the support of V.
+        family = DirectionFamily(directions=(NUMBER,), scale_min=0.5, scale_max=1.0)
+        spec = LevelSetSpec(epsilon=1.0, sample_count=10, seed=21, family=family)
+        y_min = min(float((x + EYE2)[0, 0].real) for x in sample_level_set(damping_candidate, -EYE2, spec))
+        local = check_local(damping_model, damping_candidate, -EYE2, spec)
+        strict = check_asymptotic(damping_model, damping_candidate, -EYE2, spec, margin=0.1)
+        assert local.passed and strict.passed
+        assert abs(local.worst_drift_eigenvalue) <= 1e-12
+        assert strict.worst_drift_eigenvalue == pytest.approx(-GAMMA * y_min**2, rel=1e-12)
+
+    def test_ties_keep_the_first_sample(self):
+        # With H = L = 0 the drift vanishes exactly, so every sample misses the strict bound by tol_strict.
+        still = QsdeModel(hamiltonian=np.zeros((2, 2)), coupling=np.zeros((2, 2)))
+        cand = centered((1, 1, EYE2), center=EYE2 / 2)
+        cert = check_state(still, cand, EYE2 / 2, MIXED, ALONG_Z, "asymptotic")
+        assert cert.violation == qstab.certify.TOL_STRICT
+        assert np.array_equal(cert.witness, sample_level_set(cand, EYE2 / 2, ALONG_Z, traceless=True)[0])
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("tol_strict", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_tol_strict_rejected(self, mode, tol_strict):
+        center, spec = (EYE2 / 2, ALONG_Z) if mode.startswith("state-") else (-EYE2, ALONG_N)
+        param = None if mode in ("local", "state-local", "state-asymptotic") else 0.5
+        with pytest.raises(ValueError, match="tol_strict must be a finite positive number"):
+            run_check(DAMPING, centered((1, 1, EYE2), center=center), center, spec, mode, param, MIXED,
+                      tol_strict=tol_strict)
+
+
+@given(
+    dim=st.sampled_from([2, 3]),
+    model_seed=st.integers(0, 2**32 - 1),
+    spec_seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(MODES),
+    param=st.sampled_from([0.05, 0.5, 2.0]),
+    kind=st.sampled_from(["psd", "offset", "tiny", "indefinite", "off-equilibrium"]),
+    cascade=st.booleans(),
+    radius=st.sampled_from([None, 0.3, 1.0, 3.0]),
+)
+@settings(max_examples=300)
+def test_failing_certificates_recheck_to_their_violation(
+    dim, model_seed, spec_seed, mode, param, kind, cascade, radius
+):
+    """Random damped qubits and qutrits: every failing certificate's witness rechecks to its stored violation.
+
+    A cascade (diagonal H, one decay path out of level 0) sampled along level 0
+    (``radius`` None) certifies, so passes and the strict drift conditions occur too.
+    """
+    rng = np.random.default_rng(model_seed)
+    if cascade:
+        hamiltonian, coupling = np.diag(rng.normal(size=dim)), np.diag(rng.uniform(0.5, 1.5, dim - 1), -1)
+    else:
+        hamiltonian, coupling = 0.5 * random_hermitian(rng, dim), np.tril(random_complex(rng, dim), -1)
+    model = QsdeModel(hamiltonian=hamiltonian, coupling=coupling)
+    state = mode.startswith("state-")
+    center = np.eye(dim) / dim if state else -np.eye(dim)
+    if kind == "off-equilibrium":
+        center = random_density(rng, dim) if state else random_hermitian(rng, dim)
+    a = random_complex(rng, dim)
+    theta = np.eye(dim) if cascade else a @ a.conj().T / dim + 0.1 * np.eye(dim)
+    terms = {
+        "psd": ((1, 1, theta),),
+        "offset": ((1, 1, theta), (0, 0, 0.3 * np.eye(dim))),
+        "tiny": ((1, 1, 1e-12 * theta),),
+        "indefinite": ((1, 1, theta - 1.5 * np.eye(dim)),),
+        "off-equilibrium": ((1, 1, theta),),
+    }[kind]
+    cand = centered(*terms, center=center)
+    reference = QuantumState(random_density(rng, dim)) if state else None
+    if radius is None:
+        level0 = np.diag([1.0, -1.0, 0.0][:dim]) / 2 if state else np.diag([1.0, 0.0, 0.0][:dim])
+        family = DirectionFamily(directions=(level0,))
+    else:
+        family = HermitianBall(radius)
+    spec = LevelSetSpec(epsilon=0.5, sample_count=6, seed=spec_seed, family=family)
+    param = None if mode in ("local", "state-local", "state-asymptotic") else param
+    try:
+        cert = run_check(model, cand, center, spec, mode, param, reference)
+    except SamplingError:
+        assume(False)
+    if not cert.passed:
+        assert recheck_witness(model, cand, cert, reference_state=reference) == cert.violation

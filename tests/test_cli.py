@@ -104,6 +104,24 @@ class TestCertifyCommand:
     def test_asymptotic_requires_margin(self, files):
         assert main(self.common(files, "asymptotic")) == 2
 
+    @pytest.mark.parametrize(
+        "mode, flag",
+        [("local", "--rate"), ("asymptotic", "--rate"), ("state-local", "--rate"), ("state-asymptotic", "--rate"),
+         ("local", "--margin"), ("exponential", "--margin"), ("state-asymptotic", "--margin")],
+    )
+    def test_flag_outside_its_mode_exits_2(self, files, capsys, mode, flag):
+        extra = (flag, "0.5", "--rate", "0.5") if mode == "exponential" else (flag, "0.5")
+        assert main(self.common(files, mode, extra)) == 2
+        assert f"{flag} applies only to" in capsys.readouterr().err
+
+    def test_zero_direction_family_exits_2(self, files, tmp_path, capsys):
+        family = tmp_path / "zero_family.json"
+        family.write_text(json.dumps({"schema_version": 1, "directions": [encode_matrix(np.zeros((2, 2)))]}))
+        argv = self.common(files, "local")
+        argv[argv.index("--family") + 1] = str(family)
+        assert main(argv) == 2
+        assert "directions[0] is zero" in capsys.readouterr().err
+
     def test_estimate_rate_flag(self, files, capsys):
         assert main(self.common(files, "local", ("--estimate-rate",))) == 0
         assert "max supported rate" in capsys.readouterr().out
