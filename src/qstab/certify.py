@@ -17,7 +17,7 @@ certificate such as V(X) = (X - X_e)^2 vanishes on part of the space, the
 drift vanishes with it there, and demanding strict negativity on that null
 space would reject every such certificate.  Off the support the drift must
 still be nonpositive within tolerance.  The decay-rate estimator uses the
-same support convention via a generalized eigenvalue pencil.
+same support convention: on V's own eigenvectors its pencil is Hermitian.
 
 One condition table serves every check and every witness recheck: each
 label has one ``measure(point)`` giving the violation at a point, or None
@@ -39,7 +39,6 @@ from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegeneratePencilError,
@@ -200,19 +199,19 @@ def sample_level_set(
     *,
     traceless: bool = False,
     tol: float = DEFAULT_TOL,
-    bisection_steps: int = 60,
 ) -> list[np.ndarray]:
     """Hermitian samples X != center with max-eig V(X) <= epsilon + tol.
 
     Each sample's direction and scale come from a stream derived from
     (seed, sample index), so the list is deterministic and independent of
-    evaluation order.  Scales are capped by bisection along the direction
-    until the level constraint binds, and the uniform draw multiplies the
-    feasible cap, so shrinking epsilon rescales the same sample set inward
-    (nested sampling).  Every returned sample is re-verified against the
-    level constraint.  All samples are bisected in lockstep as one
-    (N, d, d) stack, each keeping or cutting its own bracket, which gives
-    bit for bit the samples that bisecting each one alone gives.
+    evaluation order.  Scales are capped by 60 bisection steps along the
+    direction until the level constraint binds, and the uniform draw
+    multiplies the feasible cap, so shrinking epsilon rescales the same
+    sample set inward (nested sampling).  Every returned sample is
+    re-verified against the level constraint.  All samples are bisected in
+    lockstep as one (N, d, d) stack, each keeping or cutting its own
+    bracket, which gives bit for bit the samples that bisecting each one
+    alone gives.
 
     A family whose scale range is degenerate at zero yields an empty list;
     a family that admits no feasible nonzero sample raises
@@ -248,7 +247,7 @@ def sample_level_set(
     if bisect.any():
         dirs = directions[bisect]
         lo, hi = np.zeros(len(dirs)), cap[bisect]
-        for _ in range(bisection_steps):
+        for _ in range(60):
             mid = 0.5 * (lo + hi)
             ok = top_level(center + mid[:, None, None] * dirs) <= spec.epsilon
             lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
@@ -262,18 +261,6 @@ def sample_level_set(
     if np.any(top_level(samples) > spec.epsilon + max(tol, 1e-9)):
         raise InternalCheckError("level-set sample failed its own constraint re-check")
     return list(samples)
-
-
-def _support_basis(v: np.ndarray, cutoff: float) -> np.ndarray | None:
-    """Orthonormal basis of the eigenspace of v with eigenvalues above cutoff."""
-    vals, vecs = np.linalg.eigh(hermitize(v))
-    top = float(vals[-1])
-    if top <= 0.0:
-        return None
-    mask = vals >= cutoff * top
-    if not np.any(mask):
-        return None
-    return vecs[:, mask]
 
 
 @dataclass(eq=False)
@@ -317,10 +304,38 @@ class _Point:
         return float(hermitian_eigenvalues(self.target, tol=max(self.tol, 1e-7))[-1])
 
     @cached_property
+    def v_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues and eigenvectors of V; those above SUPPORT_CUTOFF times the top one span its support."""
+        vals, vecs = np.linalg.eigh(hermitize(self.v))
+        if vals[-1] <= 0.0:
+            raise DegeneratePencilError("candidate value vanishes at a sample; the pencil has no support")
+        return vals, vecs
+
+    @cached_property
+    def on_support(self) -> np.ndarray:
+        return self.v_eigh[0] >= SUPPORT_CUTOFF * self.v_eigh[0][-1]
+
+    @cached_property
     def support_max(self) -> float:
         # Read only after V's top eigenvalue passed tol_strict > 0, so the support is nonempty.
-        basis = _support_basis(self.v, SUPPORT_CUTOFF)
+        basis = self.v_eigh[1][:, self.on_support]
         return float(np.linalg.eigvalsh(hermitize(basis.conj().T @ self.target @ basis))[-1])
+
+    @cached_property
+    def pencil_max(self) -> float:
+        """Top generalized eigenvalue of the pencil (drift, V) on the support B of V.
+
+        V is diag(lam) on B, so this is the top eigenvalue of lam^-1/2 B† drift B lam^-1/2.
+        """
+        vals, vecs = self.v_eigh
+        scaled = vecs[:, self.on_support] / np.sqrt(vals[self.on_support])
+        return float(np.linalg.eigvalsh(hermitize(scaled.conj().T @ self.drift @ scaled))[-1])
+
+    @cached_property
+    def off_support_max(self) -> float:
+        """Top eigenvalue of the drift off the support of V, -inf where the support is everything."""
+        off = self.v_eigh[1][:, ~self.on_support]
+        return float(np.linalg.eigvalsh(hermitize(off.conj().T @ self.drift @ off)).max(initial=-np.inf))
 
     @cached_property
     def e_v(self) -> complex:
@@ -492,44 +507,21 @@ def check_exponential(
     return _check(model, candidate, center, spec, "exponential", rate=rate, tol=tol, tol_strict=tol_strict)
 
 
-def estimate_max_rate(
-    model, candidate, center, spec, *, tol=DEFAULT_TOL, support_cutoff=SUPPORT_CUTOFF
-) -> RateEstimate:
+def estimate_max_rate(model, candidate, center, spec, *, tol=DEFAULT_TOL) -> RateEstimate:
     """Largest a with drift + a V <= 0 across the sampled level set.
 
     Per sample the supremum is -(max generalized eigenvalue) of the pencil
     (drift, V) restricted to the support of V (eigenvalues above
-    ``support_cutoff`` times ||V||); the estimate is the minimum over
+    ``SUPPORT_CUTOFF`` times ||V||); the estimate is the minimum over
     samples, clipped at zero.  Positive drift mass off the support cannot
     be repaired by any rate and is reported via ``support_mismatch``.
     """
     validate(model, tol=tol)
     cand = candidate if candidate.is_canonical else canonicalize(candidate)
-    center = as_operator(center)
-    samples = sample_level_set(cand, center, spec, tol=tol)
-
-    rates = []
-    mismatch = False
-    for x in samples:
-        v_x = hermitize(evaluate(cand, x))
-        drift = hermitize(flow_ito_coefficients(model, cand, x).drift)
-        basis = _support_basis(v_x, support_cutoff)
-        if basis is None:
-            raise DegeneratePencilError("candidate value vanishes at a sample; the pencil has no support")
-        v_s = basis.conj().T @ v_x @ basis
-        k_s = basis.conj().T @ drift @ basis
-        lam_max = float(scipy.linalg.eigh(hermitize(k_s), hermitize(v_s), eigvals_only=True)[-1])
-        rates.append(-lam_max)
-        if basis.shape[1] < v_x.shape[0]:
-            perp = np.eye(v_x.shape[0]) - basis @ basis.conj().T
-            off_max = float(np.linalg.eigvalsh(hermitize(perp @ drift @ perp))[-1])
-            if off_max > TOL_STRICT:
-                mismatch = True
-    return RateEstimate(
-        rate=max(0.0, min(rates)),
-        support_mismatch=mismatch,
-        per_sample=tuple(rates),
-    )
+    samples = sample_level_set(cand, as_operator(center), spec, tol=tol)
+    points = [_Point(model, cand, x, "flow", None, None, tol, TOL_STRICT, None) for x in samples]
+    rates = tuple(-p.pencil_max for p in points)
+    return RateEstimate(max(0.0, min(rates)), any(p.off_support_max > TOL_STRICT for p in points), rates)
 
 
 def check_state(

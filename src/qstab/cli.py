@@ -152,6 +152,8 @@ def _cmd_certify(args) -> int:
         raise QstabCliInputError(f"--rate applies only to exponential modes, not {args.mode}")
     if args.margin is not None and args.mode != "asymptotic":
         raise QstabCliInputError(f"--margin applies only to asymptotic mode, not {args.mode}")
+    if args.estimate_rate and args.mode.startswith("state-"):
+        raise QstabCliInputError(f"--estimate-rate applies only to the flow modes, not {args.mode}")
     model = fileio.load_model(args.model, tol=args.tol)
     candidate = fileio.load_lyapunov(args.lyapunov)
     _describe_candidate(candidate)
@@ -186,7 +188,7 @@ def _cmd_certify(args) -> int:
         print(f"  margin: {cert.margin:.6g}")
     if cert.verdict == "fail":
         print(f"  violated condition: {cert.violated_condition} (violation {cert.violation:.3e})")
-    if args.estimate_rate and args.mode in ("local", "asymptotic", "exponential"):
+    if args.estimate_rate:
         est = estimate_max_rate(model, candidate, center, spec, tol=args.tol)
         flag = " (positive drift off the candidate support)" if est.support_mismatch else ""
         print(f"  max supported rate: {est.rate:.6g}{flag}")
@@ -210,13 +212,11 @@ def _cmd_simulate(args) -> int:
             raise QstabCliInputError(f"steps must be nonnegative, got {args.steps}")
         t_grid = args.dt * np.arange(args.steps + 1)
         traj = master_flow_expectation(model, candidate, x0, psi0, t_grid)
-    payload = fileio.trajectory_csv_bytes(traj)
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
+        fileio.write_trajectory_csv(traj, args.out)
         print(f"trajectory ({traj.method}) written to {args.out}")
     else:
-        sys.stdout.write(payload.decode("utf-8"))
+        sys.stdout.write(fileio.trajectory_csv_bytes(traj).decode("utf-8"))
     return EXIT_PASS
 
 

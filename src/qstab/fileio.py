@@ -210,12 +210,13 @@ def certificate_to_dict(cert: StabilityCertificate) -> dict:
     return data
 
 
-def save_certificate(cert: StabilityCertificate, path) -> None:
-    _dump_json(certificate_to_dict(cert), path)
-
-
 def certificate_bytes(cert: StabilityCertificate) -> bytes:
     return (json.dumps(certificate_to_dict(cert), indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def save_certificate(cert: StabilityCertificate, path) -> None:
+    with open(path, "wb") as fh:
+        fh.write(certificate_bytes(cert))
 
 
 def load_certificate(path) -> dict:

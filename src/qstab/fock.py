@@ -58,17 +58,17 @@ def exponential_vector(alpha: complex, n_max: int) -> np.ndarray:
     return out
 
 
-def exponential_inner_tail_bound(alpha: complex, beta: complex, n_max: int, extra_terms: int = 200) -> float:
+def exponential_inner_tail_bound(alpha: complex, beta: complex, n_max: int) -> float:
     """Upper bound on the truncation error of <e(alpha), e(beta)>.
 
     Bounds | exp(conj(alpha) beta) - partial sum | by the absolute tail
-    sum_{n > n_max} |conj(alpha) beta|^n / n!, evaluated with ``extra_terms``
-    further terms (plenty for |alpha|,|beta| of a few units).
+    sum_{n > n_max} |conj(alpha) beta|^n / n!, evaluated with 200 further
+    terms (plenty for |alpha|,|beta| of a few units).
     """
     z = abs(np.conj(alpha) * beta)
     total = 0.0
     term = 1.0
-    for n in range(1, n_max + extra_terms + 1):
+    for n in range(1, n_max + 201):
         term = term * z / n
         if n > n_max:
             total += term

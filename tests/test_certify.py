@@ -27,7 +27,10 @@ from qstab import (
     check_state,
     estimate_max_rate,
     evaluate,
+    flow_ito_coefficients,
     hermitian_eigenvalues,
+    hermitize,
+    ladder_operators,
     recheck_witness,
     sample_level_set,
     spectral_norm,
@@ -45,6 +48,7 @@ from conftest import (
     random_complex,
     random_density,
     random_hermitian,
+    random_unitary,
 )
 
 DEMO_FILES = Path(__file__).resolve().parents[1] / "demos" / "files"
@@ -401,7 +405,63 @@ class TestCheckExponential:
         assert not above.passed
 
 
+def reference_pencil_rates(model, candidate, center, spec):
+    """Per-sample rates from scipy's generalized eigh of (K_s, V_s), with the condition number of V_s.
+
+    V_s and K_s are V and the drift compressed onto the eigenvectors of V
+    with eigenvalues at least 1e-10 times the top one.
+    """
+    import scipy.linalg
+
+    rates, kappas = [], []
+    for x in sample_level_set(candidate, center, spec):
+        v = hermitize(evaluate(candidate, x))
+        drift = hermitize(flow_ito_coefficients(model, candidate, x).drift)
+        vals, vecs = np.linalg.eigh(v)
+        basis = vecs[:, vals >= 1e-10 * vals[-1]]
+        v_s = hermitize(basis.conj().T @ v @ basis)
+        k_s = hermitize(basis.conj().T @ drift @ basis)
+        rates.append(-float(scipy.linalg.eigh(k_s, v_s, eigvals_only=True)[-1]))
+        kappas.append(float(np.linalg.cond(v_s)))
+    return rates, kappas
+
+
+def rotated_damped_oscillator(dim, seed):
+    """Damped oscillator H = N, L = a rotated by a seed-drawn unitary, V = (X + I)^2, with its rotated N."""
+    a, _, number = ladder_operators(dim - 1)
+    u = random_unitary(np.random.default_rng(seed), dim)
+    rotated_number = hermitize(u @ number @ u.conj().T)
+    model = QsdeModel(hamiltonian=rotated_number, coupling=u @ a @ u.conj().T)
+    eye = np.eye(dim, dtype=complex)
+    return model, canonicalize(LyapunovCandidate(terms=((1, 1, eye),), center=-eye)), rotated_number
+
+
 class TestEstimateMaxRate:
+    def assert_matches_scipy_pencil(self, model, candidate, center, spec):
+        est = estimate_max_rate(model, candidate, center, spec)
+        rates, kappas = reference_pencil_rates(model, candidate, center, spec)
+        assert len(est.per_sample) == len(rates) == spec.sample_count
+        for got, want, kappa in zip(est.per_sample, rates, kappas):
+            assert abs(got - want) <= 1e-12 * max(1.0, kappa) * abs(want)
+        return est
+
+    def test_demo_qubit_ball_matches_scipy_pencil(self, damping_model, damping_candidate):
+        spec = LevelSetSpec(epsilon=0.5, sample_count=64, seed=3, family=HermitianBall(1.0))
+        self.assert_matches_scipy_pencil(damping_model, damping_candidate, -EYE2, spec)
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("family", ["rotated-number", "ball"])
+    def test_rotated_oscillator_matches_scipy_pencil(self, seed, family):
+        model, cand, rotated_number = rotated_damped_oscillator(8, seed)
+        if family == "ball":
+            fam = HermitianBall(1.0)
+        else:
+            fam = DirectionFamily(directions=(rotated_number,), scale_min=0.1, scale_max=1.0)
+        spec = LevelSetSpec(epsilon=0.25, sample_count=16, seed=seed, family=fam)
+        est = self.assert_matches_scipy_pencil(model, cand, -np.eye(8), spec)
+        if family == "rotated-number":
+            assert est.rate == pytest.approx(1.0, abs=1e-6)  # min over n >= 1 of (2n - 1)/n
+
     def test_worked_family_rate_is_gamma(self, damping_model, damping_candidate, spec_number):
         est = estimate_max_rate(damping_model, damping_candidate, -EYE2, spec_number)
         assert est.rate == pytest.approx(GAMMA, abs=1e-9)

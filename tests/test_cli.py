@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,10 +111,13 @@ class TestCertifyCommand:
     @pytest.mark.parametrize(
         "mode, flag",
         [("local", "--rate"), ("asymptotic", "--rate"), ("state-local", "--rate"), ("state-asymptotic", "--rate"),
-         ("local", "--margin"), ("exponential", "--margin"), ("state-asymptotic", "--margin")],
+         ("local", "--margin"), ("exponential", "--margin"), ("state-asymptotic", "--margin"),
+         ("state-local", "--estimate-rate")],
     )
     def test_flag_outside_its_mode_exits_2(self, files, capsys, mode, flag):
-        extra = (flag, "0.5", "--rate", "0.5") if mode == "exponential" else (flag, "0.5")
+        extra = (flag,) if flag == "--estimate-rate" else (flag, "0.5")
+        if mode == "exponential":
+            extra += ("--rate", "0.5")
         assert main(self.common(files, mode, extra)) == 2
         assert f"{flag} applies only to" in capsys.readouterr().err
 
@@ -269,3 +276,14 @@ class TestUsageErrors:
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
+
+
+def test_import_leaves_scipy_unloaded():
+    """The package and its CLI need numpy only; scipy loads inside the master oracle."""
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = "import sys, qstab, qstab.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

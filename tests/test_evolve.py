@@ -16,6 +16,7 @@ from qstab import (
     exit_time_estimate,
     finite_difference_drift_check,
     ito_table_check,
+    ladder_operators,
     liouvillian_matrix,
     master_evolve,
     master_flow_expectation,
@@ -47,6 +48,19 @@ class TestCollisionStepUnitary:
         u = collision_step_unitary(model, dt=0.05)
         expected = np.kron(scipy.linalg.expm(-1j * h * 0.05), np.eye(2))
         assert np.allclose(u, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_matches_scipy_expm(self, dim, levels):
+        rng = np.random.default_rng(10 * dim + levels)
+        model = QsdeModel(hamiltonian=random_hermitian(rng, dim), coupling=random_complex(rng, dim))
+        dt = 0.03
+        a, a_dag, _ = ladder_operators(levels)
+        exponent = np.kron(-1j * model.hamiltonian * dt, np.eye(levels + 1)) + np.sqrt(dt) * (
+            np.kron(model.coupling, a_dag) - np.kron(adjoint(model.coupling), a)
+        )
+        u = collision_step_unitary(model, dt, ancilla_levels=levels)
+        assert spectral_norm(u - scipy.linalg.expm(exponent)) <= 1e-12
 
     def test_unitarity(self, damping_model):
         u = collision_step_unitary(damping_model, dt=0.01, ancilla_levels=2)
