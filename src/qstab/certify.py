@@ -28,8 +28,9 @@ decides a point and the most violated sample is the witness.
 witness, so it reproduces the stored violation by construction.
 
 Each sample derives its own random stream from (seed, sample index), and
-the bisection runs all samples in lockstep over one (N, d, d) stack, bit
-for bit as if each sample were bisected alone.
+its scale is capped where its ray first leaves the level set: a polynomial
+eigenvalue problem solved by one stacked block-companion eigensolve over the
+distinct rays (Tisseur & Meerbergen, SIAM Rev. 43, 2001).
 """
 
 from __future__ import annotations
@@ -202,20 +203,22 @@ def sample_level_set(
 ) -> list[np.ndarray]:
     """Hermitian samples X != center with max-eig V(X) <= epsilon + tol.
 
-    Each sample's direction and scale come from a stream derived from
-    (seed, sample index), so the list is deterministic and independent of
-    evaluation order.  Scales are capped by 60 bisection steps along the
-    direction until the level constraint binds, and the uniform draw
-    multiplies the feasible cap, so shrinking epsilon rescales the same
-    sample set inward (nested sampling).  Every returned sample is
-    re-verified against the level constraint.  All samples are bisected in
-    lockstep as one (N, d, d) stack, each keeping or cutting its own
-    bracket, which gives bit for bit the samples that bisecting each one
-    alone gives.
+    Each sample's direction and uniform draw u come from a stream derived
+    from (seed, sample index), so the list is deterministic and independent
+    of evaluation order.  The scale is u times its ray's cap (above
+    scale_min), so shrinking epsilon rescales the same samples inward.  The
+    cap is the exact exit of the ray from the level set, at most scale_hi,
+    from one stacked root solve over the distinct rays (:func:`_ray_exits`).
+    It is the *first* crossing: a ray that leaves the level set and re-enters
+    it stops at its first exit, and an eigenvalue that touches epsilon
+    without crossing stops it too, which is conservative.  The sampled set
+    is the star-shaped part of the level set seen from the center.  A sample
+    stays a few ulps inside its cap, never outside, and every sample is
+    re-checked against epsilon + max(tol, 1e-9) in one stacked evaluation.
 
-    A family whose scale range is degenerate at zero yields an empty list;
-    a family that admits no feasible nonzero sample raises
-    :class:`SamplingError`.
+    A center with max-eig V(center) >= epsilon, or a family with no feasible
+    nonzero sample, raises :class:`SamplingError`; a scale range degenerate
+    at zero yields an empty list.
     """
     require_positive(tol, "tol")
     cand = candidate if candidate.is_canonical else canonicalize(candidate)
@@ -231,36 +234,61 @@ def sample_level_set(
         return []
     streams = [_seeded_rng(spec.seed, i) for i in range(spec.sample_count)]
     if isinstance(family, DirectionFamily):
-        unit = [d / spectral_norm(d) for d in family.directions[: spec.sample_count]]
-        if traceless and any(abs(np.trace(d)) > tol for d in unit):
+        rays = np.stack([d / spectral_norm(d) for d in family.directions[: spec.sample_count]])
+        if traceless and any(abs(np.trace(d)) > tol for d in rays):
             raise InvalidStateError("state-picture directions must be traceless to keep unit trace")
-        directions = np.stack([unit[i % len(unit)] for i in range(spec.sample_count)])
     else:
-        directions = np.stack([_random_hermitian_direction(rng, cand.dim, traceless) for rng in streams])
+        rays = np.stack([_random_hermitian_direction(rng, cand.dim, traceless) for rng in streams])
+    ray_of = np.arange(spec.sample_count) % len(rays)
     u = 1.0 - np.array([rng.random() for rng in streams])  # uniform on (0, 1]
 
-    def top_level(x):
-        return hermitian_eigenvalues(evaluate(cand, x), tol=max(tol, 1e-7))[:, -1]
-
-    cap = np.full(spec.sample_count, scale_hi)
-    bisect = ~(top_level(center + scale_hi * directions) <= spec.epsilon)
-    if bisect.any():
-        dirs = directions[bisect]
-        lo, hi = np.zeros(len(dirs)), cap[bisect]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            ok = top_level(center + mid[:, None, None] * dirs) <= spec.epsilon
-            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
-        cap[bisect] = lo
-    keep = (cap > scale_min) & (cap != 0.0)
+    cap = np.minimum(scale_hi, _ray_exits(cand, center, rays, spec.epsilon, tol))[ray_of]
+    keep = cap > scale_min
     if not keep.any():
         raise SamplingError(
             f"family yielded no feasible nonzero sample inside the level set (epsilon={spec.epsilon})"
         )
-    samples = center + (scale_min + u[keep] * (cap[keep] - scale_min))[:, None, None] * directions[keep]
-    if np.any(top_level(samples) > spec.epsilon + max(tol, 1e-9)):
+    # u = 1 would put a sample on its computed exit, which rounding may place past epsilon.
+    scale = np.minimum(scale_min + u[keep] * (cap[keep] - scale_min), cap[keep] * (1.0 - 8.0 * np.finfo(float).eps))
+    samples = center + scale[:, None, None] * rays[ray_of[keep]]
+    top = hermitian_eigenvalues(evaluate(cand, samples), tol=max(tol, 1e-7))[:, -1]
+    if np.any(top > spec.epsilon + max(tol, 1e-9)):
         raise InternalCheckError("level-set sample failed its own constraint re-check")
     return list(samples)
+
+
+def _ray_exits(cand, center, rays, epsilon, tol) -> np.ndarray:
+    """Per ray D, the first s > 0 where max-eig V(C + sD) reaches epsilon; inf if none.
+
+    V(C + sD) = sum_k s^k B_k.  In mu = 1/s the leading block M = B_0 - eps I
+    = V(C) - eps I is negative definite, so the roots are the eigenvalues of
+    the block companion of the monic mu^K + sum_k mu^(K-k) M^-1 B_k, with no
+    infinite ones.  The exit is 1/mu for the largest real positive mu, a root
+    being real when |Im mu| <= 64 eps ||companion||_F, eps = 2^-52.
+    """
+    dim, degree = cand.dim, max(cand.degree, 1)  # a constant V gets a zero B_1 and no root
+    eye = np.eye(dim, dtype=complex)
+    powers = [[eye]]  # powers[n][i] = A_{n,i};  A_{n+1,i} = A_{n,i} C + A_{n,i-1} D
+    for _ in range(max(max(n, m) for n, m, _ in cand.terms)):
+        a = powers[-1]
+        powers.append([a[0] @ center, *(hi @ center + lo @ rays for hi, lo in zip(a[1:], a)), a[-1] @ rays])
+    b = np.zeros((degree + 1, len(rays), dim, dim), dtype=complex)
+    for n, m, theta in cand.terms:
+        for i, left in enumerate(powers[n]):
+            left = left @ theta
+            for j, right in enumerate(powers[m]):
+                b[i + j] += left @ right
+    top = hermitian_eigenvalues(b[0, 0], tol=max(tol, 1e-7))[-1]
+    if not top < epsilon:
+        raise SamplingError(f"center is outside the level set: max-eig V(center) = {top:.6g} >= epsilon = {epsilon}")
+    head = -np.linalg.solve(b[0, 0] - epsilon * eye, b[1:]).transpose(1, 2, 0, 3).reshape(len(rays), dim, -1)
+    shift = np.eye((degree - 1) * dim, degree * dim)  # [I 0] below the block row [-M^-1 B_1 ... -M^-1 B_K]
+    companion = np.concatenate([head, np.broadcast_to(shift, (len(rays), *shift.shape))], axis=1)
+    mu = np.linalg.eigvals(companion)
+    slack = 64.0 * np.finfo(float).eps * np.linalg.norm(companion, axis=(-2, -1))
+    exits = np.where((np.abs(mu.imag) <= slack[:, None]) & (mu.real > 0.0), mu.real, 0.0)
+    with np.errstate(divide="ignore"):
+        return 1.0 / exits.max(axis=-1, initial=0.0)
 
 
 @dataclass(eq=False)
@@ -515,11 +543,18 @@ def estimate_max_rate(model, candidate, center, spec, *, tol=DEFAULT_TOL) -> Rat
     ``SUPPORT_CUTOFF`` times ||V||); the estimate is the minimum over
     samples, clipped at zero.  Positive drift mass off the support cannot
     be repaired by any rate and is reported via ``support_mismatch``.
+    A center that fails a center condition of the flow checks raises a
+    ``ValueError`` whose message is that condition's label.
     """
     validate(model, tol=tol)
     cand = candidate if candidate.is_canonical else canonicalize(candidate)
-    samples = sample_level_set(cand, as_operator(center), spec, tol=tol)
-    points = [_Point(model, cand, x, "flow", None, None, tol, TOL_STRICT, None) for x in samples]
+    center = as_operator(center)
+    point = partial(_Point, model, cand, picture="flow", rate=None, margin=None, tol=tol, tol_strict=TOL_STRICT,
+                    reference_state=None)
+    condition, violation = _first_violation(_FLOW[1], point(center))
+    if violation is not None:
+        raise ValueError(condition.label)
+    points = [point(x) for x in sample_level_set(cand, center, spec, tol=tol)]
     rates = tuple(-p.pencil_max for p in points)
     return RateEstimate(max(0.0, min(rates)), any(p.off_support_max > TOL_STRICT for p in points), rates)
 

@@ -189,9 +189,13 @@ def _cmd_certify(args) -> int:
     if cert.verdict == "fail":
         print(f"  violated condition: {cert.violated_condition} (violation {cert.violation:.3e})")
     if args.estimate_rate:
-        est = estimate_max_rate(model, candidate, center, spec, tol=args.tol)
-        flag = " (positive drift off the candidate support)" if est.support_mismatch else ""
-        print(f"  max supported rate: {est.rate:.6g}{flag}")
+        try:  # the check above accepted every input, so only a center condition can raise here
+            est = estimate_max_rate(model, candidate, center, spec, tol=args.tol)
+        except ValueError as exc:
+            print(f"  max supported rate: not estimated ({exc})")
+        else:
+            flag = " (positive drift off the candidate support)" if est.support_mismatch else ""
+            print(f"  max supported rate: {est.rate:.6g}{flag}")
     if args.out:
         fileio.save_certificate(cert, args.out)
         print(f"  certificate written to {args.out}")

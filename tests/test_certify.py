@@ -131,7 +131,7 @@ class TestSampleLevelSet:
 
 
 def reference_sample_level_set(candidate, center, spec, *, traceless=False, tol=1e-9, bisection_steps=60):
-    """The level-set sampler written one sample at a time: the oracle for the lockstep sampler.
+    """The level-set sampler written one sample at a time, bisecting each cap: the oracle on monotone rays.
 
     Each sample draws its direction and u from the stream seeded by
     (seed, index), bisects its own scale cap and is re-checked on its own.
@@ -203,13 +203,13 @@ def cubic_candidate(dim, seed):
 
 
 class TestAgainstReferenceSampler:
-    """The lockstep sampler returns the per-sample loop's samples bit for bit."""
+    """On monotone rays the root-solve sampler returns the bisecting loop's samples to the last bits."""
 
     def assert_same(self, candidate, center, spec, **kw):
         batched = sample_level_set(candidate, center, spec, **kw)
         reference = reference_sample_level_set(candidate, center, spec, **kw)
         assert len(batched) == len(reference)
-        assert all(np.array_equal(x, y) for x, y in zip(batched, reference))
+        assert max(spectral_norm(x - y) / spectral_norm(y) for x, y in zip(batched, reference)) <= 1e-13
         return batched
 
     @pytest.mark.parametrize("seed", [11, 12])
@@ -221,7 +221,7 @@ class TestAgainstReferenceSampler:
 
     def test_scale_min_drops_samples(self):
         # V(-I + yD) = y^2 D Theta D caps the scale at 0.25 along N (below
-        # scale_min, dropped) and at 0.83 along diag(0.3, 1) (bisected); along
+        # scale_min, dropped) and at 0.83 along diag(0.3, 1) (capped); along
         # G the whole range is feasible.
         cand = canonicalize(LyapunovCandidate(terms=((1, 1, np.diag([4.0, 0.1])),), center=-EYE2))
         family = DirectionFamily(directions=(NUMBER, GROUND, np.diag([0.3, 1.0])), scale_min=0.5, scale_max=1.0)
@@ -250,10 +250,14 @@ class TestAgainstReferenceSampler:
             return evaluate_stack(candidate, x)
 
         monkeypatch.setattr(qstab.certify, "evaluate", counting_evaluate)
+        # Feasible at scale_hi, and capped on every ray (max-eig V = s^2 reaches 0.5 at s = 0.71).
         family = DirectionFamily(directions=(NUMBER, SIGMA_Z), scale_min=0.05, scale_max=0.1)
-        spec = LevelSetSpec(epsilon=1.0, sample_count=6, seed=2, family=family)
-        self.assert_same(damping_candidate, -EYE2, spec)
-        assert calls == [(6, 2, 2), (6, 2, 2)]  # the scale_hi probe and the re-check
+        for epsilon, fam in ((1.0, family), (0.5, HermitianBall(1.0))):
+            for count in (6, 40):
+                calls.clear()
+                spec = LevelSetSpec(epsilon=epsilon, sample_count=count, seed=2, family=fam)
+                self.assert_same(damping_candidate, -EYE2, spec)
+                assert calls == [(count, 2, 2)]  # the re-check alone: caps come from the root solve
 
     def test_same_errors(self):
         infeasible = canonicalize(LyapunovCandidate(terms=((1, 1, EYE2), (0, 0, EYE2))))
@@ -275,6 +279,101 @@ class TestAgainstReferenceSampler:
         long = sample_level_set(cand, center, LevelSetSpec(epsilon=0.5, sample_count=16, seed=21))
         assert len(short) == 8 and len(long) == 16
         assert all(np.array_equal(x, y) for x, y in zip(short, long[:8]))
+
+
+class TestExactExits:
+    """Caps are the first crossing of max-eig V = epsilon along each ray."""
+
+    def test_non_monotone_ray_stops_at_the_first_crossing(self):
+        # V(x) = x^2 (x - 1.5)^2 exceeds 0.2 on (0.41, 1.09) and is feasible again around 1.5.
+        one = np.ones((1, 1))
+        cand = canonicalize(
+            LyapunovCandidate(terms=((2, 2, one), (3, 1, -1.5 * one), (1, 3, -1.5 * one), (1, 1, 2.25 * one)))
+        )
+        spec = LevelSetSpec(epsilon=0.2, sample_count=16, seed=0, family=DirectionFamily((one,), 0.0, 3.0))
+        first = (1.5 - np.sqrt(2.25 - 4 * np.sqrt(0.2))) / 2
+        samples = sample_level_set(cand, np.zeros((1, 1)), spec)
+        assert len(samples) == 16
+        assert all(0.0 < x[0, 0].real <= first for x in samples)
+
+    def test_direction_family_solves_each_ray_once(self, damping_candidate, monkeypatch):
+        shapes = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(qstab.certify.np.linalg, "eigvals", lambda a: shapes.append(a.shape) or eigvals(a))
+        spec = LevelSetSpec(epsilon=0.5, sample_count=32, seed=1, family=DirectionFamily((NUMBER, SIGMA_Z)))
+        assert len(sample_level_set(damping_candidate, -EYE2, spec)) == 32
+        assert shapes == [(2, 4, 4)]
+
+    def test_sample_on_its_cap_is_pulled_inward(self, monkeypatch):
+        # u = 1 puts every sample on its cap.  For V(x) = x^2 at epsilon = 3e6 the computed
+        # cap lies a rounding above sqrt(epsilon), which the re-check's 1e-9 slack does not absorb.
+        class AtCap:
+            def random(self):
+                return 0.0
+
+        monkeypatch.setattr(qstab.certify, "_seeded_rng", lambda seed, index: AtCap())
+        one = np.ones((1, 1))
+        cand = canonicalize(LyapunovCandidate(terms=((1, 1, one),)))
+        spec = LevelSetSpec(epsilon=3e6, sample_count=2, seed=0, family=DirectionFamily((one,), 0.0, 1e4))
+        samples = sample_level_set(cand, np.zeros((1, 1)), spec)
+        assert len(samples) == 2
+        for x in samples:
+            assert hermitian_eigenvalues(evaluate(cand, x))[-1] <= 3e6 + 1e-9
+            assert x[0, 0].real >= np.sqrt(3e6) * (1.0 - 1e-14)  # a few ulps inward, no more
+
+    def test_infeasible_center_raises_before_any_solve(self, monkeypatch):
+        monkeypatch.setattr(qstab.certify.np.linalg, "solve", None)
+        monkeypatch.setattr(qstab.certify.np.linalg, "eigvals", None)
+        cand = canonicalize(LyapunovCandidate(terms=((1, 1, EYE2), (0, 0, EYE2))))
+        with pytest.raises(SamplingError, match="center is outside the level set"):
+            sample_level_set(cand, np.zeros((2, 2)), LevelSetSpec(epsilon=0.5, sample_count=4, seed=0))
+
+
+def hermitian_closed_candidate(rng, dim, degree, center):
+    """Random terms (n, m, Theta) with n + m <= degree, closed under (n, m, Theta) <-> (m, n, Theta†)."""
+    a = random_complex(rng, dim)
+    terms = [(1, 1, a @ a.conj().T / dim)]
+    for n in range(degree + 1):
+        for m in range(n, degree - n + 1):
+            if (n, m) != (1, 1) and rng.random() < 0.5:
+                theta = 0.3 * random_complex(rng, dim)
+                terms += [(n, m, theta), (m, n, theta.conj().T)] if n != m else [(n, n, hermitize(theta))]
+    return LyapunovCandidate(terms=tuple(terms), center=center)
+
+
+@given(
+    dim=st.integers(1, 4),
+    degree=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    scalar_center=st.booleans(),
+    ball=st.booleans(),
+    epsilon=st.sampled_from([0.05, 0.5, 2.0]),
+)
+@settings(max_examples=150)
+def test_caps_are_exact_exits(dim, degree, seed, scalar_center, ball, epsilon):
+    """Every cap is feasible all the way up to itself and, below scale_hi, tight at itself."""
+    rng = np.random.default_rng(seed)
+    cand = canonicalize(hermitian_closed_candidate(rng, dim, degree, 0.5 * np.eye(dim)))
+    center = 0.5 * np.eye(dim) + (0.0 if scalar_center else 0.2 * random_hermitian(rng, dim))
+    scale_hi = 1.5
+    if ball:
+        family = HermitianBall(scale_hi)
+    else:
+        family = DirectionFamily(tuple(random_hermitian(rng, dim) for _ in range(3)), 0.0, scale_hi)
+    spec = LevelSetSpec(epsilon=epsilon, sample_count=6, seed=seed, family=family)
+    top_at_center = hermitian_eigenvalues(evaluate(cand, center))[-1]
+    assume(top_at_center < epsilon - 1e-6)
+    samples = sample_level_set(cand, center, spec)
+    for x in samples:
+        direction = (x - center) / spectral_norm(x - center)
+        cap = min(scale_hi, qstab.certify._ray_exits(cand, center, direction[None], epsilon, 1e-9)[0])
+        grid = np.linspace(0.0, cap, 41)[:, None, None] * direction
+        assert np.all(hermitian_eigenvalues(evaluate(cand, center + grid))[:, -1] <= epsilon + 1e-9)
+        if cap < scale_hi:
+            # sum_k ||B_k|| cap^k is at most sum ||Theta|| (||C|| + cap)^(n+m)
+            b_norm = sum(spectral_norm(t) * (spectral_norm(center) + cap) ** (n + m) for n, m, t in cand.terms)
+            top = hermitian_eigenvalues(evaluate(cand, center + cap * direction))[-1]
+            assert top >= epsilon - 1e-12 * max(1.0, b_norm)
 
 
 class TestCheckLocal:
@@ -479,6 +578,14 @@ class TestEstimateMaxRate:
             spec = LevelSetSpec(epsilon=c, sample_count=6, seed=17, family=number_family)
             est = estimate_max_rate(damping_model, cand, -EYE2, spec)
             assert est.rate == pytest.approx(GAMMA, abs=1e-9)
+
+    def test_center_conditions_raise_naming_the_label(self, damping_model, damping_candidate, spec_number):
+        # check_local rejects this center; the estimate used to return 0.0 from samples around it.
+        with pytest.raises(ValueError, match="^center is not a flow equilibrium$"):
+            estimate_max_rate(damping_model, damping_candidate, -EYE2 + 0.05 * SIGMA_X, spec_number)
+        offset = canonicalize(LyapunovCandidate(terms=((1, 1, EYE2), (0, 0, 0.1 * EYE2)), center=-EYE2))
+        with pytest.raises(ValueError, match="^candidate does not vanish at the center$"):
+            estimate_max_rate(damping_model, offset, -EYE2, spec_number)
 
     def test_degenerate_pencil_raises(self, damping_model):
         # V built from the ground projector vanishes identically on the

@@ -17,7 +17,7 @@ from qstab.fileio import (
     save_state_vector,
 )
 
-from conftest import EYE2, KET_E, NUMBER, SIGMA_MINUS, SIGMA_Z
+from conftest import EYE2, KET_E, NUMBER, SIGMA_MINUS, SIGMA_X, SIGMA_Z
 
 
 @pytest.fixture
@@ -132,6 +132,15 @@ class TestCertifyCommand:
     def test_estimate_rate_flag(self, files, capsys):
         assert main(self.common(files, "local", ("--estimate-rate",))) == 0
         assert "max supported rate" in capsys.readouterr().out
+
+    def test_estimate_rate_needs_the_center_conditions(self, files, tmp_path, capsys):
+        off_center, out = tmp_path / "off_center.json", tmp_path / "cert.json"
+        save_operator(-EYE2 + 0.05 * SIGMA_X, off_center)
+        argv = self.common(files, "local", ("--estimate-rate", "--out", str(out)))
+        argv[argv.index("--center") + 1] = str(off_center)
+        assert main(argv) == 1
+        assert "max supported rate: not estimated (center is not a flow equilibrium)" in capsys.readouterr().out
+        assert json.loads(out.read_text())["violated_condition"] == "center is not a flow equilibrium"
 
     def test_byte_identical_reruns(self, files, tmp_path):
         out1, out2 = tmp_path / "c1.json", tmp_path / "c2.json"
