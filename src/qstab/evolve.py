@@ -25,8 +25,10 @@ An independent oracle integrates the reduced master equation
 
     d rho / dt = -i[H, rho] + L rho L† - (1/2){L†L, rho}
 
-exactly via the superoperator matrix exponential; it shares no error source
-with the collision model.  Helper checks compare the two routes, reproduce
+by stepping the vectorized state with one propagator exp(L h) per grid
+interval, so a uniform grid costs one matrix exponential, and checks the
+density-matrix invariants once on the stacked states; it shares no error
+source with the collision model.  Helper checks compare the two routes, reproduce
 the quantum Ito multiplication table on a vacuum ancilla, and test
 expectation trajectories against decay envelopes and transit-time bounds.
 
@@ -55,6 +57,7 @@ from .operators import (
     QuantumState,
     adjoint,
     expectation,
+    require_density,
     require_positive,
     spectral_norm,
 )
@@ -94,8 +97,8 @@ class Trajectory:
         v = np.asarray(self.v_expect, dtype=float)
         if times.shape != v.shape or times.ndim != 1:
             raise ValueError("times and v_expect must be 1-d arrays of equal length")
-        if times[0] != 0.0 or np.any(np.diff(times) <= 0):
-            raise ValueError("times must increase strictly from 0")
+        if times.size == 0 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
+            raise ValueError("times must be nonempty and increase strictly from 0")
         if self.obs_expect is not None:
             for name, seq in self.obs_expect.items():
                 if np.asarray(seq).shape != times.shape:
@@ -242,27 +245,33 @@ def liouvillian_matrix(model: QsdeModel) -> np.ndarray:
     )
 
 
-def master_evolve(model: QsdeModel, rho0: QuantumState, t_grid) -> list[QuantumState]:
-    """Exact reduced-state evolution by superoperator matrix exponential.
+def master_evolve(model: QsdeModel, rho0: QuantumState, t_grid) -> np.ndarray:
+    """Reduced states on ``t_grid`` as a ``(T, d, d)`` stack, stepped by one propagator per interval.
 
-    Trace is preserved to 1e-12 and positivity to 1e-10; each returned
-    state revalidates those invariants at construction.  The Liouvillian is
-    not normal and needs scipy's ``expm``, imported here to keep scipy off
-    the package's import path.
+    ``P = expm(L h)`` steps each state to the next grid time and is kept while
+    ``|t_k - (t_j + (k - j) h)| <= 4 ulp(t_k)`` from its anchor ``t_j``; otherwise ``h = t_k - t_(k-1)``
+    and ``P`` are taken afresh.  Every state thus sits within rounding of its grid time, with no drift
+    over k, and a uniform grid costs one ``expm``.  Hermiticity, positivity (to 1e-10) and unit trace
+    (to 1e-12) are checked once on the stack; a failure names its grid index and time.  The Liouvillian
+    is not normal and needs scipy's ``expm``, imported here to keep scipy off the import path.
     """
     import scipy.linalg
 
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0 or t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be a nonempty 1-D grid increasing strictly from 0")
+    bad_grid = t_grid.ndim != 1 or t_grid.size == 0 or not np.isfinite(t_grid).all()
+    if bad_grid or t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
+        raise ValueError("t_grid must be a nonempty 1-D grid of finite times increasing strictly from 0")
     validate(model)
     liouville = liouvillian_matrix(model)
-    vec0 = rho0.rho.reshape(-1)
-    states = []
-    for t in t_grid:
-        vec_t = scipy.linalg.expm(liouville * t) @ vec0
-        rho_t = vec_t.reshape(model.dim, model.dim)
-        states.append(QuantumState(rho_t, tol_herm=1e-10, tol_psd=1e-10, tol_trace=1e-12))
+    vecs = [rho0.rho.reshape(-1)]
+    anchor, h = 0, np.nan
+    for k in range(1, t_grid.size):
+        if not abs(t_grid[k] - (t_grid[anchor] + (k - anchor) * h)) <= 4 * np.spacing(t_grid[k]):
+            anchor, h = k - 1, t_grid[k] - t_grid[k - 1]
+            step = scipy.linalg.expm(liouville * h)
+        vecs.append(step @ vecs[-1])
+    states = np.reshape(vecs, (-1, model.dim, model.dim))
+    require_density(states, tol_herm=1e-10, tol_psd=1e-10, tol_trace=1e-12, times=t_grid)
     return states
 
 
@@ -285,18 +294,16 @@ def master_flow_expectation(
     cand = candidate if candidate.is_canonical else canonicalize(candidate)
     for n, m, theta in cand.terms:
         lam = np.trace(theta) / cand.dim
-        if spectral_norm(theta - lam * np.eye(cand.dim)) > 1e-12:
+        if spectral_norm(theta - lam * np.eye(cand.dim)) > 1e-12 * max(1.0, spectral_norm(theta)):
             raise InvalidCandidateError(
                 "the master oracle needs scalar term coefficients; "
                 f"term ({n}, {m}) has a non-scalar Theta"
             )
     v0 = evaluate(cand, np.asarray(x0, dtype=complex))
     states = master_evolve(model, system_state, t_grid)
-    v_vals = [expectation(s, v0).real for s in states]
-    obs = None
-    if observables:
-        obs = {name: np.array([expectation(s, op).real for s in states]) for name, op in observables.items()}
-    return Trajectory(times=np.asarray(t_grid, dtype=float), v_expect=np.array(v_vals), method="master", obs_expect=obs)
+    obs = {name: expectation(states, op).real for name, op in (observables or {}).items()} or None
+    v_vals = expectation(states, v0).real
+    return Trajectory(times=np.asarray(t_grid, dtype=float), v_expect=v_vals, method="master", obs_expect=obs)
 
 
 @dataclass(frozen=True)
@@ -466,8 +473,7 @@ def transit_time_check(trajectory: Trajectory, level_hi: float, level_lo: float,
     """
     if not level_hi > level_lo > 0:
         raise ValueError("levels must satisfy level_hi > level_lo > 0")
-    if b <= 0:
-        raise ValueError("b must be positive")
+    require_positive(b, "b")
     v, t = trajectory.v_expect, trajectory.times
     hi_idx = np.nonzero(v <= level_hi)[0]
     if hi_idx.size == 0:
@@ -496,10 +502,9 @@ def envelope_check(trajectory: Trajectory, a: float, v0: float) -> EnvelopeRepor
     The multiplicative slack is 1e-6 plus a discretization allowance of
     1.0 * dt with dt read off the grid, reported alongside the worst ratio.
     """
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if v0 < 0:
-        raise ValueError("v0 must be nonnegative")
+    require_positive(a, "a")
+    if not (np.isfinite(v0) and v0 >= 0):
+        raise ValueError(f"v0 must be a finite nonnegative number, got {v0!r}")
     dt = float(np.min(np.diff(trajectory.times))) if trajectory.times.size > 1 else 0.0
     allowance = 1e-6 + dt
     envelope = v0 * np.exp(-a * trajectory.times)

@@ -60,7 +60,7 @@ def require_positive(value, name: str) -> None:
 
 
 def require_same_dim(*ops: np.ndarray) -> int:
-    dims = {op.shape[0] for op in ops}
+    dims = {op.shape[-1] for op in ops}
     if len(dims) != 1:
         raise DimensionMismatchError(f"operators have mismatched dimensions {sorted(dims)}")
     return dims.pop()
@@ -138,6 +138,32 @@ def is_psd(x: np.ndarray, tol: float = DEFAULT_TOL) -> PsdReport:
     return PsdReport(is_psd=min_eig >= -tol, min_eigenvalue=min_eig, hermiticity_defect=defect)
 
 
+def require_density(rho, tol_herm: float, tol_psd: float, tol_trace: float, times=None) -> None:
+    """Raise :class:`InvalidStateError` unless ``rho`` is a density matrix or an ``(N, d, d)`` stack of them.
+
+    Members must be finite, Hermitian within ``tol_herm``, ``>= -tol_psd`` and of unit trace within
+    ``tol_trace``.  For a stack the message names the first failing member's index and, given ``times``, time.
+    """
+    stack = np.reshape(rho, (-1,) + np.shape(rho)[-2:])
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    stack = np.where(finite[:, None, None], stack, 0.0)
+    defect = hermiticity_defect(stack)
+    min_eig = np.linalg.eigvalsh(hermitize(stack))[:, 0]
+    trace_err = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
+    bad = ~finite | (defect > tol_herm) | (min_eig < -tol_psd) | (trace_err > tol_trace)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    who = "state" if np.ndim(rho) == 2 else f"state {i}" + ("" if times is None else f" at t = {times[i]:g}")
+    if not finite[i]:
+        raise InvalidStateError(f"{who} has non-finite entries")
+    if defect[i] > tol_herm:
+        raise InvalidStateError(f"{who} is not Hermitian: defect {defect[i]:.3e} > {tol_herm:.3e}")
+    if min_eig[i] < -tol_psd:
+        raise InvalidStateError(f"{who} is not positive semidefinite: min eigenvalue {min_eig[i]:.3e}")
+    raise InvalidStateError(f"{who} trace differs from 1 by {trace_err[i]:.3e}")
+
+
 @dataclass(frozen=True, eq=False)
 class QuantumState:
     """A density operator: Hermitian, positive semidefinite, unit trace.
@@ -153,15 +179,7 @@ class QuantumState:
 
     def __post_init__(self):
         rho = as_operator(self.rho)
-        defect = hermiticity_defect(rho)
-        if defect > self.tol_herm:
-            raise InvalidStateError(f"state is not Hermitian: defect {defect:.3e} > {self.tol_herm:.3e}")
-        min_eig = float(np.linalg.eigvalsh(hermitize(rho))[0])
-        if min_eig < -self.tol_psd:
-            raise InvalidStateError(f"state is not positive semidefinite: min eigenvalue {min_eig:.3e}")
-        trace_err = abs(np.trace(rho) - 1.0)
-        if trace_err > self.tol_trace:
-            raise InvalidStateError(f"state trace differs from 1 by {trace_err:.3e}")
+        require_density(rho, self.tol_herm, self.tol_psd, self.tol_trace)
         object.__setattr__(self, "rho", rho)
 
     @property
@@ -195,14 +213,15 @@ class QuantumState:
         return np.ascontiguousarray(vecs[:, -1])
 
 
-def expectation(rho, x: np.ndarray) -> complex:
-    """Expectation Tr(rho X) of X in the state rho.
+def expectation(rho, x: np.ndarray) -> complex | np.ndarray:
+    """Expectation Tr(rho X) of X in the state rho, per member of a stack.
 
-    ``rho`` may be a :class:`QuantumState` or a plain density matrix.  The
-    value is real (up to roundoff) for Hermitian X, bounded by ||X|| in
-    modulus, and nonnegative for positive semidefinite X.
+    ``rho`` may be a :class:`QuantumState`, a density matrix or an ``(N, d, d)``
+    stack of them.  The value is real (up to roundoff) for Hermitian X,
+    bounded by ||X|| in modulus, and nonnegative for positive semidefinite X.
     """
     r = rho.rho if isinstance(rho, QuantumState) else np.asarray(rho, dtype=complex)
     x = np.asarray(x, dtype=complex)
     require_same_dim(r, x)
-    return complex(np.trace(r @ x))
+    values = np.trace(r @ x, axis1=-2, axis2=-1)
+    return complex(values) if values.ndim == 0 else values

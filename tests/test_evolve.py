@@ -5,6 +5,7 @@ import scipy.linalg
 from qstab import (
     CollisionConfig,
     InvalidCandidateError,
+    InvalidStateError,
     LyapunovCandidate,
     QsdeModel,
     QuantumState,
@@ -25,7 +26,9 @@ from qstab import (
     transit_time_check,
 )
 
-from conftest import EYE2, KET_E, NUMBER, SIGMA_MINUS, SIGMA_X, SIGMA_Z, random_complex, random_hermitian
+from conftest import (
+    EYE2, KET_E, NUMBER, SIGMA_MINUS, SIGMA_X, SIGMA_Z, random_complex, random_density, random_hermitian, random_unitary,
+)
 
 GAMMA = 1.0
 
@@ -231,6 +234,53 @@ class TestAgainstReferenceChain:
         assert np.max(np.abs(np.diff(v_ref))) > 1e-3  # the dynamics is not trivial
 
 
+def reference_master_states(model, rho0, t_grid):
+    """Per-point expm(L t) vec0: the independent oracle for the stepped master propagation."""
+    liouville = liouvillian_matrix(model)
+    vec0 = rho0.rho.reshape(-1)
+    return np.array([(scipy.linalg.expm(liouville * t) @ vec0).reshape(model.dim, model.dim) for t in t_grid])
+
+
+# Grids with a known number of intervals that break the uniform pattern:
+# a linspace and a dt * arange need one propagator, three spliced uniform
+# pieces need three, and a random grid needs one per interval.
+GRIDS = {
+    "linspace": (np.linspace(0.0, 4.0, 201), 1),
+    "arange": (0.01 * np.arange(101), 1),
+    "pieces": (np.concatenate([0.1 * np.arange(5), 0.4 + 0.25 * np.arange(1, 5), 1.4 + 0.05 * np.arange(1, 4)]), 3),
+    "random": (np.concatenate([[0.0], np.cumsum(np.random.default_rng(71).uniform(0.01, 0.1, size=40))]), 40),
+}
+
+
+class TestSteppedMasterOracle:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_matches_per_point_expm(self, dim, grid):
+        rng = np.random.default_rng(70 + dim)
+        model = QsdeModel(hamiltonian=random_hermitian(rng, dim), coupling=random_complex(rng, dim))
+        rho0 = QuantumState(random_density(rng, dim))
+        t_grid = GRIDS[grid][0]
+        states = master_evolve(model, rho0, t_grid)
+        assert states.shape == (t_grid.size, dim, dim)
+        scale = max(1.0, t_grid[-1] * spectral_norm(liouvillian_matrix(model)))
+        assert np.max(np.abs(states - reference_master_states(model, rho0, t_grid))) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_one_expm_per_grid_break(self, damping_model, monkeypatch, grid):
+        calls = []
+        expm = scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm(a))
+        t_grid, breaks = GRIDS[grid]
+        master_evolve(damping_model, QuantumState.maximally_mixed(2), t_grid)
+        assert len(calls) == breaks
+
+    def test_invalid_state_names_grid_index_and_time(self, damping_model, monkeypatch):
+        expm = scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm", lambda a: 1.5 * expm(a))
+        with pytest.raises(InvalidStateError, match=r"state 1 at t = 0\.5 trace differs"):
+            master_evolve(damping_model, QuantumState.maximally_mixed(2), [0.0, 0.5, 1.0])
+
+
 class TestMasterEvolve:
     def test_unitary_channel(self):
         h = 0.7 * SIGMA_X
@@ -240,23 +290,23 @@ class TestMasterEvolve:
         states = master_evolve(model, rho0, t_grid)
         for t, s in zip(t_grid, states):
             u = scipy.linalg.expm(-1j * h * t)
-            assert np.allclose(s.rho, u @ rho0.rho @ adjoint(u), atol=1e-12)
+            assert np.allclose(s, u @ rho0.rho @ adjoint(u), atol=1e-12)
 
     def test_amplitude_damping_closed_form(self, damping_model):
         rho0 = QuantumState.from_vector(KET_E)
         t_grid = np.linspace(0.0, 2.0, 9)
         states = master_evolve(damping_model, rho0, t_grid)
         for t, s in zip(t_grid, states):
-            assert s.rho[0, 0].real == pytest.approx(np.exp(-GAMMA * t), abs=1e-12)
-            assert abs(s.rho[0, 1]) <= 1e-13
+            assert s[0, 0].real == pytest.approx(np.exp(-GAMMA * t), abs=1e-12)
+            assert abs(s[0, 1]) <= 1e-13
 
     def test_trace_and_positivity_preserved(self):
         rng = np.random.default_rng(60)
         model = QsdeModel(hamiltonian=random_hermitian(rng, 3), coupling=rng.normal(size=(3, 3)))
         rho0 = QuantumState.maximally_mixed(3)
         states = master_evolve(model, rho0, np.linspace(0.0, 1.0, 5))
-        for s in states:  # QuantumState construction enforces the invariants
-            assert abs(np.trace(s.rho) - 1.0) <= 1e-12
+        for s in states:  # master_evolve checks the invariants once on the whole stack
+            assert abs(np.trace(s) - 1.0) <= 1e-12
 
     def test_liouvillian_is_trace_dual_of_flow_generator(self, damping_model):
         from qstab import flow_generator
@@ -291,10 +341,28 @@ class TestMasterEvolve:
         with pytest.raises(InvalidCandidateError):
             master_flow_expectation(damping_model, cand, SIGMA_Z, excited, np.linspace(0, 1, 3))
 
-    @pytest.mark.parametrize("t_grid", [[], [[0.0, 0.1]]])
+    @pytest.mark.parametrize("t_grid", [[], [[0.0, 0.1]], [0.0, np.nan], [0.0, np.inf], [0.0, 0.5, np.nan]])
     def test_master_rejects_empty_or_nested_grid(self, damping_model, v_linear, excited, t_grid):
         with pytest.raises(ValueError, match="t_grid"):
             master_flow_expectation(damping_model, v_linear, NUMBER, excited, t_grid)
+
+    def test_master_accepts_large_scalar_theta(self):
+        a, _, n = ladder_operators(2)
+        model = QsdeModel(hamiltonian=np.zeros((3, 3)), coupling=a)
+        q = random_unitary(np.random.default_rng(0), 3)
+        theta = q @ (1e5 * np.eye(3)) @ adjoint(q)  # scalar, up to rounding at 1e5
+        top = QuantumState.from_vector([0.0, 0.0, 1.0])
+        t_grid = np.linspace(0.0, 1.0, 5)
+        traj = master_flow_expectation(model, LyapunovCandidate(terms=((1, 1, theta),)), n, top, t_grid)
+        exact = master_flow_expectation(model, LyapunovCandidate(terms=((1, 1, 1e5 * np.eye(3)),)), n, top, t_grid)
+        assert np.allclose(traj.v_expect, exact.v_expect, rtol=1e-12, atol=0.0)
+
+    def test_master_rejects_large_nonscalar_theta(self):
+        a, _, n = ladder_operators(2)
+        model = QsdeModel(hamiltonian=np.zeros((3, 3)), coupling=a)
+        cand = LyapunovCandidate(terms=((1, 1, 1e3 * np.diag([1.0, 1.0, 1.0 + 1e-6])),))
+        with pytest.raises(InvalidCandidateError, match="non-scalar"):
+            master_flow_expectation(model, cand, n, QuantumState.maximally_mixed(3), np.linspace(0.0, 1.0, 3))
 
 
 class TestFiniteDifferenceDriftCheck:
@@ -397,6 +465,22 @@ class TestTrajectoryChecks:
             Trajectory(times=np.array([0.0, 0.0]), v_expect=np.array([1.0, 1.0]), method="master")
         with pytest.raises(ValueError):
             Trajectory(times=np.array([0.1, 0.2]), v_expect=np.array([1.0, 1.0]), method="master")
+
+    def test_empty_trajectory_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            Trajectory(times=[], v_expect=[], method="master")
+
+    @pytest.mark.parametrize("a, v0, field", [
+        (np.nan, 1.0, "a"), (np.inf, 1.0, "a"), (1.0, np.nan, "v0"), (1.0, np.inf, "v0"),
+    ])
+    def test_envelope_rejects_non_finite(self, a, v0, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            envelope_check(self.make_traj([1.0, 0.5]), a=a, v0=v0)
+
+    @pytest.mark.parametrize("b", [np.nan, np.inf, -1.0])
+    def test_transit_rejects_bad_bound(self, b):
+        with pytest.raises(ValueError, match="^b must be"):
+            transit_time_check(self.make_traj([1.0, 0.5]), level_hi=0.9, level_lo=0.5, b=b)
 
     def test_parameter_validation(self):
         traj = self.make_traj([1.0, 0.5])

@@ -177,7 +177,7 @@ class TestThreeLevelCascade:
     def test_master_evolve_reaches_ground(self):
         psi0 = QuantumState.from_vector(np.array([0.0, 0.0, 1.0]))
         final = master_evolve(self.model, psi0, np.array([0.0, 50.0]))[-1]
-        assert final.rho[0, 0].real == pytest.approx(1.0, abs=1e-6)
+        assert final[0, 0].real == pytest.approx(1.0, abs=1e-6)
 
 
 class TestGridValidation:

@@ -21,6 +21,7 @@ from qstab import (
     is_psd,
     spectral_norm,
 )
+from qstab.operators import require_density
 
 from conftest import EYE2, KET_E, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, random_complex, random_hermitian
 
@@ -187,6 +188,26 @@ class TestStacks:
         assert type(hermiticity_defect(SIGMA_X)) is float
         assert adjoint(SIGMA_MINUS).shape == (2, 2)
         assert hermitian_eigenvalues(SIGMA_Z).shape == (2,)
+
+    def test_expectation_matches_per_matrix(self, stack):
+        x = random_complex(np.random.default_rng(201), stack.shape[-1])
+        assert np.array_equal(expectation(stack, x), np.array([expectation(m, x) for m in stack]))
+
+    @pytest.mark.parametrize("member, fault, what", [
+        (2, np.diag([1.5, -0.5]), "is not positive semidefinite"),
+        (1, np.diag([0.5, 0.3]), "trace differs from 1"),
+    ])
+    def test_density_check_names_first_failing_member(self, member, fault, what):
+        states = np.stack([np.diag([0.25, 0.75]).astype(complex)] * 4)
+        require_density(states, 1e-10, 1e-10, 1e-12)
+        states[member] = fault
+        states[3] = np.diag([2.0, -1.0])  # a later failure is not the one named
+        with pytest.raises(InvalidStateError, match=f"^state {member} at t = 0.{member} {what}"):
+            require_density(states, 1e-10, 1e-10, 1e-12, times=0.1 * np.arange(4))
+        with pytest.raises(InvalidStateError, match=f"^state {member} {what}"):
+            require_density(states, 1e-10, 1e-10, 1e-12)
+        with pytest.raises(InvalidStateError, match=f"^state {what}"):  # QuantumState's message names no index
+            QuantumState(fault)
 
     def test_one_non_hermitian_member_raises(self, stack):
         bad = stack.copy()
