@@ -11,8 +11,8 @@ Numerical semantics of the inequalities
 ---------------------------------------
 Non-strict conditions ("drift <= 0") are tested on the full spectrum with
 an absolute tolerance.  Strict conditions ("drift < 0", "drift + a V < 0")
-are meaningless at floating point without a margin and are tested with
-``tol_strict`` *on the support of V at the sample*: a rank-deficient
+are meaningless at floating point without a margin and are tested with the
+constant ``TOL_STRICT`` *on the support of V at the sample*: a rank-deficient
 certificate such as V(X) = (X - X_e)^2 vanishes on part of the space, the
 drift vanishes with it there, and demanding strict negativity on that null
 space would reject every such certificate.  Off the support the drift must
@@ -73,6 +73,9 @@ class HermitianBall:
 
     radius: float = 1.0
 
+    def __post_init__(self):
+        require_positive(self.radius, "radius")
+
 
 @dataclass(frozen=True, eq=False)
 class DirectionFamily:
@@ -90,6 +93,7 @@ class DirectionFamily:
     def __post_init__(self):
         if not self.directions:
             raise ValueError("direction family needs at least one direction")
+        require_positive(self.scale_max, "scale_max")
         if not 0.0 <= self.scale_min <= self.scale_max:
             raise ValueError("scalar range must satisfy 0 <= scale_min <= scale_max")
         frozen = []
@@ -217,8 +221,7 @@ def sample_level_set(
     re-checked against epsilon + max(tol, 1e-9) in one stacked evaluation.
 
     A center with max-eig V(center) >= epsilon, or a family with no feasible
-    nonzero sample, raises :class:`SamplingError`; a scale range degenerate
-    at zero yields an empty list.
+    nonzero sample, raises :class:`SamplingError`.
     """
     require_positive(tol, "tol")
     cand = candidate if candidate.is_canonical else canonicalize(candidate)
@@ -230,8 +233,6 @@ def sample_level_set(
         scale_min, scale_hi = family.scale_min, family.scale_max
     else:
         scale_min, scale_hi = 0.0, family.radius
-    if scale_hi == 0.0:
-        return []
     streams = [_seeded_rng(spec.seed, i) for i in range(spec.sample_count)]
     if isinstance(family, DirectionFamily):
         rays = np.stack([d / spectral_norm(d) for d in family.directions[: spec.sample_count]])
@@ -346,8 +347,7 @@ class _Point:
     @cached_property
     def support_max(self) -> float:
         # Read only after V's top eigenvalue passed tol_strict > 0, so the support is nonempty.
-        basis = self.v_eigh[1][:, self.on_support]
-        return float(np.linalg.eigvalsh(hermitize(basis.conj().T @ self.target @ basis))[-1])
+        return _top_eigenvalue_on(self.v_eigh[1][:, self.on_support], self.target)
 
     @cached_property
     def pencil_max(self) -> float:
@@ -356,14 +356,12 @@ class _Point:
         V is diag(lam) on B, so this is the top eigenvalue of lam^-1/2 B† drift B lam^-1/2.
         """
         vals, vecs = self.v_eigh
-        scaled = vecs[:, self.on_support] / np.sqrt(vals[self.on_support])
-        return float(np.linalg.eigvalsh(hermitize(scaled.conj().T @ self.drift @ scaled))[-1])
+        return _top_eigenvalue_on(vecs[:, self.on_support] / np.sqrt(vals[self.on_support]), self.drift)
 
     @cached_property
     def off_support_max(self) -> float:
         """Top eigenvalue of the drift off the support of V, -inf where the support is everything."""
-        off = self.v_eigh[1][:, ~self.on_support]
-        return float(np.linalg.eigvalsh(hermitize(off.conj().T @ self.drift @ off)).max(initial=-np.inf))
+        return _top_eigenvalue_on(self.v_eigh[1][:, ~self.on_support], self.drift)
 
     @cached_property
     def e_v(self) -> complex:
@@ -374,6 +372,11 @@ class _Point:
         """E[drift] + rate * E[V], or E[drift] alone without a rate."""
         e_drift = expectation(self.reference_state, self.drift).real
         return e_drift if self.rate is None else e_drift + self.rate * self.e_v.real
+
+
+def _top_eigenvalue_on(basis, op) -> float:
+    """Top eigenvalue of op projected onto the columns of basis, -inf when there are none."""
+    return float(np.linalg.eigvalsh(hermitize(basis.conj().T @ op @ basis)).max(initial=-np.inf))
 
 
 # Measures: the violation where a condition fails, None where it holds.
@@ -450,16 +453,15 @@ def _first_violation(conditions, point):
     return condition, violation
 
 
-def _check(model, candidate, center, spec, mode, *, rate=None, margin=None, reference_state=None, tol, tol_strict):
+def _check(model, candidate, center, spec, mode, *, rate=None, margin=None, reference_state=None, tol):
     """Check one mode's conditions at the center, then at every level-set sample, and certify the outcome."""
-    require_positive(tol_strict, "tol_strict")
     validate(model, tol=tol)
     cand = candidate if candidate.is_canonical else canonicalize(candidate)
     center = as_operator(center)
     picture, center_conditions, v_conditions, drift_conditions = _MODES[mode]
     state = picture == "state"
     point = partial(_Point, model, cand, picture=picture, rate=rate, margin=margin, tol=tol,
-                    tol_strict=tol_strict, reference_state=reference_state)
+                    tol_strict=TOL_STRICT, reference_state=reference_state)
 
     at_center = point(center)
     condition, violation = _first_violation(center_conditions, at_center)
@@ -495,44 +497,40 @@ def _check(model, candidate, center, spec, mode, *, rate=None, margin=None, refe
         seed=int(spec.seed),
         epsilon=float(spec.epsilon),
         family=_family_description(spec.family),
-        tolerances={"tol": tol, "tol_strict": tol_strict, "support_cutoff": SUPPORT_CUTOFF},
+        tolerances={"tol": tol, "tol_strict": TOL_STRICT, "support_cutoff": SUPPORT_CUTOFF},
     )
 
 
-def check_local(model, candidate, center, spec, *, tol=DEFAULT_TOL, tol_strict=TOL_STRICT) -> StabilityCertificate:
+def check_local(model, candidate, center, spec, *, tol=DEFAULT_TOL) -> StabilityCertificate:
     """Certify local stability of a flow equilibrium on the sampled level set.
 
     Pass requires: (i) the center is a flow equilibrium, (ii) the candidate
     vanishes at the center, (iii) the candidate is positive semidefinite
-    and nonvanishing at every sample, (iv) the drift is nonpositive (within
-    ``tol``) at every sample.
+    and nonvanishing (top eigenvalue above ``TOL_STRICT``) at every sample,
+    (iv) the drift is nonpositive (within ``tol``) at every sample.
     """
-    return _check(model, candidate, center, spec, "local", tol=tol, tol_strict=tol_strict)
+    return _check(model, candidate, center, spec, "local", tol=tol)
 
 
-def check_asymptotic(
-    model, candidate, center, spec, margin: float, *, tol=DEFAULT_TOL, tol_strict=TOL_STRICT
-) -> StabilityCertificate:
+def check_asymptotic(model, candidate, center, spec, margin: float, *, tol=DEFAULT_TOL) -> StabilityCertificate:
     """Local conditions plus a uniform strict drift bound.
 
     On every sample the drift must be nonpositive and, on the support of
     the candidate there, at most ``-margin`` (the explicit strict bound b).
     """
     require_positive(margin, "margin")
-    return _check(model, candidate, center, spec, "asymptotic", margin=margin, tol=tol, tol_strict=tol_strict)
+    return _check(model, candidate, center, spec, "asymptotic", margin=margin, tol=tol)
 
 
-def check_exponential(
-    model, candidate, center, spec, rate: float, *, tol=DEFAULT_TOL, tol_strict=TOL_STRICT
-) -> StabilityCertificate:
+def check_exponential(model, candidate, center, spec, rate: float, *, tol=DEFAULT_TOL) -> StabilityCertificate:
     """Local conditions with the drift shifted by rate * V.
 
     Pass requires drift + rate*V nonpositive everywhere and strictly
-    negative (below ``-tol_strict``) on the support of V at every sample;
+    negative (below ``-TOL_STRICT``) on the support of V at every sample;
     the certificate records the rate.
     """
     require_positive(rate, "rate")
-    return _check(model, candidate, center, spec, "exponential", rate=rate, tol=tol, tol_strict=tol_strict)
+    return _check(model, candidate, center, spec, "exponential", rate=rate, tol=tol)
 
 
 def estimate_max_rate(model, candidate, center, spec, *, tol=DEFAULT_TOL) -> RateEstimate:
@@ -561,16 +559,16 @@ def estimate_max_rate(model, candidate, center, spec, *, tol=DEFAULT_TOL) -> Rat
 
 def check_state(
     model, candidate, center, reference_state: QuantumState, spec, mode: str, rate: float | None = None,
-    *, tol=DEFAULT_TOL, tol_strict=TOL_STRICT,
+    *, tol=DEFAULT_TOL,
 ) -> StabilityCertificate:
     """Scalar expectation-level stability check for a state equilibrium.
 
     Samples live in the affine space of Hermitian unit-trace matrices
     around the center (traceless directions).  With E the expectation
     against ``reference_state``, pass requires E[V(center)] = 0,
-    E[V(sample)] > 0, and per mode: E[drift] <= tol (local),
-    E[drift] < -tol_strict (asymptotic), or
-    E[drift] + rate * E[V] < -tol_strict (exponential).  A ``rate`` is
+    E[V(sample)] > TOL_STRICT, and per mode: E[drift] <= tol (local),
+    E[drift] < -TOL_STRICT (asymptotic), or
+    E[drift] + rate * E[V] < -TOL_STRICT (exponential).  A ``rate`` is
     required in exponential mode and an input error in the others.
     """
     if mode not in ("local", "asymptotic", "exponential"):
@@ -583,7 +581,7 @@ def check_state(
         raise ValueError(f"rate applies only to exponential mode, got rate={rate!r} in {mode} mode")
     return _check(
         model, candidate, center, spec, f"state-{mode}",
-        rate=rate, reference_state=reference_state, tol=tol, tol_strict=tol_strict,
+        rate=rate, reference_state=reference_state, tol=tol,
     )
 
 

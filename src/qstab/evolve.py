@@ -50,7 +50,7 @@ from .errors import (
     UnsupportedScatteringError,
 )
 from .fock import ladder_operators, vacuum_vector
-from .lyapunov import LyapunovCandidate, canonicalize, evaluate, flow_ito_coefficients
+from .lyapunov import LyapunovCandidate, _is_scalar_matrix, canonicalize, evaluate, flow_ito_coefficients
 from .models import QsdeModel, validate
 from .operators import (
     DEFAULT_TOL,
@@ -107,14 +107,14 @@ class Trajectory:
         object.__setattr__(self, "v_expect", v)
 
 
-def collision_step_unitary(model: QsdeModel, dt: float, ancilla_levels: int = 1, tol: float = DEFAULT_TOL) -> np.ndarray:
+def collision_step_unitary(model: QsdeModel, dt: float, ancilla_levels: int = 1) -> np.ndarray:
     """One system (x) ancilla collision unitary exp(-iH dt + sqrt(dt) coupling).
 
-    Requires trivial scattering (||S - I|| <= tol); the result is verified
-    unitary to 1e-12.
+    Requires trivial scattering (||S - I|| <= DEFAULT_TOL); the result is
+    verified unitary to 1e-12.
     """
-    validate(model, tol=tol)
-    if spectral_norm(model.scattering - np.eye(model.dim)) > tol:
+    validate(model)
+    if spectral_norm(model.scattering - np.eye(model.dim)) > DEFAULT_TOL:
         raise UnsupportedScatteringError(
             "the collision simulator supports S = I only; nontrivial scattering is not discretized"
         )
@@ -141,13 +141,14 @@ def simulate_flow_expectation(
     config: CollisionConfig,
     observables: dict | None = None,
 ) -> Trajectory:
-    """Collision-model trajectory of E[V(X_t)] from a pure system state.
+    """Collision-model trajectory of E[V(X_t)] from the system state rho0.
 
-    At step k the expectation sums <Psi| f(X^n) Theta f(X^m) |Psi> over the
+    At step k the expectation sums Tr(Rho f(X^n) Theta f(X^m)) over the
     candidate's terms, with f the conjugation by the ordered product of k
-    collision unitaries and Psi the initial system vector tensored with k
-    vacuum ancillas.  Every ancilla meets the system exactly once, so it is
-    traced out as soon as its collision ends and nothing grows with k.
+    collision unitaries and Rho the state rho0 (any density matrix, pure or
+    mixed) tensored with k vacuum ancillas.  Every ancilla meets the system
+    exactly once, so it is traced out as soon as its collision ends and
+    nothing grows with k.
 
     With E_ab = <a|U_step|b> the system blocks of the step unitary, each
     distinct Theta carries a pair state W of d^4 entries, started at
@@ -171,8 +172,7 @@ def simulate_flow_expectation(
     x0 = np.asarray(x0, dtype=complex)
     if x0.shape[0] != model.dim or cand.dim != model.dim:
         raise ValueError("x0, candidate and model must share the system dimension")
-    psi0 = system_state.pure_vector()
-    rho = np.outer(psi0, psi0.conj())
+    rho = system_state.rho
 
     dim, width = model.dim, config.ancilla_levels + 1
     u_step = collision_step_unitary(model, config.dt, config.ancilla_levels)
@@ -293,8 +293,7 @@ def master_flow_expectation(
     """
     cand = candidate if candidate.is_canonical else canonicalize(candidate)
     for n, m, theta in cand.terms:
-        lam = np.trace(theta) / cand.dim
-        if spectral_norm(theta - lam * np.eye(cand.dim)) > 1e-12 * max(1.0, spectral_norm(theta)):
+        if not _is_scalar_matrix(theta, 1e-12 * max(1.0, spectral_norm(theta)))[0]:
             raise InvalidCandidateError(
                 "the master oracle needs scalar term coefficients; "
                 f"term ({n}, {m}) has a non-scalar Theta"
@@ -329,14 +328,13 @@ def finite_difference_drift_check(
     """Compare (E[V](dt) - E[V](0)) / dt against the analytic drift expectation.
 
     The noise contributions vanish in vacuum expectation, so the one-step
-    slope must converge to <psi| drift(x0) |psi> at first order in dt; the
+    slope must converge to Tr(rho0 drift(x0)) at first order in dt; the
     check reruns at dt/2 and requires the gap to shrink by a factor in
     [1.5, 2.5] (trivially satisfied when both gaps are below 1e-12).
     """
     cand = candidate if candidate.is_canonical else canonicalize(candidate)
-    psi0 = system_state.pure_vector()
     drift = flow_ito_coefficients(model, cand, np.asarray(x0, dtype=complex)).drift
-    analytic = float(np.vdot(psi0, drift @ psi0).real)
+    analytic = float(expectation(system_state, drift).real)
 
     def one_step_slope(dt):
         cfg = CollisionConfig(dt=dt, steps=1, ancilla_levels=config.ancilla_levels)
@@ -447,6 +445,7 @@ def exit_time_estimate(trajectory: Trajectory, epsilon: float) -> float | None:
     This is an expectation-level surrogate for an operator-valued exit
     time: it watches the mean path, not the stopped process.
     """
+    require_positive(epsilon, "epsilon")
     above = np.nonzero(trajectory.v_expect > epsilon)[0]
     if above.size == 0:
         return None

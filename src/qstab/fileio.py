@@ -19,7 +19,7 @@ import numpy as np
 from .certify import DirectionFamily, HermitianBall, LevelSetSpec, StabilityCertificate
 from .errors import FileFormatError, InvalidCandidateError
 from .evolve import Trajectory
-from .lyapunov import DEGREE_BOUND, LyapunovCandidate, canonicalize
+from .lyapunov import LyapunovCandidate, canonicalize
 from .models import QsdeModel, validate
 from .operators import as_operator
 
@@ -127,7 +127,7 @@ def save_model(model: QsdeModel, path) -> None:
     )
 
 
-def load_lyapunov(path, *, degree_bound: int = DEGREE_BOUND, tol: float = 1e-9) -> LyapunovCandidate:
+def load_lyapunov(path) -> LyapunovCandidate:
     """Parse a candidate file and return its canonicalized form.
 
     The optional ``hermitian_closure`` flag in the file permits auto-closing
@@ -152,7 +152,7 @@ def load_lyapunov(path, *, degree_bound: int = DEGREE_BOUND, tol: float = 1e-9) 
     center = decode_matrix(center_raw, "center") if center_raw is not None else None
     closure = bool(data.get("hermitian_closure", False))
     candidate = LyapunovCandidate(terms=tuple(terms), center=center)
-    return canonicalize(candidate, hermitian_closure=closure, degree_bound=degree_bound, tol=tol)
+    return canonicalize(candidate, hermitian_closure=closure)
 
 
 def save_lyapunov(candidate: LyapunovCandidate, path, *, hermitian_closure: bool = False) -> None:

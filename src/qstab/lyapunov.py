@@ -102,13 +102,7 @@ def _is_scalar_matrix(c: np.ndarray, tol: float) -> tuple[bool, complex]:
     return off <= tol, lam
 
 
-def canonicalize(
-    candidate: LyapunovCandidate,
-    *,
-    hermitian_closure: bool = False,
-    degree_bound: int = DEGREE_BOUND,
-    tol: float = DEFAULT_TOL,
-) -> LyapunovCandidate:
+def canonicalize(candidate: LyapunovCandidate, *, hermitian_closure: bool = False) -> LyapunovCandidate:
     """Expand the center into raw power terms and enforce Hermitian closure.
 
     The output has no center, merged terms sorted by (n, m), and a term
@@ -116,26 +110,28 @@ def canonicalize(
     is Hermitian on Hermitian arguments.  Idempotent.
 
     Center expansion is binomial for scalar centers (multiples of the
-    identity).  A non-scalar center commutes with nothing, so its powers
-    cannot be rewritten in the pure power form; it is supported only when
-    every term is at most bilinear (n, m <= 1), and rejected otherwise.
+    identity within ``DEFAULT_TOL``).  A non-scalar center commutes with
+    nothing, so its powers cannot be rewritten in the pure power form; it is
+    supported only when every term is at most bilinear (n, m <= 1), and
+    rejected otherwise.
 
     Parameters
     ----------
     hermitian_closure:
-        When the term list is not Hermitian-closed, replace V by its
-        Hermitian part (1/2)(V + V†) instead of raising.
+        When the term list is not Hermitian-closed (a pair defect above
+        ``DEFAULT_TOL``), replace V by its Hermitian part (1/2)(V + V†)
+        instead of raising.
 
     Raises
     ------
     InvalidCandidateError
-        Empty candidate, degree bound exceeded, unsupported center, or
+        Empty candidate, degree above ``DEGREE_BOUND``, unsupported center, or
         (without the closure flag) a term list that is not closed.
     """
     if not candidate.terms:
         raise InvalidCandidateError("empty candidate")
-    if candidate.degree > degree_bound:
-        raise InvalidCandidateError(f"degree {candidate.degree} exceeds bound {degree_bound}")
+    if candidate.degree > DEGREE_BOUND:
+        raise InvalidCandidateError(f"degree {candidate.degree} exceeds bound {DEGREE_BOUND}")
     dim = candidate.dim
     eye = np.eye(dim, dtype=complex)
 
@@ -149,7 +145,7 @@ def canonicalize(
         for n, m, theta in candidate.terms:
             add(n, m, np.array(theta))
     else:
-        scalar, lam = _is_scalar_matrix(candidate.center, tol)
+        scalar, lam = _is_scalar_matrix(candidate.center, DEFAULT_TOL)
         if scalar:
             mu = -lam  # (X - lam I)^n = sum_k C(n,k) mu^(n-k) X^k
             for n, m, theta in candidate.terms:
@@ -184,7 +180,7 @@ def canonicalize(
         theta = merged.get((n, m), np.zeros((dim, dim), dtype=complex))
         partner = merged.get((m, n), np.zeros((dim, dim), dtype=complex))
         defect = spectral_norm(theta - adjoint(partner))
-        if defect > tol:
+        if defect > DEFAULT_TOL:
             needs_closure = True
         closed[(n, m)] = 0.5 * (theta + adjoint(partner))
     if needs_closure and not hermitian_closure:

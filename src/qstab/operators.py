@@ -19,7 +19,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,18 +168,15 @@ def require_density(rho, tol_herm: float, tol_psd: float, tol_trace: float, time
 class QuantumState:
     """A density operator: Hermitian, positive semidefinite, unit trace.
 
-    Validation happens at construction with per-invariant tolerances; the
-    stored matrix is an immutable copy.
+    Validation happens at construction, each invariant within ``DEFAULT_TOL``;
+    the stored matrix is an immutable copy.
     """
 
     rho: np.ndarray
-    tol_herm: float = field(default=DEFAULT_TOL)
-    tol_psd: float = field(default=DEFAULT_TOL)
-    tol_trace: float = field(default=DEFAULT_TOL)
 
     def __post_init__(self):
         rho = as_operator(self.rho)
-        require_density(rho, self.tol_herm, self.tol_psd, self.tol_trace)
+        require_density(rho, DEFAULT_TOL, DEFAULT_TOL, DEFAULT_TOL)
         object.__setattr__(self, "rho", rho)
 
     @property
@@ -187,27 +184,27 @@ class QuantumState:
         return self.rho.shape[0]
 
     @classmethod
-    def from_vector(cls, psi, **tols) -> "QuantumState":
+    def from_vector(cls, psi) -> "QuantumState":
         """Pure state |psi><psi| from a (not necessarily normalized) vector."""
         v = np.asarray(psi, dtype=complex).reshape(-1)
         norm = np.linalg.norm(v)
         if norm == 0.0:
             raise InvalidStateError("state vector must be nonzero")
         v = v / norm
-        return cls(np.outer(v, v.conj()), **tols)
+        return cls(np.outer(v, v.conj()))
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "QuantumState":
         return cls(np.eye(dim, dtype=complex) / dim)
 
-    def pure_vector(self, tol: float = 1e-9) -> np.ndarray:
+    def pure_vector(self) -> np.ndarray:
         """Extract |psi> from a pure state; error if the state is mixed.
 
-        Purity is checked as ||rho^2 - rho|| <= tol.  The returned vector's
+        Purity is checked as ||rho^2 - rho|| <= DEFAULT_TOL.  The returned vector's
         global phase follows the eigen-solver and is physically irrelevant.
         """
         defect = spectral_norm(self.rho @ self.rho - self.rho)
-        if defect > tol:
+        if defect > DEFAULT_TOL:
             raise InvalidStateError(f"state is not pure: ||rho^2 - rho|| = {defect:.3e}")
         vals, vecs = np.linalg.eigh(hermitize(self.rho))
         return np.ascontiguousarray(vecs[:, -1])

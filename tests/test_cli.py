@@ -129,6 +129,14 @@ class TestCertifyCommand:
         assert main(argv) == 2
         assert "directions[0] is zero" in capsys.readouterr().err
 
+    def test_zero_width_family_exits_2(self, files, tmp_path, capsys):
+        family = tmp_path / "zero_width_family.json"
+        family.write_text(json.dumps({"schema_version": 1, "directions": [encode_matrix(NUMBER)], "scale_max": 0}))
+        argv = self.common(files, "local")
+        argv[argv.index("--family") + 1] = str(family)
+        assert main(argv) == 2
+        assert "scale_max must be a finite positive number" in capsys.readouterr().err
+
     def test_estimate_rate_flag(self, files, capsys):
         assert main(self.common(files, "local", ("--estimate-rate",))) == 0
         assert "max supported rate" in capsys.readouterr().out

@@ -16,6 +16,7 @@ from qstab import (
     envelope_check,
     exit_time_estimate,
     finite_difference_drift_check,
+    flow_ito_coefficients,
     ito_table_check,
     ladder_operators,
     liouvillian_matrix,
@@ -234,6 +235,45 @@ class TestAgainstReferenceChain:
         assert np.max(np.abs(np.diff(v_ref))) > 1e-3  # the dynamics is not trivial
 
 
+class TestMixedInitialState:
+    """The pair-state recursion starts from W_0 = Theta (x) rho0, linear in rho0: any density matrix works."""
+
+    def test_collision_is_linear_in_rho0(self):
+        rng = np.random.default_rng(404)
+        model = QsdeModel(hamiltonian=random_hermitian(rng, 3), coupling=random_complex(rng, 3))
+        theta, square = random_hermitian(rng, 3), random_complex(rng, 3)
+        cand = LyapunovCandidate(terms=((1, 1, theta), (2, 0, square), (0, 2, adjoint(square)), (0, 0, theta)))
+        x0 = random_hermitian(rng, 3)
+        rho_a, rho_b, p = random_density(rng, 3), random_density(rng, 3), 0.3
+        cfg = CollisionConfig(dt=0.05, steps=8, ancilla_levels=2)
+
+        def run(rho):
+            return simulate_flow_expectation(model, cand, x0, QuantumState(rho), cfg, {"x0": x0})
+
+        mixed, a, b = run(p * rho_a + (1 - p) * rho_b), run(rho_a), run(rho_b)
+        for got, part_a, part_b in ((mixed.v_expect, a.v_expect, b.v_expect),
+                                    (mixed.obs_expect["x0"], a.obs_expect["x0"], b.obs_expect["x0"])):
+            assert np.all(np.abs(got - (p * part_a + (1 - p) * part_b)) <= 1e-13 * np.maximum(1.0, np.abs(got)))
+        assert np.max(np.abs(np.diff(mixed.v_expect))) > 1e-3  # the dynamics is not trivial
+
+    def test_collision_from_mixed_state_tracks_master(self, damping_model, v_linear):
+        rho0 = QuantumState(random_density(np.random.default_rng(405), 2))
+        x0 = NUMBER + 0.5 * SIGMA_X  # reads the coherences of rho_t as well as its populations
+        dt = 0.01
+        coll = simulate_flow_expectation(damping_model, v_linear, x0, rho0, CollisionConfig(dt, 300))
+        oracle = master_flow_expectation(damping_model, v_linear, x0, rho0, coll.times)
+        allowance = 1e-12 + dt * coll.times * np.max(np.abs(oracle.v_expect))
+        assert np.all(np.abs(coll.v_expect - oracle.v_expect) <= allowance)
+
+    def test_drift_check_on_mixed_state_is_first_order(self, damping_model, damping_candidate):
+        rho0 = QuantumState(random_density(np.random.default_rng(406), 2))
+        x0 = SIGMA_Z + 0.3 * SIGMA_X
+        report = finite_difference_drift_check(damping_model, damping_candidate, x0, rho0, CollisionConfig(1e-2, 1))
+        drift = flow_ito_coefficients(damping_model, damping_candidate, x0).drift
+        assert report.analytic == pytest.approx(np.trace(rho0.rho @ drift).real, rel=1e-14)
+        assert report.order_ok and 1.5 <= report.ratio <= 2.5
+
+
 def reference_master_states(model, rho0, t_grid):
     """Per-point expm(L t) vec0: the independent oracle for the stepped master propagation."""
     liouville = liouvillian_matrix(model)
@@ -423,6 +463,11 @@ class TestTrajectoryChecks:
         traj = self.make_traj([1.0, 2.0, 3.0])
         assert exit_time_estimate(traj, epsilon=1.5) == pytest.approx(traj.times[1])
 
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf, 0.0, -1.0])
+    def test_exit_time_rejects_bad_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="^epsilon must be"):
+            exit_time_estimate(self.make_traj([1.0, 2.0, 3.0]), epsilon)
+
     def test_transit_time_exponential(self):
         t = np.linspace(0.0, 3.0, 3001)
         traj = Trajectory(times=t, v_expect=np.exp(-GAMMA * t), method="master")
@@ -501,8 +546,6 @@ def test_vacuum_noise_cancellation(damping_model, damping_candidate, excited):
     traj = simulate_flow_expectation(
         damping_model, damping_candidate, SIGMA_Z, excited, CollisionConfig(dt=dt, steps=1)
     )
-    from qstab import flow_ito_coefficients
-
     drift = flow_ito_coefficients(damping_model, damping_candidate, SIGMA_Z).drift
     psi = excited.pure_vector()
     analytic = np.vdot(psi, drift @ psi).real
