@@ -19,13 +19,16 @@ space would reject every such certificate.  Off the support the drift must
 still be nonpositive within tolerance.  The decay-rate estimator uses the
 same support convention: on V's own eigenvectors its pencil is Hermitian.
 
-One condition table serves every check and every witness recheck: each
-label has one ``measure(point)`` giving the violation at a point, or None
-where the condition holds.  A mode is its ordered conditions at the center,
-on V at a sample, and on the drift at a sample; the first violated one
-decides a point and the most violated sample is the witness.
-:func:`recheck_witness` calls the stored condition's measure at the
-witness, so it reproduces the stored violation by construction.
+One condition table serves every check, the rate estimate and every
+witness recheck: each label has one ``measure(point)`` giving, per point of
+a stack, the violation, or NaN where the condition holds.  A mode is its
+ordered conditions at the center, on V at a sample, and on the drift at a
+sample.  The samples pass through one stacked point per block of at most
+2^13 matrix entries, and each condition is a mask: its measure runs only on
+the samples that no earlier condition decided, so the first violated one
+decides a sample, and the most violated sample, the first among ties, is the
+witness.  :func:`recheck_witness` calls the stored condition's measure on a
+stack of one, so it reproduces the stored violation by construction.
 
 Each sample derives its own random stream from (seed, sample index), and
 its scale is capped where its ray first leaves the level set: a polynomial
@@ -35,7 +38,7 @@ distinct rays (Tisseur & Meerbergen, SIAM Rev. 43, 2001).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
@@ -54,6 +57,7 @@ from .models import QsdeModel, equilibrium_residual, validate
 from .operators import (
     DEFAULT_TOL,
     QuantumState,
+    adjoint,
     as_operator,
     expectation,
     hermiticity_defect,
@@ -171,17 +175,6 @@ def _seeded_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, index]))
 
 
-def _random_hermitian_direction(rng: np.random.Generator, dim: int, traceless: bool) -> np.ndarray:
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    d = (a + a.conj().T) / 2.0
-    if traceless:
-        d = d - (np.trace(d) / dim) * np.eye(dim)
-    norm = spectral_norm(d)
-    if norm == 0.0:
-        raise SamplingError("degenerate random direction")
-    return d / norm
-
-
 def _family_description(family) -> dict:
     if isinstance(family, HermitianBall):
         return {"kind": "random-hermitian-ball", "radius": float(family.radius)}
@@ -228,18 +221,22 @@ def sample_level_set(
     center = as_operator(center)
     if center.shape[0] != cand.dim:
         raise DimensionMismatchError("center dimension differs from candidate dimension")
-    family = spec.family
-    if isinstance(family, DirectionFamily):
-        scale_min, scale_hi = family.scale_min, family.scale_max
-    else:
-        scale_min, scale_hi = 0.0, family.radius
+    family, dim = spec.family, cand.dim
     streams = [_seeded_rng(spec.seed, i) for i in range(spec.sample_count)]
     if isinstance(family, DirectionFamily):
-        rays = np.stack([d / spectral_norm(d) for d in family.directions[: spec.sample_count]])
-        if traceless and any(abs(np.trace(d)) > tol for d in rays):
-            raise InvalidStateError("state-picture directions must be traceless to keep unit trace")
-    else:
-        rays = np.stack([_random_hermitian_direction(rng, cand.dim, traceless) for rng in streams])
+        scale_min, scale_hi = family.scale_min, family.scale_max
+        rays = np.stack(family.directions[: spec.sample_count])
+    else:  # one Hermitian direction per stream, drawn in turn and normalized as one stack
+        scale_min, scale_hi = 0.0, family.radius
+        rays = hermitize(np.stack([rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for rng in streams]))
+        if traceless:
+            rays = rays - (np.trace(rays, axis1=1, axis2=2) / dim)[:, None, None] * np.eye(dim)
+    norms = spectral_norm(rays)
+    if np.any(norms == 0.0):
+        raise SamplingError("degenerate random direction")
+    rays = rays / norms[:, None, None]
+    if traceless and isinstance(family, DirectionFamily) and np.any(np.abs(np.trace(rays, axis1=1, axis2=2)) > tol):
+        raise InvalidStateError("state-picture directions must be traceless to keep unit trace")
     ray_of = np.arange(spec.sample_count) % len(rays)
     u = 1.0 - np.array([rng.random() for rng in streams])  # uniform on (0, 1]
 
@@ -292,13 +289,16 @@ def _ray_exits(cand, center, rays, epsilon, tol) -> np.ndarray:
         return 1.0 / exits.max(axis=-1, initial=0.0)
 
 
+_BLOCK_ENTRIES = 2**13  # bound on the matrix entries of one sample stack that a _Point holds
+
+
 @dataclass(eq=False)
 class _Point:
-    """One point of a check and the values its conditions read, each computed at most once."""
+    """A stack of points of a check and the per-point values its conditions read, each computed at most once."""
 
     model: QsdeModel
     cand: LyapunovCandidate
-    x: np.ndarray
+    x: np.ndarray  # (N, d, d)
     picture: str  # "flow" | "state"
     rate: float | None
     margin: float | None
@@ -306,9 +306,17 @@ class _Point:
     tol_strict: float
     reference_state: QuantumState | None
 
+    def take(self, keep: np.ndarray) -> _Point:
+        """The points that the mask ``keep`` selects, carrying the values computed so far."""
+        sub = replace(self, x=self.x[keep])
+        for name in vars(self).keys() - vars(sub).keys():
+            value = vars(self)[name]
+            vars(sub)[name] = tuple(a[keep] for a in value) if isinstance(value, tuple) else value[keep]
+        return sub
+
     @cached_property
-    def residual(self) -> float:
-        return equilibrium_residual(self.model, self.x, picture=self.picture)
+    def residual(self) -> np.ndarray:
+        return np.array([equilibrium_residual(self.model, x, picture=self.picture) for x in self.x])
 
     @cached_property
     def v(self) -> np.ndarray:
@@ -329,72 +337,83 @@ class _Point:
         return self.drift if self.rate is None else self.drift + self.rate * self.v
 
     @cached_property
-    def target_max(self) -> float:
-        return float(hermitian_eigenvalues(self.target, tol=max(self.tol, 1e-7))[-1])
+    def target_max(self) -> np.ndarray:
+        return hermitian_eigenvalues(self.target, tol=max(self.tol, 1e-7))[:, -1]
 
     @cached_property
     def v_eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues and eigenvectors of V; those above SUPPORT_CUTOFF times the top one span its support."""
         vals, vecs = np.linalg.eigh(hermitize(self.v))
-        if vals[-1] <= 0.0:
+        if np.any(vals[:, -1] <= 0.0):
             raise DegeneratePencilError("candidate value vanishes at a sample; the pencil has no support")
         return vals, vecs
 
     @cached_property
     def on_support(self) -> np.ndarray:
-        return self.v_eigh[0] >= SUPPORT_CUTOFF * self.v_eigh[0][-1]
+        vals = self.v_eigh[0]
+        return vals >= SUPPORT_CUTOFF * vals[:, -1:]
 
     @cached_property
-    def support_max(self) -> float:
+    def support_max(self) -> np.ndarray:
         # Read only after V's top eigenvalue passed tol_strict > 0, so the support is nonempty.
-        return _top_eigenvalue_on(self.v_eigh[1][:, self.on_support], self.target)
+        return _top_eigenvalue_on(self.v_eigh[1], self.on_support, self.target)
 
     @cached_property
-    def pencil_max(self) -> float:
+    def pencil_max(self) -> np.ndarray:
         """Top generalized eigenvalue of the pencil (drift, V) on the support B of V.
 
         V is diag(lam) on B, so this is the top eigenvalue of lam^-1/2 B† drift B lam^-1/2.
         """
         vals, vecs = self.v_eigh
-        return _top_eigenvalue_on(vecs[:, self.on_support] / np.sqrt(vals[self.on_support]), self.drift)
+        scaled = vecs / np.sqrt(np.where(self.on_support, vals, 1.0))[:, None, :]
+        return _top_eigenvalue_on(scaled, self.on_support, self.drift)
 
     @cached_property
-    def off_support_max(self) -> float:
+    def off_support_max(self) -> np.ndarray:
         """Top eigenvalue of the drift off the support of V, -inf where the support is everything."""
-        return _top_eigenvalue_on(self.v_eigh[1][:, ~self.on_support], self.drift)
+        return _top_eigenvalue_on(self.v_eigh[1], ~self.on_support, self.drift)
 
     @cached_property
-    def e_v(self) -> complex:
+    def e_v(self) -> np.ndarray:
         return expectation(self.reference_state, self.v)
 
     @cached_property
-    def e_target(self) -> float:
+    def e_target(self) -> np.ndarray:
         """E[drift] + rate * E[V], or E[drift] alone without a rate."""
         e_drift = expectation(self.reference_state, self.drift).real
         return e_drift if self.rate is None else e_drift + self.rate * self.e_v.real
 
 
-def _top_eigenvalue_on(basis, op) -> float:
-    """Top eigenvalue of op projected onto the columns of basis, -inf when there are none."""
-    return float(np.linalg.eigvalsh(hermitize(basis.conj().T @ op @ basis)).max(initial=-np.inf))
+def _top_eigenvalue_on(basis, columns, op) -> np.ndarray:
+    """Per point, the top eigenvalue of op on the columns of basis that the mask selects, -inf on none.
+
+    Points with the same columns, the same support rank of V, share one stacked eigensolve."""
+    top = np.full(len(op), -np.inf)
+    patterns, group_of = np.unique(columns, axis=0, return_inverse=True)
+    for j, pattern in enumerate(patterns):
+        if pattern.any():
+            group = np.flatnonzero(group_of.ravel() == j)
+            b = basis[group][..., pattern]
+            top[group] = np.linalg.eigvalsh(hermitize(adjoint(b) @ op[group] @ b))[:, -1]
+    return top
 
 
-# Measures: the violation where a condition fails, None where it holds.
+# Measures: the violation per point where a condition fails, NaN where it holds.
 def _above(value, bound):
-    return value if value > bound else None
+    return np.where(value > bound, value, np.nan)
 
 
 def _excess(value, bound):
-    return value - bound if value > bound else None
+    return np.where(value > bound, value - bound, np.nan)
 
 
 def _shortfall(value, bound):  # the condition asks value > bound; 0.0 at the bound
-    return bound - value if value <= bound else None
+    return np.where(value <= bound, bound - value, np.nan)
 
 
 class _Condition(NamedTuple):
     label: str
-    measure: Callable[[_Point], float | None]
+    measure: Callable[[_Point], np.ndarray]
     level: str = ""  # drift conditions: the point value recorded as the worst drift when this one decides a sample
 
 
@@ -402,9 +421,9 @@ _FLOW_EQUILIBRIUM = _Condition("center is not a flow equilibrium", lambda p: _ab
 _STATE_EQUILIBRIUM = _Condition("center is not a state equilibrium", lambda p: _above(p.residual, p.tol))
 _V_AT_CENTER = _Condition("candidate does not vanish at the center", lambda p: _above(spectral_norm(p.v), p.tol))
 _E_AT_CENTER = _Condition("candidate expectation does not vanish at the center", lambda p: _above(abs(p.e_v), p.tol))
-_NOT_PSD = _Condition("candidate is not positive semidefinite at a sample", lambda p: _above(-p.v_eigs[0], p.tol))
+_NOT_PSD = _Condition("candidate is not positive semidefinite at a sample", lambda p: _above(-p.v_eigs[:, 0], p.tol))
 _V_VANISHES = _Condition(
-    "candidate vanishes at a sample away from the center", lambda p: _shortfall(p.v_eigs[-1], p.tol_strict)
+    "candidate vanishes at a sample away from the center", lambda p: _shortfall(p.v_eigs[:, -1], p.tol_strict)
 )
 _E_VANISHES = _Condition(
     "candidate expectation vanishes at a sample away from the center", lambda p: _shortfall(p.e_v.real, p.tol_strict)
@@ -444,17 +463,41 @@ _MODES = {
 }
 
 
-def _first_violation(conditions, point):
-    """The first condition violated at the point and its violation, else the last condition and None."""
-    for condition in conditions:
-        violation = condition.measure(point)
-        if violation is not None:
+def _decide(conditions, point):
+    """Per point of the stack, the first violated condition's violation and index, NaN and -1 where all hold.
+
+    Also the value named by the deciding drift condition's ``level`` (the last one's where all hold, NaN where
+    a V condition decided).  Each measure runs only on the points that no earlier condition decided.
+    """
+    n = len(point.x)
+    violation, decided_by, level = np.full(n, np.nan), np.full(n, -1), np.full(n, np.nan)
+    rows, last = np.arange(n), len(conditions) - 1
+    for i, condition in enumerate(conditions):
+        measured = condition.measure(point)
+        hit = ~np.isnan(measured)
+        violation[rows[hit]], decided_by[rows[hit]] = measured[hit], i
+        if condition.level:
+            ends = hit | (i == last)
+            level[rows[ends]] = getattr(point, condition.level)[ends]
+        if i == last or hit.all():
             break
-    return condition, violation
+        point, rows = point.take(~hit), rows[~hit]
+    return violation, decided_by, level
+
+
+def _worst(violation) -> int | None:
+    """Index of the most violated point, the first among ties; None where every point holds."""
+    return None if np.isnan(violation).all() else int(np.nanargmax(violation))
+
+
+def _blocks(samples):
+    """Consecutive slices of the sample stack, each of at most _BLOCK_ENTRIES matrix entries or one sample."""
+    step = max(1, _BLOCK_ENTRIES // samples[0].size)
+    return (samples[i : i + step] for i in range(0, len(samples), step))
 
 
 def _check(model, candidate, center, spec, mode, *, rate=None, margin=None, reference_state=None, tol):
-    """Check one mode's conditions at the center, then at every level-set sample, and certify the outcome."""
+    """Check one mode's conditions at the center, then on the level-set samples block by block, and certify."""
     validate(model, tol=tol)
     cand = candidate if candidate.is_canonical else canonicalize(candidate)
     center = as_operator(center)
@@ -463,37 +506,34 @@ def _check(model, candidate, center, spec, mode, *, rate=None, margin=None, refe
     point = partial(_Point, model, cand, picture=picture, rate=rate, margin=margin, tol=tol,
                     tol_strict=TOL_STRICT, reference_state=reference_state)
 
-    at_center = point(center)
-    condition, violation = _first_violation(center_conditions, at_center)
-    worst = None if violation is None else (violation, condition.label, center)
-    samples = [] if worst else sample_level_set(cand, center, spec, traceless=state, tol=tol)
-    worst_drift, worst_v = -np.inf, np.inf
-    for x in samples:
-        if state and abs(np.trace(x) - np.trace(center)) > max(tol, 1e-9):
+    at_center = point(center[None])
+    violation, decided_by, level = _decide(center_conditions, at_center)
+    conditions, points, worst_v = center_conditions, center[None], None
+    if _worst(violation) is None:
+        conditions = v_conditions + drift_conditions
+        points = np.stack(sample_level_set(cand, center, spec, traceless=state, tol=tol))
+        if state and np.any(np.abs(np.trace(points, axis1=1, axis2=2) - np.trace(center)) > max(tol, 1e-9)):
             raise InvalidStateError("state-picture sample lost unit trace")
-        p = point(x)
-        worst_v = min(worst_v, p.e_v.real if state else float(p.v_eigs[0]))
-        condition, violation = _first_violation(v_conditions, p)
-        if violation is None:
-            condition, violation = _first_violation(drift_conditions, p)
-            worst_drift = max(worst_drift, getattr(p, condition.level))
-        # report the most violated sample, not the first encountered
-        if violation is not None and (worst is None or violation > worst[0]):
-            worst = (violation, condition.label, x)
-
-    violation, condition, witness = worst or (None, None, None)
+        per_block = []
+        for block in _blocks(points):
+            p = point(block)
+            per_block.append((p.e_v.real if state else p.v_eigs[:, 0], *_decide(conditions, p)))
+        v_min, violation, decided_by, level = map(np.concatenate, zip(*per_block))
+        worst_v = float(v_min.min())
+    worst = _worst(violation)
+    worst_drift = np.fmax.reduce(level, initial=-np.inf)
     return StabilityCertificate(
         mode=mode,
-        verdict="fail" if worst else "pass",
-        equilibrium_residual=float(at_center.residual),
+        verdict="pass" if worst is None else "fail",
+        equilibrium_residual=float(at_center.residual[0]),
         worst_drift_eigenvalue=None if worst_drift == -np.inf else float(worst_drift),
-        worst_v_min_eigenvalue=float(worst_v) if samples else None,
+        worst_v_min_eigenvalue=worst_v,
         rate=None if rate is None else float(rate),
         margin=None if margin is None else float(margin),
-        witness=witness,
-        violated_condition=condition,
-        violation=None if violation is None else float(violation),
-        sample_count_used=len(samples),
+        witness=None if worst is None else points[worst],
+        violated_condition=None if worst is None else conditions[decided_by[worst]].label,
+        violation=None if worst is None else float(violation[worst]),
+        sample_count_used=0 if worst_v is None else len(points),
         seed=int(spec.seed),
         epsilon=float(spec.epsilon),
         family=_family_description(spec.family),
@@ -541,20 +581,33 @@ def estimate_max_rate(model, candidate, center, spec, *, tol=DEFAULT_TOL) -> Rat
     ``SUPPORT_CUTOFF`` times ||V||); the estimate is the minimum over
     samples, clipped at zero.  Positive drift mass off the support cannot
     be repaired by any rate and is reported via ``support_mismatch``.
-    A center that fails a center condition of the flow checks raises a
-    ``ValueError`` whose message is that condition's label.
+    A center that fails a center condition of the flow checks, or a sample
+    that fails a flow condition on V, raises a ``ValueError`` whose message
+    is that condition's label, at the first failing sample.  The pencil
+    needs only a nonempty support, so here V vanishes where its top
+    eigenvalue is not positive, not below ``TOL_STRICT`` as in the checks.
     """
     validate(model, tol=tol)
     cand = candidate if candidate.is_canonical else canonicalize(candidate)
     center = as_operator(center)
-    point = partial(_Point, model, cand, picture="flow", rate=None, margin=None, tol=tol, tol_strict=TOL_STRICT,
+    point = partial(_Point, model, cand, picture="flow", rate=None, margin=None, tol=tol, tol_strict=0.0,
                     reference_state=None)
-    condition, violation = _first_violation(_FLOW[1], point(center))
-    if violation is not None:
-        raise ValueError(condition.label)
-    points = [point(x) for x in sample_level_set(cand, center, spec, tol=tol)]
-    rates = tuple(-p.pencil_max for p in points)
-    return RateEstimate(max(0.0, min(rates)), any(p.off_support_max > TOL_STRICT for p in points), rates)
+    _, center_conditions, v_conditions = _FLOW
+    _raise_first(center_conditions, point(center[None]))
+    rates, mismatch = [], False
+    for block in _blocks(np.stack(sample_level_set(cand, center, spec, tol=tol))):
+        p = point(block)
+        _raise_first(v_conditions, p)
+        rates += (-p.pencil_max).tolist()
+        mismatch = mismatch or bool(np.any(p.off_support_max > TOL_STRICT))
+    return RateEstimate(max(0.0, min(rates)), mismatch, tuple(rates))
+
+
+def _raise_first(conditions, point) -> None:
+    """Raise ``ValueError`` with the label of the condition that decided the first failing point, if one fails."""
+    decided_by = _decide(conditions, point)[1]
+    if np.any(decided_by >= 0):
+        raise ValueError(conditions[decided_by[decided_by >= 0][0]].label)
 
 
 def check_state(
@@ -622,8 +675,8 @@ def recheck_witness(model, candidate, certificate: StabilityCertificate, *, refe
     cand = candidate if candidate.is_canonical else canonicalize(candidate)
     tolerances = certificate.tolerances
     point = _Point(
-        model, cand, as_operator(certificate.witness), picture, certificate.rate, certificate.margin,
+        model, cand, as_operator(certificate.witness)[None], picture, certificate.rate, certificate.margin,
         tolerances["tol"], tolerances["tol_strict"], reference_state,
     )
-    violation = condition.measure(point)
-    return 0.0 if violation is None else float(violation)
+    violation = condition.measure(point)[0]
+    return 0.0 if np.isnan(violation) else float(violation)

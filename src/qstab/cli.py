@@ -189,7 +189,7 @@ def _cmd_certify(args) -> int:
     if cert.verdict == "fail":
         print(f"  violated condition: {cert.violated_condition} (violation {cert.violation:.3e})")
     if args.estimate_rate:
-        try:  # the check above accepted every input, so only a center condition can raise here
+        try:  # the check above accepted every input, so only a center or V condition can raise here
             est = estimate_max_rate(model, candidate, center, spec, tol=args.tol)
         except ValueError as exc:
             print(f"  max supported rate: not estimated ({exc})")

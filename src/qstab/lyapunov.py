@@ -28,6 +28,7 @@ checking quantifies over points rather than over time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -230,6 +231,10 @@ def _ito_coefficients(candidate, point, generator, noise_coefficients) -> ItoCoe
     gives  dP Theta Q + P Theta dQ + dP Theta dQ, and the Ito table routes
     the cross term's differential products into dt, dA, dA† and dLambda.
     """
+    candidate = candidate if candidate.is_canonical else canonicalize(candidate)
+    point = np.asarray(point, dtype=complex)
+    if point.shape[-1] != candidate.dim:
+        raise DimensionMismatchError("argument dimension differs from candidate dimension")
     deg = max(max(n, m) for n, m, _ in candidate.terms)
     powers = _powers(point, deg)
     gen = [generator(p) for p in powers]
@@ -258,14 +263,9 @@ def flow_ito_coefficients(model: QsdeModel, candidate: LyapunovCandidate, x: np.
     drift and noise coefficients; for pure power terms (n, m, I) the drift
     equals flow_generator(x^(n+m)) because the flow is a homomorphism.
     The drift is Hermitian for Hermitian-closed candidates at Hermitian x.
+    An (N, d, d) stack of points gives the stacks of coefficients.
     """
-    cand = candidate if candidate.is_canonical else canonicalize(candidate)
-    x = np.asarray(x, dtype=complex)
-    if x.shape[0] != cand.dim:
-        raise DimensionMismatchError("argument dimension differs from candidate dimension")
-    return _ito_coefficients(
-        cand, x, lambda p: flow_generator(model, p), lambda p: flow_noise_coefficients(model, p)
-    )
+    return _ito_coefficients(candidate, x, partial(flow_generator, model), partial(flow_noise_coefficients, model))
 
 
 def state_ito_coefficients(model: QsdeModel, candidate: LyapunovCandidate, rho: np.ndarray) -> ItoCoefficients:
@@ -274,10 +274,4 @@ def state_ito_coefficients(model: QsdeModel, candidate: LyapunovCandidate, rho: 
     Same assembly as :func:`flow_ito_coefficients` built on the state-picture
     drift and noise coefficients applied to the powers of rho.
     """
-    cand = candidate if candidate.is_canonical else canonicalize(candidate)
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[0] != cand.dim:
-        raise DimensionMismatchError("argument dimension differs from candidate dimension")
-    return _ito_coefficients(
-        cand, rho, lambda p: state_generator(model, p), lambda p: state_noise_coefficients(model, p)
-    )
+    return _ito_coefficients(candidate, rho, partial(state_generator, model), partial(state_noise_coefficients, model))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import qstab.certify
 from qstab import (
-    DegeneratePencilError,
     DirectionFamily,
     HermitianBall,
     InternalCheckError,
@@ -35,7 +34,7 @@ from qstab import (
     sample_level_set,
     spectral_norm,
 )
-from qstab.fileio import load_lyapunov, load_operator
+from qstab.fileio import certificate_bytes, load_lyapunov, load_operator
 
 from conftest import (
     EYE2,
@@ -590,13 +589,31 @@ class TestEstimateMaxRate:
             estimate_max_rate(damping_model, offset, -EYE2, spec_number)
 
     def test_degenerate_pencil_raises(self, damping_model):
-        # V built from the ground projector vanishes identically on the
-        # sampled direction N ... construct V = (X+I) G (X+I): at
-        # X = -I + yN, V = y^2 N G N = 0.
+        # V = (X + I) G (X + I) vanishes on the sampled direction N: at X = -I + yN, V = y^2 N G N = 0.
+        # The pencil has no support there, which is the flow condition that V does not vanish.
         cand = canonicalize(LyapunovCandidate(terms=((1, 1, GROUND),), center=-EYE2))
         family = DirectionFamily(directions=(NUMBER,))
         spec = LevelSetSpec(epsilon=1.0, sample_count=3, seed=5, family=family)
-        with pytest.raises((DegeneratePencilError, SamplingError)):
+        with pytest.raises(ValueError, match="^candidate vanishes at a sample away from the center$"):
+            estimate_max_rate(damping_model, cand, -EYE2, spec)
+
+    def test_candidate_below_tol_strict_keeps_its_pencil(self, damping_model, number_family):
+        # V = 1e-12 (X + I)^2 fails the checks' strict bound, but its pencil has a support and the rate is gamma.
+        cand = canonicalize(LyapunovCandidate(terms=((1, 1, 1e-12 * EYE2),), center=-EYE2))
+        spec = LevelSetSpec(epsilon=1e-12, sample_count=6, seed=17, family=number_family)
+        assert check_local(damping_model, cand, -EYE2, spec).violated_condition == (
+            "candidate vanishes at a sample away from the center"
+        )
+        assert estimate_max_rate(damping_model, cand, -EYE2, spec).rate == pytest.approx(GAMMA, abs=1e-9)
+
+    def test_candidate_not_psd_raises_naming_the_label(self, damping_model, number_family):
+        # V = -(X + I)^2 is negative semidefinite; its pencil used to raise DegeneratePencilError.
+        cand = canonicalize(LyapunovCandidate(terms=((1, 1, -EYE2),), center=-EYE2))
+        spec = LevelSetSpec(epsilon=1.0, sample_count=16, seed=7, family=number_family)
+        assert check_local(damping_model, cand, -EYE2, spec).violated_condition == (
+            "candidate is not positive semidefinite at a sample"
+        )
+        with pytest.raises(ValueError, match="^candidate is not positive semidefinite at a sample$"):
             estimate_max_rate(damping_model, cand, -EYE2, spec)
 
 
@@ -815,21 +832,8 @@ class TestConditionTable:
         assert np.array_equal(cert.witness, sample_level_set(cand, EYE2 / 2, ALONG_Z, traceless=True)[0])
 
 
-@given(
-    dim=st.sampled_from([2, 3]),
-    model_seed=st.integers(0, 2**32 - 1),
-    spec_seed=st.integers(0, 2**32 - 1),
-    mode=st.sampled_from(MODES),
-    param=st.sampled_from([0.05, 0.5, 2.0]),
-    kind=st.sampled_from(["psd", "offset", "tiny", "indefinite", "off-equilibrium"]),
-    cascade=st.booleans(),
-    radius=st.sampled_from([None, 0.3, 1.0, 3.0]),
-)
-@settings(max_examples=300)
-def test_failing_certificates_recheck_to_their_violation(
-    dim, model_seed, spec_seed, mode, param, kind, cascade, radius
-):
-    """Random damped qubits and qutrits: every failing certificate's witness rechecks to its stored violation.
+def random_check_case(dim, model_seed, spec_seed, mode, param, kind, cascade, radius):
+    """Arguments of run_check for a random damped qubit or qutrit.
 
     A cascade (diagonal H, one decay path out of level 0) sampled along level 0
     (``radius`` None) certifies, so passes and the strict drift conditions occur too.
@@ -862,9 +866,207 @@ def test_failing_certificates_recheck_to_their_violation(
         family = HermitianBall(radius)
     spec = LevelSetSpec(epsilon=0.5, sample_count=6, seed=spec_seed, family=family)
     param = None if mode in ("local", "state-local", "state-asymptotic") else param
+    return model, cand, center, spec, mode, param, reference
+
+
+CHECK_CASES = dict(
+    dim=st.sampled_from([2, 3]),
+    model_seed=st.integers(0, 2**32 - 1),
+    spec_seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(MODES),
+    param=st.sampled_from([0.05, 0.5, 2.0]),
+    kind=st.sampled_from(["psd", "offset", "tiny", "indefinite", "off-equilibrium"]),
+    cascade=st.booleans(),
+    radius=st.sampled_from([None, 0.3, 1.0, 3.0]),
+)
+
+
+@given(**CHECK_CASES)
+@settings(max_examples=300)
+def test_failing_certificates_recheck_to_their_violation(
+    dim, model_seed, spec_seed, mode, param, kind, cascade, radius
+):
+    """Random damped qubits and qutrits: every failing certificate's witness rechecks to its stored violation."""
+    model, cand, center, spec, mode, param, reference = random_check_case(
+        dim, model_seed, spec_seed, mode, param, kind, cascade, radius
+    )
     try:
         cert = run_check(model, cand, center, spec, mode, param, reference)
     except SamplingError:
         assume(False)
     if not cert.passed:
         assert recheck_witness(model, cand, cert, reference_state=reference) == cert.violation
+
+
+def reference_check(model, candidate, center, spec, mode, param=None, reference=None):
+    """The check written one sample at a time: the oracle for the stacked, masked and blocked check.
+
+    Every point is a stack of one.  The first violated condition decides a
+    sample, and only a strictly larger violation replaces the witness, so the
+    first sample wins ties.
+    """
+    certify = qstab.certify
+    picture, center_conditions, v_conditions, drift_conditions = certify._MODES[mode]
+    state = picture == "state"
+    cand = candidate if candidate.is_canonical else canonicalize(candidate)
+    rate = param if mode.endswith("exponential") else None
+    margin = param if mode == "asymptotic" else None
+
+    def point(x):
+        return certify._Point(model, cand, np.asarray(x)[None], picture, rate, margin, 1e-9, certify.TOL_STRICT, reference)
+
+    def first_violation(conditions, p):
+        for condition in conditions:
+            violation = condition.measure(p)[0]
+            if not np.isnan(violation):
+                return condition, violation
+        return condition, None
+
+    at_center = point(center)
+    condition, violation = first_violation(center_conditions, at_center)
+    worst = None if violation is None else (violation, condition.label, center)
+    samples = [] if worst else sample_level_set(cand, center, spec, traceless=state)
+    worst_drift, worst_v = -np.inf, np.inf
+    for x in samples:
+        p = point(x)
+        worst_v = min(worst_v, p.e_v.real[0] if state else p.v_eigs[0, 0])
+        condition, violation = first_violation(v_conditions, p)
+        if violation is None:
+            condition, violation = first_violation(drift_conditions, p)
+            worst_drift = max(worst_drift, getattr(p, condition.level)[0])
+        if violation is not None and (worst is None or violation > worst[0]):
+            worst = (violation, condition.label, x)
+    violation, label, witness = worst or (None, None, None)
+    return certify.StabilityCertificate(
+        mode=mode,
+        verdict="fail" if worst else "pass",
+        equilibrium_residual=float(at_center.residual[0]),
+        worst_drift_eigenvalue=None if worst_drift == -np.inf else float(worst_drift),
+        worst_v_min_eigenvalue=float(worst_v) if samples else None,
+        rate=None if rate is None else float(rate),
+        margin=None if margin is None else float(margin),
+        witness=witness,
+        violated_condition=label,
+        violation=None if violation is None else float(violation),
+        sample_count_used=len(samples),
+        seed=int(spec.seed),
+        epsilon=float(spec.epsilon),
+        family=certify._family_description(spec.family),
+        tolerances={"tol": 1e-9, "tol_strict": certify.TOL_STRICT, "support_cutoff": certify.SUPPORT_CUTOFF},
+    )
+
+
+def assert_matches_reference(model, cand, center, spec, mode, param=None, reference=None):
+    """Run the stacked check, assert its certificate bytes equal the per-sample oracle's, and return it."""
+    cert = run_check(model, cand, center, spec, mode, param, reference)
+    oracle = reference_check(model, cand, center, spec, mode, param, reference)
+    assert certificate_bytes(cert) == certificate_bytes(oracle)
+    return cert
+
+
+# mode -> arguments of random_check_case for a check that passes in that mode
+PASSING_CASES = {
+    "local": (2, 0, 1, "local", None, "psd", True, None),
+    "asymptotic": (2, 14, 15, "asymptotic", 0.05, "psd", True, None),
+    "exponential": (3, 1, 2, "exponential", 0.5, "psd", True, None),
+    "state-local": (2, 0, 1, "state-local", None, "psd", False, 1.0),
+    "state-asymptotic": (2, 0, 1, "state-asymptotic", None, "psd", False, 1.0),
+    "state-exponential": (3, 1, 2, "state-exponential", 0.05, "psd", True, None),
+}
+# Along G and N the candidate (X + I)^2 is y^2 G and y^2 N, of rank one; along sigma_z it is y^2 I, of full rank.
+MIXED_RANKS = LevelSetSpec(1.0, 12, 8, DirectionFamily(directions=(GROUND, NUMBER, SIGMA_Z), scale_min=0.2))
+
+
+@pytest.fixture(params=[2**13, 8, 4], ids=["one-block", "two-per-block", "one-per-block"])
+def block_entries(request, monkeypatch):
+    """Run under the module's block bound and under bounds that put one or two qubit samples in a block."""
+    monkeypatch.setattr(qstab.certify, "_BLOCK_ENTRIES", request.param)
+    return request.param
+
+
+class TestAgainstReferenceCheck:
+    """The stacked check writes the per-sample loop's certificates byte for byte."""
+
+    @pytest.mark.parametrize("label", sorted(FAILING_RUNS))
+    def test_failing_runs(self, label, block_entries):
+        model, cand, center, spec, mode, *rest = FAILING_RUNS[label]
+        cert = assert_matches_reference(model, cand, center, spec, mode, *rest)
+        assert cert.violated_condition == label
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_passing_runs(self, mode, block_entries):
+        assert assert_matches_reference(*random_check_case(*PASSING_CASES[mode])).passed
+
+    @pytest.mark.parametrize("mode, param", [("local", None), ("asymptotic", 0.1), ("exponential", 0.5)])
+    def test_support_rank_varies_across_samples(self, damping_model, damping_candidate, mode, param, block_entries):
+        samples = np.stack(sample_level_set(damping_candidate, -EYE2, MIXED_RANKS))
+        point = qstab.certify._Point(damping_model, damping_candidate, samples, "flow", None, None, 1e-9, 1e-8, None)
+        assert set(point.on_support.sum(axis=-1)) == {1, 2}
+        assert_matches_reference(damping_model, damping_candidate, -EYE2, MIXED_RANKS, mode, param)
+
+    def test_rate_estimate_matches_points_of_one(self, damping_model, damping_candidate, block_entries):
+        est = estimate_max_rate(damping_model, damping_candidate, -EYE2, MIXED_RANKS)
+        points = [
+            qstab.certify._Point(damping_model, damping_candidate, x[None], "flow", None, None, 1e-9, 1e-8, None)
+            for x in sample_level_set(damping_candidate, -EYE2, MIXED_RANKS)
+        ]
+        assert est.per_sample == tuple(-float(p.pencil_max[0]) for p in points)
+        assert est.support_mismatch == any(p.off_support_max[0] > qstab.certify.TOL_STRICT for p in points)
+        assert est.support_mismatch  # along G (samples 0, 3, 6, 9) the drift y^2 N is positive off the support
+
+    def test_one_ito_assembly_per_block(self, monkeypatch):
+        shapes = []
+        ito = qstab.certify.flow_ito_coefficients
+        monkeypatch.setattr(
+            qstab.certify, "flow_ito_coefficients", lambda model, cand, x: shapes.append(x.shape) or ito(model, cand, x)
+        )
+        model, cand, rotated_number = rotated_damped_oscillator(32, 3)
+        spec = LevelSetSpec(0.25, 20, 3, DirectionFamily(directions=(rotated_number,), scale_min=0.1, scale_max=1.0))
+        assert check_exponential(model, cand, -np.eye(32), spec, rate=0.5).passed
+        assert shapes == [(8, 32, 32), (8, 32, 32), (4, 32, 32)]  # 2^13 entries hold eight 32 x 32 samples
+        shapes.clear()
+        assert estimate_max_rate(model, cand, -np.eye(32), spec).rate == pytest.approx(1.0, abs=1e-6)
+        assert shapes == [(8, 32, 32), (8, 32, 32), (4, 32, 32)]
+        shapes.clear()
+        qubit = LevelSetSpec(0.5, 256, 3, HermitianBall(1.0))
+        check_exponential(DAMPING, centered((1, 1, EYE2), center=-EYE2), -EYE2, qubit, rate=0.5)
+        assert shapes == [(256, 2, 2)]
+
+
+@given(**CHECK_CASES)
+@settings(max_examples=150)
+def test_stacked_check_matches_reference(dim, model_seed, spec_seed, mode, param, kind, cascade, radius):
+    """Random damped qubits and qutrits in all six modes: the stacked certificate is the per-sample loop's."""
+    case = random_check_case(dim, model_seed, spec_seed, mode, param, kind, cascade, radius)
+    try:
+        assert_matches_reference(*case)
+    except SamplingError:
+        assume(False)
+
+
+@given(**CHECK_CASES, order_seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100)
+def test_permuting_the_samples_permutes_the_decisions(
+    dim, model_seed, spec_seed, mode, param, kind, cascade, radius, order_seed
+):
+    """Each sample's violation, deciding condition and level depend on that sample alone, not on its place."""
+    model, cand, center, spec, mode, param, reference = random_check_case(
+        dim, model_seed, spec_seed, mode, param, kind, cascade, radius
+    )
+    picture, _, v_conditions, drift_conditions = qstab.certify._MODES[mode]
+    try:
+        samples = np.stack(sample_level_set(cand, center, spec, traceless=picture == "state"))
+    except SamplingError:
+        assume(False)
+    order = np.random.default_rng(order_seed).permutation(len(samples))
+    rate = param if mode.endswith("exponential") else None
+    margin = param if mode == "asymptotic" else None
+
+    def decide(x):
+        point = qstab.certify._Point(model, cand, x, picture, rate, margin, 1e-9, 1e-8, reference)
+        return qstab.certify._decide(v_conditions + drift_conditions, point)
+
+    (violation, decided_by, level), permuted = decide(samples), decide(samples[order])
+    assert np.array_equal(violation[order], permuted[0], equal_nan=True)
+    assert np.array_equal(decided_by[order], permuted[1])
+    assert np.array_equal(level[order], permuted[2], equal_nan=True)

@@ -150,6 +150,20 @@ class TestCertifyCommand:
         assert "max supported rate: not estimated (center is not a flow equilibrium)" in capsys.readouterr().out
         assert json.loads(out.read_text())["violated_condition"] == "center is not a flow equilibrium"
 
+    def test_estimate_rate_on_a_candidate_that_is_not_psd_exits_1(self, files, tmp_path, capsys):
+        # V = -(X + I)^2 fails the check at a sample; the estimate names the same condition instead of exiting 2.
+        negative = tmp_path / "negative.json"
+        save_lyapunov(LyapunovCandidate(terms=((1, 1, -EYE2),), center=-EYE2), negative)
+        argv = self.common(files, "exponential", ("--rate", "0.5", "--estimate-rate"))
+        argv[2] = str(negative)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "verdict fail" in captured.out
+        assert (
+            "max supported rate: not estimated (candidate is not positive semidefinite at a sample)" in captured.out
+        )
+        assert captured.err == ""
+
     def test_byte_identical_reruns(self, files, tmp_path):
         out1, out2 = tmp_path / "c1.json", tmp_path / "c2.json"
         assert main(self.common(files, "local", ("--out", str(out1)))) == 0

@@ -260,6 +260,29 @@ def test_ito_bookkeeping_matches_product_rule_engine(picture):
         assert spectral_norm(lib.coeff_gauge - ref["dLambda"]) <= 1e-10 * scale
 
 
+@pytest.mark.parametrize("picture", ["flow", "state"])
+@pytest.mark.parametrize("scattering", [False, True])
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_stacked_ito_coefficients_equal_single_calls(picture, scattering, dim):
+    """An (N, d, d) stack of points gives each member's four coefficients bit for bit."""
+    rng = np.random.default_rng(dim + 10 * scattering)
+    model = random_model(rng, dim, scattering=scattering)
+    theta = 0.3 * random_complex(rng, dim)
+    eye = np.eye(dim)
+    cand = canonicalize(
+        LyapunovCandidate(
+            terms=((2, 2, eye), (1, 1, theta @ theta.conj().T), (2, 1, theta), (1, 2, theta.conj().T)), center=-eye
+        )
+    )
+    ito = flow_ito_coefficients if picture == "flow" else state_ito_coefficients
+    points = np.stack([random_hermitian(rng, dim) for _ in range(7)])
+    stacked = ito(model, cand, points)
+    for i, x in enumerate(points):
+        single = ito(model, cand, x)
+        for name in ("drift", "coeff_a", "coeff_adag", "coeff_gauge"):
+            assert np.array_equal(getattr(stacked, name)[i], getattr(single, name))
+
+
 class TestFlowItoCoefficients:
     def test_linear_candidate_reduces_to_model_coefficients(self):
         rng = np.random.default_rng(46)
