@@ -183,10 +183,10 @@ def _family_description(family) -> dict:
         "count": len(family.directions),
         "scale_min": float(family.scale_min),
         "scale_max": float(family.scale_max),
-        # full direction matrices so the certificate alone reproduces the run
-        "directions": [
-            [[[float(z.real), float(z.imag)] for z in row] for row in d] for d in family.directions
-        ],
+        # full direction matrices so the certificate alone reproduces the run; tuples, so copies may share them
+        "directions": tuple(
+            tuple(tuple((float(z.real), float(z.imag)) for z in row) for row in d) for d in family.directions
+        ),
     }
 
 
@@ -211,7 +211,9 @@ def sample_level_set(
     without crossing stops it too, which is conservative.  The sampled set
     is the star-shaped part of the level set seen from the center.  A sample
     stays a few ulps inside its cap, never outside, and every sample is
-    re-checked against epsilon + max(tol, 1e-9) in one stacked evaluation.
+    re-checked in one stacked evaluation against epsilon + max(tol, 1e-9, r):
+    r = 256 eps sum_k ||Theta_k||_F (||center|| + s)^(n_k + m_k) bounds the
+    rounding of V at scale s (27 eps sum_k ... was the most seen) and its Hermiticity defect.
 
     A center with max-eig V(center) >= epsilon, or a family with no feasible
     nonzero sample, raises :class:`SamplingError`.
@@ -249,8 +251,10 @@ def sample_level_set(
     # u = 1 would put a sample on its computed exit, which rounding may place past epsilon.
     scale = np.minimum(scale_min + u[keep] * (cap[keep] - scale_min), cap[keep] * (1.0 - 8.0 * np.finfo(float).eps))
     samples = center + scale[:, None, None] * rays[ray_of[keep]]
-    top = hermitian_eigenvalues(evaluate(cand, samples), tol=max(tol, 1e-7))[:, -1]
-    if np.any(top > spec.epsilon + max(tol, 1e-9)):
+    radius = spectral_norm(center) + scale  # ||X|| <= ||center|| + s on unit rays
+    rounding = 256.0 * np.finfo(float).eps * sum(np.linalg.norm(t) * radius ** (n + m) for n, m, t in cand.terms)
+    top = hermitian_eigenvalues(evaluate(cand, samples), tol=max(tol, 1e-7, rounding.max()))[:, -1]
+    if np.any(top > spec.epsilon + np.maximum(max(tol, 1e-9), rounding)):
         raise InternalCheckError("level-set sample failed its own constraint re-check")
     return list(samples)
 

@@ -12,7 +12,8 @@ with 17 significant digits and LF line endings.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from copy import copy
+from dataclasses import fields
 
 import numpy as np
 
@@ -203,7 +204,7 @@ def load_direction_family(path) -> DirectionFamily:
 
 
 def certificate_to_dict(cert: StabilityCertificate) -> dict:
-    data = asdict(cert)
+    data = {f.name: copy(getattr(cert, f.name)) for f in fields(cert)}
     data["witness"] = encode_matrix(cert.witness) if cert.witness is not None else None
     data["schema_version"] = SCHEMA_VERSION
     data["kind"] = "stability-certificate"

@@ -22,13 +22,14 @@ differentials only
 survive.  The same engine serves the observable flow and the stochastic
 density operator, which differ only in their per-operator coefficients.
 Coefficients are evaluated pointwise at a supplied argument; stability
-checking quantifies over points rather than over time.
+checking quantifies over points rather than over time.  The drift is
+assembled at the call, each noise coefficient only on its first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from math import comb
 
 import numpy as np
@@ -87,14 +88,43 @@ class LyapunovCandidate:
         return self.center is None
 
 
+# The Ito table as data.  For each term P Theta Q the product rule gives dP Theta Q + P Theta dQ + dP Theta dQ;
+# a coefficient reads these parts: of dP, of dQ, then of dP and of dQ in the cross term dP Theta dQ.
+_ITO_ROUTES = {
+    "drift": ("generator", "generator", "annihilation", "creation"),
+    "coeff_a": ("annihilation", "annihilation", "annihilation", "gauge"),
+    "coeff_adag": ("creation", "creation", "gauge", "creation"),
+    "coeff_gauge": ("gauge", "gauge", "gauge", "gauge"),
+}
+
+
 @dataclass(frozen=True, eq=False)
 class ItoCoefficients:
-    """Drift and the three noise coefficients of dV at one point."""
+    """Drift and the three noise coefficients of dV at one point (or stack); read-only.
 
-    drift: np.ndarray
-    coeff_a: np.ndarray
-    coeff_adag: np.ndarray
-    coeff_gauge: np.ndarray
+    The drift is assembled at the call, each noise coefficient on its first read
+    and then kept, from the terms, the point's powers and their generator and noise parts.
+    """
+
+    terms: tuple[tuple[int, int, np.ndarray], ...]
+    powers: list[np.ndarray]
+    parts: list[dict[str, np.ndarray]]
+    drift: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "drift", self._assemble("drift"))
+
+    def _assemble(self, name: str) -> np.ndarray:
+        left, right, cross_left, cross_right = _ITO_ROUTES[name]
+        out = np.zeros_like(self.powers[0])
+        for n, m, theta in self.terms:
+            p, q, dp, dq = self.powers[n], self.powers[m], self.parts[n], self.parts[m]
+            out = out + dp[left] @ theta @ q + p @ theta @ dq[right] + dp[cross_left] @ theta @ dq[cross_right]
+        return out
+
+    coeff_a = cached_property(partial(_assemble, name="coeff_a"))
+    coeff_adag = cached_property(partial(_assemble, name="coeff_adag"))
+    coeff_gauge = cached_property(partial(_assemble, name="coeff_gauge"))
 
 
 def _is_scalar_matrix(c: np.ndarray, tol: float) -> tuple[bool, complex]:
@@ -225,34 +255,14 @@ def _powers(x: np.ndarray, up_to: int) -> list[np.ndarray]:
 
 
 def _ito_coefficients(candidate, point, generator, noise_coefficients) -> ItoCoefficients:
-    """Assemble dV coefficients from per-operator drift/noise building blocks.
-
-    For each term P Theta Q with P, Q powers of the point, the product rule
-    gives  dP Theta Q + P Theta dQ + dP Theta dQ, and the Ito table routes
-    the cross term's differential products into dt, dA, dA† and dLambda.
-    """
+    """dV coefficients from the per-operator drift/noise values at the powers of the point (see _ITO_ROUTES)."""
     candidate = candidate if candidate.is_canonical else canonicalize(candidate)
     point = np.asarray(point, dtype=complex)
     if point.shape[-1] != candidate.dim:
         raise DimensionMismatchError("argument dimension differs from candidate dimension")
-    deg = max(max(n, m) for n, m, _ in candidate.terms)
-    powers = _powers(point, deg)
-    gen = [generator(p) for p in powers]
-    noise = [noise_coefficients(p) for p in powers]
-
-    zero = np.zeros_like(powers[0])
-    drift, c_a, c_adag, c_gauge = zero, zero, zero, zero
-    for n, m, theta in candidate.terms:
-        p, q = powers[n], powers[m]
-        gp, gq = gen[n], gen[m]
-        ap, aq = noise[n].annihilation, noise[m].annihilation
-        cp, cq = noise[n].creation, noise[m].creation
-        lp, lq = noise[n].gauge, noise[m].gauge
-        drift = drift + gp @ theta @ q + p @ theta @ gq + ap @ theta @ cq
-        c_a = c_a + ap @ theta @ q + p @ theta @ aq + ap @ theta @ lq
-        c_adag = c_adag + cp @ theta @ q + p @ theta @ cq + lp @ theta @ cq
-        c_gauge = c_gauge + lp @ theta @ q + p @ theta @ lq + lp @ theta @ lq
-    return ItoCoefficients(drift=drift, coeff_a=c_a, coeff_adag=c_adag, coeff_gauge=c_gauge)
+    powers = _powers(point, max(max(n, m) for n, m, _ in candidate.terms))
+    parts = [{"generator": generator(p), **noise_coefficients(p)._asdict()} for p in powers]
+    return ItoCoefficients(candidate.terms, powers, parts)
 
 
 def flow_ito_coefficients(model: QsdeModel, candidate: LyapunovCandidate, x: np.ndarray) -> ItoCoefficients:

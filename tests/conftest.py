@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from qstab import LyapunovCandidate, QsdeModel, canonicalize
+from qstab import (
+    LyapunovCandidate,
+    QsdeModel,
+    canonicalize,
+    flow_generator,
+    flow_noise_coefficients,
+    state_generator,
+    state_noise_coefficients,
+)
 
 # Property tests draw the same examples on every run and keep no example database.
 settings.register_profile("qstab", derandomize=True, database=None, deadline=None)
@@ -43,6 +51,41 @@ def random_model(rng, dim, scattering=True):
         coupling=random_complex(rng, dim),
         scattering=random_unitary(rng, dim) if scattering else None,
     )
+
+
+def eager_ito_coefficients(model, candidate, point, picture="flow"):
+    """All four Ito coefficients built at once by four hand-written accumulation lines.
+
+    The assembly that the routing table in ``qstab.lyapunov`` replaced, kept as
+    its bit-exact reference: same powers, same products, same summation order.
+    """
+    generator, noise_coefficients = {
+        "flow": (flow_generator, flow_noise_coefficients),
+        "state": (state_generator, state_noise_coefficients),
+    }[picture]
+    candidate = candidate if candidate.is_canonical else canonicalize(candidate)
+    point = np.asarray(point, dtype=complex)
+    deg = max(max(n, m) for n, m, _ in candidate.terms)
+    powers = [np.eye(point.shape[-1], dtype=complex), np.array(point)]
+    for _ in range(2, deg + 1):
+        powers.append(powers[-1] @ point)
+    powers = powers[: deg + 1]
+    gen = [generator(model, p) for p in powers]
+    noise = [noise_coefficients(model, p) for p in powers]
+
+    zero = np.zeros_like(powers[0])
+    drift, c_a, c_adag, c_gauge = zero, zero, zero, zero
+    for n, m, theta in candidate.terms:
+        p, q = powers[n], powers[m]
+        gp, gq = gen[n], gen[m]
+        ap, aq = noise[n].annihilation, noise[m].annihilation
+        cp, cq = noise[n].creation, noise[m].creation
+        lp, lq = noise[n].gauge, noise[m].gauge
+        drift = drift + gp @ theta @ q + p @ theta @ gq + ap @ theta @ cq
+        c_a = c_a + ap @ theta @ q + p @ theta @ aq + ap @ theta @ lq
+        c_adag = c_adag + cp @ theta @ q + p @ theta @ cq + lp @ theta @ cq
+        c_gauge = c_gauge + lp @ theta @ q + p @ theta @ lq + lp @ theta @ lq
+    return {"drift": drift, "coeff_a": c_a, "coeff_adag": c_adag, "coeff_gauge": c_gauge}
 
 
 def random_density(rng, dim):

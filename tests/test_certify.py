@@ -282,6 +282,13 @@ class TestAgainstReferenceSampler:
         assert all(np.array_equal(x, y) for x, y in zip(short, long[:8]))
 
 
+class AtCap:
+    """A sample stream whose uniform draw puts every sample on its cap (u = 1)."""
+
+    def random(self):
+        return 0.0
+
+
 class TestExactExits:
     """Caps are the first crossing of max-eig V = epsilon along each ray."""
 
@@ -308,10 +315,6 @@ class TestExactExits:
     def test_sample_on_its_cap_is_pulled_inward(self, monkeypatch):
         # u = 1 puts every sample on its cap.  For V(x) = x^2 at epsilon = 3e6 the computed
         # cap lies a rounding above sqrt(epsilon), which the re-check's 1e-9 slack does not absorb.
-        class AtCap:
-            def random(self):
-                return 0.0
-
         monkeypatch.setattr(qstab.certify, "_seeded_rng", lambda seed, index: AtCap())
         one = np.ones((1, 1))
         cand = canonicalize(LyapunovCandidate(terms=((1, 1, one),)))
@@ -321,6 +324,30 @@ class TestExactExits:
         for x in samples:
             assert hermitian_eigenvalues(evaluate(cand, x))[-1] <= 3e6 + 1e-9
             assert x[0, 0].real >= np.sqrt(3e6) * (1.0 - 1e-14)  # a few ulps inward, no more
+
+    @pytest.mark.parametrize("epsilon", [1e6, 1e8, 1e10])
+    @pytest.mark.parametrize("seed", [6, 52, 56])
+    def test_recheck_slack_scales_with_the_rounding_of_v(self, monkeypatch, seed, epsilon):
+        # u = 1 on cubic non-scalar-Theta candidates: the rounding of V at the cap is about
+        # u ||V||, which an absolute slack of 1e-9 does not absorb (exit 3 at epsilon 1e6 and 1e8),
+        # nor, at 1e10, an absolute Hermiticity tolerance of 1e-7.
+        monkeypatch.setattr(qstab.certify, "_seeded_rng", lambda seed, index: AtCap())
+        samples = sample_level_set(cubic_candidate(3, seed), 0.5 * np.eye(3), self.large_spec(seed, epsilon))
+        assert len(samples) == 4
+
+    @pytest.mark.parametrize("epsilon", [1e6, 1e8, 1e10])
+    def test_recheck_catches_a_sample_past_its_cap_by_1e_9(self, monkeypatch, epsilon):
+        monkeypatch.setattr(qstab.certify, "_seeded_rng", lambda seed, index: AtCap())
+        exits = qstab.certify._ray_exits
+        monkeypatch.setattr(qstab.certify, "_ray_exits", lambda *args: exits(*args) * (1.0 + 1e-9))
+        with pytest.raises(InternalCheckError):
+            sample_level_set(cubic_candidate(3, 6), 0.5 * np.eye(3), self.large_spec(6, epsilon))
+
+    @staticmethod
+    def large_spec(seed, epsilon):
+        rng = np.random.default_rng(1000 + seed)
+        family = DirectionFamily(tuple(random_hermitian(rng, 3) for _ in range(4)), 0.0, 1e6)
+        return LevelSetSpec(epsilon=epsilon, sample_count=4, seed=0, family=family)
 
     def test_infeasible_center_raises_before_any_solve(self, monkeypatch):
         monkeypatch.setattr(qstab.certify.np.linalg, "solve", None)

@@ -3,10 +3,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import qstab.cli
 from qstab import LyapunovCandidate, QsdeModel
 from qstab.cli import main
 from qstab.fileio import (
@@ -17,7 +19,9 @@ from qstab.fileio import (
     save_state_vector,
 )
 
-from conftest import EYE2, KET_E, NUMBER, SIGMA_MINUS, SIGMA_X, SIGMA_Z
+from conftest import EYE2, KET_E, NUMBER, SIGMA_MINUS, SIGMA_X, SIGMA_Z, eager_ito_coefficients
+
+DEMO_FILES = Path(__file__).resolve().parents[1] / "demos" / "files"
 
 
 @pytest.fixture
@@ -75,6 +79,21 @@ class TestDriftCommand:
     def test_state_picture(self, files, capsys):
         code = main(["drift", files["model"], files["lyap"], "--point", files["x0"], "--picture", "state"])
         assert code == 0
+
+    @pytest.mark.parametrize("picture", ["flow", "state"])
+    @pytest.mark.parametrize("point", ["x0_sigma_z.json", "center.json"])
+    def test_prints_what_the_eager_assembly_prints(self, monkeypatch, capsys, picture, point):
+        argv = ["drift", str(DEMO_FILES / "damping_model.json"), str(DEMO_FILES / "square_candidate.json"),
+                "--point", str(DEMO_FILES / point), "--picture", picture]
+        assert main(argv) == 0
+        routed = capsys.readouterr().out
+        monkeypatch.setattr(
+            qstab.cli,
+            f"{picture}_ito_coefficients",
+            lambda model, cand, x: SimpleNamespace(**eager_ito_coefficients(model, cand, x, picture)),
+        )
+        assert main(argv) == 0
+        assert capsys.readouterr().out == routed
 
 
 class TestCertifyCommand:

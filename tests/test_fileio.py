@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from qstab import (
     DirectionFamily,
     FileFormatError,
+    HermitianBall,
     InvalidCandidateError,
     InvalidModelError,
     LevelSetSpec,
@@ -13,11 +15,14 @@ from qstab import (
     QsdeModel,
     Trajectory,
     canonicalize,
+    check_exponential,
     check_local,
     evaluate,
 )
 from qstab.fileio import (
+    SCHEMA_VERSION,
     certificate_bytes,
+    certificate_to_dict,
     encode_matrix,
     load_certificate,
     load_direction_family,
@@ -226,6 +231,47 @@ class TestCertificateSerialization:
         save_certificate(cert, path)
         data = load_certificate(path)
         assert np.array_equal(data["witness"], cert.witness)
+
+
+def asdict_certificate_bytes(cert):
+    """The certificate serialized through a deep copy by ``dataclasses.asdict``."""
+    data = dataclasses.asdict(cert)
+    data["witness"] = encode_matrix(cert.witness) if cert.witness is not None else None
+    data["schema_version"] = SCHEMA_VERSION
+    data["kind"] = "stability-certificate"
+    return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def mutable_ids(obj) -> set[int]:
+    """Ids of every dict, list and array reachable from obj."""
+    ids = {id(obj)} if isinstance(obj, (dict, list, np.ndarray)) else set()
+    children = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, (list, tuple)) else ()
+    return ids.union(*(mutable_ids(child) for child in children))
+
+
+class TestCertificateDict:
+    @pytest.fixture(params=["ball", "directions"])
+    def cert(self, request, damping_model, damping_candidate):
+        if request.param == "ball":
+            family = HermitianBall(1.0)
+        else:
+            family = DirectionFamily((NUMBER, random_hermitian(np.random.default_rng(2), 2)), 0.1, 1.0)
+        spec = LevelSetSpec(epsilon=0.5, sample_count=32, seed=11, family=family)
+        return check_exponential(damping_model, damping_candidate, -EYE2, spec, 0.5)
+
+    def test_bytes_equal_the_asdict_serialization(self, cert):
+        assert cert.witness is not None
+        assert certificate_bytes(cert) == asdict_certificate_bytes(cert)
+
+    def test_shares_no_mutable_state(self, cert):
+        first, second = certificate_to_dict(cert), certificate_to_dict(cert)
+        held = mutable_ids([getattr(cert, f.name) for f in dataclasses.fields(cert)])
+        assert not mutable_ids(first) & held
+        assert not mutable_ids(first) & mutable_ids(second)
+        before = certificate_bytes(cert)
+        first["family"]["kind"] = first["tolerances"]["tol"] = None
+        assert certificate_bytes(cert) == before
+        assert second == certificate_to_dict(cert)
 
 
 class TestTrajectoryCsv:

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import qstab.lyapunov
 from qstab import (
     InvalidCandidateError,
     LyapunovCandidate,
@@ -22,6 +25,7 @@ from conftest import (
     NUMBER,
     SIGMA_MINUS,
     SIGMA_Z,
+    eager_ito_coefficients,
     random_complex,
     random_hermitian,
     random_model,
@@ -281,6 +285,73 @@ def test_stacked_ito_coefficients_equal_single_calls(picture, scattering, dim):
         single = ito(model, cand, x)
         for name in ("drift", "coeff_a", "coeff_adag", "coeff_gauge"):
             assert np.array_equal(getattr(stacked, name)[i], getattr(single, name))
+
+
+COEFFICIENTS = ("drift", "coeff_a", "coeff_adag", "coeff_gauge")
+
+
+def random_closed_candidate(rng, dim, degree):
+    """Every (n, m) with n + m <= degree, non-scalar Theta, closed under (n, m, Theta) <-> (m, n, Theta†)."""
+    terms = []
+    for n in range(degree + 1):
+        for m in range(n, degree - n + 1):
+            theta = 0.3 * random_complex(rng, dim)
+            terms += [(n, m, theta), (m, n, theta.conj().T)] if n != m else [(n, n, theta + theta.conj().T)]
+    return canonicalize(LyapunovCandidate(terms=tuple(terms)))
+
+
+@pytest.mark.parametrize("picture", ["flow", "state"])
+@pytest.mark.parametrize("scattering", [False, True])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_routed_assembly_equals_the_eager_one_bit_for_bit(picture, scattering, degree):
+    """The routing table sums the same products in the same order as the four hand-written lines."""
+    rng = np.random.default_rng(100 * degree + 10 * scattering + (picture == "state"))
+    model = random_model(rng, 3, scattering=scattering)
+    ito = flow_ito_coefficients if picture == "flow" else state_ito_coefficients
+    cand = random_closed_candidate(rng, 3, degree)
+    for point in (random_hermitian(rng, 3), np.stack([random_hermitian(rng, 3) for _ in range(5)])):
+        routed, eager = ito(model, cand, point), eager_ito_coefficients(model, cand, point, picture)
+        for name in COEFFICIENTS:
+            assert np.array_equal(getattr(routed, name), eager[name])
+
+
+class TestLazyNoiseCoefficients:
+    def coefficients(self):
+        rng = np.random.default_rng(7)
+        return flow_ito_coefficients(random_model(rng, 3), random_closed_candidate(rng, 3, 3), random_hermitian(rng, 3))
+
+    def test_reading_the_drift_builds_no_noise_coefficient(self):
+        coeffs = self.coefficients()
+        assert coeffs.drift is coeffs.drift
+        assert not {"coeff_a", "coeff_adag", "coeff_gauge"} & vars(coeffs).keys()
+
+    def test_a_coefficient_is_built_once_on_first_read(self):
+        coeffs = self.coefficients()
+        first = coeffs.coeff_adag
+        assert coeffs.coeff_adag is first
+        assert {"coeff_a", "coeff_adag", "coeff_gauge"} & vars(coeffs).keys() == {"coeff_adag"}
+
+    def test_read_only(self):
+        coeffs = self.coefficients()
+        for name in COEFFICIENTS:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(coeffs, name, np.zeros((3, 3)))
+
+    def test_a_stability_check_routes_the_drift_alone(self, monkeypatch, damping_model, damping_candidate):
+        from qstab import HermitianBall, LevelSetSpec, check_exponential, estimate_max_rate
+
+        routed = []
+
+        class Recording(dict):
+            def __getitem__(self, name):
+                routed.append(name)
+                return super().__getitem__(name)
+
+        monkeypatch.setattr(qstab.lyapunov, "_ITO_ROUTES", Recording(qstab.lyapunov._ITO_ROUTES))
+        spec = LevelSetSpec(epsilon=0.5, sample_count=16, seed=3, family=HermitianBall(1.0))
+        check_exponential(damping_model, damping_candidate, -EYE2, spec, 0.5)
+        estimate_max_rate(damping_model, damping_candidate, -EYE2, spec)
+        assert routed and set(routed) == {"drift"}
 
 
 class TestFlowItoCoefficients:
