@@ -30,10 +30,10 @@ decides a sample, and the most violated sample, the first among ties, is the
 witness.  :func:`recheck_witness` calls the stored condition's measure on a
 stack of one, so it reproduces the stored violation by construction.
 
-Each sample derives its own random stream from (seed, sample index), and
-its scale is capped where its ray first leaves the level set: a polynomial
-eigenvalue problem solved by one stacked block-companion eigensolve over the
-distinct rays (Tisseur & Meerbergen, SIAM Rev. 43, 2001).
+Sample i reads row i of one row-ordered draw from the seed, and its scale
+is capped where its ray first leaves the level set: a polynomial eigenvalue
+problem solved by one stacked block-companion eigensolve over the distinct
+rays (Tisseur & Meerbergen, SIAM Rev. 43, 2001).
 """
 
 from __future__ import annotations
@@ -170,11 +170,6 @@ class ChebyshevBound:
     vacuous: bool
 
 
-def _seeded_rng(seed: int, index: int) -> np.random.Generator:
-    # Mask to uint64 so negative 64-bit seeds are accepted.
-    return np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, index]))
-
-
 def _family_description(family) -> dict:
     if isinstance(family, HermitianBall):
         return {"kind": "random-hermitian-ball", "radius": float(family.radius)}
@@ -200,9 +195,10 @@ def sample_level_set(
 ) -> list[np.ndarray]:
     """Hermitian samples X != center with max-eig V(X) <= epsilon + tol.
 
-    Each sample's direction and uniform draw u come from a stream derived
-    from (seed, sample index), so the list is deterministic and independent
-    of evaluation order.  The scale is u times its ray's cap (above
+    Sample i reads row i of the (N, 2d^2 + 1) uniforms (N x 1 for a family)
+    that the seed draws in row order, so it depends on (seed, i) alone: u is
+    1 - the last column, a ball direction the Hermitian part of the Box-Muller
+    matrix of the others.  The scale is u times its ray's cap (above
     scale_min), so shrinking epsilon rescales the same samples inward.  The
     cap is the exact exit of the ray from the level set, at most scale_hi,
     from one stacked root solve over the distinct rays (:func:`_ray_exits`).
@@ -223,24 +219,26 @@ def sample_level_set(
     center = as_operator(center)
     if center.shape[0] != cand.dim:
         raise DimensionMismatchError("center dimension differs from candidate dimension")
-    family, dim = spec.family, cand.dim
-    streams = [_seeded_rng(spec.seed, i) for i in range(spec.sample_count)]
-    if isinstance(family, DirectionFamily):
-        scale_min, scale_hi = family.scale_min, family.scale_max
-        rays = np.stack(family.directions[: spec.sample_count])
-    else:  # one Hermitian direction per stream, drawn in turn and normalized as one stack
+    family, dim, count, ball = spec.family, cand.dim, spec.sample_count, isinstance(spec.family, HermitianBall)
+    # Mask to uint64 so negative 64-bit seeds are accepted.
+    rows = np.random.default_rng(spec.seed & 0xFFFFFFFFFFFFFFFF).random((count, 2 * dim * dim + 1 if ball else 1))
+    if ball:  # Box-Muller on the column pairs (a, b): entries with standard normal real and imaginary parts
         scale_min, scale_hi = 0.0, family.radius
-        rays = hermitize(np.stack([rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for rng in streams]))
+        r, theta = np.sqrt(-2.0 * np.log1p(-rows[:, 0:-1:2])), 2.0 * np.pi * rows[:, 1:-1:2]
+        rays = hermitize((r * np.cos(theta) + 1j * r * np.sin(theta)).reshape(count, dim, dim))
         if traceless:
             rays = rays - (np.trace(rays, axis1=1, axis2=2) / dim)[:, None, None] * np.eye(dim)
+    else:
+        scale_min, scale_hi = family.scale_min, family.scale_max
+        rays = np.stack(family.directions[:count])
     norms = spectral_norm(rays)
     if np.any(norms == 0.0):
         raise SamplingError("degenerate random direction")
     rays = rays / norms[:, None, None]
-    if traceless and isinstance(family, DirectionFamily) and np.any(np.abs(np.trace(rays, axis1=1, axis2=2)) > tol):
+    if traceless and not ball and np.any(np.abs(np.trace(rays, axis1=1, axis2=2)) > tol):
         raise InvalidStateError("state-picture directions must be traceless to keep unit trace")
-    ray_of = np.arange(spec.sample_count) % len(rays)
-    u = 1.0 - np.array([rng.random() for rng in streams])  # uniform on (0, 1]
+    ray_of = np.arange(count) % len(rays)
+    u = 1.0 - rows[:, -1]  # uniform on (0, 1]
 
     cap = np.minimum(scale_hi, _ray_exits(cand, center, rays, spec.epsilon, tol))[ray_of]
     keep = cap > scale_min

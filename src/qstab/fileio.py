@@ -2,11 +2,11 @@
 
 Matrices are stored row-major with every complex entry encoded as a
 two-element ``[re, im]`` array, which survives a JSON round trip
-bit-exactly.  A ``schema_version`` field gates future format changes.
-Certificates serialize every input needed to reproduce the run (seed,
-family, tolerances, sample counts) and are dumped with sorted keys so
-identical runs produce identical bytes.  Trajectories are written as CSV
-with 17 significant digits and LF line endings.
+bit-exactly.  A ``schema_version`` field (2 for certificates, 1 otherwise)
+gates format changes.  Certificates serialize every input needed to
+reproduce the run (seed, family, tolerances, sample counts) and are dumped
+with sorted keys so identical runs produce identical bytes.  Trajectories
+are written as CSV with 17 significant digits and LF line endings.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .models import QsdeModel, validate
 from .operators import as_operator
 
 SCHEMA_VERSION = 1
+CERTIFICATE_SCHEMA_VERSION = 2
 
 
 def encode_matrix(m: np.ndarray) -> list:
@@ -82,10 +83,10 @@ def _require(data: dict, field: str, path):
     return data[field]
 
 
-def _check_schema(data: dict, path) -> None:
+def _check_schema(data: dict, path, expected: int = SCHEMA_VERSION) -> None:
     version = _require(data, "schema_version", path)
-    if version != SCHEMA_VERSION:
-        raise FileFormatError(f"{path}: unsupported schema_version {version} (expected {SCHEMA_VERSION})")
+    if version != expected:
+        raise FileFormatError(f"{path}: unsupported schema_version {version} (expected {expected})")
 
 
 def load_model(path, tol: float = 1e-9) -> QsdeModel:
@@ -206,7 +207,7 @@ def load_direction_family(path) -> DirectionFamily:
 def certificate_to_dict(cert: StabilityCertificate) -> dict:
     data = {f.name: copy(getattr(cert, f.name)) for f in fields(cert)}
     data["witness"] = encode_matrix(cert.witness) if cert.witness is not None else None
-    data["schema_version"] = SCHEMA_VERSION
+    data["schema_version"] = CERTIFICATE_SCHEMA_VERSION
     data["kind"] = "stability-certificate"
     return data
 
@@ -223,7 +224,7 @@ def save_certificate(cert: StabilityCertificate, path) -> None:
 def load_certificate(path) -> dict:
     """Certificates load as plain dicts (witness decoded back to a matrix)."""
     data = _load_json(path)
-    _check_schema(data, path)
+    _check_schema(data, path, CERTIFICATE_SCHEMA_VERSION)
     if data.get("witness") is not None:
         data["witness"] = decode_matrix(data["witness"], "witness")
     return data

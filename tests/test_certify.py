@@ -126,6 +126,20 @@ class TestSampleLevelSet:
         with pytest.raises(ValueError, match=r"directions\[1\] is zero"):
             DirectionFamily(directions=(NUMBER, np.zeros((2, 2))))
 
+    def test_box_muller_moments(self, monkeypatch):
+        # The ball hermitizes the Box-Muller matrices, 10^5 entries for 4,000 samples at d = 5.  Their real and
+        # imaginary parts have mean 0 and variance 1 within 5 sigma: 1/sqrt(n) for a mean and sqrt(2/n) for a
+        # variance of n standard normals.
+        drawn = []
+        monkeypatch.setattr(qstab.certify, "hermitize", lambda a: drawn.append(a) or hermitize(a))
+        cand = canonicalize(LyapunovCandidate(terms=((1, 1, np.eye(5)),)))
+        sample_level_set(cand, np.zeros((5, 5)), LevelSetSpec(1.0, 4000, 3, HermitianBall(1.0)))
+        (z,) = (a.ravel() for a in drawn)
+        assert z.size == 10**5
+        for part in (z.real, z.imag):
+            assert abs(part.mean()) <= 5.0 / np.sqrt(z.size)
+            assert abs(part.var() - 1.0) <= 5.0 * np.sqrt(2.0 / z.size)
+
     def test_traceless_sampling_keeps_trace(self):
         cand = canonicalize(LyapunovCandidate(terms=((1, 1, EYE2),), center=EYE2 / 2))
         spec = LevelSetSpec(epsilon=0.5, sample_count=10, seed=5)
@@ -136,8 +150,10 @@ class TestSampleLevelSet:
 def reference_sample_level_set(candidate, center, spec, *, traceless=False, tol=1e-9, bisection_steps=60):
     """The level-set sampler written one sample at a time, bisecting each cap: the oracle on monotone rays.
 
-    Each sample draws its direction and u from the stream seeded by
-    (seed, index), bisects its own scale cap and is re-checked on its own.
+    Sample i reads row i of one (N, w) array of uniforms drawn from the seed,
+    w = 2 d^2 + 1 for the ball and 1 for a family: a ball direction comes by
+    Box-Muller from the row's column pairs, u from its last column.  Each
+    sample bisects its own scale cap and is re-checked on its own.
     """
     cand = candidate if candidate.is_canonical else canonicalize(candidate)
     center = np.asarray(center, dtype=complex)
@@ -152,21 +168,23 @@ def reference_sample_level_set(candidate, center, spec, *, traceless=False, tol=
     else:
         scale_min, scale_hi = 0.0, family.radius
 
+    width = 1 if isinstance(family, DirectionFamily) else 2 * dim * dim + 1
+    rows = np.random.default_rng(spec.seed & 0xFFFFFFFFFFFFFFFF).random((spec.sample_count, width))
     samples = []
-    for i in range(spec.sample_count):
-        rng = np.random.default_rng(np.random.SeedSequence([spec.seed & 0xFFFFFFFFFFFFFFFF, i]))
+    for i, row in enumerate(rows):
         if isinstance(family, DirectionFamily):
             direction = family.directions[i % len(family.directions)]
             direction = direction / spectral_norm(direction)
             if traceless and abs(np.trace(direction)) > tol:
                 raise InvalidStateError("state-picture directions must be traceless to keep unit trace")
         else:
-            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            r, theta = np.sqrt(-2.0 * np.log1p(-row[0:-1:2])), 2.0 * np.pi * row[1:-1:2]
+            a = (r * np.cos(theta) + 1j * r * np.sin(theta)).reshape(dim, dim)
             direction = (a + a.conj().T) / 2.0
             if traceless:
                 direction = direction - (np.trace(direction) / dim) * np.eye(dim)
             direction = direction / spectral_norm(direction)
-        u = 1.0 - rng.random()
+        u = 1.0 - row[-1]
 
         if top(center + scale_hi * direction) <= spec.epsilon:
             cap = scale_hi
@@ -274,19 +292,29 @@ class TestAgainstReferenceSampler:
                 sampler(cand, EYE2 / 2, spec, traceless=True)
 
     def test_samples_depend_only_on_seed_and_index(self):
-        cand = cubic_candidate(3, seed=9)
-        center = 0.5 * np.eye(3)
-        short = sample_level_set(cand, center, LevelSetSpec(epsilon=0.5, sample_count=8, seed=21))
-        long = sample_level_set(cand, center, LevelSetSpec(epsilon=0.5, sample_count=16, seed=21))
-        assert len(short) == 8 and len(long) == 16
-        assert all(np.array_equal(x, y) for x, y in zip(short, long[:8]))
+        """The first 8 samples of a run of 16 are a run of 8, bit for bit, on every path of the draw."""
+        for dim in (1, 2, 5):
+            rng = np.random.default_rng(dim)
+            cand, center = cubic_candidate(dim, seed=9), 0.5 * np.eye(dim)
+            directions = tuple(random_hermitian(rng, dim) for _ in range(12))
+            traceless_directions = tuple(d - np.trace(d) / dim * np.eye(dim) for d in directions)
+            paths = [(HermitianBall(1.0), False), (DirectionFamily(directions, 0.0, 2.0), False)]
+            if dim > 1:  # at d = 1 no direction is traceless
+                paths += [(HermitianBall(1.0), True), (DirectionFamily(traceless_directions, 0.0, 2.0), True)]
+            for family, traceless in paths:
+                short, long = (
+                    sample_level_set(cand, center, LevelSetSpec(0.5, count, -21, family), traceless=traceless)
+                    for count in (8, 16)
+                )
+                assert len(short) == 8 and len(long) == 16
+                assert all(np.array_equal(x, y) for x, y in zip(short, long[:8]))
 
 
 class AtCap:
-    """A sample stream whose uniform draw puts every sample on its cap (u = 1)."""
+    """The sampler's one draw made all zeros: its last column 0 gives u = 1, which puts every sample on its cap."""
 
-    def random(self):
-        return 0.0
+    def random(self, shape):
+        return np.zeros(shape)
 
 
 class TestExactExits:
@@ -315,10 +343,10 @@ class TestExactExits:
     def test_sample_on_its_cap_is_pulled_inward(self, monkeypatch):
         # u = 1 puts every sample on its cap.  For V(x) = x^2 at epsilon = 3e6 the computed
         # cap lies a rounding above sqrt(epsilon), which the re-check's 1e-9 slack does not absorb.
-        monkeypatch.setattr(qstab.certify, "_seeded_rng", lambda seed, index: AtCap())
         one = np.ones((1, 1))
         cand = canonicalize(LyapunovCandidate(terms=((1, 1, one),)))
         spec = LevelSetSpec(epsilon=3e6, sample_count=2, seed=0, family=DirectionFamily((one,), 0.0, 1e4))
+        monkeypatch.setattr(qstab.certify.np.random, "default_rng", lambda seed: AtCap())
         samples = sample_level_set(cand, np.zeros((1, 1)), spec)
         assert len(samples) == 2
         for x in samples:
@@ -331,17 +359,18 @@ class TestExactExits:
         # u = 1 on cubic non-scalar-Theta candidates: the rounding of V at the cap is about
         # u ||V||, which an absolute slack of 1e-9 does not absorb (exit 3 at epsilon 1e6 and 1e8),
         # nor, at 1e10, an absolute Hermiticity tolerance of 1e-7.
-        monkeypatch.setattr(qstab.certify, "_seeded_rng", lambda seed, index: AtCap())
-        samples = sample_level_set(cubic_candidate(3, seed), 0.5 * np.eye(3), self.large_spec(seed, epsilon))
-        assert len(samples) == 4
+        cand, spec = cubic_candidate(3, seed), self.large_spec(seed, epsilon)
+        monkeypatch.setattr(qstab.certify.np.random, "default_rng", lambda seed: AtCap())
+        assert len(sample_level_set(cand, 0.5 * np.eye(3), spec)) == 4
 
     @pytest.mark.parametrize("epsilon", [1e6, 1e8, 1e10])
     def test_recheck_catches_a_sample_past_its_cap_by_1e_9(self, monkeypatch, epsilon):
-        monkeypatch.setattr(qstab.certify, "_seeded_rng", lambda seed, index: AtCap())
+        cand, spec = cubic_candidate(3, 6), self.large_spec(6, epsilon)
+        monkeypatch.setattr(qstab.certify.np.random, "default_rng", lambda seed: AtCap())
         exits = qstab.certify._ray_exits
         monkeypatch.setattr(qstab.certify, "_ray_exits", lambda *args: exits(*args) * (1.0 + 1e-9))
         with pytest.raises(InternalCheckError):
-            sample_level_set(cubic_candidate(3, 6), 0.5 * np.eye(3), self.large_spec(6, epsilon))
+            sample_level_set(cand, 0.5 * np.eye(3), spec)
 
     @staticmethod
     def large_spec(seed, epsilon):
@@ -991,14 +1020,26 @@ def assert_matches_reference(model, cand, center, spec, mode, param=None, refere
     return cert
 
 
-# mode -> arguments of random_check_case for a check that passes in that mode
+# The damped oscillator at d = 3 (H = N, L = a, both rotated; V = (X + I)^2) along its unit direction N/2: at
+# X = -I + sN/2, V = s^2 N^2 / 4 and the drift is -s^2 N(2N - 1) / 4, at most -s^2 / 4 on V's support (n >= 1)
+# and 0 off it.  For s >= scale_min = 1 that is below -margin = -0.2, so every scale of the family passes.
+OSCILLATOR, OSCILLATOR_V, ROTATED_N = rotated_damped_oscillator(3, 0)
+ALONG_ROTATED_N = LevelSetSpec(4.0, 6, 1, DirectionFamily(directions=(ROTATED_N,), scale_min=1.0, scale_max=2.0))
+# The damping qubit in the state picture with V = (rho - I/2) N (rho - I/2), N = |e><e|: at rho = I/2 + s sigma_z,
+# V = s^2 N, the state generator gives -2sN and so the drift terms -4 s^2 N, and the Ito term
+# [rho, L†] N [L, rho] = 4 s^2 |e><g|N|g><e| is 0.  So E_{I/2}[drift] = -2 s^2 <= -0.02 and E_{I/2}[V] = s^2 / 2
+# for s >= scale_min = 0.1: strictly negative throughout.
+EXCITED_V = centered((1, 1, NUMBER), center=EYE2 / 2)
+ALONG_Z_AWAY = LevelSetSpec(0.5, 6, 1, DirectionFamily(directions=(SIGMA_Z,), scale_min=0.1, scale_max=1.0))
+
+# mode -> arguments of run_check for a check that passes in that mode
 PASSING_CASES = {
-    "local": (2, 0, 1, "local", None, "psd", True, None),
-    "asymptotic": (2, 14, 15, "asymptotic", 0.05, "psd", True, None),
-    "exponential": (3, 1, 2, "exponential", 0.5, "psd", True, None),
-    "state-local": (2, 0, 1, "state-local", None, "psd", False, 1.0),
-    "state-asymptotic": (2, 0, 1, "state-asymptotic", None, "psd", False, 1.0),
-    "state-exponential": (3, 1, 2, "state-exponential", 0.05, "psd", True, None),
+    "local": random_check_case(2, 0, 1, "local", None, "psd", True, None),
+    "asymptotic": (OSCILLATOR, OSCILLATOR_V, -np.eye(3), ALONG_ROTATED_N, "asymptotic", 0.2),
+    "exponential": random_check_case(3, 1, 2, "exponential", 0.5, "psd", True, None),
+    "state-local": (DAMPING, EXCITED_V, EYE2 / 2, ALONG_Z_AWAY, "state-local", None, MIXED),
+    "state-asymptotic": (DAMPING, EXCITED_V, EYE2 / 2, ALONG_Z_AWAY, "state-asymptotic", None, MIXED),
+    "state-exponential": random_check_case(3, 1, 2, "state-exponential", 0.05, "psd", True, None),
 }
 # Along G and N the candidate (X + I)^2 is y^2 G and y^2 N, of rank one; along sigma_z it is y^2 I, of full rank.
 MIXED_RANKS = LevelSetSpec(1.0, 12, 8, DirectionFamily(directions=(GROUND, NUMBER, SIGMA_Z), scale_min=0.2))
@@ -1022,7 +1063,7 @@ class TestAgainstReferenceCheck:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_passing_runs(self, mode, block_entries):
-        assert assert_matches_reference(*random_check_case(*PASSING_CASES[mode])).passed
+        assert assert_matches_reference(*PASSING_CASES[mode]).passed
 
     @pytest.mark.parametrize("mode, param", [("local", None), ("asymptotic", 0.1), ("exponential", 0.5)])
     def test_support_rank_varies_across_samples(self, damping_model, damping_candidate, mode, param, block_entries):

@@ -20,7 +20,7 @@ from qstab import (
     evaluate,
 )
 from qstab.fileio import (
-    SCHEMA_VERSION,
+    CERTIFICATE_SCHEMA_VERSION,
     certificate_bytes,
     certificate_to_dict,
     encode_matrix,
@@ -232,12 +232,32 @@ class TestCertificateSerialization:
         data = load_certificate(path)
         assert np.array_equal(data["witness"], cert.witness)
 
+    def test_version_1_certificate_rejected(self, tmp_path, damping_model, damping_candidate):
+        # Version 1 certificates drew their samples from per-sample streams; a version 2 run does not reproduce them.
+        spec = LevelSetSpec(epsilon=1.0, sample_count=4, seed=5, family=DirectionFamily(directions=(NUMBER,)))
+        path = tmp_path / "cert.json"
+        save_certificate(check_local(damping_model, damping_candidate, -EYE2, spec), path)
+        data = json.loads(path.read_text())
+        assert data["schema_version"] == 2
+        data["schema_version"] = 1
+        path.write_text(json.dumps(data))
+        with pytest.raises(FileFormatError, match="unsupported schema_version 1 \\(expected 2\\)"):
+            load_certificate(path)
+
+    def test_other_files_stay_at_version_1(self, tmp_path, damping_model, damping_candidate):
+        save_model(damping_model, tmp_path / "model.json")
+        save_lyapunov(damping_candidate, tmp_path / "candidate.json")
+        save_operator(EYE2, tmp_path / "operator.json")
+        save_state_vector(np.array([1.0, 0.0]), tmp_path / "psi.json")
+        for name in ("model", "candidate", "operator", "psi"):
+            assert json.loads((tmp_path / f"{name}.json").read_text())["schema_version"] == 1
+
 
 def asdict_certificate_bytes(cert):
     """The certificate serialized through a deep copy by ``dataclasses.asdict``."""
     data = dataclasses.asdict(cert)
     data["witness"] = encode_matrix(cert.witness) if cert.witness is not None else None
-    data["schema_version"] = SCHEMA_VERSION
+    data["schema_version"] = CERTIFICATE_SCHEMA_VERSION
     data["kind"] = "stability-certificate"
     return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8")
 

@@ -156,6 +156,18 @@ class TestHermitianEigenvalues:
         with pytest.raises(NonHermitianError):
             hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]), tol=1e-9)
 
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_spectral_defect_decides_where_frobenius_exceeds_tol(self, shape):
+        # X - X† = 2ic I at d = 2 has spectral norm 2c and Frobenius norm 2c sqrt(2): the Frobenius screen
+        # passes both matrices on to the SVD, whose norm alone decides.
+        def skewed(defect):
+            return np.broadcast_to(SIGMA_Z + 0.5j * defect * np.eye(2), (*shape, 2, 2))
+
+        assert hermitian_eigenvalues(skewed(0.9e-9), tol=1e-9).shape == (*shape, 2)
+        with pytest.raises(NonHermitianError, match=r"^matrix is not Hermitian within tolerance: defect 1\.100e-09 > "
+                                                    r"1\.000e-09$"):
+            hermitian_eigenvalues(skewed(1.1e-9), tol=1e-9)
+
 
 class TestStacks:
     """On an (N, d, d) stack each function equals its per-matrix result bit for bit."""
