@@ -27,8 +27,10 @@ sample.  The samples pass through one stacked point per block of at most
 2^13 matrix entries, and each condition is a mask: its measure runs only on
 the samples that no earlier condition decided, so the first violated one
 decides a sample, and the most violated sample, the first among ties, is the
-witness.  :func:`recheck_witness` calls the stored condition's measure on a
-stack of one, so it reproduces the stored violation by construction.
+witness.  Each block reads its slice of V and its spectrum at the samples,
+which the sampler's re-check computes once per call.  :func:`recheck_witness`
+calls the stored condition's measure on a stack of one, so it reproduces the
+stored violation by construction.
 
 Sample i reads row i of one row-ordered draw from the seed, and its scale
 is capped where its ray first leaves the level set: a polynomial eigenvalue
@@ -38,6 +40,7 @@ rays (Tisseur & Meerbergen, SIAM Rev. 43, 2001).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from typing import Callable, NamedTuple
@@ -128,6 +131,22 @@ class LevelSetSpec:
 
 
 @dataclass(frozen=True, eq=False)
+class LevelSetSamples(Sequence):
+    """Level-set samples as a read-only sequence of (d, d) matrices; ``x`` stacks them, and ``v`` and ``v_eigs``
+    hold V and its ascending eigenvalues at each, as the sampler's re-check computed them."""
+
+    x: np.ndarray
+    v: np.ndarray
+    v_eigs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, i):
+        return self.x[i]
+
+
+@dataclass(frozen=True, eq=False)
 class StabilityCertificate:
     """Verdict, margins and reproduction data for one stability check."""
 
@@ -192,8 +211,8 @@ def sample_level_set(
     *,
     traceless: bool = False,
     tol: float = DEFAULT_TOL,
-) -> list[np.ndarray]:
-    """Hermitian samples X != center with max-eig V(X) <= epsilon + tol.
+) -> LevelSetSamples:
+    """Hermitian samples X != center with max-eig V(X) <= epsilon + tol, with V and its spectrum at each.
 
     Sample i reads row i of the (N, 2d^2 + 1) uniforms (N x 1 for a family)
     that the seed draws in row order, so it depends on (seed, i) alone: u is
@@ -210,6 +229,7 @@ def sample_level_set(
     re-checked in one stacked evaluation against epsilon + max(tol, 1e-9, r):
     r = 256 eps sum_k ||Theta_k||_F (||center|| + s)^(n_k + m_k) bounds the
     rounding of V at scale s (27 eps sum_k ... was the most seen) and its Hermiticity defect.
+    The samples come back with the re-check's V and spectrum, whose guard is the only Hermiticity guard on V at them.
 
     A center with max-eig V(center) >= epsilon, or a family with no feasible
     nonzero sample, raises :class:`SamplingError`.
@@ -251,10 +271,12 @@ def sample_level_set(
     samples = center + scale[:, None, None] * rays[ray_of[keep]]
     radius = spectral_norm(center) + scale  # ||X|| <= ||center|| + s on unit rays
     rounding = 256.0 * np.finfo(float).eps * sum(np.linalg.norm(t) * radius ** (n + m) for n, m, t in cand.terms)
-    top = hermitian_eigenvalues(evaluate(cand, samples), tol=max(tol, 1e-7, rounding.max()))[:, -1]
-    if np.any(top > spec.epsilon + np.maximum(max(tol, 1e-9), rounding)):
+    v = evaluate(cand, samples)
+    eigs = hermitian_eigenvalues(v, tol=max(tol, 1e-7, rounding.max()))
+    if np.any(eigs[:, -1] > spec.epsilon + np.maximum(max(tol, 1e-9), rounding)):
         raise InternalCheckError("level-set sample failed its own constraint re-check")
-    return list(samples)
+    samples.flags.writeable = v.flags.writeable = eigs.flags.writeable = False
+    return LevelSetSamples(samples, v, eigs)
 
 
 def _ray_exits(cand, center, rays, epsilon, tol) -> np.ndarray:
@@ -389,14 +411,13 @@ class _Point:
 def _top_eigenvalue_on(basis, columns, op) -> np.ndarray:
     """Per point, the top eigenvalue of op on the columns of basis that the mask selects, -inf on none.
 
-    Points with the same columns, the same support rank of V, share one stacked eigensolve."""
-    top = np.full(len(op), -np.inf)
-    patterns, group_of = np.unique(columns, axis=0, return_inverse=True)
-    for j, pattern in enumerate(patterns):
-        if pattern.any():
-            group = np.flatnonzero(group_of.ravel() == j)
-            b = basis[group][..., pattern]
-            top[group] = np.linalg.eigvalsh(hermitize(adjoint(b) @ op[group] @ b))[:, -1]
+    A mask is a suffix or a prefix of V's ascending eigenvalues, so points of one count share one eigensolve."""
+    top, counts = np.full(len(op), -np.inf), columns.sum(-1)
+    for count in set(counts.tolist()) - {0}:  # np.unique imports numpy.ma: 0.5 MB more resident
+        group = np.flatnonzero(counts == count)
+        whole = len(group) == len(op) and count == columns.shape[-1]
+        b, o = (basis, op) if whole else (basis[group][..., columns[group[0]]], op[group])
+        top[group] = np.linalg.eigvalsh(hermitize(adjoint(b) @ o @ b))[:, -1]
     return top
 
 
@@ -492,10 +513,13 @@ def _worst(violation) -> int | None:
     return None if np.isnan(violation).all() else int(np.nanargmax(violation))
 
 
-def _blocks(samples):
-    """Consecutive slices of the sample stack, each of at most _BLOCK_ENTRIES matrix entries or one sample."""
-    step = max(1, _BLOCK_ENTRIES // samples[0].size)
-    return (samples[i : i + step] for i in range(0, len(samples), step))
+def _blocks(samples: LevelSetSamples, point):
+    """In order, points on slices of at most _BLOCK_ENTRIES matrix entries or one sample, holding V and its spectrum."""
+    step = max(1, _BLOCK_ENTRIES // samples.x[0].size)
+    for i in range(0, len(samples), step):
+        block = point(samples.x[i : i + step])
+        vars(block).update(v=samples.v[i : i + step], v_eigs=samples.v_eigs[i : i + step])
+        yield block
 
 
 def _check(model, candidate, center, spec, mode, *, rate=None, margin=None, reference_state=None, tol):
@@ -513,13 +537,12 @@ def _check(model, candidate, center, spec, mode, *, rate=None, margin=None, refe
     conditions, points, worst_v = center_conditions, center[None], None
     if _worst(violation) is None:
         conditions = v_conditions + drift_conditions
-        points = np.stack(sample_level_set(cand, center, spec, traceless=state, tol=tol))
+        samples = sample_level_set(cand, center, spec, traceless=state, tol=tol)
+        points = samples.x
         if state and np.any(np.abs(np.trace(points, axis1=1, axis2=2) - np.trace(center)) > max(tol, 1e-9)):
             raise InvalidStateError("state-picture sample lost unit trace")
-        per_block = []
-        for block in _blocks(points):
-            p = point(block)
-            per_block.append((p.e_v.real if state else p.v_eigs[:, 0], *_decide(conditions, p)))
+        per_block = [(p.e_v.real if state else p.v_eigs[:, 0], *_decide(conditions, p))
+                     for p in _blocks(samples, point)]
         v_min, violation, decided_by, level = map(np.concatenate, zip(*per_block))
         worst_v = float(v_min.min())
     worst = _worst(violation)
@@ -597,8 +620,7 @@ def estimate_max_rate(model, candidate, center, spec, *, tol=DEFAULT_TOL) -> Rat
     _, center_conditions, v_conditions = _FLOW
     _raise_first(center_conditions, point(center[None]))
     rates, mismatch = [], False
-    for block in _blocks(np.stack(sample_level_set(cand, center, spec, tol=tol))):
-        p = point(block)
+    for p in _blocks(sample_level_set(cand, center, spec, tol=tol), point):
         _raise_first(v_conditions, p)
         rates += (-p.pencil_max).tolist()
         mismatch = mismatch or bool(np.any(p.off_support_max > TOL_STRICT))

@@ -23,25 +23,21 @@ survive.  The same engine serves the observable flow and the stochastic
 density operator, which differ only in their per-operator coefficients.
 Coefficients are evaluated pointwise at a supplied argument; stability
 checking quantifies over points rather than over time.  The drift is
-assembled at the call, each noise coefficient only on its first read.
+assembled at the call, each noise coefficient, and each part of a power that
+a coefficient reads, only on its first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from math import comb
+from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidCandidateError
-from .models import (
-    QsdeModel,
-    flow_generator,
-    flow_noise_coefficients,
-    state_generator,
-    state_noise_coefficients,
-)
+from .models import FLOW_NOISE_PARTS, STATE_NOISE_PARTS, QsdeModel, flow_generator, state_generator
 from .operators import DEFAULT_TOL, adjoint, as_operator, spectral_norm
 
 DEGREE_BOUND = 6
@@ -103,12 +99,13 @@ class ItoCoefficients:
     """Drift and the three noise coefficients of dV at one point (or stack); read-only.
 
     The drift is assembled at the call, each noise coefficient on its first read
-    and then kept, from the terms, the point's powers and their generator and noise parts.
+    and then kept, from the terms, the point's powers and, per power, its generator
+    and noise parts by name, each a call that builds the part once.
     """
 
     terms: tuple[tuple[int, int, np.ndarray], ...]
     powers: list[np.ndarray]
-    parts: list[dict[str, np.ndarray]]
+    parts: list[dict[str, Callable[[], np.ndarray]]]
     drift: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -119,7 +116,7 @@ class ItoCoefficients:
         out = np.zeros_like(self.powers[0])
         for n, m, theta in self.terms:
             p, q, dp, dq = self.powers[n], self.powers[m], self.parts[n], self.parts[m]
-            out = out + dp[left] @ theta @ q + p @ theta @ dq[right] + dp[cross_left] @ theta @ dq[cross_right]
+            out = out + dp[left]() @ theta @ q + p @ theta @ dq[right]() + dp[cross_left]() @ theta @ dq[cross_right]()
         return out
 
     coeff_a = cached_property(partial(_assemble, name="coeff_a"))
@@ -254,14 +251,15 @@ def _powers(x: np.ndarray, up_to: int) -> list[np.ndarray]:
     return powers[: up_to + 1]
 
 
-def _ito_coefficients(candidate, point, generator, noise_coefficients) -> ItoCoefficients:
+def _ito_coefficients(candidate, point, model, generator, noise_parts) -> ItoCoefficients:
     """dV coefficients from the per-operator drift/noise values at the powers of the point (see _ITO_ROUTES)."""
     candidate = candidate if candidate.is_canonical else canonicalize(candidate)
     point = np.asarray(point, dtype=complex)
     if point.shape[-1] != candidate.dim:
         raise DimensionMismatchError("argument dimension differs from candidate dimension")
     powers = _powers(point, max(max(n, m) for n, m, _ in candidate.terms))
-    parts = [{"generator": generator(p), **noise_coefficients(p)._asdict()} for p in powers]
+    build = {"generator": generator, **noise_parts._asdict()}
+    parts = [{name: cache(partial(f, model, p)) for name, f in build.items()} for p in powers]
     return ItoCoefficients(candidate.terms, powers, parts)
 
 
@@ -275,7 +273,7 @@ def flow_ito_coefficients(model: QsdeModel, candidate: LyapunovCandidate, x: np.
     The drift is Hermitian for Hermitian-closed candidates at Hermitian x.
     An (N, d, d) stack of points gives the stacks of coefficients.
     """
-    return _ito_coefficients(candidate, x, partial(flow_generator, model), partial(flow_noise_coefficients, model))
+    return _ito_coefficients(candidate, x, model, flow_generator, FLOW_NOISE_PARTS)
 
 
 def state_ito_coefficients(model: QsdeModel, candidate: LyapunovCandidate, rho: np.ndarray) -> ItoCoefficients:
@@ -284,4 +282,4 @@ def state_ito_coefficients(model: QsdeModel, candidate: LyapunovCandidate, rho: 
     Same assembly as :func:`flow_ito_coefficients` built on the state-picture
     drift and noise coefficients applied to the powers of rho.
     """
-    return _ito_coefficients(candidate, rho, partial(state_generator, model), partial(state_noise_coefficients, model))
+    return _ito_coefficients(candidate, rho, model, state_generator, STATE_NOISE_PARTS)

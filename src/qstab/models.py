@@ -140,6 +140,21 @@ class NoiseCoefficients(NamedTuple):
     gauge: np.ndarray
 
 
+# Each noise coefficient as its own map (model, point) -> coefficient, so a caller can build only those it reads.
+FLOW_NOISE_PARTS = NoiseCoefficients(
+    annihilation=lambda model, x: commutator(adjoint(model.coupling), x) @ model.scattering,
+    creation=lambda model, x: adjoint(model.scattering) @ commutator(x, model.coupling),
+    gauge=lambda model, x: commutator(adjoint(model.scattering) @ x, model.scattering),
+)
+STATE_NOISE_PARTS = NoiseCoefficients(
+    annihilation=lambda model, rho: (
+        commutator(rho, adjoint(model.coupling) @ model.scattering) @ adjoint(model.scattering)
+    ),
+    creation=lambda model, rho: model.scattering @ commutator(adjoint(model.scattering) @ model.coupling, rho),
+    gauge=lambda model, rho: commutator(model.scattering @ rho, adjoint(model.scattering)),
+)
+
+
 def flow_generator(model: QsdeModel, x: np.ndarray) -> np.ndarray:
     """Drift of the observable flow:  i[H,X] + L†XL - (1/2){L†L, X}.
 
@@ -161,12 +176,7 @@ def flow_noise_coefficients(model: QsdeModel, x: np.ndarray) -> NoiseCoefficient
     """
     x = np.asarray(x, dtype=complex)
     require_same_dim(model.hamiltonian, x)
-    l, s = model.coupling, model.scattering
-    return NoiseCoefficients(
-        annihilation=commutator(adjoint(l), x) @ s,
-        creation=adjoint(s) @ commutator(x, l),
-        gauge=commutator(adjoint(s) @ x, s),
-    )
+    return NoiseCoefficients(*(part(model, x) for part in FLOW_NOISE_PARTS))
 
 
 def state_generator(model: QsdeModel, rho: np.ndarray) -> np.ndarray:
@@ -193,12 +203,7 @@ def state_noise_coefficients(model: QsdeModel, rho: np.ndarray) -> NoiseCoeffici
     """
     rho = np.asarray(rho, dtype=complex)
     require_same_dim(model.hamiltonian, rho)
-    l, s = model.coupling, model.scattering
-    return NoiseCoefficients(
-        annihilation=commutator(rho, adjoint(l) @ s) @ adjoint(s),
-        creation=s @ commutator(adjoint(s) @ l, rho),
-        gauge=commutator(s @ rho, adjoint(s)),
-    )
+    return NoiseCoefficients(*(part(model, rho) for part in STATE_NOISE_PARTS))
 
 
 def equilibrium_residual(model: QsdeModel, point: np.ndarray, picture: str = "flow") -> float:

@@ -372,6 +372,21 @@ class TestExactExits:
         with pytest.raises(InternalCheckError):
             sample_level_set(cand, 0.5 * np.eye(3), spec)
 
+    @pytest.mark.parametrize("epsilon", [1e6, 1e8, 1e10])
+    @pytest.mark.parametrize("seed", [6, 52, 56])
+    def test_checks_keep_the_samplers_hermiticity_guard(self, monkeypatch, seed, epsilon):
+        # At epsilon 1e10 the Hermiticity defect of V at the caps (6.6e-6 at seed 6) is within the
+        # sampler's guard, which scales with the rounding of V.  The checks read V's spectrum from the
+        # sampler, so no absolute 1e-7 guard raises NonHermitianError and both decide on V, as at 1e6.
+        cand, spec = cubic_candidate(3, seed), self.large_spec(seed, epsilon)
+        model = QsdeModel(hamiltonian=np.zeros((3, 3)), coupling=np.diag([1.0, 1.0], -1))
+        monkeypatch.setattr(qstab.certify.np.random, "default_rng", lambda seed: AtCap())
+        label = "candidate is not positive semidefinite at a sample"
+        cert = check_local(model, cand, 0.5 * np.eye(3), spec)
+        assert cert.verdict == "fail" and cert.violated_condition == label
+        with pytest.raises(ValueError, match=label):
+            estimate_max_rate(model, cand, 0.5 * np.eye(3), spec)
+
     @staticmethod
     def large_spec(seed, epsilon):
         rng = np.random.default_rng(1000 + seed)
@@ -1072,15 +1087,30 @@ class TestAgainstReferenceCheck:
         assert set(point.on_support.sum(axis=-1)) == {1, 2}
         assert_matches_reference(damping_model, damping_candidate, -EYE2, MIXED_RANKS, mode, param)
 
-    def test_rate_estimate_matches_points_of_one(self, damping_model, damping_candidate, block_entries):
-        est = estimate_max_rate(damping_model, damping_candidate, -EYE2, MIXED_RANKS)
+    @staticmethod
+    def assert_rate_estimate_matches_points_of_one(model, cand, center, spec):
+        """Assert the blocked rate estimate equals the pencil on stacks of one; return those points."""
+        est = estimate_max_rate(model, cand, center, spec)
         points = [
-            qstab.certify._Point(damping_model, damping_candidate, x[None], "flow", None, None, 1e-9, 1e-8, None)
-            for x in sample_level_set(damping_candidate, -EYE2, MIXED_RANKS)
+            qstab.certify._Point(model, cand, x[None], "flow", None, None, 1e-9, 1e-8, None)
+            for x in sample_level_set(cand, center, spec)
         ]
         assert est.per_sample == tuple(-float(p.pencil_max[0]) for p in points)
         assert est.support_mismatch == any(p.off_support_max[0] > qstab.certify.TOL_STRICT for p in points)
+        return est, points
+
+    def test_rate_estimate_matches_points_of_one(self, damping_model, damping_candidate, block_entries):
+        est, _ = self.assert_rate_estimate_matches_points_of_one(damping_model, damping_candidate, -EYE2, MIXED_RANKS)
         assert est.support_mismatch  # along G (samples 0, 3, 6, 9) the drift y^2 N is positive off the support
+
+    def test_full_rank_rate_estimate_matches_points_of_one(self, block_entries):
+        # Along N + I the candidate (X + I)^2 is s^2 (N + I)^2, of full rank at every sample.
+        model, cand, rotated_number = rotated_damped_oscillator(32, 3)
+        family = DirectionFamily(directions=(rotated_number + np.eye(32),), scale_min=0.1, scale_max=1.0)
+        est, points = self.assert_rate_estimate_matches_points_of_one(
+            model, cand, -np.eye(32), LevelSetSpec(4.0, 12, 5, family)
+        )
+        assert all(p.on_support.all() for p in points) and not est.support_mismatch
 
     def test_one_ito_assembly_per_block(self, monkeypatch):
         shapes = []
@@ -1099,6 +1129,34 @@ class TestAgainstReferenceCheck:
         qubit = LevelSetSpec(0.5, 256, 3, HermitianBall(1.0))
         check_exponential(DAMPING, centered((1, 1, EYE2), center=-EYE2), -EYE2, qubit, rate=0.5)
         assert shapes == [(256, 2, 2)]
+
+
+# run -> a check or rate estimate, on a ball or a family, in the flow or the state picture
+RUNS_ON_V = {
+    "flow-ball": lambda: check_exponential(DAMPING, centered((1, 1, EYE2), center=-EYE2), -EYE2,
+                                           LevelSetSpec(0.5, 6, 3), rate=0.5),
+    "flow-family": lambda: check_local(DAMPING, centered((1, 1, EYE2), center=-EYE2), -EYE2, MIXED_RANKS),
+    "state-ball": lambda: check_state(DAMPING, EXCITED_V, EYE2 / 2, MIXED, LevelSetSpec(0.1, 6, 3), "local"),
+    "state-family": lambda: check_state(DAMPING, EXCITED_V, EYE2 / 2, MIXED, ALONG_Z_AWAY, "asymptotic"),
+    "rate-ball": lambda: estimate_max_rate(DAMPING, centered((1, 1, EYE2), center=-EYE2), -EYE2,
+                                           LevelSetSpec(0.5, 6, 3)),
+    "rate-family": lambda: estimate_max_rate(DAMPING, centered((1, 1, EYE2), center=-EYE2), -EYE2, MIXED_RANKS),
+}
+
+
+@pytest.mark.parametrize("run", sorted(RUNS_ON_V))
+def test_v_and_its_spectrum_once_per_call(run, block_entries, monkeypatch):
+    """V is evaluated at the center, then once at all samples; only that stack's spectrum is taken, never per block."""
+    values, spectra = [], []
+    evaluate_stack, eigenvalues = qstab.certify.evaluate, qstab.certify.hermitian_eigenvalues
+    monkeypatch.setattr(qstab.certify, "evaluate", lambda cand, x: values.append(evaluate_stack(cand, x)) or values[-1])
+    monkeypatch.setattr(
+        qstab.certify, "hermitian_eigenvalues", lambda a, **kw: spectra.append(a) or eigenvalues(a, **kw)
+    )
+    result = RUNS_ON_V[run]()
+    count = len(result.per_sample) if run.startswith("rate") else result.sample_count_used
+    assert [len(v) for v in values] == [1, count]
+    assert [i for a in spectra for i, v in enumerate(values) if a is v] == [1]
 
 
 @given(**CHECK_CASES)

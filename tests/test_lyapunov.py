@@ -331,6 +331,22 @@ class TestLazyNoiseCoefficients:
         assert coeffs.coeff_adag is first
         assert {"coeff_a", "coeff_adag", "coeff_gauge"} & vars(coeffs).keys() == {"coeff_adag"}
 
+    @pytest.mark.parametrize("picture", ["flow", "state"])
+    def test_reading_the_drift_builds_no_gauge_part(self, monkeypatch, picture):
+        built = []
+        name = f"{picture.upper()}_NOISE_PARTS"
+        parts = getattr(qstab.lyapunov, name)
+        spy = parts._replace(gauge=lambda model, x: built.append(x) or parts.gauge(model, x))
+        monkeypatch.setattr(qstab.lyapunov, name, spy)
+        rng = np.random.default_rng(8)
+        ito = flow_ito_coefficients if picture == "flow" else state_ito_coefficients
+        model, cand = random_model(rng, 3, scattering=True), random_closed_candidate(rng, 3, 3)
+        coeffs = ito(model, cand, random_hermitian(rng, 3))
+        assert coeffs.drift is not None and built == []
+        coeffs.coeff_a  # its cross term reads the gauge part of dQ
+        coeffs.coeff_gauge
+        assert 0 < len(built) <= len(coeffs.powers)  # each power's gauge part at most once
+
     def test_read_only(self):
         coeffs = self.coefficients()
         for name in COEFFICIENTS:
