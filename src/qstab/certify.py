@@ -27,10 +27,10 @@ sample.  The samples pass through one stacked point per block of at most
 2^13 matrix entries, and each condition is a mask: its measure runs only on
 the samples that no earlier condition decided, so the first violated one
 decides a sample, and the most violated sample, the first among ties, is the
-witness.  Each block reads its slice of V and its spectrum at the samples,
-which the sampler's re-check computes once per call.  :func:`recheck_witness`
-calls the stored condition's measure on a stack of one, so it reproduces the
-stored violation by construction.
+witness.  Each block reads its slice of V and its spectrum from the sampler's
+re-check, taken once per call.  :func:`recheck_witness` calls the stored
+condition's measure on a stack of one, with V guarded by the sampler's bound
+(:func:`_rounding`), so it reproduces the stored violation.
 
 Sample i reads row i of one row-ordered draw from the seed, and its scale
 is capped where its ray first leaves the level set: a polynomial eigenvalue
@@ -132,8 +132,7 @@ class LevelSetSpec:
 
 @dataclass(frozen=True, eq=False)
 class LevelSetSamples(Sequence):
-    """Level-set samples as a read-only sequence of (d, d) matrices; ``x`` stacks them, and ``v`` and ``v_eigs``
-    hold V and its ascending eigenvalues at each, as the sampler's re-check computed them."""
+    """A read-only sequence of (d, d) samples, stacked in ``x``, with V and its ascending eigenvalues at each."""
 
     x: np.ndarray
     v: np.ndarray
@@ -227,9 +226,8 @@ def sample_level_set(
     is the star-shaped part of the level set seen from the center.  A sample
     stays a few ulps inside its cap, never outside, and every sample is
     re-checked in one stacked evaluation against epsilon + max(tol, 1e-9, r):
-    r = 256 eps sum_k ||Theta_k||_F (||center|| + s)^(n_k + m_k) bounds the
-    rounding of V at scale s (27 eps sum_k ... was the most seen) and its Hermiticity defect.
-    The samples come back with the re-check's V and spectrum, whose guard is the only Hermiticity guard on V at them.
+    r = :func:`_rounding` at ||center|| + s bounds the rounding of V at scale s
+    (27 eps in place of 256 eps was the most seen) and its Hermiticity defect.
 
     A center with max-eig V(center) >= epsilon, or a family with no feasible
     nonzero sample, raises :class:`SamplingError`.
@@ -269,14 +267,18 @@ def sample_level_set(
     # u = 1 would put a sample on its computed exit, which rounding may place past epsilon.
     scale = np.minimum(scale_min + u[keep] * (cap[keep] - scale_min), cap[keep] * (1.0 - 8.0 * np.finfo(float).eps))
     samples = center + scale[:, None, None] * rays[ray_of[keep]]
-    radius = spectral_norm(center) + scale  # ||X|| <= ||center|| + s on unit rays
-    rounding = 256.0 * np.finfo(float).eps * sum(np.linalg.norm(t) * radius ** (n + m) for n, m, t in cand.terms)
+    rounding = _rounding(cand, spectral_norm(center) + scale)  # ||X|| <= ||center|| + s on unit rays
     v = evaluate(cand, samples)
     eigs = hermitian_eigenvalues(v, tol=max(tol, 1e-7, rounding.max()))
     if np.any(eigs[:, -1] > spec.epsilon + np.maximum(max(tol, 1e-9), rounding)):
         raise InternalCheckError("level-set sample failed its own constraint re-check")
     samples.flags.writeable = v.flags.writeable = eigs.flags.writeable = False
     return LevelSetSamples(samples, v, eigs)
+
+
+def _rounding(cand, radius):
+    """256 eps sum_k ||Theta_k||_F radius^(n_k + m_k): bounds V's rounding and Hermiticity defect at ||X|| <= radius."""
+    return 256.0 * np.finfo(float).eps * sum(np.linalg.norm(t) * radius ** (n + m) for n, m, t in cand.terms)
 
 
 def _ray_exits(cand, center, rays, epsilon, tol) -> np.ndarray:
@@ -348,7 +350,7 @@ class _Point:
 
     @cached_property
     def v_eigs(self) -> np.ndarray:
-        return hermitian_eigenvalues(self.v, tol=max(self.tol, 1e-7))
+        return hermitian_eigenvalues(self.v, tol=max(self.tol, 1e-7, *_rounding(self.cand, spectral_norm(self.x))))
 
     @cached_property
     def drift(self) -> np.ndarray:
@@ -374,13 +376,14 @@ class _Point:
 
     @cached_property
     def on_support(self) -> np.ndarray:
+        """A suffix of V's ascending eigenvalues, so its count fixes it and ~on_support is the prefix before it."""
         vals = self.v_eigh[0]
         return vals >= SUPPORT_CUTOFF * vals[:, -1:]
 
     @cached_property
     def support_max(self) -> np.ndarray:
         # Read only after V's top eigenvalue passed tol_strict > 0, so the support is nonempty.
-        return _top_eigenvalue_on(self.v_eigh[1], self.on_support, self.target)
+        return _top_eigenvalue_on(self.v_eigh[1], self.on_support.sum(-1), self.target, last=True)
 
     @cached_property
     def pencil_max(self) -> np.ndarray:
@@ -390,12 +393,12 @@ class _Point:
         """
         vals, vecs = self.v_eigh
         scaled = vecs / np.sqrt(np.where(self.on_support, vals, 1.0))[:, None, :]
-        return _top_eigenvalue_on(scaled, self.on_support, self.drift)
+        return _top_eigenvalue_on(scaled, self.on_support.sum(-1), self.drift, last=True)
 
     @cached_property
     def off_support_max(self) -> np.ndarray:
         """Top eigenvalue of the drift off the support of V, -inf where the support is everything."""
-        return _top_eigenvalue_on(self.v_eigh[1], ~self.on_support, self.drift)
+        return _top_eigenvalue_on(self.v_eigh[1], (~self.on_support).sum(-1), self.drift, last=False)
 
     @cached_property
     def e_v(self) -> np.ndarray:
@@ -408,16 +411,15 @@ class _Point:
         return e_drift if self.rate is None else e_drift + self.rate * self.e_v.real
 
 
-def _top_eigenvalue_on(basis, columns, op) -> np.ndarray:
-    """Per point, the top eigenvalue of op on the columns of basis that the mask selects, -inf on none.
+def _top_eigenvalue_on(basis, counts, op, *, last) -> np.ndarray:
+    """Per point, the top eigenvalue of op on the last count columns of basis (the first if not last), -inf on none.
 
-    A mask is a suffix or a prefix of V's ascending eigenvalues, so points of one count share one eigensolve."""
-    top, counts = np.full(len(op), -np.inf), columns.sum(-1)
+    Points of one count share one stacked eigensolve."""
+    top = np.full(len(op), -np.inf)
     for count in set(counts.tolist()) - {0}:  # np.unique imports numpy.ma: 0.5 MB more resident
         group = np.flatnonzero(counts == count)
-        whole = len(group) == len(op) and count == columns.shape[-1]
-        b, o = (basis, op) if whole else (basis[group][..., columns[group[0]]], op[group])
-        top[group] = np.linalg.eigvalsh(hermitize(adjoint(b) @ o @ b))[:, -1]
+        b = basis[group][..., -count:] if last else basis[group][..., :count]
+        top[group] = np.linalg.eigvalsh(hermitize(adjoint(b) @ op[group] @ b))[:, -1]
     return top
 
 
@@ -537,13 +539,11 @@ def _check(model, candidate, center, spec, mode, *, rate=None, margin=None, refe
     conditions, points, worst_v = center_conditions, center[None], None
     if _worst(violation) is None:
         conditions = v_conditions + drift_conditions
-        samples = sample_level_set(cand, center, spec, traceless=state, tol=tol)
-        points = samples.x
+        points = (samples := sample_level_set(cand, center, spec, traceless=state, tol=tol)).x
         if state and np.any(np.abs(np.trace(points, axis1=1, axis2=2) - np.trace(center)) > max(tol, 1e-9)):
             raise InvalidStateError("state-picture sample lost unit trace")
-        per_block = [(p.e_v.real if state else p.v_eigs[:, 0], *_decide(conditions, p))
-                     for p in _blocks(samples, point)]
-        v_min, violation, decided_by, level = map(np.concatenate, zip(*per_block))
+        blocks = [(p.e_v.real if state else p.v_eigs[:, 0], *_decide(conditions, p)) for p in _blocks(samples, point)]
+        v_min, violation, decided_by, level = map(np.concatenate, zip(*blocks))
         worst_v = float(v_min.min())
     worst = _worst(violation)
     worst_drift = np.fmax.reduce(level, initial=-np.inf)

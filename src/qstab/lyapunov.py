@@ -258,7 +258,7 @@ def _ito_coefficients(candidate, point, model, generator, noise_parts) -> ItoCoe
     if point.shape[-1] != candidate.dim:
         raise DimensionMismatchError("argument dimension differs from candidate dimension")
     powers = _powers(point, max(max(n, m) for n, m, _ in candidate.terms))
-    build = {"generator": generator, **noise_parts._asdict()}
+    build = {"generator": generator, **noise_parts}
     parts = [{name: cache(partial(f, model, p)) for name, f in build.items()} for p in powers]
     return ItoCoefficients(candidate.terms, powers, parts)
 

@@ -28,7 +28,7 @@ All functions are pure and safe for concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -140,19 +140,19 @@ class NoiseCoefficients(NamedTuple):
     gauge: np.ndarray
 
 
-# Each noise coefficient as its own map (model, point) -> coefficient, so a caller can build only those it reads.
-FLOW_NOISE_PARTS = NoiseCoefficients(
-    annihilation=lambda model, x: commutator(adjoint(model.coupling), x) @ model.scattering,
-    creation=lambda model, x: adjoint(model.scattering) @ commutator(x, model.coupling),
-    gauge=lambda model, x: commutator(adjoint(model.scattering) @ x, model.scattering),
-)
-STATE_NOISE_PARTS = NoiseCoefficients(
-    annihilation=lambda model, rho: (
+# Each noise coefficient by name as its own function of (model, point), so a caller can build only those it reads.
+FLOW_NOISE_PARTS: dict[str, Callable[[QsdeModel, np.ndarray], np.ndarray]] = {
+    "annihilation": lambda model, x: commutator(adjoint(model.coupling), x) @ model.scattering,
+    "creation": lambda model, x: adjoint(model.scattering) @ commutator(x, model.coupling),
+    "gauge": lambda model, x: commutator(adjoint(model.scattering) @ x, model.scattering),
+}
+STATE_NOISE_PARTS: dict[str, Callable[[QsdeModel, np.ndarray], np.ndarray]] = {
+    "annihilation": lambda model, rho: (
         commutator(rho, adjoint(model.coupling) @ model.scattering) @ adjoint(model.scattering)
     ),
-    creation=lambda model, rho: model.scattering @ commutator(adjoint(model.scattering) @ model.coupling, rho),
-    gauge=lambda model, rho: commutator(model.scattering @ rho, adjoint(model.scattering)),
-)
+    "creation": lambda model, rho: model.scattering @ commutator(adjoint(model.scattering) @ model.coupling, rho),
+    "gauge": lambda model, rho: commutator(model.scattering @ rho, adjoint(model.scattering)),
+}
 
 
 def flow_generator(model: QsdeModel, x: np.ndarray) -> np.ndarray:
@@ -176,7 +176,7 @@ def flow_noise_coefficients(model: QsdeModel, x: np.ndarray) -> NoiseCoefficient
     """
     x = np.asarray(x, dtype=complex)
     require_same_dim(model.hamiltonian, x)
-    return NoiseCoefficients(*(part(model, x) for part in FLOW_NOISE_PARTS))
+    return NoiseCoefficients(**{name: part(model, x) for name, part in FLOW_NOISE_PARTS.items()})
 
 
 def state_generator(model: QsdeModel, rho: np.ndarray) -> np.ndarray:
@@ -203,7 +203,7 @@ def state_noise_coefficients(model: QsdeModel, rho: np.ndarray) -> NoiseCoeffici
     """
     rho = np.asarray(rho, dtype=complex)
     require_same_dim(model.hamiltonian, rho)
-    return NoiseCoefficients(*(part(model, rho) for part in STATE_NOISE_PARTS))
+    return NoiseCoefficients(**{name: part(model, rho) for name, part in STATE_NOISE_PARTS.items()})
 
 
 def equilibrium_residual(model: QsdeModel, point: np.ndarray, picture: str = "flow") -> float:

@@ -377,13 +377,15 @@ class TestExactExits:
     def test_checks_keep_the_samplers_hermiticity_guard(self, monkeypatch, seed, epsilon):
         # At epsilon 1e10 the Hermiticity defect of V at the caps (6.6e-6 at seed 6) is within the
         # sampler's guard, which scales with the rounding of V.  The checks read V's spectrum from the
-        # sampler, so no absolute 1e-7 guard raises NonHermitianError and both decide on V, as at 1e6.
+        # sampler, so no absolute 1e-7 guard raises NonHermitianError and both decide on V, as at 1e6;
+        # the witness recheck guards V with the same bound, so it reproduces the stored violation.
         cand, spec = cubic_candidate(3, seed), self.large_spec(seed, epsilon)
         model = QsdeModel(hamiltonian=np.zeros((3, 3)), coupling=np.diag([1.0, 1.0], -1))
         monkeypatch.setattr(qstab.certify.np.random, "default_rng", lambda seed: AtCap())
         label = "candidate is not positive semidefinite at a sample"
         cert = check_local(model, cand, 0.5 * np.eye(3), spec)
         assert cert.verdict == "fail" and cert.violated_condition == label
+        assert recheck_witness(model, cand, cert) == cert.violation
         with pytest.raises(ValueError, match=label):
             estimate_max_rate(model, cand, 0.5 * np.eye(3), spec)
 
@@ -1086,6 +1088,17 @@ class TestAgainstReferenceCheck:
         point = qstab.certify._Point(damping_model, damping_candidate, samples, "flow", None, None, 1e-9, 1e-8, None)
         assert set(point.on_support.sum(axis=-1)) == {1, 2}
         assert_matches_reference(damping_model, damping_candidate, -EYE2, MIXED_RANKS, mode, param)
+
+    def test_support_max_reads_a_suffix_and_off_support_a_prefix(self, damping_model, damping_candidate):
+        samples = np.stack(sample_level_set(damping_candidate, -EYE2, MIXED_RANKS))
+        point = qstab.certify._Point(damping_model, damping_candidate, samples, "flow", None, None, 1e-9, 1e-8, None)
+        vecs, drift = point.v_eigh[1], point.drift
+        for mask, top in ((point.on_support, point.support_max), (~point.on_support, point.off_support_max)):
+            expected = [
+                np.linalg.eigvalsh(hermitize(b[:, cols].conj().T @ k @ b[:, cols]))[-1] if cols.any() else -np.inf
+                for b, k, cols in zip(vecs, drift, mask)
+            ]
+            np.testing.assert_array_equal(top, expected)
 
     @staticmethod
     def assert_rate_estimate_matches_points_of_one(model, cand, center, spec):

@@ -336,7 +336,7 @@ class TestLazyNoiseCoefficients:
         built = []
         name = f"{picture.upper()}_NOISE_PARTS"
         parts = getattr(qstab.lyapunov, name)
-        spy = parts._replace(gauge=lambda model, x: built.append(x) or parts.gauge(model, x))
+        spy = {**parts, "gauge": lambda model, x: built.append(x) or parts["gauge"](model, x)}
         monkeypatch.setattr(qstab.lyapunov, name, spy)
         rng = np.random.default_rng(8)
         ito = flow_ito_coefficients if picture == "flow" else state_ito_coefficients
