@@ -34,8 +34,9 @@ condition's measure on a stack of one, with V guarded by the sampler's bound
 
 Sample i reads row i of one row-ordered draw from the seed, and its scale
 is capped where its ray first leaves the level set: a polynomial eigenvalue
-problem solved by one stacked block-companion eigensolve over the distinct
-rays (Tisseur & Meerbergen, SIAM Rev. 43, 2001).
+problem in the ray coefficients of V from :mod:`qstab.lyapunov`, solved by
+one stacked block-companion eigensolve over the distinct rays (Tisseur &
+Meerbergen, SIAM Rev. 43, 2001).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .errors import (
     NonHermitianError,
     SamplingError,
 )
-from .lyapunov import LyapunovCandidate, canonicalize, evaluate, flow_ito_coefficients, state_ito_coefficients
+from .lyapunov import LyapunovCandidate, _sandwich, canonicalize, evaluate, flow_ito_coefficients, state_ito_coefficients
 from .models import QsdeModel, equilibrium_residual, validate
 from .operators import (
     DEFAULT_TOL,
@@ -196,10 +197,7 @@ def _family_description(family) -> dict:
         "count": len(family.directions),
         "scale_min": float(family.scale_min),
         "scale_max": float(family.scale_max),
-        # full direction matrices so the certificate alone reproduces the run; tuples, so copies may share them
-        "directions": tuple(
-            tuple(tuple((float(z.real), float(z.imag)) for z in row) for row in d) for d in family.directions
-        ),
+        "directions": family.directions,  # read-only; a certificate file holds them to reproduce the run
     }
 
 
@@ -284,28 +282,17 @@ def _rounding(cand, radius):
 def _ray_exits(cand, center, rays, epsilon, tol) -> np.ndarray:
     """Per ray D, the first s > 0 where max-eig V(C + sD) reaches epsilon; inf if none.
 
-    V(C + sD) = sum_k s^k B_k.  In mu = 1/s the leading block M = B_0 - eps I
-    = V(C) - eps I is negative definite, so the roots are the eigenvalues of
-    the block companion of the monic mu^K + sum_k mu^(K-k) M^-1 B_k, with no
-    infinite ones.  The exit is 1/mu for the largest real positive mu, a root
-    being real when |Im mu| <= 64 eps ||companion||_F, eps = 2^-52.
+    V(C + sD) = sum_k s^k B_k, the B_k from the power engine of :mod:`qstab.lyapunov`.  In mu = 1/s the
+    leading block M = B_0 - eps I = V(C) - eps I is negative definite, so the roots are the eigenvalues of
+    the block companion of the monic mu^K + sum_k mu^(K-k) M^-1 B_k, with no infinite ones.  The exit is
+    1/mu for the largest real positive mu, a root being real when |Im mu| <= 64 eps ||companion||_F, eps = 2^-52.
     """
     dim, degree = cand.dim, max(cand.degree, 1)  # a constant V gets a zero B_1 and no root
-    eye = np.eye(dim, dtype=complex)
-    powers = [[eye]]  # powers[n][i] = A_{n,i};  A_{n+1,i} = A_{n,i} C + A_{n,i-1} D
-    for _ in range(max(max(n, m) for n, m, _ in cand.terms)):
-        a = powers[-1]
-        powers.append([a[0] @ center, *(hi @ center + lo @ rays for hi, lo in zip(a[1:], a)), a[-1] @ rays])
-    b = np.zeros((degree + 1, len(rays), dim, dim), dtype=complex)
-    for n, m, theta in cand.terms:
-        for i, left in enumerate(powers[n]):
-            left = left @ theta
-            for j, right in enumerate(powers[m]):
-                b[i + j] += left @ right
+    b = _sandwich(cand.terms, np.zeros((degree + 1, len(rays), dim, dim), dtype=complex), center, rays)
     top = hermitian_eigenvalues(b[0, 0], tol=max(tol, 1e-7))[-1]
     if not top < epsilon:
         raise SamplingError(f"center is outside the level set: max-eig V(center) = {top:.6g} >= epsilon = {epsilon}")
-    head = -np.linalg.solve(b[0, 0] - epsilon * eye, b[1:]).transpose(1, 2, 0, 3).reshape(len(rays), dim, -1)
+    head = -np.linalg.solve(b[0, 0] - epsilon * np.eye(dim), b[1:]).transpose(1, 2, 0, 3).reshape(len(rays), dim, -1)
     shift = np.eye((degree - 1) * dim, degree * dim)  # [I 0] below the block row [-M^-1 B_1 ... -M^-1 B_K]
     companion = np.concatenate([head, np.broadcast_to(shift, (len(rays), *shift.shape))], axis=1)
     mu = np.linalg.eigvals(companion)

@@ -50,7 +50,7 @@ from .errors import (
     UnsupportedScatteringError,
 )
 from .fock import ladder_operators, vacuum_vector
-from .lyapunov import LyapunovCandidate, _is_scalar_matrix, canonicalize, evaluate, flow_ito_coefficients
+from .lyapunov import LyapunovCandidate, _is_scalar_matrix, _powers, canonicalize, evaluate, flow_ito_coefficients
 from .models import QsdeModel, validate
 from .operators import (
     DEFAULT_TOL,
@@ -179,11 +179,7 @@ def simulate_flow_expectation(
     blocks = u_step.reshape(dim, width, dim, width).transpose(1, 3, 0, 2)  # blocks[a, b] = E_ab
     kraus = blocks[:, 0]
 
-    max_pow = max(max(n, m) for n, m, _ in cand.terms)
-    x_powers = [np.eye(dim, dtype=complex)]
-    for _ in range(max_pow):
-        x_powers.append(x_powers[-1] @ x0)
-
+    powers = _powers(x0, cand.terms)
     thetas: list[np.ndarray] = []
     readout: list[np.ndarray] = []  # per distinct Theta, the sum of X^n[s,p] X^m[q,r] over its terms
     for n, m, theta in cand.terms:
@@ -191,7 +187,7 @@ def simulate_flow_expectation(
         if i == len(thetas):
             thetas.append(theta)
             readout.append(np.zeros((dim,) * 4, dtype=complex))
-        readout[i] += np.einsum("sp,qr->pqrs", x_powers[n], x_powers[m])
+        readout[i] += np.einsum("sp,qr->pqrs", powers[n][0], powers[m][0])
     readout_flat = np.array(readout).reshape(-1)
     pairs = np.einsum("tpq,rs->tpqrs", np.array(thetas), rho)
 

@@ -207,6 +207,8 @@ def load_direction_family(path) -> DirectionFamily:
 def certificate_to_dict(cert: StabilityCertificate) -> dict:
     data = {f.name: copy(getattr(cert, f.name)) for f in fields(cert)}
     data["witness"] = encode_matrix(cert.witness) if cert.witness is not None else None
+    if "directions" in cert.family:
+        data["family"]["directions"] = [encode_matrix(d) for d in cert.family["directions"]]
     data["schema_version"] = CERTIFICATE_SCHEMA_VERSION
     data["kind"] = "stability-certificate"
     return data

@@ -1,4 +1,4 @@
-"""Operator-valued Lyapunov candidates and their quantum Ito coefficients.
+"""Operator-valued Lyapunov candidates, their expansion and their quantum Ito coefficients.
 
 A candidate is a finite sum of sandwich terms
 
@@ -8,23 +8,25 @@ optionally written around a center point (the polynomial is then taken in
 Y = X - center and expanded into the raw power form by
 :func:`canonicalize`).  A candidate is Hermitian-valued on Hermitian
 arguments iff its term list is closed under the swap
-(n, m, Theta) <-> (m, n, Theta†).
+(n, m, Theta) <-> (m, n, Theta†).  This module alone expands V: one power
+engine gives the powers x^n at a point and, on a ray C + sD, the
+coefficients A_{n,i} of (C + sD)^n in s, and one sandwich sums
+A_{n,i} Theta A_{m,j} into B_{i+j}, so V(C + sD) = sum_k s^k B_k.
 
 For a model, the differential of V along the flow decomposes into a drift
-and three noise coefficients.  The decomposition is assembled from the
-model's per-operator drift/noise coefficients applied to the powers of the
-argument, combined by the quantum Ito product rule: in the product of two
-differentials only
+and three noise coefficients, assembled from the model's per-operator
+drift/noise coefficients at the point's powers by the quantum Ito product
+rule: in the product of two differentials only
 
     dA dA† -> dt,   dLambda dLambda -> dLambda,
     dLambda dA† -> dA†,   dA dLambda -> dA
 
 survive.  The same engine serves the observable flow and the stochastic
 density operator, which differ only in their per-operator coefficients.
-Coefficients are evaluated pointwise at a supplied argument; stability
-checking quantifies over points rather than over time.  The drift is
-assembled at the call, each noise coefficient, and each part of a power that
-a coefficient reads, only on its first read.
+Coefficients are evaluated pointwise; stability checking quantifies over
+points rather than over time.  The drift is assembled at the call, each
+noise coefficient, and each part of a power that a coefficient reads, only
+on its first read.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ class LyapunovCandidate:
     center: np.ndarray | None = None
 
     def __post_init__(self):
+        if not self.terms:
+            raise InvalidCandidateError("empty candidate")
         frozen = []
         dim = None
         for entry in self.terms:
@@ -70,6 +74,8 @@ class LyapunovCandidate:
                 raise DimensionMismatchError("center dimension differs from term coefficients")
         object.__setattr__(self, "terms", tuple(frozen))
         object.__setattr__(self, "center", center)
+        if self.degree > DEGREE_BOUND:
+            raise InvalidCandidateError(f"degree {self.degree} exceeds bound {DEGREE_BOUND}")
 
     @property
     def dim(self) -> int:
@@ -153,13 +159,9 @@ def canonicalize(candidate: LyapunovCandidate, *, hermitian_closure: bool = Fals
     Raises
     ------
     InvalidCandidateError
-        Empty candidate, degree above ``DEGREE_BOUND``, unsupported center, or
+        Unsupported center, a candidate that is zero after expansion, or
         (without the closure flag) a term list that is not closed.
     """
-    if not candidate.terms:
-        raise InvalidCandidateError("empty candidate")
-    if candidate.degree > DEGREE_BOUND:
-        raise InvalidCandidateError(f"degree {candidate.degree} exceeds bound {DEGREE_BOUND}")
     dim = candidate.dim
     eye = np.eye(dim, dtype=complex)
 
@@ -236,19 +238,32 @@ def evaluate(candidate: LyapunovCandidate, x: np.ndarray) -> np.ndarray:
     if x.shape[-1] != candidate.dim:
         raise DimensionMismatchError(f"argument dimension {x.shape[-1]} != candidate dimension {candidate.dim}")
     y = x - candidate.center if candidate.center is not None else x
-    powers = _powers(y, max(max(n, m) for n, m, _ in candidate.terms))
-    out = np.zeros_like(y)
-    for n, m, theta in candidate.terms:
-        out = out + powers[n] @ theta @ powers[m]
-    return out
+    return _sandwich(candidate.terms, [np.zeros_like(y)], y)[0]
 
 
-def _powers(x: np.ndarray, up_to: int) -> list[np.ndarray]:
-    # Repeated multiplication keeps nilpotent / idempotent arguments exact.
-    powers = [np.eye(x.shape[-1], dtype=complex), np.array(x)]
+def _powers(x: np.ndarray, terms, direction: np.ndarray | None = None) -> list[list[np.ndarray]]:
+    """Per power n up to the highest a term reads, the coefficients A_{n,i} of (x + s direction)^n in s, or x^n alone.
+
+    A_{n+1,i} = A_{n,i} x + A_{n,i-1} direction: repeated multiplication keeps nilpotent / idempotent x exact."""
+    up_to = max(max(n, m) for n, m, _ in terms)
+    ray = [] if direction is None else [direction]  # on a ray, A_{n,n} = direction^n ends each row
+    powers = [[np.eye(x.shape[-1], dtype=complex)], [np.array(x), *ray]]
     for _ in range(2, up_to + 1):
-        powers.append(powers[-1] @ x)
+        a = powers[-1]
+        powers.append([a[0] @ x, *(hi @ x + lo @ direction for hi, lo in zip(a[1:], a)), *(a[-1] @ d for d in ray)])
     return powers[: up_to + 1]
+
+
+def _sandwich(terms, b, x: np.ndarray, direction: np.ndarray | None = None):
+    """Add B_k of V(x + s direction) = sum_k s^k B_k into b[k]: the A_{n,i} Theta A_{m,j} over terms and i + j = k.
+
+    Each sum is a new array: in-place adds into (32, 32, 32) stacks tripled the page faults of a check."""
+    powers = _powers(x, terms, direction)
+    for n, m, theta in terms:
+        for i, left in enumerate([a @ theta for a in powers[n]]):
+            for j, right in enumerate(powers[m]):
+                b[i + j] = b[i + j] + left @ right
+    return b
 
 
 def _ito_coefficients(candidate, point, model, generator, noise_parts) -> ItoCoefficients:
@@ -257,7 +272,7 @@ def _ito_coefficients(candidate, point, model, generator, noise_parts) -> ItoCoe
     point = np.asarray(point, dtype=complex)
     if point.shape[-1] != candidate.dim:
         raise DimensionMismatchError("argument dimension differs from candidate dimension")
-    powers = _powers(point, max(max(n, m) for n, m, _ in candidate.terms))
+    powers = [row[0] for row in _powers(point, candidate.terms)]
     build = {"generator": generator, **noise_parts}
     parts = [{name: cache(partial(f, model, p)) for name, f in build.items()} for p in powers]
     return ItoCoefficients(candidate.terms, powers, parts)

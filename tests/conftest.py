@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -15,6 +17,16 @@ from qstab import (
 # Property tests draw the same examples on every run and keep no example database.
 settings.register_profile("qstab", derandomize=True, database=None, deadline=None)
 settings.load_profile("qstab")
+
+# Hypothesis imports its patch writer, and libcst with it, only to report a failing example.  That import
+# warns (mypy_extensions.TypedDict is deprecated), and the suite's error::DeprecationWarning filter would turn
+# the warning into an internal error that ends the whole run, so import it here once with the warning ignored.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 # Qubit basis ordered (|e>, |g|): excited first, so N = |e><e| = diag(1, 0)
 # and sigma_minus |e> = |g>.
@@ -86,6 +98,40 @@ def eager_ito_coefficients(model, candidate, point, picture="flow"):
         c_adag = c_adag + cp @ theta @ q + p @ theta @ cq + lp @ theta @ cq
         c_gauge = c_gauge + lp @ theta @ q + p @ theta @ lq + lp @ theta @ lq
     return {"drift": drift, "coeff_a": c_a, "coeff_adag": c_adag, "coeff_gauge": c_gauge}
+
+
+def reference_evaluate(candidate, x):
+    """V(x) by the power loop and term sum that ``evaluate`` used before the shared power engine."""
+    x = np.asarray(x, dtype=complex)
+    y = x - candidate.center if candidate.center is not None else x
+    deg = max(max(n, m) for n, m, _ in candidate.terms)
+    powers = [np.eye(y.shape[-1], dtype=complex), np.array(y)]
+    for _ in range(2, deg + 1):
+        powers.append(powers[-1] @ y)
+    out = np.zeros_like(y)
+    for n, m, theta in candidate.terms:
+        out = out + powers[n] @ theta @ powers[m]
+    return out
+
+
+def reference_ray_coefficients(candidate, center, rays):
+    """The coefficients B_k of V(C + sD) = sum_k s^k B_k, shape (K + 1, R, d, d) with K = max(degree, 1).
+
+    The recurrence A_{n+1,i} = A_{n,i} C + A_{n,i-1} D, started from the identity, and the term convolution
+    that ``qstab.certify._ray_exits`` ran before the shared power engine; a constant V gets a zero B_1.
+    """
+    dim, degree = candidate.dim, max(candidate.degree, 1)
+    powers = [[np.eye(dim, dtype=complex)]]
+    for _ in range(max(max(n, m) for n, m, _ in candidate.terms)):
+        a = powers[-1]
+        powers.append([a[0] @ center, *(hi @ center + lo @ rays for hi, lo in zip(a[1:], a)), a[-1] @ rays])
+    b = np.zeros((degree + 1, len(rays), dim, dim), dtype=complex)
+    for n, m, theta in candidate.terms:
+        for i, left in enumerate(powers[n]):
+            left = left @ theta
+            for j, right in enumerate(powers[m]):
+                b[i + j] += left @ right
+    return b
 
 
 def random_density(rng, dim):

@@ -18,6 +18,7 @@ from qstab import (
     check_exponential,
     check_local,
     evaluate,
+    ladder_operators,
 )
 from qstab.fileio import (
     CERTIFICATE_SCHEMA_VERSION,
@@ -254,9 +255,17 @@ class TestCertificateSerialization:
 
 
 def asdict_certificate_bytes(cert):
-    """The certificate serialized through a deep copy by ``dataclasses.asdict``."""
+    """The certificate serialized through a deep copy by ``dataclasses.asdict``.
+
+    Family directions are written as the nested (re, im) tuples that certificates held before ``fileio``
+    encoded them, so the bytes are compared with that earlier format too.
+    """
     data = dataclasses.asdict(cert)
     data["witness"] = encode_matrix(cert.witness) if cert.witness is not None else None
+    if "directions" in data["family"]:
+        data["family"]["directions"] = tuple(
+            tuple(tuple((float(z.real), float(z.imag)) for z in row) for row in d) for d in data["family"]["directions"]
+        )
     data["schema_version"] = CERTIFICATE_SCHEMA_VERSION
     data["kind"] = "stability-certificate"
     return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8")
@@ -282,6 +291,17 @@ class TestCertificateDict:
     def test_bytes_equal_the_asdict_serialization(self, cert):
         assert cert.witness is not None
         assert certificate_bytes(cert) == asdict_certificate_bytes(cert)
+
+    def test_a_family_certificate_at_d_32_keeps_its_bytes_and_its_arrays(self):
+        a, _, number = ladder_operators(31)
+        eye = np.eye(32)
+        cand = canonicalize(LyapunovCandidate(terms=((1, 1, eye),), center=-eye))
+        family = DirectionFamily((number,), 0.1, 1.0)
+        cert = check_local(QsdeModel(hamiltonian=number, coupling=a), cand, -eye, LevelSetSpec(0.25, 4, 3, family))
+        directions = cert.family["directions"]
+        assert directions is family.directions and not directions[0].flags.writeable
+        assert certificate_bytes(cert) == asdict_certificate_bytes(cert)
+        assert cert.family["directions"] is directions
 
     def test_shares_no_mutable_state(self, cert):
         first, second = certificate_to_dict(cert), certificate_to_dict(cert)

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qstab.lyapunov
 from qstab import (
@@ -29,7 +31,11 @@ from conftest import (
     random_complex,
     random_hermitian,
     random_model,
+    reference_evaluate,
+    reference_ray_coefficients,
 )
+from qstab.certify import _ray_exits, _rounding
+from qstab.lyapunov import _sandwich
 
 
 def terms_as_dict(candidate):
@@ -73,6 +79,14 @@ class TestCanonicalize:
     def test_empty_candidate(self):
         with pytest.raises(InvalidCandidateError, match="empty"):
             canonicalize(LyapunovCandidate(terms=()))
+
+    def test_empty_and_over_degree_candidates_fail_at_construction(self):
+        # Every entry point skips canonicalize for a candidate without a center, so the term list is checked
+        # when it is built.
+        with pytest.raises(InvalidCandidateError, match="empty candidate"):
+            LyapunovCandidate(terms=())
+        with pytest.raises(InvalidCandidateError, match="degree 10 exceeds bound 6"):
+            LyapunovCandidate(terms=((5, 5, EYE2),))
 
     def test_fractional_exponents_rejected(self):
         with pytest.raises(InvalidCandidateError, match="exponents"):
@@ -290,12 +304,12 @@ def test_stacked_ito_coefficients_equal_single_calls(picture, scattering, dim):
 COEFFICIENTS = ("drift", "coeff_a", "coeff_adag", "coeff_gauge")
 
 
-def random_closed_candidate(rng, dim, degree):
-    """Every (n, m) with n + m <= degree, non-scalar Theta, closed under (n, m, Theta) <-> (m, n, Theta†)."""
+def random_closed_candidate(rng, dim, degree, scalar=False):
+    """Every (n, m) with n + m <= degree, closed under (n, m, Theta) <-> (m, n, Theta†); scalar Theta if asked."""
     terms = []
     for n in range(degree + 1):
         for m in range(n, degree - n + 1):
-            theta = 0.3 * random_complex(rng, dim)
+            theta = 0.3 * (rng.normal() * np.eye(dim) if scalar else random_complex(rng, dim))
             terms += [(n, m, theta), (m, n, theta.conj().T)] if n != m else [(n, n, theta + theta.conj().T)]
     return canonicalize(LyapunovCandidate(terms=tuple(terms)))
 
@@ -304,15 +318,58 @@ def random_closed_candidate(rng, dim, degree):
 @pytest.mark.parametrize("scattering", [False, True])
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
 def test_routed_assembly_equals_the_eager_one_bit_for_bit(picture, scattering, degree):
-    """The routing table sums the same products in the same order as the four hand-written lines."""
+    """The routing table sums the same products in the same order as the four hand-written lines.
+
+    The point powers and V come from the shared power engine, so V is compared with its earlier power loop too.
+    """
     rng = np.random.default_rng(100 * degree + 10 * scattering + (picture == "state"))
     model = random_model(rng, 3, scattering=scattering)
     ito = flow_ito_coefficients if picture == "flow" else state_ito_coefficients
     cand = random_closed_candidate(rng, 3, degree)
     for point in (random_hermitian(rng, 3), np.stack([random_hermitian(rng, 3) for _ in range(5)])):
+        assert np.array_equal(evaluate(cand, point), reference_evaluate(cand, point))
         routed, eager = ito(model, cand, point), eager_ito_coefficients(model, cand, point, picture)
         for name in COEFFICIENTS:
             assert np.array_equal(getattr(routed, name), eager[name])
+
+
+class TestRayCoefficients:
+    """On a ray C + sD the power engine gives the coefficients A_{n,i} of (C + sD)^n and V = sum_k s^k B_k."""
+
+    @pytest.mark.parametrize("scalar", [False, True])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+    def test_equal_the_reference_recurrence(self, degree, scalar):
+        rng = np.random.default_rng(400 + 10 * degree + scalar)
+        cand = random_closed_candidate(rng, 3, degree, scalar)
+        center, rays = random_hermitian(rng, 3), np.stack([random_hermitian(rng, 3) for _ in range(4)])
+        reference = reference_ray_coefficients(cand, center, rays)
+        assert np.array_equal(_sandwich(cand.terms, np.zeros_like(reference), center, rays), reference)
+
+    def test_a_constant_candidate_has_no_exit(self):
+        rng = np.random.default_rng(5)
+        cand = random_closed_candidate(rng, 3, 0)
+        rays = np.stack([random_hermitian(rng, 3) for _ in range(3)])
+        epsilon = spectral_norm(cand.terms[0][2]) + 1.0
+        assert np.all(_ray_exits(cand, np.zeros((3, 3)), rays, epsilon, 1e-9) == np.inf)
+
+
+@given(
+    dim=st.integers(2, 4),
+    degree=st.integers(0, 4),
+    scalar=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    s=st.floats(0.0, 3.0),
+)
+@settings(max_examples=200)
+def test_ray_coefficients_sum_to_the_value_on_the_ray(dim, degree, scalar, seed, s):
+    """sum_k s^k B_k equals V(C + sD) on a unit ray within the forward-error bound of V at ||C|| + s."""
+    rng = np.random.default_rng(seed)
+    cand = random_closed_candidate(rng, dim, degree, scalar)
+    center, ray = random_hermitian(rng, dim), random_hermitian(rng, dim)
+    ray = ray / spectral_norm(ray)
+    b = _sandwich(cand.terms, np.zeros((degree + 1, 1, dim, dim), dtype=complex), center, ray[None])
+    on_ray = sum(s**k * b[k, 0] for k in range(degree + 1))
+    assert spectral_norm(on_ray - evaluate(cand, center + s * ray)) <= _rounding(cand, spectral_norm(center) + s)
 
 
 class TestLazyNoiseCoefficients:
