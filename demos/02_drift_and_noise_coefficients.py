@@ -7,7 +7,7 @@ with basis ordered (|e>, |g|) so N = |e><e| = diag(1, 0).
 Shows, for the candidate V(X) = (X + I)^2 centered at the equilibrium
 X_e = -I:
 
-  * canonicalization of the centered square into raw power terms,
+  * canonicalization of the centered square, which keeps the scalar center,
   * the flow drift on the commutative family X = -I + y N, which works
     out to exactly -gamma y^2 N (computed here both by the library and by
     hand),
@@ -36,7 +36,7 @@ model = QsdeModel(hamiltonian=np.zeros((2, 2)), coupling=np.sqrt(GAMMA) * sigma_
 print("candidate V(X) = (X + I)^2, center X_e = -I")
 candidate = canonicalize(LyapunovCandidate(terms=((1, 1, I2),), center=-I2))
 for n, m, theta in candidate.terms:
-    print(f"  term (n={n}, m={m}), Theta = {np.round(theta.real, 3).tolist()}")
+    print(f"  term (n={n}, m={m}), Theta = {np.round(theta.real, 3).tolist()}, in powers of X - center")
 print(f"  V(X_e) = 0: {np.allclose(evaluate(candidate, -I2), 0)}")
 
 print()

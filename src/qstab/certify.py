@@ -36,7 +36,8 @@ Sample i reads row i of one row-ordered draw from the seed, and its scale
 is capped where its ray first leaves the level set: a polynomial eigenvalue
 problem in the ray coefficients of V from :mod:`qstab.lyapunov`, solved by
 one stacked block-companion eigensolve over the distinct rays (Tisseur &
-Meerbergen, SIAM Rev. 43, 2001).
+Meerbergen, SIAM Rev. 43, 2001), or in closed form where V is homogeneous
+along every ray.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ from .errors import (
     NonHermitianError,
     SamplingError,
 )
-from .lyapunov import LyapunovCandidate, _sandwich, canonicalize, evaluate, flow_ito_coefficients, state_ito_coefficients
+from .lyapunov import LyapunovCandidate, _offset, _sandwich, canonicalize, evaluate
+from .lyapunov import flow_ito_coefficients, state_ito_coefficients
 from .models import QsdeModel, equilibrium_residual, validate
 from .operators import (
     DEFAULT_TOL,
@@ -224,14 +226,15 @@ def sample_level_set(
     is the star-shaped part of the level set seen from the center.  A sample
     stays a few ulps inside its cap, never outside, and every sample is
     re-checked in one stacked evaluation against epsilon + max(tol, 1e-9, r):
-    r = :func:`_rounding` at ||center|| + s bounds the rounding of V at scale s
-    (27 eps in place of 256 eps was the most seen) and its Hermiticity defect.
+    r = :func:`_rounding` at ||center - candidate.center|| + s bounds the
+    rounding of V at scale s (27 eps in place of 256 eps was the most seen)
+    and its Hermiticity defect.
 
     A center with max-eig V(center) >= epsilon, or a family with no feasible
     nonzero sample, raises :class:`SamplingError`.
     """
     require_positive(tol, "tol")
-    cand = candidate if candidate.is_canonical else canonicalize(candidate)
+    cand = canonicalize(candidate)
     center = as_operator(center)
     if center.shape[0] != cand.dim:
         raise DimensionMismatchError("center dimension differs from candidate dimension")
@@ -265,7 +268,7 @@ def sample_level_set(
     # u = 1 would put a sample on its computed exit, which rounding may place past epsilon.
     scale = np.minimum(scale_min + u[keep] * (cap[keep] - scale_min), cap[keep] * (1.0 - 8.0 * np.finfo(float).eps))
     samples = center + scale[:, None, None] * rays[ray_of[keep]]
-    rounding = _rounding(cand, spectral_norm(center) + scale)  # ||X|| <= ||center|| + s on unit rays
+    rounding = _rounding(cand, spectral_norm(_offset(cand, center)) + scale)  # ||Y|| <= ||C - center of V|| + s
     v = evaluate(cand, samples)
     eigs = hermitian_eigenvalues(v, tol=max(tol, 1e-7, rounding.max()))
     if np.any(eigs[:, -1] > spec.epsilon + np.maximum(max(tol, 1e-9), rounding)):
@@ -275,23 +278,30 @@ def sample_level_set(
 
 
 def _rounding(cand, radius):
-    """256 eps sum_k ||Theta_k||_F radius^(n_k + m_k): bounds V's rounding and Hermiticity defect at ||X|| <= radius."""
+    """256 eps sum_k ||Theta_k||_F radius^(n_k + m_k): bounds V's rounding and asymmetry at ||X - center|| <= radius."""
     return 256.0 * np.finfo(float).eps * sum(np.linalg.norm(t) * radius ** (n + m) for n, m, t in cand.terms)
 
 
 def _ray_exits(cand, center, rays, epsilon, tol) -> np.ndarray:
     """Per ray D, the first s > 0 where max-eig V(C + sD) reaches epsilon; inf if none.
 
-    V(C + sD) = sum_k s^k B_k, the B_k from the power engine of :mod:`qstab.lyapunov`.  In mu = 1/s the
-    leading block M = B_0 - eps I = V(C) - eps I is negative definite, so the roots are the eigenvalues of
-    the block companion of the monic mu^K + sum_k mu^(K-k) M^-1 B_k, with no infinite ones.  The exit is
-    1/mu for the largest real positive mu, a root being real when |Im mu| <= 64 eps ||companion||_F, eps = 2^-52.
+    V(C + sD) = sum_k s^k B_k, the B_k from the power engine of :mod:`qstab.lyapunov` at Y = C - cand.center.  Where
+    B_0 ... B_{K-1} are all exact zeros, as for a homogeneous candidate at its own center, V = s^K B_K and the exit
+    is (eps / max-eig B_K)^(1/K), inf where max-eig B_K <= 0.  Otherwise, in mu = 1/s the leading block
+    M = B_0 - eps I = V(C) - eps I is negative definite, so the roots are the eigenvalues of the block companion of
+    the monic mu^K + sum_k mu^(K-k) M^-1 B_k, with no infinite ones.  The exit is 1/mu for the largest real positive
+    mu, a root being real when |Im mu| <= 64 eps ||companion||_F, eps = 2^-52.  B_0 and B_K are guarded by the
+    sampler's bound :func:`_rounding`, at ||Y|| and at 1 (the rays are unit).
     """
-    dim, degree = cand.dim, max(cand.degree, 1)  # a constant V gets a zero B_1 and no root
-    b = _sandwich(cand.terms, np.zeros((degree + 1, len(rays), dim, dim), dtype=complex), center, rays)
-    top = hermitian_eigenvalues(b[0, 0], tol=max(tol, 1e-7))[-1]
+    dim, degree, offset = cand.dim, max(cand.degree, 1), _offset(cand, center)  # a constant V gets a zero B_1
+    b = _sandwich(cand.terms, np.zeros((degree + 1, len(rays), dim, dim), dtype=complex), offset, rays)
+    top = hermitian_eigenvalues(b[0, 0], tol=max(tol, 1e-7, _rounding(cand, spectral_norm(offset))))[-1]
     if not top < epsilon:
         raise SamplingError(f"center is outside the level set: max-eig V(center) = {top:.6g} >= epsilon = {epsilon}")
+    if not b[:-1].any():
+        lead = hermitian_eigenvalues(b[-1], tol=max(tol, 1e-7, _rounding(cand, 1.0)))[:, -1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(lead > 0.0, (epsilon / lead) ** (1.0 / degree), np.inf)
     head = -np.linalg.solve(b[0, 0] - epsilon * np.eye(dim), b[1:]).transpose(1, 2, 0, 3).reshape(len(rays), dim, -1)
     shift = np.eye((degree - 1) * dim, degree * dim)  # [I 0] below the block row [-M^-1 B_1 ... -M^-1 B_K]
     companion = np.concatenate([head, np.broadcast_to(shift, (len(rays), *shift.shape))], axis=1)
@@ -337,7 +347,8 @@ class _Point:
 
     @cached_property
     def v_eigs(self) -> np.ndarray:
-        return hermitian_eigenvalues(self.v, tol=max(self.tol, 1e-7, *_rounding(self.cand, spectral_norm(self.x))))
+        rounding = _rounding(self.cand, spectral_norm(_offset(self.cand, self.x)))
+        return hermitian_eigenvalues(self.v, tol=max(self.tol, 1e-7, *rounding))
 
     @cached_property
     def drift(self) -> np.ndarray:
@@ -514,7 +525,7 @@ def _blocks(samples: LevelSetSamples, point):
 def _check(model, candidate, center, spec, mode, *, rate=None, margin=None, reference_state=None, tol):
     """Check one mode's conditions at the center, then on the level-set samples block by block, and certify."""
     validate(model, tol=tol)
-    cand = candidate if candidate.is_canonical else canonicalize(candidate)
+    cand = canonicalize(candidate)
     center = as_operator(center)
     picture, center_conditions, v_conditions, drift_conditions = _MODES[mode]
     state = picture == "state"
@@ -600,7 +611,7 @@ def estimate_max_rate(model, candidate, center, spec, *, tol=DEFAULT_TOL) -> Rat
     eigenvalue is not positive, not below ``TOL_STRICT`` as in the checks.
     """
     validate(model, tol=tol)
-    cand = candidate if candidate.is_canonical else canonicalize(candidate)
+    cand = canonicalize(candidate)
     center = as_operator(center)
     point = partial(_Point, model, cand, picture="flow", rate=None, margin=None, tol=tol, tol_strict=0.0,
                     reference_state=None)
@@ -683,7 +694,7 @@ def recheck_witness(model, candidate, certificate: StabilityCertificate, *, refe
         raise ValueError(f"unknown violated condition {label!r} for mode {certificate.mode!r}")
     if picture == "state" and reference_state is None:
         raise ValueError("reference_state is required to recheck a state-picture certificate")
-    cand = candidate if candidate.is_canonical else canonicalize(candidate)
+    cand = canonicalize(candidate)
     tolerances = certificate.tolerances
     point = _Point(
         model, cand, as_operator(certificate.witness)[None], picture, certificate.rate, certificate.margin,

@@ -125,8 +125,9 @@ def _cmd_validate(args) -> int:
 
 
 def _describe_candidate(candidate) -> None:
-    degrees = sorted({(n, m) for n, m, _ in candidate.terms})
-    print(f"candidate: {len(candidate.terms)} canonical terms, exponents {degrees}")
+    count, degrees, lam = len(candidate.terms), sorted({(n, m) for n, m, _ in candidate.terms}), candidate.center
+    center = "" if lam is None else f", center {lam[0, 0].real if not lam[0, 0].imag else lam[0, 0]:.6g}·I"
+    print(f"candidate: {count} canonical term{'s' * (count != 1)}, exponents {degrees}{center}")
 
 
 def _cmd_drift(args) -> int:

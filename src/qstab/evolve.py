@@ -50,7 +50,8 @@ from .errors import (
     UnsupportedScatteringError,
 )
 from .fock import ladder_operators, vacuum_vector
-from .lyapunov import LyapunovCandidate, _is_scalar_matrix, _powers, canonicalize, evaluate, flow_ito_coefficients
+from .lyapunov import LyapunovCandidate, _is_scalar_matrix, _offset, _powers, canonicalize, evaluate
+from .lyapunov import flow_ito_coefficients
 from .models import QsdeModel, validate
 from .operators import (
     DEFAULT_TOL,
@@ -157,18 +158,18 @@ def simulate_flow_expectation(
         W'[P,Q,R,S] = sum_abc E_ac[P,p] W[p,q,r,s] conj(E_bc[Q,q])
                               E_b0[R,r] conj(E_a0[S,s]),
 
-    and a term reads sum X^n[s,p] W_k[p,q,r,s] X^m[q,r].  Constant,
-    one-sided and two-sided terms all take this one path, and terms that
-    share a Theta share one W.  The contraction is factored pairwise, so a
-    step costs O((levels+1)^2 d^5) for each distinct Theta and a run costs
-    that times the number of steps.  The k = 0 value is the expectation of
-    V(x0) in the initial state.
+    and a term reads sum Y^n[s,p] W_k[p,q,r,s] Y^m[q,r], Y = x0 - center (the
+    step fixes a scalar center).  Constant, one-sided and two-sided terms all
+    take this one path, and terms that share a Theta share one W.  The
+    contraction is factored pairwise, so a step costs O((levels+1)^2 d^5) for
+    each distinct Theta and a run costs that times the number of steps.  The
+    k = 0 value is the expectation of V(x0) in the initial state.
 
     ``observables`` maps names to system operators whose flowed
     expectations are recorded alongside E[V]; they are read from the
     reduced state, advanced by rho -> sum_a E_a0 rho E_a0†.
     """
-    cand = candidate if candidate.is_canonical else canonicalize(candidate)
+    cand = canonicalize(candidate)
     x0 = np.asarray(x0, dtype=complex)
     if x0.shape[0] != model.dim or cand.dim != model.dim:
         raise ValueError("x0, candidate and model must share the system dimension")
@@ -179,9 +180,9 @@ def simulate_flow_expectation(
     blocks = u_step.reshape(dim, width, dim, width).transpose(1, 3, 0, 2)  # blocks[a, b] = E_ab
     kraus = blocks[:, 0]
 
-    powers = _powers(x0, cand.terms)
+    powers = _powers(_offset(cand, x0), cand.terms)
     thetas: list[np.ndarray] = []
-    readout: list[np.ndarray] = []  # per distinct Theta, the sum of X^n[s,p] X^m[q,r] over its terms
+    readout: list[np.ndarray] = []  # per distinct Theta, the sum of Y^n[s,p] Y^m[q,r] over its terms
     for n, m, theta in cand.terms:
         i = next((i for i, t in enumerate(thetas) if np.array_equal(t, theta)), len(thetas))
         if i == len(thetas):
@@ -287,7 +288,7 @@ def master_flow_expectation(
     with non-scalar coefficients interleave unflowed operators between
     flowed factors and are not reduced-state computable; they are rejected.
     """
-    cand = candidate if candidate.is_canonical else canonicalize(candidate)
+    cand = canonicalize(candidate)
     for n, m, theta in cand.terms:
         if not _is_scalar_matrix(theta, 1e-12 * max(1.0, spectral_norm(theta)))[0]:
             raise InvalidCandidateError(
@@ -328,7 +329,7 @@ def finite_difference_drift_check(
     check reruns at dt/2 and requires the gap to shrink by a factor in
     [1.5, 2.5] (trivially satisfied when both gaps are below 1e-12).
     """
-    cand = candidate if candidate.is_canonical else canonicalize(candidate)
+    cand = canonicalize(candidate)
     drift = flow_ito_coefficients(model, cand, np.asarray(x0, dtype=complex)).drift
     analytic = float(expectation(system_state, drift).real)
 

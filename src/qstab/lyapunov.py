@@ -2,38 +2,37 @@
 
 A candidate is a finite sum of sandwich terms
 
-    V(X) = sum_k  X^{n_k}  Theta_k  X^{m_k},
+    V(X) = sum_k  Y^{n_k}  Theta_k  Y^{m_k},   Y = X - center,
 
-optionally written around a center point (the polynomial is then taken in
-Y = X - center and expanded into the raw power form by
-:func:`canonicalize`).  A candidate is Hermitian-valued on Hermitian
-arguments iff its term list is closed under the swap
-(n, m, Theta) <-> (m, n, Theta†).  This module alone expands V: one power
-engine gives the powers x^n at a point and, on a ray C + sD, the
-coefficients A_{n,i} of (C + sD)^n in s, and one sandwich sums
-A_{n,i} Theta A_{m,j} into B_{i+j}, so V(C + sD) = sum_k s^k B_k.
+Y = X without a center.  :func:`canonicalize` keeps a scalar center lam I
+and expands only a non-scalar one into raw powers of X.  V is Hermitian on
+Hermitian arguments iff its terms are closed under (n, m, Theta) <->
+(m, n, Theta†).  One power engine gives the powers Y^n at a point and, on a
+ray C + sD, the coefficients A_{n,i} of (C - center + sD)^n in s, and one
+sandwich sums A_{n,i} Theta A_{m,j} into B_{i+j}, so V(C + sD) = sum_k s^k
+B_k; from the center itself, the B_k below the lowest order are exact zeros.
 
 For a model, the differential of V along the flow decomposes into a drift
 and three noise coefficients, assembled from the model's per-operator
-drift/noise coefficients at the point's powers by the quantum Ito product
+drift/noise coefficients at the powers of Y by the quantum Ito product
 rule: in the product of two differentials only
 
     dA dA† -> dt,   dLambda dLambda -> dLambda,
     dLambda dA† -> dA†,   dA dLambda -> dA
 
-survive.  The same engine serves the observable flow and the stochastic
-density operator, which differ only in their per-operator coefficients.
-Coefficients are evaluated pointwise; stability checking quantifies over
-points rather than over time.  The drift is assembled at the call, each
-noise coefficient, and each part of a power that a coefficient reads, only
-on its first read.
+survive.  Every part is linear, so on the powers of Y this is the assembly
+of the expanded polynomial, regrouped.  The same engine serves the observable
+flow and the stochastic density operator, which differ only in their
+per-operator coefficients.  Coefficients are evaluated pointwise; stability
+checking quantifies over points rather than over time.  The drift is
+assembled at the call, each noise coefficient, and each part of a power
+that a coefficient reads, only on its first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
-from math import comb
 from typing import Callable
 
 import numpy as np
@@ -87,7 +86,8 @@ class LyapunovCandidate:
 
     @property
     def is_canonical(self) -> bool:
-        return self.center is None
+        """Whether :func:`canonicalize` returned this candidate."""
+        return vars(self).get("_canonical", False)
 
 
 # The Ito table as data.  For each term P Theta Q the product rule gives dP Theta Q + P Theta dQ + dP Theta dQ;
@@ -131,23 +131,23 @@ class ItoCoefficients:
 
 
 def _is_scalar_matrix(c: np.ndarray, tol: float) -> tuple[bool, complex]:
-    lam = complex(np.trace(c)) / c.shape[0]
+    exact = np.array_equal(c, c[0, 0] * np.eye(len(c)))  # then c[0, 0], from which trace / d may round away
+    lam = complex(c[0, 0]) if exact else complex(np.trace(c)) / len(c)
     off = spectral_norm(c - lam * np.eye(c.shape[0]))
     return off <= tol, lam
 
 
 def canonicalize(candidate: LyapunovCandidate, *, hermitian_closure: bool = False) -> LyapunovCandidate:
-    """Expand the center into raw power terms and enforce Hermitian closure.
+    """Merge the terms, enforce Hermitian closure and keep a scalar center; a canonical input is returned as is.
 
-    The output has no center, merged terms sorted by (n, m), and a term
-    list closed under (n, m, Theta) <-> (m, n, Theta†) so that evaluation
-    is Hermitian on Hermitian arguments.  Idempotent.
-
-    Center expansion is binomial for scalar centers (multiples of the
-    identity within ``DEFAULT_TOL``).  A non-scalar center commutes with
-    nothing, so its powers cannot be rewritten in the pure power form; it is
-    supported only when every term is at most bilinear (n, m <= 1), and
-    rejected otherwise.
+    The output has merged terms sorted by (n, m), a term list closed under
+    (n, m, Theta) <-> (m, n, Theta†) so that evaluation is Hermitian on
+    Hermitian arguments, and the center lam I, lam = trace / d, when the
+    input's center is within ``DEFAULT_TOL`` of a multiple of the identity
+    (None when lam = 0): the terms stay polynomials in Y = X - lam I.  A
+    non-scalar center commutes with nothing, so it is expanded into raw
+    powers of X, which is exact only when every term is at most bilinear
+    (n, m <= 1); it is rejected otherwise.
 
     Parameters
     ----------
@@ -162,41 +162,29 @@ def canonicalize(candidate: LyapunovCandidate, *, hermitian_closure: bool = Fals
         Unsupported center, a candidate that is zero after expansion, or
         (without the closure flag) a term list that is not closed.
     """
+    if candidate.is_canonical:
+        return candidate
     dim = candidate.dim
-    eye = np.eye(dim, dtype=complex)
-
     expanded: dict[tuple[int, int], np.ndarray] = {}
 
     def add(n, m, theta):
         key = (n, m)
         expanded[key] = expanded.get(key, 0) + theta
 
-    if candidate.center is None:
-        for n, m, theta in candidate.terms:
-            add(n, m, np.array(theta))
-    else:
-        scalar, lam = _is_scalar_matrix(candidate.center, DEFAULT_TOL)
+    center, c = None, candidate.center
+    if c is not None:
+        scalar, lam = _is_scalar_matrix(c, DEFAULT_TOL)
         if scalar:
-            mu = -lam  # (X - lam I)^n = sum_k C(n,k) mu^(n-k) X^k
-            for n, m, theta in candidate.terms:
-                for k in range(n + 1):
-                    for j in range(m + 1):
-                        coeff = comb(n, k) * comb(m, j) * mu ** (n - k) * mu ** (m - j)
-                        add(k, j, coeff * theta)
-        else:
-            if any(n > 1 or m > 1 for n, m, _ in candidate.terms):
-                raise InvalidCandidateError(
-                    "center expansion needs a scalar center for terms of degree 2 or higher in one factor"
-                )
-            c = candidate.center
-            for n, m, theta in candidate.terms:
-                left = [(0, theta)] if n == 0 else [(1, theta), (0, -(c @ theta))]
-                for k, th_l in left:
-                    if m == 0:
-                        add(k, 0, np.array(th_l))
-                    else:
-                        add(k, 1, np.array(th_l))
-                        add(k, 0, -(th_l @ c))
+            center, c = (lam * np.eye(dim) if lam else None), None
+        elif any(n > 1 or m > 1 for n, m, _ in candidate.terms):
+            raise InvalidCandidateError(
+                "center expansion needs a scalar center for terms of degree 2 or higher in one factor"
+            )
+    for n, m, theta in candidate.terms:  # (X - c)^n Theta (X - c)^m with n, m <= 1 where c is not None
+        for k, left in [(n, theta)] + ([(0, -(c @ theta))] if n and c is not None else []):
+            add(k, m, left)
+            if m and c is not None:
+                add(k, 0, -(left @ c))
 
     merged = {key: th for key, th in expanded.items() if spectral_norm(th) > 0.0}
     if not merged:
@@ -224,7 +212,9 @@ def canonicalize(candidate: LyapunovCandidate, *, hermitian_closure: bool = Fals
     )
     if not terms:
         raise InvalidCandidateError("candidate is identically zero after Hermitian closure")
-    return LyapunovCandidate(terms=terms, center=None)
+    out = LyapunovCandidate(terms=terms, center=center)
+    object.__setattr__(out, "_canonical", True)
+    return out
 
 
 def evaluate(candidate: LyapunovCandidate, x: np.ndarray) -> np.ndarray:
@@ -237,8 +227,13 @@ def evaluate(candidate: LyapunovCandidate, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.shape[-1] != candidate.dim:
         raise DimensionMismatchError(f"argument dimension {x.shape[-1]} != candidate dimension {candidate.dim}")
-    y = x - candidate.center if candidate.center is not None else x
+    y = _offset(candidate, x)
     return _sandwich(candidate.terms, [np.zeros_like(y)], y)[0]
+
+
+def _offset(candidate, x: np.ndarray) -> np.ndarray:
+    """Y = x - center, the argument of the candidate's polynomial (x itself without a center)."""
+    return x if candidate.center is None else x - candidate.center
 
 
 def _powers(x: np.ndarray, terms, direction: np.ndarray | None = None) -> list[list[np.ndarray]]:
@@ -267,12 +262,12 @@ def _sandwich(terms, b, x: np.ndarray, direction: np.ndarray | None = None):
 
 
 def _ito_coefficients(candidate, point, model, generator, noise_parts) -> ItoCoefficients:
-    """dV coefficients from the per-operator drift/noise values at the powers of the point (see _ITO_ROUTES)."""
-    candidate = candidate if candidate.is_canonical else canonicalize(candidate)
+    """dV coefficients from the per-operator drift/noise parts at the powers of Y = point - center (see _ITO_ROUTES)."""
+    candidate = candidate if candidate.center is None else canonicalize(candidate)  # expands a non-scalar center
     point = np.asarray(point, dtype=complex)
     if point.shape[-1] != candidate.dim:
         raise DimensionMismatchError("argument dimension differs from candidate dimension")
-    powers = [row[0] for row in _powers(point, candidate.terms)]
+    powers = [row[0] for row in _powers(_offset(candidate, point), candidate.terms)]
     build = {"generator": generator, **noise_parts}
     parts = [{name: cache(partial(f, model, p)) for name, f in build.items()} for p in powers]
     return ItoCoefficients(candidate.terms, powers, parts)
@@ -281,7 +276,8 @@ def _ito_coefficients(candidate, point, model, generator, noise_parts) -> ItoCoe
 def flow_ito_coefficients(model: QsdeModel, candidate: LyapunovCandidate, x: np.ndarray) -> ItoCoefficients:
     """Ito coefficients of dV along the observable flow, at the point x.
 
-    The candidate is canonicalized first (a no-op when already canonical).
+    A candidate with a center is canonicalized first (a no-op when already
+    canonical), and the powers are those of x - center.
     For the single term (1, 0, I) this reduces exactly to the model's flow
     drift and noise coefficients; for pure power terms (n, m, I) the drift
     equals flow_generator(x^(n+m)) because the flow is a homomorphism.

@@ -1,4 +1,5 @@
 import warnings
+from math import comb
 
 import numpy as np
 import pytest
@@ -69,14 +70,16 @@ def eager_ito_coefficients(model, candidate, point, picture="flow"):
     """All four Ito coefficients built at once by four hand-written accumulation lines.
 
     The assembly that the routing table in ``qstab.lyapunov`` replaced, kept as
-    its bit-exact reference: same powers, same products, same summation order.
+    its bit-exact reference: same powers (of point - center), same products,
+    same summation order.
     """
     generator, noise_coefficients = {
         "flow": (flow_generator, flow_noise_coefficients),
         "state": (state_generator, state_noise_coefficients),
     }[picture]
-    candidate = candidate if candidate.is_canonical else canonicalize(candidate)
+    candidate = candidate if candidate.center is None else canonicalize(candidate)
     point = np.asarray(point, dtype=complex)
+    point = point - candidate.center if candidate.center is not None else point
     deg = max(max(n, m) for n, m, _ in candidate.terms)
     powers = [np.eye(point.shape[-1], dtype=complex), np.array(point)]
     for _ in range(2, deg + 1):
@@ -112,6 +115,41 @@ def reference_evaluate(candidate, x):
     for n, m, theta in candidate.terms:
         out = out + powers[n] @ theta @ powers[m]
     return out
+
+
+def reference_expand(candidate):
+    """The candidate with its scalar center lam I expanded binomially into raw powers of X, as canonicalize once did.
+
+    (X - lam I)^n = sum_k C(n, k) (-lam)^(n-k) X^k in each factor; the merged terms carry no center.
+    """
+    if candidate.center is None:
+        return candidate
+    mu, expanded = -complex(np.trace(candidate.center)) / candidate.dim, {}
+    for n, m, theta in candidate.terms:
+        for k in range(n + 1):
+            for j in range(m + 1):
+                coeff = comb(n, k) * comb(m, j) * mu ** (n - k) * mu ** (m - j)
+                expanded[(k, j)] = expanded.get((k, j), 0) + coeff * theta
+    return LyapunovCandidate(terms=tuple((n, m, theta) for (n, m), theta in sorted(expanded.items())))
+
+
+def reference_companion_exits(candidate, center, rays, epsilon):
+    """Per ray, the exit from the level set by the block-companion solve that every ray once took.
+
+    In mu = 1/s the roots of sum_k s^k B_k = epsilon I are the eigenvalues of the companion of the monic
+    mu^K + sum_k mu^(K-k) M^-1 B_k, M = B_0 - epsilon I; the exit is 1/mu for the largest real positive mu.
+    """
+    offset = center if candidate.center is None else center - candidate.center
+    b = reference_ray_coefficients(candidate, offset, rays)
+    degree, dim = len(b) - 1, candidate.dim
+    head = -np.linalg.solve(b[0, 0] - epsilon * np.eye(dim), b[1:]).transpose(1, 2, 0, 3).reshape(len(rays), dim, -1)
+    shift = np.eye((degree - 1) * dim, degree * dim)
+    companion = np.concatenate([head, np.broadcast_to(shift, (len(rays), *shift.shape))], axis=1)
+    mu = np.linalg.eigvals(companion)
+    slack = 64.0 * np.finfo(float).eps * np.linalg.norm(companion, axis=(-2, -1))
+    exits = np.where((np.abs(mu.imag) <= slack[:, None]) & (mu.real > 0.0), mu.real, 0.0)
+    with np.errstate(divide="ignore"):
+        return 1.0 / exits.max(axis=-1, initial=0.0)
 
 
 def reference_ray_coefficients(candidate, center, rays):

@@ -11,6 +11,7 @@ from qstab import (
     DirectionFamily,
     HermitianBall,
     InternalCheckError,
+    InvalidCandidateError,
     InvalidModelError,
     InvalidStateError,
     LevelSetSpec,
@@ -34,7 +35,9 @@ from qstab import (
     sample_level_set,
     spectral_norm,
 )
+from qstab.cli import main
 from qstab.fileio import certificate_bytes, load_lyapunov, load_operator
+from qstab.lyapunov import _sandwich
 
 from conftest import (
     EYE2,
@@ -48,6 +51,7 @@ from conftest import (
     random_density,
     random_hermitian,
     random_unitary,
+    reference_companion_exits,
 )
 
 DEMO_FILES = Path(__file__).resolve().parents[1] / "demos" / "files"
@@ -155,7 +159,7 @@ def reference_sample_level_set(candidate, center, spec, *, traceless=False, tol=
     Box-Muller from the row's column pairs, u from its last column.  Each
     sample bisects its own scale cap and is re-checked on its own.
     """
-    cand = candidate if candidate.is_canonical else canonicalize(candidate)
+    cand = canonicalize(candidate)
     center = np.asarray(center, dtype=complex)
     dim = center.shape[0]
 
@@ -332,13 +336,46 @@ class TestExactExits:
         assert len(samples) == 16
         assert all(0.0 < x[0, 0].real <= first for x in samples)
 
-    def test_direction_family_solves_each_ray_once(self, damping_candidate, monkeypatch):
+    def test_direction_family_solves_each_ray_once(self, monkeypatch):
+        # (X + I)^2 + (X + I)^4 / 2 is not homogeneous on rays from -I, so each ray needs the companion solve.
         shapes = []
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(qstab.certify.np.linalg, "eigvals", lambda a: shapes.append(a.shape) or eigvals(a))
+        cand = canonicalize(LyapunovCandidate(terms=((1, 1, EYE2), (2, 2, EYE2 / 2)), center=-EYE2))
         spec = LevelSetSpec(epsilon=0.5, sample_count=32, seed=1, family=DirectionFamily((NUMBER, SIGMA_Z)))
-        assert len(sample_level_set(damping_candidate, -EYE2, spec)) == 32
-        assert shapes == [(2, 4, 4)]
+        assert len(sample_level_set(cand, -EYE2, spec)) == 32
+        assert shapes == [(2, 8, 8)]
+
+    def test_homogeneous_rays_take_no_companion_solve(self, monkeypatch):
+        """The README certify command and both certify workloads sample (X + I)^2 from -I: closed-form exits."""
+        monkeypatch.setattr(qstab.certify.np.linalg, "eigvals", None)
+        readme = [
+            "certify", str(DEMO_FILES / "damping_model.json"), str(DEMO_FILES / "square_candidate.json"),
+            "--center", str(DEMO_FILES / "center.json"), "--mode", "exponential", "--epsilon", "1",
+            "--samples", "16", "--seed", "7", "--rate", "0.5", "--family", str(DEMO_FILES / "number_family.json"),
+        ]
+        assert main(readme) == 0
+        monkeypatch.syspath_prepend(str(DEMO_FILES.parents[1]))
+        from benchmarks import workloads
+
+        for workload in (workloads.CertifyQubit(3), workloads.CertifyDense(3)):
+            workload.setup()
+            assert workload.check(workload.op(0)) == []
+
+    def test_the_center_is_guarded_by_the_rounding_of_v_there(self):
+        # ||V(C)|| = 1e14 at a center of norm 1e3: its Hermiticity defect (7e-3) is rounding, not an error.
+        rng = np.random.default_rng(0)
+        a = random_complex(rng, 4)
+        cand = canonicalize(LyapunovCandidate(terms=((1, 1, 1e7 * (a @ a.conj().T + np.eye(4))),)))
+        center = random_hermitian(rng, 4)
+        with pytest.raises(SamplingError, match="center is outside the level set"):
+            sample_level_set(cand, 1e3 * center / spectral_norm(center), LevelSetSpec(1.0, 4, 0))
+
+    def test_the_leading_block_is_guarded_by_the_rounding_of_v_on_unit_rays(self):
+        # B_2 = D Theta D with ||Theta|| ~ 1e12 has a Hermiticity defect far above an absolute 1e-7.
+        a = random_complex(np.random.default_rng(0), 4)
+        cand = canonicalize(LyapunovCandidate(terms=((1, 1, 1e11 * (a @ a.conj().T + np.eye(4))),)))
+        assert len(sample_level_set(cand, np.zeros((4, 4)), LevelSetSpec(1e11, 64, 0))) == 64
 
     def test_sample_on_its_cap_is_pulled_inward(self, monkeypatch):
         # u = 1 puts every sample on its cap.  For V(x) = x^2 at epsilon = 3e6 the computed
@@ -403,6 +440,53 @@ class TestExactExits:
             sample_level_set(cand, np.zeros((2, 2)), LevelSetSpec(epsilon=0.5, sample_count=4, seed=0))
 
 
+class TestClosedFormExits:
+    """Where B_0 ... B_{K-1} are exact zeros, the exit (epsilon / max-eig B_K)^(1/K) is the companion solve's."""
+
+    @staticmethod
+    def homogeneous(rng, dim, degree, center):
+        terms = []
+        for n in range(degree // 2 + 1):
+            theta = random_complex(rng, dim)
+            m = degree - n
+            terms += [(n, m, theta), (m, n, theta.conj().T)] if n != m else [(n, n, theta + theta.conj().T)]
+        return canonicalize(LyapunovCandidate(terms=tuple(terms), center=center))
+
+    def assert_matches_companion(self, monkeypatch, cand, center, rays, epsilon):
+        """Within 64 eps relative, times the condition ||B_K|| / |max-eig B_K| of the top eigenvalue."""
+        reference = reference_companion_exits(cand, center, rays, epsilon)
+        monkeypatch.setattr(qstab.certify.np.linalg, "eigvals", None)  # no companion solve
+        exits = qstab.certify._ray_exits(cand, center, rays, epsilon, 1e-9)
+        monkeypatch.undo()
+        zero = np.zeros((cand.dim, cand.dim), dtype=complex)
+        b_k = _sandwich(cand.terms, np.zeros((cand.degree + 1, len(rays), *zero.shape), dtype=complex), zero, rays)[-1]
+        with np.errstate(divide="ignore"):
+            condition = spectral_norm(b_k) / np.abs(np.linalg.eigvalsh(b_k)[:, -1])
+        finite = np.isfinite(reference)
+        assert np.array_equal(np.isfinite(exits), finite)
+        gap = np.abs(exits[finite] - reference[finite])
+        assert np.all(gap <= 64 * np.finfo(float).eps * condition[finite] * reference[finite])
+        return exits
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    @pytest.mark.parametrize("lam", [0.0, -1.7, 3.3])
+    def test_random_homogeneous_candidates(self, monkeypatch, degree, dim, lam):
+        rng = np.random.default_rng(100 * degree + 10 * dim + int(lam != 0))
+        cand = self.homogeneous(rng, dim, degree, lam * np.eye(dim))
+        rays = np.stack([random_hermitian(rng, dim) for _ in range(8)])
+        rays = rays / spectral_norm(rays)[:, None, None]
+        for epsilon in (0.05, 2.0):
+            self.assert_matches_companion(monkeypatch, cand, lam * np.eye(dim), rays, epsilon)
+
+    @pytest.mark.parametrize("terms", [((1, 1, -EYE2),), ((1, 0, -EYE2), (0, 1, -EYE2))], ids=["even", "odd"])
+    def test_a_nonpositive_leading_block_never_exits(self, monkeypatch, terms):
+        # -D^2 and -2D on the positive semidefinite rays N, G and I: max-eig B_K is 0 on N and G, negative on I.
+        cand = canonicalize(LyapunovCandidate(terms=terms, center=-EYE2))
+        exits = self.assert_matches_companion(monkeypatch, cand, -EYE2, np.stack([NUMBER, GROUND, EYE2]), 0.5)
+        assert np.all(exits == np.inf)
+
+
 def hermitian_closed_candidate(rng, dim, degree, center):
     """Random terms (n, m, Theta) with n + m <= degree, closed under (n, m, Theta) <-> (m, n, Theta†)."""
     a = random_complex(rng, dim)
@@ -458,6 +542,11 @@ class TestCheckLocal:
         assert cert.sample_count_used == spec_number.sample_count
         # drift = -y^2 N is nonpositive; its top eigenvalue on every sample is 0
         assert cert.worst_drift_eigenvalue <= 1e-12
+
+    def test_unclosed_term_list_is_an_invalid_candidate(self, damping_model):
+        cand = LyapunovCandidate(terms=((1, 1, [[1, 2], [0, 1]]),))
+        with pytest.raises(InvalidCandidateError, match="not closed"):
+            check_local(damping_model, cand, np.zeros((2, 2)), LevelSetSpec(1.0, 4, 0))
 
     def test_full_ball_fails_with_witness(self, damping_model, damping_candidate):
         # Perturbations toward |g><g| make the drift positive: at
@@ -981,7 +1070,7 @@ def reference_check(model, candidate, center, spec, mode, param=None, reference=
     certify = qstab.certify
     picture, center_conditions, v_conditions, drift_conditions = certify._MODES[mode]
     state = picture == "state"
-    cand = candidate if candidate.is_canonical else canonicalize(candidate)
+    cand = canonicalize(candidate)
     rate = param if mode.endswith("exponential") else None
     margin = param if mode == "asymptotic" else None
 

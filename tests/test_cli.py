@@ -80,6 +80,12 @@ class TestDriftCommand:
         code = main(["drift", files["model"], files["lyap"], "--point", files["x0"], "--picture", "state"])
         assert code == 0
 
+    def test_describes_the_kept_center(self, capsys):
+        argv = ["drift", str(DEMO_FILES / "damping_model.json"), str(DEMO_FILES / "square_candidate.json"),
+                "--point", str(DEMO_FILES / "x0_sigma_z.json")]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("candidate: 1 canonical term, exponents [(1, 1)], center -1·I\n")
+
     @pytest.mark.parametrize("picture", ["flow", "state"])
     @pytest.mark.parametrize("point", ["x0_sigma_z.json", "center.json"])
     def test_prints_what_the_eager_assembly_prints(self, monkeypatch, capsys, picture, point):

@@ -129,11 +129,12 @@ class TestModelFiles:
 
 
 class TestLyapunovFiles:
-    def test_center_expansion_on_load(self, lyap_file):
+    def test_scalar_center_kept_on_load(self, lyap_file):
         cand = load_lyapunov(lyap_file)
         assert cand.is_canonical
-        assert {(n, m) for n, m, _ in cand.terms} == {(0, 0), (0, 1), (1, 0), (1, 1)}
-        assert np.allclose(evaluate(cand, SIGMA_Z), np.diag([4.0, 0.0]))
+        assert {(n, m) for n, m, _ in cand.terms} == {(1, 1)}
+        assert np.array_equal(cand.center, -EYE2)
+        assert np.array_equal(evaluate(cand, SIGMA_Z), np.diag([4.0, 0.0]))
 
     def test_empty_terms_rejected(self, tmp_path):
         path = tmp_path / "empty.json"

@@ -32,10 +32,11 @@ from conftest import (
     random_hermitian,
     random_model,
     reference_evaluate,
+    reference_expand,
     reference_ray_coefficients,
 )
 from qstab.certify import _ray_exits, _rounding
-from qstab.lyapunov import _sandwich
+from qstab.lyapunov import _offset, _sandwich
 
 
 def terms_as_dict(candidate):
@@ -46,9 +47,16 @@ class TestCanonicalize:
     def test_square_around_scalar_center(self):
         cand = canonicalize(LyapunovCandidate(terms=((1, 1, EYE2),), center=-EYE2))
         got = terms_as_dict(cand)
-        assert set(got) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-        for theta in got.values():
-            assert np.allclose(theta, EYE2)
+        assert set(got) == {(1, 1)}
+        assert np.array_equal(got[(1, 1)], EYE2)
+        assert np.array_equal(cand.center, -EYE2)
+
+    def test_canonical_means_returned_by_canonicalize(self):
+        cand = LyapunovCandidate(terms=((1, 1, EYE2),))
+        assert not cand.is_canonical
+        once = canonicalize(cand)
+        assert once.is_canonical and canonicalize(once) is once
+        assert not dataclasses.replace(once).is_canonical
 
     def test_zero_center_is_identity(self):
         cand = canonicalize(LyapunovCandidate(terms=((2, 1, SIGMA_Z), (1, 2, SIGMA_Z)), center=np.zeros((2, 2))))
@@ -331,6 +339,59 @@ def test_routed_assembly_equals_the_eager_one_bit_for_bit(picture, scattering, d
         routed, eager = ito(model, cand, point), eager_ito_coefficients(model, cand, point, picture)
         for name in COEFFICIENTS:
             assert np.array_equal(getattr(routed, name), eager[name])
+
+
+def centered_candidate(rng, dim, low, degree, scalar, lam):
+    """Every (n, m) with low <= n + m <= degree around the center lam I, closed, with scalar Theta if asked."""
+    terms = []
+    for n in range(degree + 1):
+        for m in range(n, degree - n + 1):
+            theta = 0.3 * (rng.normal() * np.eye(dim) if scalar else random_complex(rng, dim))
+            if n + m >= low:
+                terms += [(n, m, theta), (m, n, theta.conj().T)] if n != m else [(n, n, theta + theta.conj().T)]
+    return canonicalize(LyapunovCandidate(terms=tuple(terms), center=lam * np.eye(dim)))
+
+
+@given(
+    dim=st.integers(2, 4),
+    degree=st.integers(1, 4),
+    low=st.integers(0, 4),
+    scalar=st.booleans(),
+    lam=st.sampled_from([0.0, -1.0, -1.7, 3.3, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120)
+def test_centered_candidate_agrees_with_its_expansion(dim, degree, low, scalar, lam, seed):
+    """A kept scalar center gives V and the four flow and state Ito coefficients of the binomially expanded
+    candidate within 256 eps sum_k ||Theta_k||_F (|lam| + ||X||)^(n_k + m_k) (H and L of unit norm); on a ray from
+    the center the B_k below the lowest order are exact zeros; and canonicalize is idempotent, bit for bit."""
+    rng = np.random.default_rng(seed)
+    low = min(low, degree)
+    cand = centered_candidate(rng, dim, low, degree, scalar, lam)
+    assert (cand.center is None) == (lam == 0.0)
+    expanded = reference_expand(cand)
+    model = random_model(rng, dim)
+    h, l = model.hamiltonian, model.coupling
+    model = QsdeModel(hamiltonian=h / spectral_norm(h), coupling=l / spectral_norm(l), scattering=model.scattering)
+    x = random_hermitian(rng, dim)
+    radius = abs(lam) + spectral_norm(x)
+    bound = 256 * np.finfo(float).eps * sum(np.linalg.norm(t) * radius ** (n + m) for n, m, t in cand.terms)
+    assert spectral_norm(evaluate(cand, x) - evaluate(expanded, x)) <= bound
+    for ito in (flow_ito_coefficients, state_ito_coefficients):
+        centered, reference = ito(model, cand, x), ito(model, expanded, x)
+        for name in COEFFICIENTS:
+            assert spectral_norm(getattr(centered, name) - getattr(reference, name)) <= bound
+
+    center, rays = lam * np.eye(dim), np.stack([random_hermitian(rng, dim) for _ in range(3)])
+    assert cand.center is None or np.array_equal(cand.center, center)
+    b = _sandwich(cand.terms, np.zeros((degree + 1, 3, dim, dim), dtype=complex), _offset(cand, center), rays)
+    assert not b[:low].any()
+
+    assert canonicalize(cand) is cand
+    again = canonicalize(LyapunovCandidate(terms=cand.terms, center=cand.center))
+    assert [(n, m) for n, m, _ in again.terms] == [(n, m) for n, m, _ in cand.terms]
+    assert again.center is None if cand.center is None else np.array_equal(again.center, cand.center)
+    assert all(np.array_equal(a, t) for (_, _, a), (_, _, t) in zip(again.terms, cand.terms))
 
 
 class TestRayCoefficients:
