@@ -28,9 +28,11 @@ sample.  The samples pass through one stacked point per block of at most
 the samples that no earlier condition decided, so the first violated one
 decides a sample, and the most violated sample, the first among ties, is the
 witness.  Each block reads its slice of V and its spectrum from the sampler's
-re-check, taken once per call.  :func:`recheck_witness` calls the stored
-condition's measure on a stack of one, with V guarded by the sampler's bound
-(:func:`_rounding`), so it reproduces the stored violation.
+re-check, taken once per call, and builds its drift from that V: one generator
+call for scalar Theta.  :func:`recheck_witness` calls the stored condition's
+measure on a stack of one, with V from :func:`evaluate` guarded by the
+sampler's bound (:func:`_rounding`), so it reproduces the stored violation.
+The drift target's guard is that bound times 2||H|| + 4||L||^2 + rate.
 
 Sample i reads row i of one row-ordered draw from the seed, and its scale
 is capped where its ray first leaves the level set: a polynomial eigenvalue
@@ -353,7 +355,7 @@ class _Point:
     @cached_property
     def drift(self) -> np.ndarray:
         ito = flow_ito_coefficients if self.picture == "flow" else state_ito_coefficients
-        return ito(self.model, self.cand, self.x).drift
+        return ito(self.model, self.cand, self.x, _v=self.v).drift
 
     @cached_property
     def target(self) -> np.ndarray:
@@ -362,7 +364,11 @@ class _Point:
 
     @cached_property
     def target_max(self) -> np.ndarray:
-        return hermitian_eigenvalues(self.target, tol=max(self.tol, 1e-7))[:, -1]
+        """Guarded by the target's forward error: V's rounding (at ||X - center||_F) times 2||H|| + 4||L||^2 + rate."""
+        h, l = (np.linalg.norm(a) for a in (self.model.hamiltonian, self.model.coupling))
+        r = np.linalg.norm(_offset(self.cand, self.x), axis=(-2, -1))
+        guard = (2.0 * h + 4.0 * l**2 + (self.rate or 0.0)) * _rounding(self.cand, r).max()
+        return hermitian_eigenvalues(self.target, tol=max(self.tol, 1e-7, guard))[:, -1]
 
     @cached_property
     def v_eigh(self) -> tuple[np.ndarray, np.ndarray]:

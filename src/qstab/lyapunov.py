@@ -13,20 +13,22 @@ sandwich sums A_{n,i} Theta A_{m,j} into B_{i+j}, so V(C + sD) = sum_k s^k
 B_k; from the center itself, the B_k below the lowest order are exact zeros.
 
 For a model, the differential of V along the flow decomposes into a drift
-and three noise coefficients, assembled from the model's per-operator
-drift/noise coefficients at the powers of Y by the quantum Ito product
-rule: in the product of two differentials only
+and three noise coefficients.  The flow is a *-homomorphism, j_t(XY) =
+j_t(X) j_t(Y) (Hudson & Parthasarathy 1984), so where every Theta is a
+multiple of the identity, V(j_t(X)) = j_t(V(X)) and the four are the model's
+own drift and noise coefficients at the one operator V(X).  Otherwise they
+are assembled from the model's coefficients at the powers of Y by the
+quantum Ito product rule: in the product of two differentials only
 
     dA dA† -> dt,   dLambda dLambda -> dLambda,
     dLambda dA† -> dA†,   dA dLambda -> dA
 
-survive.  Every part is linear, so on the powers of Y this is the assembly
-of the expanded polynomial, regrouped.  The same engine serves the observable
-flow and the stochastic density operator, which differ only in their
-per-operator coefficients.  Coefficients are evaluated pointwise; stability
-checking quantifies over points rather than over time.  The drift is
-assembled at the call, each noise coefficient, and each part of a power
-that a coefficient reads, only on its first read.
+survive.  Both paths serve the observable flow and the stochastic density
+operator (whose maps are a homomorphism too for unitary S), which differ
+only in their per-operator coefficients.  Coefficients are evaluated
+pointwise; stability checking quantifies over points rather than over time.
+The drift is built at the call, each noise coefficient, and each part of a
+power that a coefficient reads, only on its first read.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidCandidateError
 from .models import FLOW_NOISE_PARTS, STATE_NOISE_PARTS, QsdeModel, flow_generator, state_generator
-from .operators import DEFAULT_TOL, adjoint, as_operator, spectral_norm
+from .operators import DEFAULT_TOL, _times, adjoint, as_operator, spectral_norm
 
 DEGREE_BOUND = 6
 
@@ -104,12 +106,12 @@ _ITO_ROUTES = {
 class ItoCoefficients:
     """Drift and the three noise coefficients of dV at one point (or stack); read-only.
 
-    The drift is assembled at the call, each noise coefficient on its first read
-    and then kept, from the terms, the point's powers and, per power, its generator
-    and noise parts by name, each a call that builds the part once.
+    Built from the point's powers and, per power, its generator and noise parts
+    by name, each a call that builds the part once: by the Ito table over the
+    ``terms``, or, with terms None, as the parts of the one power V(X) itself.
     """
 
-    terms: tuple[tuple[int, int, np.ndarray], ...]
+    terms: tuple[tuple[int, int, np.ndarray], ...] | None
     powers: list[np.ndarray]
     parts: list[dict[str, Callable[[], np.ndarray]]]
     drift: np.ndarray = field(init=False)
@@ -119,6 +121,8 @@ class ItoCoefficients:
 
     def _assemble(self, name: str) -> np.ndarray:
         left, right, cross_left, cross_right = _ITO_ROUTES[name]
+        if self.terms is None:  # V = V I I: only dP's own part survives
+            return self.parts[0][left]()
         out = np.zeros_like(self.powers[0])
         for n, m, theta in self.terms:
             p, q, dp, dq = self.powers[n], self.powers[m], self.parts[n], self.parts[m]
@@ -255,42 +259,50 @@ def _sandwich(terms, b, x: np.ndarray, direction: np.ndarray | None = None):
     Each sum is a new array: in-place adds into (32, 32, 32) stacks tripled the page faults of a check."""
     powers = _powers(x, terms, direction)
     for n, m, theta in terms:
-        for i, left in enumerate([a @ theta for a in powers[n]]):
+        for i, left in enumerate([_times(a, theta) for a in powers[n]]):
             for j, right in enumerate(powers[m]):
                 b[i + j] = b[i + j] + left @ right
     return b
 
 
-def _ito_coefficients(candidate, point, model, generator, noise_parts) -> ItoCoefficients:
-    """dV coefficients from the per-operator drift/noise parts at the powers of Y = point - center (see _ITO_ROUTES)."""
+def _ito_coefficients(candidate, point, model, generator, noise_parts, v) -> ItoCoefficients:
+    """dV coefficients from the per-operator drift/noise parts at v = V(point) (evaluated if None) for scalar Theta,
+    else at the powers of Y = point - center (see _ITO_ROUTES)."""
     candidate = candidate if candidate.center is None else canonicalize(candidate)  # expands a non-scalar center
     point = np.asarray(point, dtype=complex)
     if point.shape[-1] != candidate.dim:
         raise DimensionMismatchError("argument dimension differs from candidate dimension")
-    powers = [row[0] for row in _powers(_offset(candidate, point), candidate.terms)]
+    terms = candidate.terms
+    if all(np.array_equal(t, t[0, 0] * np.eye(len(t))) for _, _, t in terms):  # V(j_t(X)) = j_t(V(X))
+        terms, powers = None, [evaluate(candidate, point) if v is None else v]
+    else:
+        powers = [row[0] for row in _powers(_offset(candidate, point), terms)]
     build = {"generator": generator, **noise_parts}
     parts = [{name: cache(partial(f, model, p)) for name, f in build.items()} for p in powers]
-    return ItoCoefficients(candidate.terms, powers, parts)
+    return ItoCoefficients(terms, powers, parts)
 
 
-def flow_ito_coefficients(model: QsdeModel, candidate: LyapunovCandidate, x: np.ndarray) -> ItoCoefficients:
+def flow_ito_coefficients(model: QsdeModel, candidate: LyapunovCandidate, x: np.ndarray, *, _v=None) -> ItoCoefficients:
     """Ito coefficients of dV along the observable flow, at the point x.
 
     A candidate with a center is canonicalized first (a no-op when already
-    canonical), and the powers are those of x - center.
-    For the single term (1, 0, I) this reduces exactly to the model's flow
-    drift and noise coefficients; for pure power terms (n, m, I) the drift
-    equals flow_generator(x^(n+m)) because the flow is a homomorphism.
-    The drift is Hermitian for Hermitian-closed candidates at Hermitian x.
-    An (N, d, d) stack of points gives the stacks of coefficients.
+    canonical).  When every Theta is a multiple of the identity, the four
+    are the model's flow drift and noise coefficients at V(x) (``_v``, if
+    the caller holds it), as the flow of a valid model (S unitary) is a
+    homomorphism; otherwise, as for an expanded non-scalar center, the Ito
+    product rule assembles them over the powers of x - center.  The drift is
+    Hermitian for Hermitian-closed candidates at Hermitian x.  An (N, d, d)
+    stack of points gives the stacks of coefficients.
     """
-    return _ito_coefficients(candidate, x, model, flow_generator, FLOW_NOISE_PARTS)
+    return _ito_coefficients(candidate, x, model, flow_generator, FLOW_NOISE_PARTS, _v)
 
 
-def state_ito_coefficients(model: QsdeModel, candidate: LyapunovCandidate, rho: np.ndarray) -> ItoCoefficients:
+def state_ito_coefficients(
+    model: QsdeModel, candidate: LyapunovCandidate, rho: np.ndarray, *, _v=None
+) -> ItoCoefficients:
     """Ito coefficients of dV along the stochastic density operator, at rho.
 
-    Same assembly as :func:`flow_ito_coefficients` built on the state-picture
-    drift and noise coefficients applied to the powers of rho.
+    Same two paths as :func:`flow_ito_coefficients` on the state-picture
+    drift and noise coefficients, a homomorphism too for unitary S.
     """
-    return _ito_coefficients(candidate, rho, model, state_generator, STATE_NOISE_PARTS)
+    return _ito_coefficients(candidate, rho, model, state_generator, STATE_NOISE_PARTS, _v)

@@ -35,6 +35,7 @@ import numpy as np
 from .errors import InvalidModelError
 from .operators import (
     DEFAULT_TOL,
+    _times,
     adjoint,
     anticommutator,
     as_operator,
@@ -142,13 +143,13 @@ class NoiseCoefficients(NamedTuple):
 
 # Each noise coefficient by name as its own function of (model, point), so a caller can build only those it reads.
 FLOW_NOISE_PARTS: dict[str, Callable[[QsdeModel, np.ndarray], np.ndarray]] = {
-    "annihilation": lambda model, x: commutator(adjoint(model.coupling), x) @ model.scattering,
+    "annihilation": lambda model, x: _times(commutator(adjoint(model.coupling), x), model.scattering),
     "creation": lambda model, x: adjoint(model.scattering) @ commutator(x, model.coupling),
     "gauge": lambda model, x: commutator(adjoint(model.scattering) @ x, model.scattering),
 }
 STATE_NOISE_PARTS: dict[str, Callable[[QsdeModel, np.ndarray], np.ndarray]] = {
     "annihilation": lambda model, rho: (
-        commutator(rho, adjoint(model.coupling) @ model.scattering) @ adjoint(model.scattering)
+        _times(commutator(rho, adjoint(model.coupling) @ model.scattering), adjoint(model.scattering))
     ),
     "creation": lambda model, rho: model.scattering @ commutator(adjoint(model.scattering) @ model.coupling, rho),
     "gauge": lambda model, rho: commutator(model.scattering @ rho, adjoint(model.scattering)),
@@ -163,8 +164,7 @@ def flow_generator(model: QsdeModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     require_same_dim(model.hamiltonian, x)
     h, l = model.hamiltonian, model.coupling
-    ldl = adjoint(l) @ l
-    return 1j * commutator(h, x) + adjoint(l) @ x @ l - 0.5 * anticommutator(ldl, x)
+    return 1j * commutator(h, x) + _times(adjoint(l) @ x, l) - 0.5 * anticommutator(adjoint(l) @ l, x)
 
 
 def flow_noise_coefficients(model: QsdeModel, x: np.ndarray) -> NoiseCoefficients:
@@ -191,8 +191,8 @@ def state_generator(model: QsdeModel, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     require_same_dim(model.hamiltonian, rho)
     h, l, s = model.hamiltonian, model.coupling, model.scattering
-    ldl = adjoint(l) @ l
-    return -1j * commutator(h, rho) + adjoint(l) @ s @ rho @ adjoint(s) @ l - 0.5 * anticommutator(ldl, rho)
+    sandwich = _times(_times(adjoint(l) @ s @ rho, adjoint(s)), l)  # L†S rho S†L, multiplied left to right
+    return -1j * commutator(h, rho) + sandwich - 0.5 * anticommutator(adjoint(l) @ l, rho)
 
 
 def state_noise_coefficients(model: QsdeModel, rho: np.ndarray) -> NoiseCoefficients:

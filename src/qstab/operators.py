@@ -71,16 +71,21 @@ def adjoint(x: np.ndarray) -> np.ndarray:
     return np.asarray(x).conj().swapaxes(-1, -2)
 
 
+def _times(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m; with one matrix m, a stack x is one GEMM over its stacked rows, bit for bit its members' products."""
+    return (x.reshape(-1, x.shape[-1]) @ m).reshape(*x.shape[:-1], m.shape[-1]) if np.ndim(m) == 2 else x @ m
+
+
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """[X, Y] = XY - YX.  Anti-Hermitian when X and Y are Hermitian."""
     require_same_dim(x, y)
-    return x @ y - y @ x
+    return _times(x, y) - _times(y, x)
 
 
 def anticommutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """{X, Y} = XY + YX.  Hermitian when X and Y are Hermitian."""
     require_same_dim(x, y)
-    return x @ y + y @ x
+    return _times(x, y) + _times(y, x)
 
 
 def spectral_norm(x: np.ndarray) -> float | np.ndarray:
@@ -106,7 +111,8 @@ def hermitian_eigenvalues(x: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray
     than ``tol`` (in any member of a stack) raises :class:`NonHermitianError`.
     """
     skew = x - adjoint(x)  # ||.||_2 <= ||.||_F: only members not within tol in Frobenius norm (or NaN) need an SVD
-    defect = np.max(spectral_norm(skew[~(np.linalg.norm(skew, axis=(-2, -1)) <= tol)]), initial=0.0)
+    loose = skew[~(np.linalg.norm(skew, axis=(-2, -1)) <= tol)]
+    defect = np.max(spectral_norm(loose)) if len(loose) else 0.0
     if defect > tol:
         raise NonHermitianError(f"matrix is not Hermitian within tolerance: defect {defect:.3e} > {tol:.3e}")
     return np.linalg.eigvalsh(hermitize(x))

@@ -601,6 +601,13 @@ class TestCheckLocal:
             cert = check_local(damping_model, cand, -EYE2, spec)
             assert cert.passed
 
+    def test_the_drift_is_guarded_by_its_forward_error(self, damping_model, damping_candidate):
+        # At epsilon 1e10 the drift's Hermiticity defect (4.0e-7) is the rounding of a V of norm up to 1e10,
+        # above an absolute 1e-7 guard but within 2||H|| + 4||L||^2 times the rounding of V.
+        cert = check_local(damping_model, damping_candidate, -EYE2, LevelSetSpec(1e10, 64, 5, HermitianBall(1e9)))
+        assert cert.violated_condition == "drift has a positive eigenvalue on a sample"
+        assert recheck_witness(damping_model, damping_candidate, cert) == cert.violation
+
 
 class TestCheckAsymptotic:
     def test_bounded_scale_family_passes(self, damping_model, damping_candidate):
@@ -1215,22 +1222,27 @@ class TestAgainstReferenceCheck:
         assert all(p.on_support.all() for p in points) and not est.support_mismatch
 
     def test_one_ito_assembly_per_block(self, monkeypatch):
-        shapes = []
-        ito = qstab.certify.flow_ito_coefficients
+        # (X + I)^2 has a scalar Theta: each block's drift is one generator call at the V the block holds.
+        shapes, generated = [], []
+        ito, generator = qstab.certify.flow_ito_coefficients, qstab.lyapunov.flow_generator
         monkeypatch.setattr(
-            qstab.certify, "flow_ito_coefficients", lambda model, cand, x: shapes.append(x.shape) or ito(model, cand, x)
+            qstab.certify, "flow_ito_coefficients",
+            lambda model, cand, x, *, _v: shapes.append(x.shape) or ito(model, cand, x, _v=_v),
+        )
+        monkeypatch.setattr(
+            qstab.lyapunov, "flow_generator", lambda model, v: generated.append(v.shape) or generator(model, v)
         )
         model, cand, rotated_number = rotated_damped_oscillator(32, 3)
         spec = LevelSetSpec(0.25, 20, 3, DirectionFamily(directions=(rotated_number,), scale_min=0.1, scale_max=1.0))
         assert check_exponential(model, cand, -np.eye(32), spec, rate=0.5).passed
-        assert shapes == [(8, 32, 32), (8, 32, 32), (4, 32, 32)]  # 2^13 entries hold eight 32 x 32 samples
-        shapes.clear()
+        assert shapes == generated == [(8, 32, 32), (8, 32, 32), (4, 32, 32)]  # 2^13 entries hold eight 32 x 32 samples
+        shapes.clear(), generated.clear()
         assert estimate_max_rate(model, cand, -np.eye(32), spec).rate == pytest.approx(1.0, abs=1e-6)
-        assert shapes == [(8, 32, 32), (8, 32, 32), (4, 32, 32)]
-        shapes.clear()
+        assert shapes == generated == [(8, 32, 32), (8, 32, 32), (4, 32, 32)]
+        shapes.clear(), generated.clear()
         qubit = LevelSetSpec(0.5, 256, 3, HermitianBall(1.0))
         check_exponential(DAMPING, centered((1, 1, EYE2), center=-EYE2), -EYE2, qubit, rate=0.5)
-        assert shapes == [(256, 2, 2)]
+        assert shapes == generated == [(256, 2, 2)]
 
 
 # run -> a check or rate estimate, on a ball or a family, in the flow or the state picture

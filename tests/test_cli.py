@@ -89,17 +89,21 @@ class TestDriftCommand:
     @pytest.mark.parametrize("picture", ["flow", "state"])
     @pytest.mark.parametrize("point", ["x0_sigma_z.json", "center.json"])
     def test_prints_what_the_eager_assembly_prints(self, monkeypatch, capsys, picture, point):
+        # The candidate's Theta is scalar, so the library's coefficients come from V(X): they may differ from the
+        # eager product rule in the sign of a zero, which adding 0.0 to both clears.
         argv = ["drift", str(DEMO_FILES / "damping_model.json"), str(DEMO_FILES / "square_candidate.json"),
                 "--point", str(DEMO_FILES / point), "--picture", picture]
-        assert main(argv) == 0
-        routed = capsys.readouterr().out
-        monkeypatch.setattr(
-            qstab.cli,
-            f"{picture}_ito_coefficients",
-            lambda model, cand, x: SimpleNamespace(**eager_ito_coefficients(model, cand, x, picture)),
-        )
-        assert main(argv) == 0
-        assert capsys.readouterr().out == routed
+        library, printed = getattr(qstab.cli, f"{picture}_ito_coefficients"), []
+        names = ("drift", "coeff_a", "coeff_adag", "coeff_gauge")
+        for ito in (library, lambda *args: SimpleNamespace(**eager_ito_coefficients(*args, picture))):
+            def unsigned_zeros(model, cand, x, ito=ito):
+                coeffs = ito(model, cand, x)
+                return SimpleNamespace(**{name: getattr(coeffs, name) + 0.0 for name in names})
+
+            monkeypatch.setattr(qstab.cli, f"{picture}_ito_coefficients", unsigned_zeros)
+            assert main(argv) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
 
 
 class TestCertifyCommand:
@@ -178,6 +182,18 @@ class TestCertifyCommand:
         argv[argv.index("--family") + 1] = str(family)
         assert main(argv) == 2
         assert "scale_max must be a finite positive number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epsilon", ["1e8", "1e12", "1e14"])
+    def test_the_drift_is_guarded_by_its_forward_error(self, tmp_path, capsys, epsilon):
+        # At epsilon 1e12 the drift's Hermiticity defect (2.6e-5) is rounding, not an error that exits 2.
+        family = tmp_path / "tilted_family.json"
+        tilted = np.array([[1.0, 0.5 + 0.3j], [0.5 - 0.3j, 0.2]])
+        family.write_text(json.dumps({"schema_version": 1, "directions": [encode_matrix(tilted)], "scale_max": 1e9}))
+        argv = ["certify", str(DEMO_FILES / "damping_model.json"), str(DEMO_FILES / "square_candidate.json"),
+                "--center", str(DEMO_FILES / "center.json"), "--mode", "local", "--epsilon", epsilon,
+                "--samples", "16", "--seed", "5", "--family", str(family)]
+        assert main(argv) == 1
+        assert "violated condition: drift has a positive eigenvalue on a sample" in capsys.readouterr().out
 
     def test_estimate_rate_flag(self, files, capsys):
         assert main(self.common(files, "local", ("--estimate-rate",))) == 0

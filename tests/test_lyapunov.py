@@ -394,6 +394,34 @@ def test_centered_candidate_agrees_with_its_expansion(dim, degree, low, scalar, 
     assert all(np.array_equal(a, t) for (_, _, a), (_, _, t) in zip(again.terms, cand.terms))
 
 
+@given(
+    dim=st.integers(2, 4),
+    degree=st.integers(0, 4),
+    low=st.integers(0, 4),
+    lam=st.sampled_from([0.0, -1.0, 3.3]),
+    picture=st.sampled_from(["flow", "state"]),
+    stack=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200)
+def test_scalar_theta_coefficients_agree_with_the_product_rule(dim, degree, low, lam, picture, stack, seed):
+    """For scalar Theta the four coefficients are the model's maps at V(X), a homomorphism for unitary S != I; they
+    equal the eager product rule over the powers of Y within 256 eps sum_k ||Theta_k||_F max(1, |lam| + ||X||)^(n_k
+    + m_k) (H and L of unit norm), with constant terms, at a point and on a stack."""
+    rng = np.random.default_rng(seed)
+    cand = centered_candidate(rng, dim, min(low, degree), degree, True, lam)
+    model = random_model(rng, dim)
+    h, l = model.hamiltonian, model.coupling
+    model = QsdeModel(hamiltonian=h / spectral_norm(h), coupling=l / spectral_norm(l), scattering=model.scattering)
+    x = np.stack([random_hermitian(rng, dim) for _ in range(5)]) if stack else random_hermitian(rng, dim)
+    ito = flow_ito_coefficients if picture == "flow" else state_ito_coefficients
+    coeffs, eager = ito(model, cand, x), eager_ito_coefficients(model, cand, x, picture)
+    assert coeffs.terms is None  # the coefficients came from V(X), not from the powers of Y
+    bound = _rounding(cand, max(1.0, abs(lam) + np.max(spectral_norm(x))))
+    for name in COEFFICIENTS:
+        assert np.all(spectral_norm(getattr(coeffs, name) - eager[name]) <= bound)
+
+
 class TestRayCoefficients:
     """On a ray C + sD the power engine gives the coefficients A_{n,i} of (C + sD)^n and V = sum_k s^k B_k."""
 
@@ -474,7 +502,10 @@ class TestLazyNoiseCoefficients:
     def test_a_stability_check_routes_the_drift_alone(self, monkeypatch, damping_model, damping_candidate):
         from qstab import HermitianBall, LevelSetSpec, check_exponential, estimate_max_rate
 
-        routed = []
+        routed, built = [], []
+        parts = qstab.lyapunov.FLOW_NOISE_PARTS
+        spy = {name: lambda model, x, f=f: built.append(x) or f(model, x) for name, f in parts.items()}
+        monkeypatch.setattr(qstab.lyapunov, "FLOW_NOISE_PARTS", spy)
 
         class Recording(dict):
             def __getitem__(self, name):
@@ -486,6 +517,7 @@ class TestLazyNoiseCoefficients:
         check_exponential(damping_model, damping_candidate, -EYE2, spec, 0.5)
         estimate_max_rate(damping_model, damping_candidate, -EYE2, spec)
         assert routed and set(routed) == {"drift"}
+        assert built == []  # (X + I)^2 has a scalar Theta: the drift is the generator at V, and no noise part is built
 
 
 class TestFlowItoCoefficients:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qstab.operators
 from qstab import (
     DimensionMismatchError,
     InvalidOperatorError,
@@ -21,7 +22,7 @@ from qstab import (
     is_psd,
     spectral_norm,
 )
-from qstab.operators import require_density
+from qstab.operators import _times, require_density
 
 from conftest import EYE2, KET_E, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, random_complex, random_hermitian
 
@@ -168,6 +169,14 @@ class TestHermitianEigenvalues:
                                                     r"1\.000e-09$"):
             hermitian_eigenvalues(skewed(1.1e-9), tol=1e-9)
 
+    def test_no_svd_where_every_member_is_within_tol(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(qstab.operators, "spectral_norm", lambda x: calls.append(x.shape) or spectral_norm(x))
+        hermitian_eigenvalues(np.stack([SIGMA_Z + 0.25e-9j * np.eye(2)] * 3), tol=1e-9)
+        assert calls == []
+        hermitian_eigenvalues(np.stack([SIGMA_Z, SIGMA_Z + 0.45e-9j * np.eye(2)]), tol=1e-9)
+        assert calls == [(1, 2, 2)]  # Frobenius norm 0.9e-9 sqrt(2) > tol: only that member gets an SVD
+
 
 class TestStacks:
     """On an (N, d, d) stack each function equals its per-matrix result bit for bit."""
@@ -194,6 +203,16 @@ class TestStacks:
         batched = evaluate(cand, stack)
         assert batched.shape == stack.shape
         assert np.array_equal(batched, np.array([evaluate(cand, m) for m in stack]))
+
+    @pytest.mark.parametrize("count", [1, 3, 8, 33, 256])
+    def test_a_stack_times_one_matrix_is_one_gemm_bit_for_bit(self, count):
+        rng = np.random.default_rng(300 + count)
+        for d in range(1, 41):
+            x = rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
+            m = random_complex(rng, d)
+            for left in (x, adjoint(x)):
+                for right in (m, adjoint(m)):  # adjoint(m) is a non-contiguous view
+                    assert np.array_equal(_times(left, right), left @ right)
 
     def test_matrix_input_keeps_return_types(self):
         assert type(spectral_norm(SIGMA_X)) is float
