@@ -28,10 +28,10 @@ sample.  The samples pass through one stacked point per block of at most
 the samples that no earlier condition decided, so the first violated one
 decides a sample, and the most violated sample, the first among ties, is the
 witness.  Each block reads its slice of V and its spectrum from the sampler's
-re-check, taken once per call, and builds its drift from that V: one generator
-call for scalar Theta.  :func:`recheck_witness` calls the stored condition's
-measure on a stack of one, with V from :func:`evaluate` guarded by the
-sampler's bound (:func:`_rounding`), so it reproduces the stored violation.
+re-check, taken once per call, and asks for the drift alone, at that V for
+scalar Theta (one generator call).  :func:`recheck_witness` calls the stored
+condition's measure on a stack of one, with V from :func:`evaluate` guarded by
+the sampler's bound (:func:`_rounding`), so it reproduces the stored violation.
 The drift target's guard is that bound times 2||H|| + 4||L||^2 + rate.
 
 Sample i reads row i of one row-ordered draw from the seed, and its scale
@@ -59,8 +59,7 @@ from .errors import (
     NonHermitianError,
     SamplingError,
 )
-from .lyapunov import LyapunovCandidate, _offset, _sandwich, canonicalize, evaluate
-from .lyapunov import flow_ito_coefficients, state_ito_coefficients
+from .lyapunov import LyapunovCandidate, _ito_coefficients, _offset, _sandwich, canonicalize, evaluate
 from .models import QsdeModel, equilibrium_residual, validate
 from .operators import (
     DEFAULT_TOL,
@@ -354,8 +353,7 @@ class _Point:
 
     @cached_property
     def drift(self) -> np.ndarray:
-        ito = flow_ito_coefficients if self.picture == "flow" else state_ito_coefficients
-        return ito(self.model, self.cand, self.x, _v=self.v).drift
+        return _ito_coefficients(self.model, self.cand, self.x, self.picture, ("drift",), self.v)[0]
 
     @cached_property
     def target(self) -> np.ndarray:

@@ -107,10 +107,11 @@ def _seed_override(seed: int) -> int:
 
 
 def _print_matrix(name: str, m: np.ndarray) -> None:
+    """The matrix and its sorted eigenvalues; adding 0.0 prints an exact zero without its sign."""
     print(f"{name}:")
-    print(np.array2string(m, precision=6, suppress_small=True))
+    print(np.array2string(m + 0.0, precision=6, suppress_small=True))
     eigs = np.linalg.eigvals(m)
-    print(f"  eigenvalues: {np.array2string(np.sort_complex(eigs), precision=6)}")
+    print(f"  eigenvalues: {np.array2string(np.sort_complex(eigs) + 0.0, precision=6)}")
 
 
 def _cmd_validate(args) -> int:

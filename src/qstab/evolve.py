@@ -50,8 +50,8 @@ from .errors import (
     UnsupportedScatteringError,
 )
 from .fock import ladder_operators, vacuum_vector
-from .lyapunov import LyapunovCandidate, _is_scalar_matrix, _offset, _powers, canonicalize, evaluate
-from .lyapunov import flow_ito_coefficients
+from .lyapunov import _ITO_ROUTES, LyapunovCandidate, _is_scalar_matrix, _ito_coefficients, _offset, _powers
+from .lyapunov import canonicalize, evaluate
 from .models import QsdeModel, validate
 from .operators import (
     DEFAULT_TOL,
@@ -330,7 +330,7 @@ def finite_difference_drift_check(
     [1.5, 2.5] (trivially satisfied when both gaps are below 1e-12).
     """
     cand = canonicalize(candidate)
-    drift = flow_ito_coefficients(model, cand, np.asarray(x0, dtype=complex)).drift
+    [drift] = _ito_coefficients(model, cand, np.asarray(x0, dtype=complex), "flow", ("drift",))
     analytic = float(expectation(system_state, drift).real)
 
     def one_step_slope(dt):
@@ -380,14 +380,10 @@ class ItoTableReport:
         return max(e.deviation for e in self.entries)
 
 
-# Multiplication table for the noise differentials; every pair not listed
-# maps to zero.  Products involving dt are second order; dt*dt alone has a
-# nonzero deterministic value (dt^2), reproduced exactly by the increments.
-_ITO_TABLE = {
-    ("dA", "dA_dag"): "dt",
-    ("dLambda", "dLambda"): "dLambda",
-    ("dLambda", "dA_dag"): "dA_dag",
-    ("dA", "dLambda"): "dA",
+# The increment of each part and coefficient name of the Ito routes that the dV assembly runs on.
+_INCREMENTS = {
+    "annihilation": "dA", "creation": "dA_dag", "gauge": "dLambda",
+    "drift": "dt", "coeff_a": "dA", "coeff_adag": "dA_dag", "coeff_gauge": "dLambda",
 }
 
 
@@ -400,7 +396,9 @@ def ito_table_check(ancilla_levels: int = 1, dt: float = 1e-3) -> ItoTableReport
     increment the multiplication table assigns: dt for dA dA†, zero for
     everything else mapping to a noise increment or to zero.  The purely
     deterministic pair dt*dt equals dt^2 identically and is compared with
-    that exact value.  All deviations are zero up to float rounding.
+    that exact value.  The table is read from the cross columns of the
+    routes that assemble dV, every pair not listed there mapping to zero.
+    All deviations are zero up to float rounding.
     """
     if ancilla_levels < 1:
         raise ValueError("ancilla_levels must be at least 1")
@@ -408,6 +406,7 @@ def ito_table_check(ancilla_levels: int = 1, dt: float = 1e-3) -> ItoTableReport
     a, a_dag, number = ladder_operators(ancilla_levels)
     eye = np.eye(ancilla_levels + 1)
     vac = vacuum_vector(ancilla_levels)
+    table = {(_INCREMENTS[left], _INCREMENTS[right]): _INCREMENTS[c] for c, (*_, left, right) in _ITO_ROUTES.items()}
     increments = {
         "dA": np.sqrt(dt) * a,
         "dA_dag": np.sqrt(dt) * a_dag,
@@ -425,7 +424,7 @@ def ito_table_check(ancilla_levels: int = 1, dt: float = 1e-3) -> ItoTableReport
             if left == "dt" and right == "dt":
                 maps_to, expected = "dt*dt", dt * dt
             else:
-                maps_to = _ITO_TABLE.get((left, right), "0")
+                maps_to = table.get((left, right), "0")
                 expected = vac_moment(increments[maps_to]) if maps_to in increments else 0.0
             entries.append(
                 ItoTableEntry(

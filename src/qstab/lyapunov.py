@@ -27,20 +27,19 @@ survive.  Both paths serve the observable flow and the stochastic density
 operator (whose maps are a homomorphism too for unitary S), which differ
 only in their per-operator coefficients.  Coefficients are evaluated
 pointwise; stability checking quantifies over points rather than over time.
-The drift is built at the call, each noise coefficient, and each part of a
-power that a coefficient reads, only on its first read.
+A caller names the coefficients it reads, and only the parts of the powers
+that their routes read are built, each once: a check names the drift alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
-from typing import Callable
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidCandidateError
-from .models import FLOW_NOISE_PARTS, STATE_NOISE_PARTS, QsdeModel, flow_generator, state_generator
+from .models import FLOW_NOISE_PARTS, STATE_NOISE_PARTS, QsdeModel, flow_generator, state_generator, validate
 from .operators import DEFAULT_TOL, _times, adjoint, as_operator, spectral_norm
 
 DEGREE_BOUND = 6
@@ -102,36 +101,13 @@ _ITO_ROUTES = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class ItoCoefficients:
-    """Drift and the three noise coefficients of dV at one point (or stack); read-only.
+class ItoCoefficients(NamedTuple):
+    """Drift and the three noise coefficients of dV at one point (or stack)."""
 
-    Built from the point's powers and, per power, its generator and noise parts
-    by name, each a call that builds the part once: by the Ito table over the
-    ``terms``, or, with terms None, as the parts of the one power V(X) itself.
-    """
-
-    terms: tuple[tuple[int, int, np.ndarray], ...] | None
-    powers: list[np.ndarray]
-    parts: list[dict[str, Callable[[], np.ndarray]]]
-    drift: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "drift", self._assemble("drift"))
-
-    def _assemble(self, name: str) -> np.ndarray:
-        left, right, cross_left, cross_right = _ITO_ROUTES[name]
-        if self.terms is None:  # V = V I I: only dP's own part survives
-            return self.parts[0][left]()
-        out = np.zeros_like(self.powers[0])
-        for n, m, theta in self.terms:
-            p, q, dp, dq = self.powers[n], self.powers[m], self.parts[n], self.parts[m]
-            out = out + dp[left]() @ theta @ q + p @ theta @ dq[right]() + dp[cross_left]() @ theta @ dq[cross_right]()
-        return out
-
-    coeff_a = cached_property(partial(_assemble, name="coeff_a"))
-    coeff_adag = cached_property(partial(_assemble, name="coeff_adag"))
-    coeff_gauge = cached_property(partial(_assemble, name="coeff_gauge"))
+    drift: np.ndarray
+    coeff_a: np.ndarray
+    coeff_adag: np.ndarray
+    coeff_gauge: np.ndarray
 
 
 def _is_scalar_matrix(c: np.ndarray, tol: float) -> tuple[bool, complex]:
@@ -265,44 +241,56 @@ def _sandwich(terms, b, x: np.ndarray, direction: np.ndarray | None = None):
     return b
 
 
-def _ito_coefficients(candidate, point, model, generator, noise_parts, v) -> ItoCoefficients:
-    """dV coefficients from the per-operator drift/noise parts at v = V(point) (evaluated if None) for scalar Theta,
-    else at the powers of Y = point - center (see _ITO_ROUTES)."""
+def _ito_coefficients(model, candidate, point, picture, names, v=None) -> list[np.ndarray]:
+    """The dV coefficients named in ``names``, in order, at a point or stack, for a model validated by the caller.
+
+    For scalar Theta each is the picture's map at v = V(point) (evaluated if None), else the Ito table _ITO_ROUTES
+    over the powers of Y = point - center, each part that a named coefficient's route reads built once."""
+    generator, noise = (flow_generator, FLOW_NOISE_PARTS) if picture == "flow" else (state_generator, STATE_NOISE_PARTS)
+    maps = {"generator": generator, **noise}
     candidate = candidate if candidate.center is None else canonicalize(candidate)  # expands a non-scalar center
     point = np.asarray(point, dtype=complex)
     if point.shape[-1] != candidate.dim:
         raise DimensionMismatchError("argument dimension differs from candidate dimension")
     terms = candidate.terms
     if all(np.array_equal(t, t[0, 0] * np.eye(len(t))) for _, _, t in terms):  # V(j_t(X)) = j_t(V(X))
-        terms, powers = None, [evaluate(candidate, point) if v is None else v]
-    else:
-        powers = [row[0] for row in _powers(_offset(candidate, point), terms)]
-    build = {"generator": generator, **noise_parts}
-    parts = [{name: cache(partial(f, model, p)) for name, f in build.items()} for p in powers]
-    return ItoCoefficients(terms, powers, parts)
+        v = evaluate(candidate, point) if v is None else v
+        return [maps[_ITO_ROUTES[name][0]](model, v) for name in names]  # V = V I I: only dP's own part survives
+    powers = [row[0] for row in _powers(_offset(candidate, point), terms)]
+    reads = {(part, k) for name in names for n, m, _ in terms for part, k in zip(_ITO_ROUTES[name], (n, m, n, m))}
+    dy = {(part, k): maps[part](model, powers[k]) for part, k in reads}  # the part of d(Y^k) named part
+    out = []
+    for name in names:
+        dp, dq, cross_p, cross_q = _ITO_ROUTES[name]
+        total = np.zeros_like(powers[0])
+        for n, m, theta in terms:
+            p, q = powers[n], powers[m]
+            total = total + dy[dp, n] @ theta @ q + p @ theta @ dy[dq, m] + dy[cross_p, n] @ theta @ dy[cross_q, m]
+        out.append(total)
+    return out
 
 
-def flow_ito_coefficients(model: QsdeModel, candidate: LyapunovCandidate, x: np.ndarray, *, _v=None) -> ItoCoefficients:
+def flow_ito_coefficients(model: QsdeModel, candidate: LyapunovCandidate, x: np.ndarray) -> ItoCoefficients:
     """Ito coefficients of dV along the observable flow, at the point x.
 
-    A candidate with a center is canonicalized first (a no-op when already
-    canonical).  When every Theta is a multiple of the identity, the four
-    are the model's flow drift and noise coefficients at V(x) (``_v``, if
-    the caller holds it), as the flow of a valid model (S unitary) is a
+    The model is validated (:class:`InvalidModelError` names the defect) and
+    a centered candidate canonicalized first.  When every Theta is a
+    multiple of the identity, the four are the model's flow drift and noise
+    coefficients at V(x), as the flow of a valid model (S unitary) is a
     homomorphism; otherwise, as for an expanded non-scalar center, the Ito
     product rule assembles them over the powers of x - center.  The drift is
     Hermitian for Hermitian-closed candidates at Hermitian x.  An (N, d, d)
     stack of points gives the stacks of coefficients.
     """
-    return _ito_coefficients(candidate, x, model, flow_generator, FLOW_NOISE_PARTS, _v)
+    validate(model)
+    return ItoCoefficients(*_ito_coefficients(model, candidate, x, "flow", ItoCoefficients._fields))
 
 
-def state_ito_coefficients(
-    model: QsdeModel, candidate: LyapunovCandidate, rho: np.ndarray, *, _v=None
-) -> ItoCoefficients:
+def state_ito_coefficients(model: QsdeModel, candidate: LyapunovCandidate, rho: np.ndarray) -> ItoCoefficients:
     """Ito coefficients of dV along the stochastic density operator, at rho.
 
-    Same two paths as :func:`flow_ito_coefficients` on the state-picture
-    drift and noise coefficients, a homomorphism too for unitary S.
+    Same validation and paths as :func:`flow_ito_coefficients` on the
+    state-picture coefficients, a homomorphism too for unitary S.
     """
-    return _ito_coefficients(candidate, rho, model, state_generator, STATE_NOISE_PARTS, _v)
+    validate(model)
+    return ItoCoefficients(*_ito_coefficients(model, candidate, rho, "state", ItoCoefficients._fields))

@@ -1224,10 +1224,10 @@ class TestAgainstReferenceCheck:
     def test_one_ito_assembly_per_block(self, monkeypatch):
         # (X + I)^2 has a scalar Theta: each block's drift is one generator call at the V the block holds.
         shapes, generated = [], []
-        ito, generator = qstab.certify.flow_ito_coefficients, qstab.lyapunov.flow_generator
+        ito, generator = qstab.certify._ito_coefficients, qstab.lyapunov.flow_generator
         monkeypatch.setattr(
-            qstab.certify, "flow_ito_coefficients",
-            lambda model, cand, x, *, _v: shapes.append(x.shape) or ito(model, cand, x, _v=_v),
+            qstab.certify, "_ito_coefficients",
+            lambda model, cand, x, picture, names, v: shapes.append(x.shape) or ito(model, cand, x, picture, names, v),
         )
         monkeypatch.setattr(
             qstab.lyapunov, "flow_generator", lambda model, v: generated.append(v.shape) or generator(model, v)

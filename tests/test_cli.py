@@ -90,20 +90,22 @@ class TestDriftCommand:
     @pytest.mark.parametrize("point", ["x0_sigma_z.json", "center.json"])
     def test_prints_what_the_eager_assembly_prints(self, monkeypatch, capsys, picture, point):
         # The candidate's Theta is scalar, so the library's coefficients come from V(X): they may differ from the
-        # eager product rule in the sign of a zero, which adding 0.0 to both clears.
+        # eager product rule in the sign of a zero, which the printer does not show.
         argv = ["drift", str(DEMO_FILES / "damping_model.json"), str(DEMO_FILES / "square_candidate.json"),
                 "--point", str(DEMO_FILES / point), "--picture", picture]
         library, printed = getattr(qstab.cli, f"{picture}_ito_coefficients"), []
-        names = ("drift", "coeff_a", "coeff_adag", "coeff_gauge")
         for ito in (library, lambda *args: SimpleNamespace(**eager_ito_coefficients(*args, picture))):
-            def unsigned_zeros(model, cand, x, ito=ito):
-                coeffs = ito(model, cand, x)
-                return SimpleNamespace(**{name: getattr(coeffs, name) + 0.0 for name in names})
-
-            monkeypatch.setattr(qstab.cli, f"{picture}_ito_coefficients", unsigned_zeros)
+            monkeypatch.setattr(qstab.cli, f"{picture}_ito_coefficients", ito)
             assert main(argv) == 0
             printed.append(capsys.readouterr().out)
         assert printed[0] == printed[1]
+
+    @pytest.mark.parametrize("picture", ["flow", "state"])
+    def test_prints_no_signed_zero(self, capsys, picture):
+        argv = ["drift", str(DEMO_FILES / "damping_model.json"), str(DEMO_FILES / "square_candidate.json"),
+                "--point", str(DEMO_FILES / "x0_sigma_z.json"), "--picture", picture]
+        assert main(argv) == 0
+        assert "-0." not in capsys.readouterr().out
 
 
 class TestCertifyCommand:

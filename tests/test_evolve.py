@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import qstab.lyapunov
 from qstab import (
     CollisionConfig,
     InvalidCandidateError,
@@ -448,6 +449,11 @@ class TestItoTableCheck:
         by_pair = {(e.left, e.right): e for e in report.entries}
         assert by_pair[("dA_dag", "dA")].moment == 0.0
         assert by_pair[("dLambda", "dLambda")].moment == 0.0
+
+    def test_checks_the_table_that_the_ito_assembly_runs_on(self, monkeypatch):
+        # Swapping the drift's cross column to dA† dA is a wrong table: its vacuum moment is 0, not dt.
+        monkeypatch.setitem(qstab.lyapunov._ITO_ROUTES, "drift", ("generator", "generator", "creation", "annihilation"))
+        assert ito_table_check(ancilla_levels=1, dt=1e-3).max_deviation > 1e-12
 
 
 class TestTrajectoryChecks:

@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import qstab.lyapunov
 from qstab import (
     InvalidCandidateError,
+    InvalidModelError,
     LyapunovCandidate,
     QsdeModel,
     adjoint,
@@ -36,7 +38,7 @@ from conftest import (
     reference_ray_coefficients,
 )
 from qstab.certify import _ray_exits, _rounding
-from qstab.lyapunov import _offset, _sandwich
+from qstab.lyapunov import _ito_coefficients, _offset, _sandwich
 
 
 def terms_as_dict(candidate):
@@ -416,7 +418,11 @@ def test_scalar_theta_coefficients_agree_with_the_product_rule(dim, degree, low,
     x = np.stack([random_hermitian(rng, dim) for _ in range(5)]) if stack else random_hermitian(rng, dim)
     ito = flow_ito_coefficients if picture == "flow" else state_ito_coefficients
     coeffs, eager = ito(model, cand, x), eager_ito_coefficients(model, cand, x, picture)
-    assert coeffs.terms is None  # the coefficients came from V(X), not from the powers of Y
+    powers, v = [], evaluate(cand, x)
+    with mock.patch.object(qstab.lyapunov, "_powers", lambda *args: powers.append(args)):
+        from_v = _ito_coefficients(model, cand, x, picture, COEFFICIENTS, v)
+    assert powers == []  # given V(X), the coefficients come from it, not from the powers of Y
+    assert all(np.array_equal(getattr(coeffs, name), a) for name, a in zip(COEFFICIENTS, from_v))
     bound = _rounding(cand, max(1.0, abs(lam) + np.max(spectral_norm(x))))
     for name in COEFFICIENTS:
         assert np.all(spectral_norm(getattr(coeffs, name) - eager[name]) <= bound)
@@ -462,41 +468,51 @@ def test_ray_coefficients_sum_to_the_value_on_the_ray(dim, degree, scalar, seed,
 
 
 class TestLazyNoiseCoefficients:
-    def coefficients(self):
+    """A caller names the coefficients it reads, and only the parts that their routes read are built."""
+
+    @staticmethod
+    def spy_on_parts(monkeypatch, picture):
+        """The (part, power) pairs that the picture's generator and noise parts are called on, in call order."""
+        built, name = [], f"{picture.upper()}_NOISE_PARTS"
+        parts, generator = getattr(qstab.lyapunov, name), getattr(qstab.lyapunov, f"{picture}_generator")
+        spies = {part: lambda model, x, part=part, f=f: built.append((part, x)) or f(model, x) for part, f in parts.items()}
+        monkeypatch.setattr(qstab.lyapunov, name, spies)
+        monkeypatch.setattr(
+            qstab.lyapunov, f"{picture}_generator", lambda model, x: built.append(("generator", x)) or generator(model, x)
+        )
+        return built
+
+    def test_reading_the_drift_builds_no_noise_coefficient(self, monkeypatch):
+        built = self.spy_on_parts(monkeypatch, "flow")
         rng = np.random.default_rng(7)
-        return flow_ito_coefficients(random_model(rng, 3), random_closed_candidate(rng, 3, 3), random_hermitian(rng, 3))
+        model, cand, x = random_model(rng, 3), random_closed_candidate(rng, 3, 3, scalar=True), random_hermitian(rng, 3)
+        [drift] = _ito_coefficients(model, cand, x, "flow", ("drift",))
+        assert [part for part, _ in built] == ["generator"]  # scalar Theta: the generator at V alone
+        assert np.array_equal(built[0][1], evaluate(cand, x))
+        assert np.array_equal(drift, flow_generator(model, evaluate(cand, x)))
 
-    def test_reading_the_drift_builds_no_noise_coefficient(self):
-        coeffs = self.coefficients()
-        assert coeffs.drift is coeffs.drift
-        assert not {"coeff_a", "coeff_adag", "coeff_gauge"} & vars(coeffs).keys()
-
-    def test_a_coefficient_is_built_once_on_first_read(self):
-        coeffs = self.coefficients()
-        first = coeffs.coeff_adag
-        assert coeffs.coeff_adag is first
-        assert {"coeff_a", "coeff_adag", "coeff_gauge"} & vars(coeffs).keys() == {"coeff_adag"}
+    def test_a_part_is_built_once_and_only_at_a_power_a_term_reads(self, monkeypatch):
+        built = self.spy_on_parts(monkeypatch, "flow")
+        rng = np.random.default_rng(9)
+        cand, x = canonicalize(LyapunovCandidate(terms=((2, 2, random_hermitian(rng, 3)),))), random_hermitian(rng, 3)
+        _ito_coefficients(random_model(rng, 3), cand, x, "flow", COEFFICIENTS)
+        assert sorted(part for part, _ in built) == ["annihilation", "creation", "gauge", "generator"]
+        assert all(np.array_equal(p, x @ x) for _, p in built)  # none at I or Y: no term reads them
 
     @pytest.mark.parametrize("picture", ["flow", "state"])
     def test_reading_the_drift_builds_no_gauge_part(self, monkeypatch, picture):
-        built = []
-        name = f"{picture.upper()}_NOISE_PARTS"
-        parts = getattr(qstab.lyapunov, name)
-        spy = {**parts, "gauge": lambda model, x: built.append(x) or parts["gauge"](model, x)}
-        monkeypatch.setattr(qstab.lyapunov, name, spy)
+        built = self.spy_on_parts(monkeypatch, picture)
         rng = np.random.default_rng(8)
-        ito = flow_ito_coefficients if picture == "flow" else state_ito_coefficients
         model, cand = random_model(rng, 3, scattering=True), random_closed_candidate(rng, 3, 3)
-        coeffs = ito(model, cand, random_hermitian(rng, 3))
-        assert coeffs.drift is not None and built == []
-        coeffs.coeff_a  # its cross term reads the gauge part of dQ
-        coeffs.coeff_gauge
-        assert 0 < len(built) <= len(coeffs.powers)  # each power's gauge part at most once
+        _ito_coefficients(model, cand, random_hermitian(rng, 3), picture, ("drift",))
+        assert {part for part, _ in built} == {"generator", "annihilation", "creation"}
+        assert len(built) == len({(part, id(p)) for part, p in built})  # each part at each power once
 
     def test_read_only(self):
-        coeffs = self.coefficients()
+        rng = np.random.default_rng(7)
+        coeffs = flow_ito_coefficients(random_model(rng, 3), random_closed_candidate(rng, 3, 3), random_hermitian(rng, 3))
         for name in COEFFICIENTS:
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 setattr(coeffs, name, np.zeros((3, 3)))
 
     def test_a_stability_check_routes_the_drift_alone(self, monkeypatch, damping_model, damping_candidate):
@@ -518,6 +534,27 @@ class TestLazyNoiseCoefficients:
         estimate_max_rate(damping_model, damping_candidate, -EYE2, spec)
         assert routed and set(routed) == {"drift"}
         assert built == []  # (X + I)^2 has a scalar Theta: the drift is the generator at V, and no noise part is built
+
+
+@pytest.mark.parametrize("picture", ["flow", "state"])
+@pytest.mark.parametrize("scalar", [False, True])
+@pytest.mark.parametrize("stack", [False, True])
+def test_each_public_coefficient_is_the_one_named_alone(picture, scalar, stack):
+    rng = np.random.default_rng(20 + 4 * (picture == "state") + 2 * scalar + stack)
+    model, cand = random_model(rng, 3, scattering=True), centered_candidate(rng, 3, 0, 3, scalar, -1.0)
+    x = np.stack([random_hermitian(rng, 3) for _ in range(4)]) if stack else random_hermitian(rng, 3)
+    coeffs = (flow_ito_coefficients if picture == "flow" else state_ito_coefficients)(model, cand, x)
+    for name in COEFFICIENTS:
+        [alone] = _ito_coefficients(model, cand, x, picture, (name,))
+        assert np.array_equal(getattr(coeffs, name), alone)
+
+
+@pytest.mark.parametrize("ito", [flow_ito_coefficients, state_ito_coefficients])
+def test_the_public_ito_functions_reject_a_non_unitary_scattering(ito):
+    rng = np.random.default_rng(21)
+    model = QsdeModel(random_hermitian(rng, 2), random_complex(rng, 2), 2 * np.eye(2))
+    with pytest.raises(InvalidModelError, match="S not unitary"):
+        ito(model, LyapunovCandidate(terms=((1, 1, np.eye(2)),)), random_hermitian(rng, 2))
 
 
 class TestFlowItoCoefficients:
