@@ -27,9 +27,10 @@ sample.  The samples pass through one stacked point per block of at most
 2^13 matrix entries, and each condition is a mask: its measure runs only on
 the samples that no earlier condition decided, so the first violated one
 decides a sample, and the most violated sample, the first among ties, is the
-witness.  Each block reads its slice of V and its spectrum from the sampler's
-re-check, taken once per call, and asks for the drift alone, at that V for
-scalar Theta (one generator call).  :func:`recheck_witness` calls the stored
+witness.  The sampler's re-check takes one guarded eigendecomposition of V
+per call, on the whole sample stack; each block reads its slice of V and of
+that eigendecomposition, and asks for the drift alone, at that V for scalar
+Theta (one generator call).  :func:`recheck_witness` calls the stored
 condition's measure on a stack of one, with V from :func:`evaluate` guarded by
 the sampler's bound (:func:`_rounding`), so it reproduces the stored violation.
 The drift target's guard is that bound times 2||H|| + 4||L||^2 + rate.
@@ -70,6 +71,7 @@ from .operators import (
     hermiticity_defect,
     hermitize,
     hermitian_eigenvalues,
+    require_hermitian,
     require_positive,
     spectral_norm,
 )
@@ -136,11 +138,11 @@ class LevelSetSpec:
 
 @dataclass(frozen=True, eq=False)
 class LevelSetSamples(Sequence):
-    """A read-only sequence of (d, d) samples, stacked in ``x``, with V and its ascending eigenvalues at each."""
+    """A read-only sequence of (d, d) samples, stacked in ``x``, with V and its one eigendecomposition at each."""
 
     x: np.ndarray
     v: np.ndarray
-    v_eigs: np.ndarray
+    v_eigh: tuple[np.ndarray, np.ndarray]
 
     def __len__(self) -> int:
         return len(self.x)
@@ -212,7 +214,7 @@ def sample_level_set(
     traceless: bool = False,
     tol: float = DEFAULT_TOL,
 ) -> LevelSetSamples:
-    """Hermitian samples X != center with max-eig V(X) <= epsilon + tol, with V and its spectrum at each.
+    """Hermitian samples X != center with max-eig V(X) <= epsilon + tol, with V and its eigh at each.
 
     Sample i reads row i of the (N, 2d^2 + 1) uniforms (N x 1 for a family)
     that the seed draws in row order, so it depends on (seed, i) alone: u is
@@ -226,10 +228,10 @@ def sample_level_set(
     without crossing stops it too, which is conservative.  The sampled set
     is the star-shaped part of the level set seen from the center.  A sample
     stays a few ulps inside its cap, never outside, and every sample is
-    re-checked in one stacked evaluation against epsilon + max(tol, 1e-9, r):
-    r = :func:`_rounding` at ||center - candidate.center|| + s bounds the
-    rounding of V at scale s (27 eps in place of 256 eps was the most seen)
-    and its Hermiticity defect.
+    re-checked by one stacked evaluation and eigendecomposition of V against
+    epsilon + max(tol, 1e-9, r): r = :func:`_rounding` at ||center - C|| + s
+    (C the candidate's center) bounds V's rounding at scale s (27 eps in place
+    of 256 eps was the most seen) and its Hermiticity defect, the eigh guard.
 
     A center with max-eig V(center) >= epsilon, or a family with no feasible
     nonzero sample, raises :class:`SamplingError`.
@@ -271,11 +273,11 @@ def sample_level_set(
     samples = center + scale[:, None, None] * rays[ray_of[keep]]
     rounding = _rounding(cand, spectral_norm(_offset(cand, center)) + scale)  # ||Y|| <= ||C - center of V|| + s
     v = evaluate(cand, samples)
-    eigs = hermitian_eigenvalues(v, tol=max(tol, 1e-7, rounding.max()))
-    if np.any(eigs[:, -1] > spec.epsilon + np.maximum(max(tol, 1e-9), rounding)):
+    vals, vecs = np.linalg.eigh(require_hermitian(v, tol=max(tol, 1e-7, rounding.max())))
+    if np.any(vals[:, -1] > spec.epsilon + np.maximum(max(tol, 1e-9), rounding)):
         raise InternalCheckError("level-set sample failed its own constraint re-check")
-    samples.flags.writeable = v.flags.writeable = eigs.flags.writeable = False
-    return LevelSetSamples(samples, v, eigs)
+    samples.flags.writeable = v.flags.writeable = vals.flags.writeable = vecs.flags.writeable = False
+    return LevelSetSamples(samples, v, (vals, vecs))
 
 
 def _rounding(cand, radius):
@@ -347,11 +349,6 @@ class _Point:
         return evaluate(self.cand, self.x)
 
     @cached_property
-    def v_eigs(self) -> np.ndarray:
-        rounding = _rounding(self.cand, spectral_norm(_offset(self.cand, self.x)))
-        return hermitian_eigenvalues(self.v, tol=max(self.tol, 1e-7, *rounding))
-
-    @cached_property
     def drift(self) -> np.ndarray:
         return _ito_coefficients(self.model, self.cand, self.x, self.picture, ("drift",), self.v)[0]
 
@@ -370,16 +367,16 @@ class _Point:
 
     @cached_property
     def v_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and eigenvectors of V; those above SUPPORT_CUTOFF times the top one span its support."""
-        vals, vecs = np.linalg.eigh(hermitize(self.v))
-        if np.any(vals[:, -1] <= 0.0):
-            raise DegeneratePencilError("candidate value vanishes at a sample; the pencil has no support")
-        return vals, vecs
+        """V's ascending eigenvalues and eigenvectors under the sampler's guard; sampled blocks hold the sampler's."""
+        rounding = _rounding(self.cand, spectral_norm(_offset(self.cand, self.x)))
+        return np.linalg.eigh(require_hermitian(self.v, tol=max(self.tol, 1e-7, *rounding)))
 
     @cached_property
     def on_support(self) -> np.ndarray:
-        """A suffix of V's ascending eigenvalues, so its count fixes it and ~on_support is the prefix before it."""
+        """V's eigenvalues above SUPPORT_CUTOFF times its top one: a suffix, so ~on_support is the prefix before it."""
         vals = self.v_eigh[0]
+        if np.any(vals[:, -1] <= 0.0):
+            raise DegeneratePencilError("candidate value vanishes at a sample; the pencil has no support")
         return vals >= SUPPORT_CUTOFF * vals[:, -1:]
 
     @cached_property
@@ -448,9 +445,9 @@ _FLOW_EQUILIBRIUM = _Condition("center is not a flow equilibrium", lambda p: _ab
 _STATE_EQUILIBRIUM = _Condition("center is not a state equilibrium", lambda p: _above(p.residual, p.tol))
 _V_AT_CENTER = _Condition("candidate does not vanish at the center", lambda p: _above(spectral_norm(p.v), p.tol))
 _E_AT_CENTER = _Condition("candidate expectation does not vanish at the center", lambda p: _above(abs(p.e_v), p.tol))
-_NOT_PSD = _Condition("candidate is not positive semidefinite at a sample", lambda p: _above(-p.v_eigs[:, 0], p.tol))
+_NOT_PSD = _Condition("candidate is not positive semidefinite at a sample", lambda p: _above(-p.v_eigh[0][:, 0], p.tol))
 _V_VANISHES = _Condition(
-    "candidate vanishes at a sample away from the center", lambda p: _shortfall(p.v_eigs[:, -1], p.tol_strict)
+    "candidate vanishes at a sample away from the center", lambda p: _shortfall(p.v_eigh[0][:, -1], p.tol_strict)
 )
 _E_VANISHES = _Condition(
     "candidate expectation vanishes at a sample away from the center", lambda p: _shortfall(p.e_v.real, p.tol_strict)
@@ -518,11 +515,11 @@ def _worst(violation) -> int | None:
 
 
 def _blocks(samples: LevelSetSamples, point):
-    """In order, points on slices of at most _BLOCK_ENTRIES matrix entries or one sample, holding V and its spectrum."""
+    """In order, points on slices of at most _BLOCK_ENTRIES matrix entries or one sample, holding V and its eigh."""
     step = max(1, _BLOCK_ENTRIES // samples.x[0].size)
     for i in range(0, len(samples), step):
         block = point(samples.x[i : i + step])
-        vars(block).update(v=samples.v[i : i + step], v_eigs=samples.v_eigs[i : i + step])
+        vars(block).update(v=samples.v[i : i + step], v_eigh=tuple(a[i : i + step] for a in samples.v_eigh))
         yield block
 
 
@@ -544,7 +541,8 @@ def _check(model, candidate, center, spec, mode, *, rate=None, margin=None, refe
         points = (samples := sample_level_set(cand, center, spec, traceless=state, tol=tol)).x
         if state and np.any(np.abs(np.trace(points, axis1=1, axis2=2) - np.trace(center)) > max(tol, 1e-9)):
             raise InvalidStateError("state-picture sample lost unit trace")
-        blocks = [(p.e_v.real if state else p.v_eigs[:, 0], *_decide(conditions, p)) for p in _blocks(samples, point)]
+        blocks = [(p.e_v.real if state else p.v_eigh[0][:, 0], *_decide(conditions, p))
+                  for p in _blocks(samples, point)]
         v_min, violation, decided_by, level = map(np.concatenate, zip(*blocks))
         worst_v = float(v_min.min())
     worst = _worst(violation)

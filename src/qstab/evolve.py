@@ -45,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     InternalCheckError,
     InvalidCandidateError,
     UnsupportedScatteringError,
@@ -134,6 +135,11 @@ def collision_step_unitary(model: QsdeModel, dt: float, ancilla_levels: int = 1)
     return u
 
 
+def _require_state_dim(model: QsdeModel, state: QuantumState) -> None:
+    if state.dim != model.dim:
+        raise DimensionMismatchError(f"system state has dimension {state.dim}, model has dimension {model.dim}")
+
+
 def simulate_flow_expectation(
     model: QsdeModel,
     candidate: LyapunovCandidate,
@@ -169,6 +175,7 @@ def simulate_flow_expectation(
     expectations are recorded alongside E[V]; they are read from the
     reduced state, advanced by rho -> sum_a E_a0 rho E_a0†.
     """
+    _require_state_dim(model, system_state)
     cand = canonicalize(candidate)
     x0 = np.asarray(x0, dtype=complex)
     if x0.shape[0] != model.dim or cand.dim != model.dim:
@@ -254,6 +261,7 @@ def master_evolve(model: QsdeModel, rho0: QuantumState, t_grid) -> np.ndarray:
     """
     import scipy.linalg
 
+    _require_state_dim(model, rho0)
     t_grid = np.asarray(t_grid, dtype=float)
     bad_grid = t_grid.ndim != 1 or t_grid.size == 0 or not np.isfinite(t_grid).all()
     if bad_grid or t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
@@ -329,6 +337,7 @@ def finite_difference_drift_check(
     check reruns at dt/2 and requires the gap to shrink by a factor in
     [1.5, 2.5] (trivially satisfied when both gaps are below 1e-12).
     """
+    _require_state_dim(model, system_state)
     cand = canonicalize(candidate)
     [drift] = _ito_coefficients(model, cand, np.asarray(x0, dtype=complex), "flow", ("drift",))
     analytic = float(expectation(system_state, drift).real)

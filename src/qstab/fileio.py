@@ -85,8 +85,22 @@ def _require(data: dict, field: str, path):
 
 def _check_schema(data: dict, path, expected: int = SCHEMA_VERSION) -> None:
     version = _require(data, "schema_version", path)
-    if version != expected:
-        raise FileFormatError(f"{path}: unsupported schema_version {version} (expected {expected})")
+    if isinstance(version, bool) or version != expected:
+        raise FileFormatError(f"{path}: unsupported schema_version {version!r} (expected {expected})")
+
+
+def _integer(value, field: str, path, least: int) -> int:
+    """``value`` if it is a JSON integer (not a boolean) of at least ``least``; else an error naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise FileFormatError(f"{path}: {field} must be a JSON integer >= {least}, got {value!r}")
+    return value
+
+
+def _number(value, field: str, path) -> float:
+    """``value`` as a float if it is a JSON number (not a boolean); else an error naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FileFormatError(f"{path}: {field} must be a JSON number, got {value!r}")
+    return float(value)
 
 
 def load_model(path, tol: float = 1e-9) -> QsdeModel:
@@ -98,9 +112,7 @@ def load_model(path, tol: float = 1e-9) -> QsdeModel:
     """
     data = _load_json(path)
     _check_schema(data, path)
-    dim = _require(data, "dim", path)
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise FileFormatError(f"{path}: dim must be a JSON integer >= 1, got {dim!r}")
+    dim = _integer(_require(data, "dim", path), "dim", path, least=1)
     h = decode_matrix(_require(data, "H", path), "H")
     l = decode_matrix(_require(data, "L", path), "L")
     s_raw = data.get("S")
@@ -132,27 +144,27 @@ def save_model(model: QsdeModel, path) -> None:
 def load_lyapunov(path) -> LyapunovCandidate:
     """Parse a candidate file and return its canonicalized form.
 
-    The optional ``hermitian_closure`` flag in the file permits auto-closing
-    a term list that is not Hermitian-closed; without it such a file is an
-    error.  The raw (pre-expansion) term count is available on the returned
-    candidate via len(terms) comparisons by the caller.
+    The optional ``hermitian_closure`` flag in the file, a JSON boolean,
+    permits auto-closing a term list that is not Hermitian-closed; without
+    it such a file is an error.
     """
     data = _load_json(path)
     _check_schema(data, path)
     raw_terms = _require(data, "terms", path)
     if not isinstance(raw_terms, list) or not raw_terms:
-        raise InvalidCandidateError(f"{path}: empty candidate")
+        raise InvalidCandidateError(f"{path}: terms must be a nonempty list, got {raw_terms!r}")
     terms = []
     for i, entry in enumerate(raw_terms):
         if not isinstance(entry, dict):
             raise FileFormatError(f"{path}: terms[{i}] must be an object")
-        n = _require(entry, "n", f"{path}: terms[{i}]")
-        m = _require(entry, "m", f"{path}: terms[{i}]")
+        n, m = (_integer(_require(entry, k, f"{path}: terms[{i}]"), f"terms[{i}].{k}", path, least=0) for k in "nm")
         theta = decode_matrix(_require(entry, "theta", f"{path}: terms[{i}]"), f"terms[{i}].theta")
         terms.append((n, m, theta))
     center_raw = data.get("center")
     center = decode_matrix(center_raw, "center") if center_raw is not None else None
-    closure = bool(data.get("hermitian_closure", False))
+    closure = data.get("hermitian_closure", False)
+    if not isinstance(closure, bool):
+        raise FileFormatError(f"{path}: hermitian_closure must be a JSON boolean, got {closure!r}")
     candidate = LyapunovCandidate(terms=tuple(terms), center=center)
     return canonicalize(candidate, hermitian_closure=closure)
 
@@ -199,8 +211,8 @@ def load_direction_family(path) -> DirectionFamily:
     directions = tuple(decode_matrix(d, f"directions[{i}]") for i, d in enumerate(raw))
     return DirectionFamily(
         directions=directions,
-        scale_min=float(data.get("scale_min", 0.0)),
-        scale_max=float(data.get("scale_max", 1.0)),
+        scale_min=_number(data.get("scale_min", 0.0), "scale_min", path),
+        scale_max=_number(data.get("scale_max", 1.0), "scale_max", path),
     )
 
 

@@ -104,18 +104,19 @@ def hermiticity_defect(x: np.ndarray) -> float | np.ndarray:
     return spectral_norm(x - adjoint(x))
 
 
-def hermitian_eigenvalues(x: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix via a symmetric solver.
-
-    The input is Hermitized before the eigen-solve; an asymmetry larger
-    than ``tol`` (in any member of a stack) raises :class:`NonHermitianError`.
-    """
+def require_hermitian(x: np.ndarray, tol: float) -> np.ndarray:
+    """The Hermitian part (X + X†)/2; any member of a stack asymmetric beyond ``tol`` raises NonHermitianError."""
     skew = x - adjoint(x)  # ||.||_2 <= ||.||_F: only members not within tol in Frobenius norm (or NaN) need an SVD
     loose = skew[~(np.linalg.norm(skew, axis=(-2, -1)) <= tol)]
     defect = np.max(spectral_norm(loose)) if len(loose) else 0.0
     if defect > tol:
         raise NonHermitianError(f"matrix is not Hermitian within tolerance: defect {defect:.3e} > {tol:.3e}")
-    return np.linalg.eigvalsh(hermitize(x))
+    return hermitize(x)
+
+
+def hermitian_eigenvalues(x: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, by a symmetric solver on :func:`require_hermitian`."""
+    return np.linalg.eigvalsh(require_hermitian(x, tol))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -356,6 +357,81 @@ class TestNumericFlags:
         argv[argv.index(f"--{field}") + 1] = value
         assert main(argv) == 2
         assert f"{field} must be a finite positive number" in capsys.readouterr().err
+
+
+# Each command on the demo input files, as in the README (certify with fewer samples).
+DEMO_ARGV = {
+    "validate": ["validate", "damping_model.json"],
+    "drift": ["drift", "damping_model.json", "square_candidate.json", "--point", "x0_sigma_z.json"],
+    "certify": ["certify", "damping_model.json", "square_candidate.json", "--center", "center.json",
+                "--mode", "exponential", "--epsilon", "1", "--samples", "4", "--seed", "7", "--rate", "0.5",
+                "--family", "number_family.json"],
+    "simulate": ["simulate", "damping_model.json", "square_candidate.json", "--x0", "x0_sigma_z.json",
+                 "--psi0", "psi0_excited.json", "--dt", "0.01", "--steps", "2"],
+    "crosscheck": ["crosscheck", "damping_model.json", "square_candidate.json", "--x0", "x0_sigma_z.json",
+                   "--psi0", "psi0_excited.json", "--dt", "0.01"],
+}
+# Fields a format defines beyond those in its demo file.
+OPTIONAL_FIELDS = {"square_candidate.json": ("hermitian_closure",)}
+# (field, value) pairs that are valid input: the documented optional nulls and a true closure flag.
+VALID = {("S", "null"), ("center", "null"), ("hermitian_closure", "true")}
+MALFORMED = {"null": None, "true": True, "x": "x", "[1]": [1], "{}": {}}
+
+
+def demo_argv(command, swap=()):
+    """The command's argv on the demo files, with each file named in ``swap`` replaced by its path there."""
+    swap = dict(swap)
+    return [str(swap.get(a, DEMO_FILES / a)) if a.endswith(".json") else a for a in DEMO_ARGV[command]]
+
+
+def demo_fields(name):
+    """Each field of a demo file as (path into the JSON, its printed name); the first term stands for every term."""
+    data = json.loads((DEMO_FILES / name).read_text())
+    for key in sorted(data) + list(OPTIONAL_FIELDS.get(name, ())):
+        yield (key,), key
+        if key == "terms":
+            yield from (((key, 0, sub), f"{key}[0].{sub}") for sub in sorted(data[key][0]))
+
+
+MALFORMED_CASES = [
+    pytest.param(name, path, label, command, value, id=f"{command}-{name[:-5]}.{label}={shown}")
+    for command, argv in DEMO_ARGV.items()
+    for name in dict.fromkeys(a for a in argv if a.endswith(".json"))
+    for path, label in demo_fields(name)
+    for shown, value in MALFORMED.items()
+    if (label, shown) not in VALID
+]
+
+
+@pytest.mark.parametrize("name, path, label, command, value", MALFORMED_CASES)
+def test_a_malformed_field_exits_2_naming_it(tmp_path, capsys, name, path, label, command, value):
+    """Each field of each demo file set to a value of the wrong JSON type, through each command that reads it."""
+    data = json.loads((DEMO_FILES / name).read_text())
+    *parents, key = path
+    node = data
+    for step in parents:
+        node = node[step]
+    node[key] = value
+    bad = tmp_path / name
+    bad.write_text(json.dumps(data))
+    assert main(demo_argv(command, {name: bad})) == 2
+    assert re.search(rf"(?<![\w.]){re.escape(label)}(?!\w)", capsys.readouterr().err)
+
+
+def test_the_demo_commands_pass():
+    """The unmutated inputs pass every command, so each malformed case fails for its own field."""
+    for command in DEMO_ARGV:
+        assert main(demo_argv(command)) == 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "simulate-master", "crosscheck"])
+def test_a_state_of_another_dimension_exits_2(tmp_path, capsys, command):
+    """A qutrit --psi0 on the qubit model is rejected before any arithmetic, naming both dimensions."""
+    psi0 = tmp_path / "psi0.json"
+    save_state_vector(np.array([1.0, 0.0, 0.0]), psi0)
+    argv = demo_argv(command.split("-")[0], {"psi0_excited.json": psi0})
+    assert main(argv + ["--method", "master"] * command.endswith("master")) == 2
+    assert "system state has dimension 3, model has dimension 2" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import qstab.evolve
 import qstab.lyapunov
 from qstab import (
     CollisionConfig,
+    DimensionMismatchError,
     InvalidCandidateError,
     InvalidStateError,
     LyapunovCandidate,
@@ -556,3 +558,20 @@ def test_vacuum_noise_cancellation(damping_model, damping_candidate, excited):
     psi = excited.pure_vector()
     analytic = np.vdot(psi, drift @ psi).real
     assert abs(traj.v_expect[1] - traj.v_expect[0] - dt * analytic) <= 10.0 * dt**2
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda model, cand, state: simulate_flow_expectation(model, cand, SIGMA_Z, state, CollisionConfig(0.01, 2)),
+        lambda model, cand, state: master_evolve(model, state, [0.0, 0.01]),
+        lambda model, cand, state: finite_difference_drift_check(model, cand, SIGMA_Z, state, CollisionConfig(0.01, 1)),
+    ],
+    ids=["collision", "master", "finite-difference"],
+)
+def test_a_state_of_another_dimension_is_rejected_first(damping_model, damping_candidate, monkeypatch, run):
+    """A qutrit state with a qubit model raises naming both dimensions, before the step unitary or the drift."""
+    for name in ("collision_step_unitary", "liouvillian_matrix", "_ito_coefficients"):
+        monkeypatch.setattr(qstab.evolve, name, lambda *a, **k: pytest.fail("arithmetic ran before the check"))
+    with pytest.raises(DimensionMismatchError, match="system state has dimension 3, model has dimension 2"):
+        run(damping_model, damping_candidate, QuantumState.maximally_mixed(3))

@@ -164,6 +164,16 @@ class TestLyapunovFiles:
         cand = load_lyapunov(path)
         assert cand.is_canonical
 
+    @pytest.mark.parametrize("flag", ["false", "no", 0, 1])
+    def test_closure_flag_must_be_a_json_boolean(self, tmp_path, flag):
+        # bool("false") is True: read loosely, this flag would close [[1, 2], [0, 1]] into [[1, 1], [1, 1]].
+        theta = np.array([[1.0, 2.0], [0.0, 1.0]])
+        path = tmp_path / "flag.json"
+        term = {"n": 1, "m": 1, "theta": encode_matrix(theta)}
+        path.write_text(json.dumps({"schema_version": 1, "terms": [term], "hermitian_closure": flag}))
+        with pytest.raises(FileFormatError, match="hermitian_closure must be a JSON boolean"):
+            load_lyapunov(path)
+
     def test_round_trip(self, tmp_path):
         cand = canonicalize(LyapunovCandidate(terms=((1, 1, EYE2),), center=-EYE2))
         path = tmp_path / "roundtrip.json"
