@@ -5,7 +5,9 @@ set { X : V(X) <= eps I }.  That quantifier is not finitely enumerable, so
 it is realized by deterministic sampling over a declared operator family:
 either a user-supplied list of Hermitian directions with a scalar range, or
 a random-Hermitian-ball fallback.  Certificates record the family, seed,
-tolerances and sample count needed to reproduce the run bit-identically.
+tolerances and sample count needed to reproduce the run bit-identically,
+and name the model, candidate, center, directions and reference state they
+ran on by SHA-256 digests of their exact values (:func:`input_digest`).
 
 Numerical semantics of the inequalities
 ---------------------------------------
@@ -153,7 +155,13 @@ class LevelSetSamples(Sequence):
 
 @dataclass(frozen=True, eq=False)
 class StabilityCertificate:
-    """Verdict, margins and reproduction data for one stability check."""
+    """Verdict, margins and reproduction data for one stability check.
+
+    The seed, epsilon, family description, tolerances and sample count
+    reproduce the run; ``inputs`` names the arrays it ran on by digest: the
+    model, the candidate and the center, plus the family's directions for a
+    user family and the reference state in the state modes.
+    """
 
     mode: str
     verdict: str  # "pass" | "fail"
@@ -170,6 +178,7 @@ class StabilityCertificate:
     epsilon: float
     family: dict
     tolerances: dict
+    inputs: dict  # input name -> SHA-256 hex digest (:func:`input_digest`)
 
     @property
     def passed(self) -> bool:
@@ -197,13 +206,63 @@ class ChebyshevBound:
 def _family_description(family) -> dict:
     if isinstance(family, HermitianBall):
         return {"kind": "random-hermitian-ball", "radius": float(family.radius)}
+    # The directions themselves are named by the certificate's "family" input digest, not copied into it.
     return {
         "kind": "user-directions",
         "count": len(family.directions),
         "scale_min": float(family.scale_min),
         "scale_max": float(family.scale_max),
-        "directions": family.directions,  # read-only; a certificate file holds them to reproduce the run
     }
+
+
+def input_digest(*parts) -> str:
+    """SHA-256 hex digest of exact binary values, never of their text.
+
+    Per part in order: None as a marker, an int as its decimal text, an
+    array as its shape and then its little-endian complex128 bytes.  Files
+    round-trip bit-exactly, so an input loaded from a file has the digest
+    that its check recorded.
+    """
+    import hashlib  # here, not at the top: the import would slow every cold CLI start
+
+    digest = hashlib.sha256()
+    for part in parts:
+        if part is None:
+            digest.update(b"none;")
+        elif isinstance(part, int):
+            digest.update(b"int %d;" % part)
+        else:
+            a = np.ascontiguousarray(part, "<c16")
+            digest.update(b"c16 %s;" % str(a.shape).encode())
+            digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
+def _input_digests(model, cand, *, center=None, family=None, reference_state=None) -> dict:
+    """The certificate's ``inputs``: model (H, L, S as stored) and canonical candidate, then each other input given."""
+    digests = {
+        "model": input_digest(model.hamiltonian, model.coupling, model.scattering),
+        "candidate": input_digest(*(part for term in cand.terms for part in term), cand.center),
+    }
+    if center is not None:
+        digests["center"] = input_digest(center)
+    if isinstance(family, DirectionFamily):
+        digests["family"] = input_digest(*family.directions)
+    if reference_state is not None:
+        digests["reference"] = input_digest(reference_state.rho)
+    return digests
+
+
+def _require_model_dim(model, cand, center, family, reference_state=None) -> None:
+    """Raise naming the first input whose dimension is not the model's."""
+    dims = {"candidate": cand.dim, "center": len(center)}
+    if isinstance(family, DirectionFamily):
+        dims.update((f"directions[{i}]", len(d)) for i, d in enumerate(family.directions))
+    if reference_state is not None:
+        dims["reference"] = reference_state.dim
+    for name, dim in dims.items():
+        if dim != model.dim:
+            raise DimensionMismatchError(f"{name} has dimension {dim}, model has dimension {model.dim}")
 
 
 def sample_level_set(
@@ -528,6 +587,7 @@ def _check(model, candidate, center, spec, mode, *, rate=None, margin=None, refe
     validate(model, tol=tol)
     cand = canonicalize(candidate)
     center = as_operator(center)
+    _require_model_dim(model, cand, center, spec.family, reference_state)
     picture, center_conditions, v_conditions, drift_conditions = _MODES[mode]
     state = picture == "state"
     point = partial(_Point, model, cand, picture=picture, rate=rate, margin=margin, tol=tol,
@@ -562,7 +622,8 @@ def _check(model, candidate, center, spec, mode, *, rate=None, margin=None, refe
         seed=int(spec.seed),
         epsilon=float(spec.epsilon),
         family=_family_description(spec.family),
-        tolerances={"tol": tol, "tol_strict": TOL_STRICT, "support_cutoff": SUPPORT_CUTOFF},
+        tolerances={"tol": float(tol), "tol_strict": TOL_STRICT, "support_cutoff": SUPPORT_CUTOFF},
+        inputs=_input_digests(model, cand, center=center, family=spec.family, reference_state=reference_state),
     )
 
 
@@ -615,6 +676,7 @@ def estimate_max_rate(model, candidate, center, spec, *, tol=DEFAULT_TOL) -> Rat
     validate(model, tol=tol)
     cand = canonicalize(candidate)
     center = as_operator(center)
+    _require_model_dim(model, cand, center, spec.family)
     point = partial(_Point, model, cand, picture="flow", rate=None, margin=None, tol=tol, tol_strict=0.0,
                     reference_state=None)
     _, center_conditions, v_conditions = _FLOW
@@ -685,7 +747,10 @@ def recheck_witness(model, candidate, certificate: StabilityCertificate, *, refe
     ran on; it is 0.0 where the condition now holds at the witness.
     Useful to confirm that a failure is a property of the reported
     sample, not of the sampling run.  State-picture certificates need the
-    ``reference_state`` the check used.
+    ``reference_state`` the check used.  The model, the canonical candidate
+    and, in the state modes, the reference state must have the digests
+    the certificate records in ``inputs``; a ``ValueError`` names the first
+    that does not.
     """
     if certificate.witness is None:
         raise ValueError("certificate carries no witness")
@@ -697,6 +762,10 @@ def recheck_witness(model, candidate, certificate: StabilityCertificate, *, refe
     if picture == "state" and reference_state is None:
         raise ValueError("reference_state is required to recheck a state-picture certificate")
     cand = canonicalize(candidate)
+    given = _input_digests(model, cand, reference_state=reference_state if picture == "state" else None)
+    for name, digest in given.items():
+        if certificate.inputs.get(name) != digest:
+            raise ValueError(f"{name} is not the certificate's: its SHA-256 digest differs from the one recorded")
     tolerances = certificate.tolerances
     point = _Point(
         model, cand, as_operator(certificate.witness)[None], picture, certificate.rate, certificate.margin,

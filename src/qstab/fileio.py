@@ -2,10 +2,14 @@
 
 Matrices are stored row-major with every complex entry encoded as a
 two-element ``[re, im]`` array, which survives a JSON round trip
-bit-exactly.  A ``schema_version`` field (2 for certificates, 1 otherwise)
-gates format changes.  Certificates serialize every input needed to
-reproduce the run (seed, family, tolerances, sample counts) and are dumped
-with sorted keys so identical runs produce identical bytes.  Trajectories
+bit-exactly, signed zeros included.  A ``schema_version`` field (3 for
+certificates, 1 otherwise) gates format changes.  A certificate holds the
+run's settings (seed, epsilon, family description, tolerances, sample
+count) and names its input arrays (model, candidate, center, the family's
+directions, the reference state) only by SHA-256 digests of their exact
+values, from :func:`qstab.certify.input_digest`; it is dumped with sorted
+keys so identical runs produce identical bytes, and loads back to a
+:class:`StabilityCertificate` that dumps to the same bytes.  Trajectories
 are written as CSV with 17 significant digits and LF line endings.
 """
 
@@ -14,10 +18,11 @@ from __future__ import annotations
 import json
 from copy import copy
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
-from .certify import DirectionFamily, HermitianBall, LevelSetSpec, StabilityCertificate
+from .certify import _MODES, DirectionFamily, HermitianBall, LevelSetSpec, StabilityCertificate
 from .errors import FileFormatError, InvalidCandidateError
 from .evolve import Trajectory
 from .lyapunov import LyapunovCandidate, canonicalize
@@ -25,7 +30,7 @@ from .models import QsdeModel, validate
 from .operators import as_operator
 
 SCHEMA_VERSION = 1
-CERTIFICATE_SCHEMA_VERSION = 2
+CERTIFICATE_SCHEMA_VERSION = 3
 
 
 def encode_matrix(m: np.ndarray) -> list:
@@ -41,7 +46,12 @@ def decode_matrix(obj, field: str) -> np.ndarray:
         raise FileFormatError(f"{field}: expected a matrix of [re, im] pairs, got shape {arr.shape}")
     if arr.shape[0] != arr.shape[1]:
         raise FileFormatError(f"{field}: matrix must be square, got shape {arr.shape[:2]}")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return _pairs_to_complex(arr)
+
+
+def _pairs_to_complex(arr: np.ndarray) -> np.ndarray:
+    """The [re, im] pairs on the last axis as complex entries, bit for bit (re + 1j * im loses signed zeros)."""
+    return np.ascontiguousarray(arr).view(complex)[..., 0]
 
 
 def encode_vector(v: np.ndarray) -> list:
@@ -55,7 +65,7 @@ def decode_vector(obj, field: str) -> np.ndarray:
         raise FileFormatError(f"{field}: not a numeric array ({exc})") from None
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise FileFormatError(f"{field}: expected a vector of [re, im] pairs, got shape {arr.shape}")
-    return arr[:, 0] + 1j * arr[:, 1]
+    return _pairs_to_complex(arr)
 
 
 def _load_json(path) -> dict:
@@ -77,9 +87,10 @@ def _dump_json(obj, path) -> None:
         fh.write("\n")
 
 
-def _require(data: dict, field: str, path):
+def _require(data: dict, field: str, path, name: str | None = None):
+    """``data[field]``; else an error naming the field as ``name``, or as ``field`` itself."""
     if field not in data:
-        raise FileFormatError(f"{path}: missing field {field!r}")
+        raise FileFormatError(f"{path}: missing field {(name or field)!r}")
     return data[field]
 
 
@@ -89,10 +100,11 @@ def _check_schema(data: dict, path, expected: int = SCHEMA_VERSION) -> None:
         raise FileFormatError(f"{path}: unsupported schema_version {version!r} (expected {expected})")
 
 
-def _integer(value, field: str, path, least: int) -> int:
+def _integer(value, field: str, path, least: int | None = None) -> int:
     """``value`` if it is a JSON integer (not a boolean) of at least ``least``; else an error naming ``field``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise FileFormatError(f"{path}: {field} must be a JSON integer >= {least}, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int) or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise FileFormatError(f"{path}: {field} must be a JSON integer{bound}, got {value!r}")
     return value
 
 
@@ -216,11 +228,21 @@ def load_direction_family(path) -> DirectionFamily:
     )
 
 
+def save_direction_family(family: DirectionFamily, path) -> None:
+    _dump_json(
+        {
+            "schema_version": SCHEMA_VERSION,
+            "directions": [encode_matrix(d) for d in family.directions],
+            "scale_min": family.scale_min,
+            "scale_max": family.scale_max,
+        },
+        path,
+    )
+
+
 def certificate_to_dict(cert: StabilityCertificate) -> dict:
     data = {f.name: copy(getattr(cert, f.name)) for f in fields(cert)}
     data["witness"] = encode_matrix(cert.witness) if cert.witness is not None else None
-    if "directions" in cert.family:
-        data["family"]["directions"] = [encode_matrix(d) for d in cert.family["directions"]]
     data["schema_version"] = CERTIFICATE_SCHEMA_VERSION
     data["kind"] = "stability-certificate"
     return data
@@ -235,13 +257,86 @@ def save_certificate(cert: StabilityCertificate, path) -> None:
         fh.write(certificate_bytes(cert))
 
 
-def load_certificate(path) -> dict:
-    """Certificates load as plain dicts (witness decoded back to a matrix)."""
+def _choice(*choices):
+    def parse(value, field, path):
+        if not isinstance(value, str) or value not in choices:
+            raise FileFormatError(f"{path}: {field} must be one of {', '.join(map(repr, choices))}, got {value!r}")
+        return value
+    return parse
+
+
+def _text(value, field: str, path) -> str:
+    if not isinstance(value, str):
+        raise FileFormatError(f"{path}: {field} must be a JSON string, got {value!r}")
+    return value
+
+
+def _optional(parse):
+    return lambda value, field, path: None if value is None else parse(value, field, path)
+
+
+def _object(value, field: str, path) -> dict:
+    if not isinstance(value, dict):
+        raise FileFormatError(f"{path}: {field} must be a JSON object, got {value!r}")
+    return value
+
+
+def _record(parsers: dict):
+    """A parser of a JSON object holding the fields that ``parsers`` names, each parsed by its own parser."""
+    def parse(value, field, path):
+        value = _object(value, field, path)
+        return {key: p(_require(value, key, path, f"{field}.{key}"), f"{field}.{key}", path)
+                for key, p in parsers.items()}
+    return parse
+
+
+_FAMILY_FIELDS = {
+    "random-hermitian-ball": {"kind": _text, "radius": _number},
+    "user-directions": {"kind": _text, "count": partial(_integer, least=1), "scale_min": _number, "scale_max": _number},
+}
+
+
+def _family_record(value, field, path) -> dict:
+    kind = _record({"kind": _choice(*_FAMILY_FIELDS)})(value, field, path)["kind"]
+    return _record(_FAMILY_FIELDS[kind])(value, field, path)
+
+
+def _digests(value, field, path) -> dict:
+    """Input name -> digest text; every certificate names its model, candidate and center."""
+    value = _object(value, field, path)
+    for key in ("model", "candidate", "center"):
+        _require(value, key, path, f"{field}.{key}")
+    return {key: _text(digest, f"{field}.{key}", path) for key, digest in value.items()}
+
+
+_CERTIFICATE_FIELDS = {
+    "mode": _choice(*_MODES),
+    "verdict": _choice("pass", "fail"),
+    "equilibrium_residual": _number,
+    "worst_drift_eigenvalue": _optional(_number),
+    "worst_v_min_eigenvalue": _optional(_number),
+    "rate": _optional(_number),
+    "margin": _optional(_number),
+    "witness": _optional(lambda value, field, path: decode_matrix(value, field)),
+    "violated_condition": _optional(_text),
+    "violation": _optional(_number),
+    "sample_count_used": partial(_integer, least=0),
+    "seed": _integer,
+    "epsilon": _number,
+    "family": _family_record,
+    "tolerances": _record({"tol": _number, "tol_strict": _number, "support_cutoff": _number}),
+    "inputs": _digests,
+}
+
+
+def load_certificate(path) -> StabilityCertificate:
+    """Parse a schema-3 certificate; a missing or ill-typed field raises :class:`FileFormatError` naming it."""
     data = _load_json(path)
     _check_schema(data, path, CERTIFICATE_SCHEMA_VERSION)
-    if data.get("witness") is not None:
-        data["witness"] = decode_matrix(data["witness"], "witness")
-    return data
+    _choice("stability-certificate")(_require(data, "kind", path), "kind", path)
+    return StabilityCertificate(
+        **{name: parse(_require(data, name, path), name, path) for name, parse in _CERTIFICATE_FIELDS.items()}
+    )
 
 
 def trajectory_csv_bytes(traj: Trajectory) -> bytes:

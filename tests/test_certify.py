@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import qstab.certify
 from qstab import (
+    DimensionMismatchError,
     DirectionFamily,
     HermitianBall,
     InternalCheckError,
@@ -36,7 +38,7 @@ from qstab import (
     spectral_norm,
 )
 from qstab.cli import main
-from qstab.fileio import certificate_bytes, load_lyapunov, load_operator
+from qstab.fileio import certificate_bytes, load_certificate, load_lyapunov, load_operator, save_certificate
 from qstab.lyapunov import _sandwich
 
 from conftest import (
@@ -705,6 +707,24 @@ def rotated_damped_oscillator(dim, seed):
     return model, canonicalize(LyapunovCandidate(terms=((1, 1, eye),), center=-eye)), rotated_number
 
 
+@pytest.mark.parametrize(
+    "run, name",
+    [("check", "center"), ("check", "directions[1]"), ("check", "reference"),
+     ("estimate", "center"), ("estimate", "directions[1]")],
+)
+def test_an_input_of_another_dimension_is_rejected_naming_it(damping_model, damping_candidate, run, name):
+    qutrit = np.diag([1.0, 0.0, 0.0])
+    center = qutrit if name == "center" else -EYE2
+    family = DirectionFamily((NUMBER, qutrit) if name == "directions[1]" else (NUMBER,))
+    reference = QuantumState(qutrit if name == "reference" else EYE2 / 2)
+    spec = LevelSetSpec(1.0, 4, 0, family)
+    with pytest.raises(DimensionMismatchError, match=re.escape(f"{name} has dimension 3, model has dimension 2")):
+        if run == "check":
+            check_state(damping_model, damping_candidate, center, reference, spec, "local")
+        else:
+            estimate_max_rate(damping_model, damping_candidate, center, spec)
+
+
 class TestEstimateMaxRate:
     def assert_matches_scipy_pencil(self, model, candidate, center, spec):
         est = estimate_max_rate(model, candidate, center, spec)
@@ -962,7 +982,30 @@ class TestConditionTable:
         _, cand, cert, _ = failing_run("center is not a flow equilibrium")
         # N commutes with H and L = 0, so N is an equilibrium of this flow
         hamiltonian = QsdeModel(hamiltonian=SIGMA_Z, coupling=np.zeros((2, 2)))
+        digest = qstab.certify.input_digest(hamiltonian.hamiltonian, hamiltonian.coupling, hamiltonian.scattering)
+        cert = dataclasses.replace(cert, inputs={**cert.inputs, "model": digest})
         assert recheck_witness(hamiltonian, cand, cert) == 0.0
+
+    @pytest.mark.parametrize("label", sorted(FAILING_RUNS))
+    def test_a_saved_certificate_loads_and_rechecks(self, tmp_path, label):
+        model, cand, cert, reference = failing_run(label)
+        save_certificate(cert, tmp_path / "cert.json")
+        loaded = load_certificate(tmp_path / "cert.json")
+        assert certificate_bytes(loaded) == (tmp_path / "cert.json").read_bytes()
+        assert recheck_witness(model, cand, loaded, reference_state=reference) == cert.violation
+
+    @pytest.mark.parametrize("swapped", ["model", "candidate", "reference"])
+    def test_a_recheck_on_other_inputs_raises_naming_the_input(self, swapped):
+        # The check ran on the damping qubit; measured on the amplifying one, the witness gives another violation.
+        model, cand, cert, reference = failing_run("drift expectation is not strictly negative on a sample")
+        inputs = {"model": model, "candidate": cand, "reference_state": reference}
+        inputs[{"reference": "reference_state"}.get(swapped, swapped)] = {
+            "model": AMPLIFYING,
+            "candidate": centered((1, 1, 2 * EYE2), center=EYE2 / 2),
+            "reference": QuantumState(np.diag([0.25, 0.75])),
+        }[swapped]
+        with pytest.raises(ValueError, match=f"^{swapped} is not the certificate's"):
+            recheck_witness(inputs["model"], inputs["candidate"], cert, reference_state=inputs["reference_state"])
 
     def test_unknown_label_raises_naming_it(self):
         model, cand, cert, _ = failing_run("drift has a positive eigenvalue on a sample")
@@ -1122,6 +1165,14 @@ def reference_check(model, candidate, center, spec, mode, param=None, reference=
         epsilon=float(spec.epsilon),
         family=certify._family_description(spec.family),
         tolerances={"tol": 1e-9, "tol_strict": certify.TOL_STRICT, "support_cutoff": certify.SUPPORT_CUTOFF},
+        inputs={
+            "model": certify.input_digest(model.hamiltonian, model.coupling, model.scattering),
+            "candidate": certify.input_digest(*(part for term in cand.terms for part in term), cand.center),
+            "center": certify.input_digest(center),
+            **({"family": certify.input_digest(*spec.family.directions)}
+               if isinstance(spec.family, DirectionFamily) else {}),
+            **({"reference": certify.input_digest(reference.rho)} if state else {}),
+        },
     )
 
 

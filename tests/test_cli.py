@@ -434,6 +434,25 @@ def test_a_state_of_another_dimension_exits_2(tmp_path, capsys, command):
     assert "system state has dimension 3, model has dimension 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, mode, swap",
+    [("center", "local", "center.json"), ("reference", "state-local", None),
+     ("directions[0]", "local", "number_family.json")],
+)
+def test_a_certify_input_of_another_dimension_exits_2_naming_it(tmp_path, capsys, name, mode, swap):
+    """A qutrit center, reference state or family direction on the qubit model is rejected before any arithmetic."""
+    qutrit = tmp_path / "qutrit.json"
+    if swap == "number_family.json":
+        qutrit.write_text(json.dumps({"schema_version": 1, "directions": [encode_matrix(np.diag([1.0, 0.0, 0.0]))]}))
+    else:
+        save_operator(np.eye(3) / 3, qutrit)
+    argv = demo_argv("certify", {swap: qutrit} if swap else {})
+    argv[argv.index("--mode") + 1] = mode
+    del argv[argv.index("--rate"):argv.index("--rate") + 2]
+    assert main(argv + ["--reference", str(qutrit)] * (swap is None)) == 2
+    assert f"error: {name} has dimension 3, model has dimension 2" in capsys.readouterr().err
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -446,11 +465,11 @@ class TestUsageErrors:
 
 
 def test_import_leaves_scipy_unloaded():
-    """The package and its CLI need numpy only; scipy loads inside the master oracle."""
+    """The package and its CLI need numpy only; scipy loads inside the master oracle, hashlib inside the digest."""
     env = dict(os.environ)
     src = Path(__file__).resolve().parents[1] / "src"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    code = "import sys, qstab, qstab.cli; print('scipy' in sys.modules)"
+    code = "import sys, qstab, qstab.cli; print('scipy' in sys.modules, 'hashlib' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False False"

@@ -1,8 +1,14 @@
 import dataclasses
 import json
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import qstab.certify
 
 from qstab import (
     DirectionFamily,
@@ -13,13 +19,18 @@ from qstab import (
     LevelSetSpec,
     LyapunovCandidate,
     QsdeModel,
+    QstabError,
+    QuantumState,
+    StabilityCertificate,
     Trajectory,
     canonicalize,
     check_exponential,
     check_local,
+    check_state,
     evaluate,
     ladder_operators,
 )
+from qstab.certify import input_digest
 from qstab.fileio import (
     CERTIFICATE_SCHEMA_VERSION,
     certificate_bytes,
@@ -32,6 +43,7 @@ from qstab.fileio import (
     load_operator,
     load_state_vector,
     save_certificate,
+    save_direction_family,
     save_lyapunov,
     save_model,
     save_operator,
@@ -222,16 +234,21 @@ class TestCertificateSerialization:
         save_certificate(cert, path)
         raw = path.read_bytes()
         assert raw == certificate_bytes(cert)
-        data = load_certificate(path)
-        assert data["verdict"] == "pass"
-        assert data["seed"] == 5
-        assert data["sample_count_used"] == 4
-        assert data["family"]["kind"] == "user-directions"
-        assert data["tolerances"]["tol_strict"] == pytest.approx(1e-8)
-        # the family serializes its directions, so the run is reproducible
-        # from the certificate alone
-        direction = np.array(data["family"]["directions"][0])
-        assert np.array_equal(direction[..., 0] + 1j * direction[..., 1], NUMBER)
+        loaded = load_certificate(path)
+        assert isinstance(loaded, StabilityCertificate)
+        assert certificate_bytes(loaded) == raw
+        assert loaded.verdict == "pass"
+        assert loaded.seed == 5
+        assert loaded.sample_count_used == 4
+        assert loaded.family == {"kind": "user-directions", "count": 1, "scale_min": 0.0, "scale_max": 1.0}
+        assert loaded.tolerances["tol_strict"] == pytest.approx(1e-8)
+        # the family's directions are named by digest, not copied into the certificate
+        assert loaded.inputs == {
+            "model": input_digest(damping_model.hamiltonian, damping_model.coupling, damping_model.scattering),
+            "candidate": input_digest(*damping_candidate.terms[0], damping_candidate.center),  # the canonical form
+            "center": input_digest(-EYE2),
+            "family": input_digest(NUMBER),
+        }
 
     def test_witness_round_trip(self, tmp_path, damping_model, damping_candidate):
         from conftest import GROUND
@@ -241,19 +258,61 @@ class TestCertificateSerialization:
         assert not cert.passed
         path = tmp_path / "fail.json"
         save_certificate(cert, path)
-        data = load_certificate(path)
-        assert np.array_equal(data["witness"], cert.witness)
+        loaded = load_certificate(path)
+        assert loaded.witness.tobytes() == cert.witness.tobytes()
 
-    def test_version_1_certificate_rejected(self, tmp_path, damping_model, damping_candidate):
-        # Version 1 certificates drew their samples from per-sample streams; a version 2 run does not reproduce them.
+    @pytest.mark.parametrize("dim", [2, 32])
+    @pytest.mark.parametrize("kind", ["ball", "family"])
+    def test_a_loaded_certificate_dumps_to_its_own_bytes(self, tmp_path, kind, dim):
+        a, _, number = ladder_operators(dim - 1)
+        eye = np.eye(dim)
+        cand = canonicalize(LyapunovCandidate(terms=((1, 1, eye),), center=-eye))
+        family = HermitianBall(0.5) if kind == "ball" else DirectionFamily((number,), 0.1, 1.0)
+        spec = LevelSetSpec(0.25, 8, 3, family)
+        cert = check_exponential(QsdeModel(hamiltonian=number, coupling=a), cand, -eye, spec, 0.5)
+        path = tmp_path / "cert.json"
+        save_certificate(cert, path)
+        assert certificate_bytes(load_certificate(path)) == path.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["ball", "family"])
+    @pytest.mark.parametrize("value", [None, True, "x", [1], {}, "missing"])
+    def test_a_missing_or_ill_typed_field_is_named(self, tmp_path, damping_model, damping_candidate, kind, value):
+        family = HermitianBall(1.0) if kind == "ball" else DirectionFamily(directions=(NUMBER,))
+        cert = check_exponential(damping_model, damping_candidate, -EYE2, LevelSetSpec(0.5, 8, 11, family), 2.0)
+        assert cert.witness is not None
+        data = certificate_to_dict(cert)
+        optional = {"worst_drift_eigenvalue", "worst_v_min_eigenvalue", "rate", "margin", "witness",
+                    "violated_condition", "violation"}
+        valid = [("violated_condition", "x"), ("inputs.model", "x")]
+        fields = [(key,) for key in data] + [(key, sub) for key in ("family", "tolerances") for sub in data[key]]
+        for field in fields + [("inputs", "model")]:
+            name = ".".join(field)
+            if (value is None and name in optional) or (name, value) in valid:
+                continue
+            broken = json.loads(json.dumps(data))
+            *parents, key = field
+            node = broken[parents[0]] if parents else broken
+            if value == "missing":
+                del node[key]
+            else:
+                node[key] = value
+            path = tmp_path / "cert.json"
+            path.write_text(json.dumps(broken))
+            with pytest.raises(FileFormatError, match=rf"(?<![\w.]){re.escape(name)}(?!\w)"):
+                load_certificate(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_earlier_certificate_versions_rejected(self, tmp_path, damping_model, damping_candidate, version):
+        # Version 1 certificates drew their samples from per-sample streams, and version 2 ones inlined the
+        # family's directions and named no other input; neither loads as version 3.
         spec = LevelSetSpec(epsilon=1.0, sample_count=4, seed=5, family=DirectionFamily(directions=(NUMBER,)))
         path = tmp_path / "cert.json"
         save_certificate(check_local(damping_model, damping_candidate, -EYE2, spec), path)
         data = json.loads(path.read_text())
-        assert data["schema_version"] == 2
-        data["schema_version"] = 1
+        assert data["schema_version"] == 3
+        data["schema_version"] = version
         path.write_text(json.dumps(data))
-        with pytest.raises(FileFormatError, match="unsupported schema_version 1 \\(expected 2\\)"):
+        with pytest.raises(FileFormatError, match=f"unsupported schema_version {version} \\(expected 3\\)"):
             load_certificate(path)
 
     def test_other_files_stay_at_version_1(self, tmp_path, damping_model, damping_candidate):
@@ -261,22 +320,15 @@ class TestCertificateSerialization:
         save_lyapunov(damping_candidate, tmp_path / "candidate.json")
         save_operator(EYE2, tmp_path / "operator.json")
         save_state_vector(np.array([1.0, 0.0]), tmp_path / "psi.json")
-        for name in ("model", "candidate", "operator", "psi"):
+        save_direction_family(DirectionFamily(directions=(NUMBER,)), tmp_path / "family.json")
+        for name in ("model", "candidate", "operator", "psi", "family"):
             assert json.loads((tmp_path / f"{name}.json").read_text())["schema_version"] == 1
 
 
 def asdict_certificate_bytes(cert):
-    """The certificate serialized through a deep copy by ``dataclasses.asdict``.
-
-    Family directions are written as the nested (re, im) tuples that certificates held before ``fileio``
-    encoded them, so the bytes are compared with that earlier format too.
-    """
+    """The certificate serialized through a deep copy by ``dataclasses.asdict``."""
     data = dataclasses.asdict(cert)
     data["witness"] = encode_matrix(cert.witness) if cert.witness is not None else None
-    if "directions" in data["family"]:
-        data["family"]["directions"] = tuple(
-            tuple(tuple((float(z.real), float(z.imag)) for z in row) for row in d) for d in data["family"]["directions"]
-        )
     data["schema_version"] = CERTIFICATE_SCHEMA_VERSION
     data["kind"] = "stability-certificate"
     return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8")
@@ -303,16 +355,18 @@ class TestCertificateDict:
         assert cert.witness is not None
         assert certificate_bytes(cert) == asdict_certificate_bytes(cert)
 
-    def test_a_family_certificate_at_d_32_keeps_its_bytes_and_its_arrays(self):
+    def test_a_family_certificate_at_d_32_names_its_directions_by_digest(self, tmp_path):
         a, _, number = ladder_operators(31)
         eye = np.eye(32)
         cand = canonicalize(LyapunovCandidate(terms=((1, 1, eye),), center=-eye))
         family = DirectionFamily((number,), 0.1, 1.0)
         cert = check_local(QsdeModel(hamiltonian=number, coupling=a), cand, -eye, LevelSetSpec(0.25, 4, 3, family))
-        directions = cert.family["directions"]
-        assert directions is family.directions and not directions[0].flags.writeable
-        assert certificate_bytes(cert) == asdict_certificate_bytes(cert)
-        assert cert.family["directions"] is directions
+        assert "directions" not in cert.family and cert.inputs["family"] == input_digest(number)
+        raw = certificate_bytes(cert)
+        assert raw == asdict_certificate_bytes(cert)
+        assert len(raw) < 1200  # the 32 x 32 direction took 92 KB as nested [re, im] lists
+        save_certificate(cert, tmp_path / "cert.json")
+        assert certificate_bytes(load_certificate(tmp_path / "cert.json")) == raw
 
     def test_shares_no_mutable_state(self, cert):
         first, second = certificate_to_dict(cert), certificate_to_dict(cert)
@@ -323,6 +377,89 @@ class TestCertificateDict:
         first["family"]["kind"] = first["tolerances"]["tol"] = None
         assert certificate_bytes(cert) == before
         assert second == certificate_to_dict(cert)
+
+
+# Finite doubles of either sign, signed zeros and subnormals included.
+FLOATS = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def round_trip_inputs(draw):
+    """A model, canonical candidate, center, family, reference state and state vector of one dimension."""
+    dim = draw(st.integers(1, 3))
+
+    def matrix():
+        return np.array(draw(st.lists(FLOATS, min_size=2 * dim * dim, max_size=2 * dim * dim))).view(complex).reshape(
+            dim, dim
+        )
+
+    def hermitian():
+        a = matrix()
+        return (a + a.conj().T) / 2
+
+    phases = st.sampled_from([1, -1, 1j, -1j, complex(1, -0.0), complex(-0.0, -1)])
+    scattering = draw(st.sampled_from([None, "phases"]))
+    if scattering:  # a diagonal unitary whose zeros carry either sign
+        zeros = np.where(draw(st.lists(st.booleans(), min_size=dim * dim, max_size=dim * dim)), -0.0, 0.0)
+        scattering = zeros.reshape(dim, dim).astype(complex)
+        np.fill_diagonal(scattering, draw(st.lists(phases, min_size=dim, max_size=dim)))
+    model = QsdeModel(hamiltonian=hermitian(), coupling=matrix(), scattering=scattering)
+    t = matrix()
+    center = draw(st.sampled_from([None, "scalar", "matrix"]))
+    center = {None: None, "scalar": draw(FLOATS) * np.eye(dim), "matrix": hermitian()}[center]
+    terms = ((0, 0, np.eye(dim)), (1, 0, t), (0, 1, t.conj().T), (1, 1, hermitian()))
+    candidate = canonicalize(LyapunovCandidate(terms=terms, center=center), hermitian_closure=True)
+    direction = hermitian()
+    low, high = sorted(abs(draw(FLOATS)) for _ in range(2))
+    family = DirectionFamily((direction if direction.any() else np.eye(dim),), low, max(high, 1.0))
+    vector = np.array(draw(st.lists(FLOATS, min_size=2 * dim, max_size=2 * dim))).view(complex)
+    reference = QuantumState.from_vector(vector if np.linalg.norm(vector) > 1e-3 else np.eye(dim)[0])
+    return model, candidate, hermitian(), family, reference, vector
+
+
+@given(inputs=round_trip_inputs(), seed=st.integers(-(2**63), 2**64 - 1))
+@settings(max_examples=60)
+def test_every_file_kind_round_trips_bit_exactly(inputs, seed):
+    """Save then load gives the same bits, and the loaded inputs have the digests their check recorded."""
+    model, candidate, center, family, reference, vector = inputs
+    try:
+        cert = check_state(model, candidate, center, reference, LevelSetSpec(1.0, 2, seed, family), "local")
+    except QstabError:  # the inputs are not a state check's, beyond the center conditions
+        assume(False)
+    with tempfile.TemporaryDirectory() as tmp:
+        names = ("model", "candidate", "center", "family", "ref", "psi", "cert")
+        paths = {name: f"{tmp}/{name}.json" for name in names}
+        save_model(model, paths["model"])
+        save_lyapunov(candidate, paths["candidate"])
+        save_operator(center, paths["center"])
+        save_direction_family(family, paths["family"])
+        save_operator(reference.rho, paths["ref"])
+        save_state_vector(vector, paths["psi"])
+        save_certificate(cert, paths["cert"])
+        loaded = (load_model(paths["model"]), load_lyapunov(paths["candidate"]), load_operator(paths["center"]),
+                  load_direction_family(paths["family"]), QuantumState(load_operator(paths["ref"])))
+        assert same_bits(load_state_vector(paths["psi"]), vector)
+        with open(paths["cert"], "rb") as fh:
+            assert certificate_bytes(load_certificate(paths["cert"])) == fh.read()
+    model2, candidate2, center2, family2, reference2 = loaded
+    assert all(same_bits(getattr(model2, k), getattr(model, k)) for k in ("hamiltonian", "coupling", "scattering"))
+    assert len(candidate2.terms) == len(candidate.terms)
+    for (n2, m2, theta2), (n, m, theta) in zip(candidate2.terms, candidate.terms):
+        assert (n2, m2) == (n, m) and same_bits(theta2, theta)
+    assert (candidate2.center is None) == (candidate.center is None)
+    assert candidate.center is None or same_bits(candidate2.center, candidate.center)
+    assert same_bits(center2, center) and same_bits(reference2.rho, reference.rho)
+    assert same_bits(np.stack(family2.directions), np.stack(family.directions))
+    assert (family2.scale_min, family2.scale_max) == (family.scale_min, family.scale_max)
+    digests = qstab.certify._input_digests(
+        model2, candidate2, center=center2, family=family2, reference_state=reference2
+    )
+    assert digests == cert.inputs
 
 
 class TestTrajectoryCsv:
