@@ -63,7 +63,7 @@ from .errors import (
     SamplingError,
 )
 from .lyapunov import LyapunovCandidate, _ito_coefficients, _offset, _sandwich, canonicalize, evaluate
-from .models import QsdeModel, equilibrium_residual, validate
+from .models import QsdeModel, equilibrium_residual, require_model_dim, validate
 from .operators import (
     DEFAULT_TOL,
     QuantumState,
@@ -253,16 +253,15 @@ def _input_digests(model, cand, *, center=None, family=None, reference_state=Non
     return digests
 
 
-def _require_model_dim(model, cand, center, family, reference_state=None) -> None:
-    """Raise naming the first input whose dimension is not the model's."""
-    dims = {"candidate": cand.dim, "center": len(center)}
-    if isinstance(family, DirectionFamily):
-        dims.update((f"directions[{i}]", len(d)) for i, d in enumerate(family.directions))
-    if reference_state is not None:
-        dims["reference"] = reference_state.dim
-    for name, dim in dims.items():
-        if dim != model.dim:
-            raise DimensionMismatchError(f"{name} has dimension {dim}, model has dimension {model.dim}")
+def _inputs(model, candidate, center, spec, *, tol, reference_state=None):
+    """The front end of a check and of the rate estimate: the model validated, the candidate canonical and the
+    center an operator, each input of the model's dimension."""
+    validate(model, tol=tol)
+    cand = canonicalize(candidate)
+    center = as_operator(center)
+    directions = {f"directions[{i}]": d for i, d in enumerate(getattr(spec.family, "directions", ()))}
+    require_model_dim(model, candidate=cand, center=center, **directions, reference=reference_state)
+    return cand, center
 
 
 def sample_level_set(
@@ -584,10 +583,7 @@ def _blocks(samples: LevelSetSamples, point):
 
 def _check(model, candidate, center, spec, mode, *, rate=None, margin=None, reference_state=None, tol):
     """Check one mode's conditions at the center, then on the level-set samples block by block, and certify."""
-    validate(model, tol=tol)
-    cand = canonicalize(candidate)
-    center = as_operator(center)
-    _require_model_dim(model, cand, center, spec.family, reference_state)
+    cand, center = _inputs(model, candidate, center, spec, tol=tol, reference_state=reference_state)
     picture, center_conditions, v_conditions, drift_conditions = _MODES[mode]
     state = picture == "state"
     point = partial(_Point, model, cand, picture=picture, rate=rate, margin=margin, tol=tol,
@@ -673,10 +669,7 @@ def estimate_max_rate(model, candidate, center, spec, *, tol=DEFAULT_TOL) -> Rat
     needs only a nonempty support, so here V vanishes where its top
     eigenvalue is not positive, not below ``TOL_STRICT`` as in the checks.
     """
-    validate(model, tol=tol)
-    cand = canonicalize(candidate)
-    center = as_operator(center)
-    _require_model_dim(model, cand, center, spec.family)
+    cand, center = _inputs(model, candidate, center, spec, tol=tol)
     point = partial(_Point, model, cand, picture="flow", rate=None, margin=None, tol=tol, tol_strict=0.0,
                     reference_state=None)
     _, center_conditions, v_conditions = _FLOW

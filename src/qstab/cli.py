@@ -103,7 +103,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _seed_override(seed: int) -> int:
     env = os.environ.get("QSTAB_SEED")
-    return int(env) if env else seed
+    try:
+        return int(env) if env else seed
+    except ValueError:
+        raise QstabCliInputError(f"QSTAB_SEED must be an integer, got {env!r}") from None
 
 
 def _print_matrix(name: str, m: np.ndarray) -> None:

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     InternalCheckError,
     InvalidCandidateError,
     UnsupportedScatteringError,
@@ -53,7 +52,7 @@ from .errors import (
 from .fock import ladder_operators, vacuum_vector
 from .lyapunov import _ITO_ROUTES, LyapunovCandidate, _is_scalar_matrix, _ito_coefficients, _offset, _powers
 from .lyapunov import canonicalize, evaluate
-from .models import QsdeModel, validate
+from .models import QsdeModel, require_model_dim, validate
 from .operators import (
     DEFAULT_TOL,
     QuantumState,
@@ -135,11 +134,6 @@ def collision_step_unitary(model: QsdeModel, dt: float, ancilla_levels: int = 1)
     return u
 
 
-def _require_state_dim(model: QsdeModel, state: QuantumState) -> None:
-    if state.dim != model.dim:
-        raise DimensionMismatchError(f"system state has dimension {state.dim}, model has dimension {model.dim}")
-
-
 def simulate_flow_expectation(
     model: QsdeModel,
     candidate: LyapunovCandidate,
@@ -175,11 +169,9 @@ def simulate_flow_expectation(
     expectations are recorded alongside E[V]; they are read from the
     reduced state, advanced by rho -> sum_a E_a0 rho E_a0†.
     """
-    _require_state_dim(model, system_state)
+    require_model_dim(model, **{"system state": system_state}, candidate=candidate, x0=x0)
     cand = canonicalize(candidate)
     x0 = np.asarray(x0, dtype=complex)
-    if x0.shape[0] != model.dim or cand.dim != model.dim:
-        raise ValueError("x0, candidate and model must share the system dimension")
     rho = system_state.rho
 
     dim, width = model.dim, config.ancilla_levels + 1
@@ -261,7 +253,7 @@ def master_evolve(model: QsdeModel, rho0: QuantumState, t_grid) -> np.ndarray:
     """
     import scipy.linalg
 
-    _require_state_dim(model, rho0)
+    require_model_dim(model, **{"system state": rho0})
     t_grid = np.asarray(t_grid, dtype=float)
     bad_grid = t_grid.ndim != 1 or t_grid.size == 0 or not np.isfinite(t_grid).all()
     if bad_grid or t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
@@ -296,6 +288,7 @@ def master_flow_expectation(
     with non-scalar coefficients interleave unflowed operators between
     flowed factors and are not reduced-state computable; they are rejected.
     """
+    require_model_dim(model, **{"system state": system_state}, candidate=candidate, x0=x0)
     cand = canonicalize(candidate)
     for n, m, theta in cand.terms:
         if not _is_scalar_matrix(theta, 1e-12 * max(1.0, spectral_norm(theta)))[0]:
@@ -337,7 +330,7 @@ def finite_difference_drift_check(
     check reruns at dt/2 and requires the gap to shrink by a factor in
     [1.5, 2.5] (trivially satisfied when both gaps are below 1e-12).
     """
-    _require_state_dim(model, system_state)
+    require_model_dim(model, **{"system state": system_state}, candidate=candidate, x0=x0)
     cand = canonicalize(candidate)
     [drift] = _ito_coefficients(model, cand, np.asarray(x0, dtype=complex), "flow", ("drift",))
     analytic = float(expectation(system_state, drift).real)

@@ -3,14 +3,17 @@
 Matrices are stored row-major with every complex entry encoded as a
 two-element ``[re, im]`` array, which survives a JSON round trip
 bit-exactly, signed zeros included.  A ``schema_version`` field (3 for
-certificates, 1 otherwise) gates format changes.  A certificate holds the
-run's settings (seed, epsilon, family description, tolerances, sample
-count) and names its input arrays (model, candidate, center, the family's
-directions, the reference state) only by SHA-256 digests of their exact
-values, from :func:`qstab.certify.input_digest`; it is dumped with sorted
-keys so identical runs produce identical bytes, and loads back to a
-:class:`StabilityCertificate` that dumps to the same bytes.  Trajectories
-are written as CSV with 17 significant digits and LF line endings.
+certificates, 1 otherwise) gates format changes.  One reader,
+:func:`_read`, decides every field of every file, so each
+:class:`FileFormatError` starts with the file's path and names the field.
+A certificate holds the run's settings (seed, epsilon, family description,
+tolerances, sample count) and names its input arrays (model, candidate,
+center, the family's directions, the reference state) only by SHA-256
+digests of their exact values, from :func:`qstab.certify.input_digest`; it
+is dumped with sorted keys so identical runs produce identical bytes, and
+loads back to a :class:`StabilityCertificate` that dumps to the same bytes.
+Trajectories are written as CSV with 17 significant digits and LF line
+endings.
 """
 
 from __future__ import annotations
@@ -34,38 +37,26 @@ CERTIFICATE_SCHEMA_VERSION = 3
 
 
 def encode_matrix(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+    """Complex entries as nested [re, im] pairs, at any rank, a vector's too."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
-def decode_matrix(obj, field: str) -> np.ndarray:
+def decode_matrix(obj, rank: int = 2) -> np.ndarray:
+    """A square matrix of [re, im] pairs, or at ``rank=1`` a vector of them, as complex entries bit for bit.
+
+    Viewing the pairs as complex keeps signed zeros, which ``re + 1j * im`` would lose.
+    """
     try:
         arr = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"{field}: not a nested numeric array ({exc})") from None
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise FileFormatError(f"{field}: expected a matrix of [re, im] pairs, got shape {arr.shape}")
-    if arr.shape[0] != arr.shape[1]:
-        raise FileFormatError(f"{field}: matrix must be square, got shape {arr.shape[:2]}")
-    return _pairs_to_complex(arr)
-
-
-def _pairs_to_complex(arr: np.ndarray) -> np.ndarray:
-    """The [re, im] pairs on the last axis as complex entries, bit for bit (re + 1j * im loses signed zeros)."""
+        raise FileFormatError(f"not a nested numeric array ({exc})") from None
+    if arr.shape[rank:] != (2,) or len(set(arr.shape[:-1])) != 1:
+        kind = "a square matrix" if rank == 2 else "a vector"
+        raise FileFormatError(f"expected {kind} of [re, im] pairs, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise FileFormatError("entries must be finite")
     return np.ascontiguousarray(arr).view(complex)[..., 0]
-
-
-def encode_vector(v: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex).reshape(-1)]
-
-
-def decode_vector(obj, field: str) -> np.ndarray:
-    try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"{field}: not a numeric array ({exc})") from None
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise FileFormatError(f"{field}: expected a vector of [re, im] pairs, got shape {arr.shape}")
-    return _pairs_to_complex(arr)
 
 
 def _load_json(path) -> dict:
@@ -87,32 +78,44 @@ def _dump_json(obj, path) -> None:
         fh.write("\n")
 
 
-def _require(data: dict, field: str, path, name: str | None = None):
-    """``data[field]``; else an error naming the field as ``name``, or as ``field`` itself."""
-    if field not in data:
-        raise FileFormatError(f"{path}: missing field {(name or field)!r}")
-    return data[field]
+_REQUIRED = object()
+_JSON_TYPES = {bool: "a JSON boolean", int: "a JSON integer", float: "a JSON number", str: "a JSON string",
+               list: "a JSON list", dict: "a JSON object"}
+
+
+def _read(data: dict, key, path, kind, *, name=None, default=_REQUIRED, nullable=False, allowed=(), least=None):
+    """``data[key]`` from the file at ``path``, checked as ``kind``; each error names the path, then the field.
+
+    ``kind`` is a type in ``_JSON_TYPES`` or a decoder such as :func:`decode_matrix`.  No type but ``bool``
+    takes a JSON boolean, and ``float`` takes any JSON number and returns a float.  The field is named
+    ``name``, or ``key``.  A missing field gives ``default`` when one is given, and a null gives None when
+    ``nullable``.  ``least`` bounds a number, or a list's length, from below; a nonempty ``allowed`` lists
+    the only values taken.
+    """
+    name = key if name is None else name
+    if key not in data:
+        if default is _REQUIRED:
+            raise FileFormatError(f"{path}: missing field {name!r}")
+        return default
+    value = data[key]
+    if value is None and nullable:
+        return None
+    if kind not in _JSON_TYPES:
+        try:
+            return kind(value)
+        except FileFormatError as exc:
+            raise FileFormatError(f"{path}: {name}: {exc}") from None
+    typed = isinstance(value, (int, float) if kind is float else kind) and isinstance(value, bool) == (kind is bool)
+    if not typed or (least is not None and (len(value) if kind is list else value) < least):
+        bound = "" if least is None else f" of length >= {least}" if kind is list else f" >= {least}"
+        raise FileFormatError(f"{path}: {name} must be {_JSON_TYPES[kind]}{bound}, got {value!r}")
+    if allowed and value not in allowed:
+        raise FileFormatError(f"{path}: unsupported {name} {value!r} (expected {', '.join(map(repr, allowed))})")
+    return float(value) if kind is float else value
 
 
 def _check_schema(data: dict, path, expected: int = SCHEMA_VERSION) -> None:
-    version = _require(data, "schema_version", path)
-    if isinstance(version, bool) or version != expected:
-        raise FileFormatError(f"{path}: unsupported schema_version {version!r} (expected {expected})")
-
-
-def _integer(value, field: str, path, least: int | None = None) -> int:
-    """``value`` if it is a JSON integer (not a boolean) of at least ``least``; else an error naming ``field``."""
-    if isinstance(value, bool) or not isinstance(value, int) or (least is not None and value < least):
-        bound = "" if least is None else f" >= {least}"
-        raise FileFormatError(f"{path}: {field} must be a JSON integer{bound}, got {value!r}")
-    return value
-
-
-def _number(value, field: str, path) -> float:
-    """``value`` as a float if it is a JSON number (not a boolean); else an error naming ``field``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FileFormatError(f"{path}: {field} must be a JSON number, got {value!r}")
-    return float(value)
+    _read(data, "schema_version", path, int, allowed=(expected,))
 
 
 def load_model(path, tol: float = 1e-9) -> QsdeModel:
@@ -124,18 +127,13 @@ def load_model(path, tol: float = 1e-9) -> QsdeModel:
     """
     data = _load_json(path)
     _check_schema(data, path)
-    dim = _integer(_require(data, "dim", path), "dim", path, least=1)
-    h = decode_matrix(_require(data, "H", path), "H")
-    l = decode_matrix(_require(data, "L", path), "L")
-    s_raw = data.get("S")
-    s = decode_matrix(s_raw, "S") if s_raw is not None else None
-    for name, mat in (("H", h), ("L", l)) + ((("S", s),) if s is not None else ()):
-        if mat.shape[0] != dim:
-            raise FileFormatError(f"{path}: {name} has dimension {mat.shape[0]}, header says {dim}")
-    try:
-        model = QsdeModel(hamiltonian=h, coupling=l, scattering=s)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from None
+    dim = _read(data, "dim", path, int, least=1)
+    h, l = (_read(data, key, path, decode_matrix) for key in "HL")
+    s = _read(data, "S", path, decode_matrix, default=None, nullable=True)
+    for name, mat in (("H", h), ("L", l), ("S", s)):
+        if mat is not None and len(mat) != dim:
+            raise FileFormatError(f"{path}: {name} has dimension {len(mat)}, header says {dim}")
+    model = QsdeModel(hamiltonian=h, coupling=l, scattering=s)
     validate(model, tol=tol)
     return model
 
@@ -162,23 +160,17 @@ def load_lyapunov(path) -> LyapunovCandidate:
     """
     data = _load_json(path)
     _check_schema(data, path)
-    raw_terms = _require(data, "terms", path)
-    if not isinstance(raw_terms, list) or not raw_terms:
-        raise InvalidCandidateError(f"{path}: terms must be a nonempty list, got {raw_terms!r}")
+    entries = dict(enumerate(_read(data, "terms", path, list)))
+    if not entries:  # a candidate error, as LyapunovCandidate raises, but naming the file and the field
+        raise InvalidCandidateError(f"{path}: terms must be a nonempty list, got []")
     terms = []
-    for i, entry in enumerate(raw_terms):
-        if not isinstance(entry, dict):
-            raise FileFormatError(f"{path}: terms[{i}] must be an object")
-        n, m = (_integer(_require(entry, k, f"{path}: terms[{i}]"), f"terms[{i}].{k}", path, least=0) for k in "nm")
-        theta = decode_matrix(_require(entry, "theta", f"{path}: terms[{i}]"), f"terms[{i}].theta")
-        terms.append((n, m, theta))
-    center_raw = data.get("center")
-    center = decode_matrix(center_raw, "center") if center_raw is not None else None
-    closure = data.get("hermitian_closure", False)
-    if not isinstance(closure, bool):
-        raise FileFormatError(f"{path}: hermitian_closure must be a JSON boolean, got {closure!r}")
-    candidate = LyapunovCandidate(terms=tuple(terms), center=center)
-    return canonicalize(candidate, hermitian_closure=closure)
+    for i in entries:
+        entry = _read(entries, i, path, dict, name=f"terms[{i}]")
+        n, m = (_read(entry, k, path, int, name=f"terms[{i}].{k}", least=0) for k in "nm")
+        terms.append((n, m, _read(entry, "theta", path, decode_matrix, name=f"terms[{i}].theta")))
+    center = _read(data, "center", path, decode_matrix, default=None, nullable=True)
+    closure = _read(data, "hermitian_closure", path, bool, default=False)
+    return canonicalize(LyapunovCandidate(terms=tuple(terms), center=center), hermitian_closure=closure)
 
 
 def save_lyapunov(candidate: LyapunovCandidate, path, *, hermitian_closure: bool = False) -> None:
@@ -197,7 +189,7 @@ def save_lyapunov(candidate: LyapunovCandidate, path, *, hermitian_closure: bool
 def load_operator(path) -> np.ndarray:
     data = _load_json(path)
     _check_schema(data, path)
-    return as_operator(decode_matrix(_require(data, "matrix", path), "matrix"))
+    return as_operator(_read(data, "matrix", path, decode_matrix))
 
 
 def save_operator(matrix: np.ndarray, path) -> None:
@@ -207,24 +199,21 @@ def save_operator(matrix: np.ndarray, path) -> None:
 def load_state_vector(path) -> np.ndarray:
     data = _load_json(path)
     _check_schema(data, path)
-    return decode_vector(_require(data, "vector", path), "vector")
+    return _read(data, "vector", path, partial(decode_matrix, rank=1))
 
 
 def save_state_vector(vector: np.ndarray, path) -> None:
-    _dump_json({"schema_version": SCHEMA_VERSION, "vector": encode_vector(vector)}, path)
+    _dump_json({"schema_version": SCHEMA_VERSION, "vector": encode_matrix(np.ravel(vector))}, path)
 
 
 def load_direction_family(path) -> DirectionFamily:
     data = _load_json(path)
     _check_schema(data, path)
-    raw = _require(data, "directions", path)
-    if not isinstance(raw, list) or not raw:
-        raise FileFormatError(f"{path}: directions must be a nonempty list")
-    directions = tuple(decode_matrix(d, f"directions[{i}]") for i, d in enumerate(raw))
+    entries = dict(enumerate(_read(data, "directions", path, list, least=1)))
     return DirectionFamily(
-        directions=directions,
-        scale_min=_number(data.get("scale_min", 0.0), "scale_min", path),
-        scale_max=_number(data.get("scale_max", 1.0), "scale_max", path),
+        directions=tuple(_read(entries, i, path, decode_matrix, name=f"directions[{i}]") for i in entries),
+        scale_min=_read(data, "scale_min", path, float, default=0.0),
+        scale_max=_read(data, "scale_max", path, float, default=1.0),
     )
 
 
@@ -257,75 +246,29 @@ def save_certificate(cert: StabilityCertificate, path) -> None:
         fh.write(certificate_bytes(cert))
 
 
-def _choice(*choices):
-    def parse(value, field, path):
-        if not isinstance(value, str) or value not in choices:
-            raise FileFormatError(f"{path}: {field} must be one of {', '.join(map(repr, choices))}, got {value!r}")
-        return value
-    return parse
-
-
-def _text(value, field: str, path) -> str:
-    if not isinstance(value, str):
-        raise FileFormatError(f"{path}: {field} must be a JSON string, got {value!r}")
-    return value
-
-
-def _optional(parse):
-    return lambda value, field, path: None if value is None else parse(value, field, path)
-
-
-def _object(value, field: str, path) -> dict:
-    if not isinstance(value, dict):
-        raise FileFormatError(f"{path}: {field} must be a JSON object, got {value!r}")
-    return value
-
-
-def _record(parsers: dict):
-    """A parser of a JSON object holding the fields that ``parsers`` names, each parsed by its own parser."""
-    def parse(value, field, path):
-        value = _object(value, field, path)
-        return {key: p(_require(value, key, path, f"{field}.{key}"), f"{field}.{key}", path)
-                for key, p in parsers.items()}
-    return parse
-
-
+# Each certificate field as (name, kind, options) for _read, "a.b" naming field b of the object a; a field
+# with a default is left out of its object when missing.  The family's own fields follow from its kind.
+_NULLABLE = {"nullable": True}
+_CERTIFICATE_FIELDS = (
+    ("mode", str, {"allowed": tuple(_MODES)}),
+    ("verdict", str, {"allowed": ("pass", "fail")}),
+    ("equilibrium_residual", float, {}),
+    *((key, float, _NULLABLE) for key in ("worst_drift_eigenvalue", "worst_v_min_eigenvalue", "rate", "margin")),
+    ("witness", decode_matrix, _NULLABLE),
+    ("violated_condition", str, _NULLABLE),
+    ("violation", float, _NULLABLE),
+    ("sample_count_used", int, {"least": 0}),
+    ("seed", int, {}),
+    ("epsilon", float, {}),
+    *((f"tolerances.{key}", float, {}) for key in ("tol", "tol_strict", "support_cutoff")),
+    *((f"inputs.{key}", str, {}) for key in ("model", "candidate", "center")),
+    *((f"inputs.{key}", str, {"default": None}) for key in ("family", "reference")),
+)
 _FAMILY_FIELDS = {
-    "random-hermitian-ball": {"kind": _text, "radius": _number},
-    "user-directions": {"kind": _text, "count": partial(_integer, least=1), "scale_min": _number, "scale_max": _number},
-}
-
-
-def _family_record(value, field, path) -> dict:
-    kind = _record({"kind": _choice(*_FAMILY_FIELDS)})(value, field, path)["kind"]
-    return _record(_FAMILY_FIELDS[kind])(value, field, path)
-
-
-def _digests(value, field, path) -> dict:
-    """Input name -> digest text; every certificate names its model, candidate and center."""
-    value = _object(value, field, path)
-    for key in ("model", "candidate", "center"):
-        _require(value, key, path, f"{field}.{key}")
-    return {key: _text(digest, f"{field}.{key}", path) for key, digest in value.items()}
-
-
-_CERTIFICATE_FIELDS = {
-    "mode": _choice(*_MODES),
-    "verdict": _choice("pass", "fail"),
-    "equilibrium_residual": _number,
-    "worst_drift_eigenvalue": _optional(_number),
-    "worst_v_min_eigenvalue": _optional(_number),
-    "rate": _optional(_number),
-    "margin": _optional(_number),
-    "witness": _optional(lambda value, field, path: decode_matrix(value, field)),
-    "violated_condition": _optional(_text),
-    "violation": _optional(_number),
-    "sample_count_used": partial(_integer, least=0),
-    "seed": _integer,
-    "epsilon": _number,
-    "family": _family_record,
-    "tolerances": _record({"tol": _number, "tol_strict": _number, "support_cutoff": _number}),
-    "inputs": _digests,
+    "random-hermitian-ball": (("family.radius", float, {}),),
+    "user-directions": (
+        ("family.count", int, {"least": 1}), ("family.scale_min", float, {}), ("family.scale_max", float, {}),
+    ),
 }
 
 
@@ -333,10 +276,17 @@ def load_certificate(path) -> StabilityCertificate:
     """Parse a schema-3 certificate; a missing or ill-typed field raises :class:`FileFormatError` naming it."""
     data = _load_json(path)
     _check_schema(data, path, CERTIFICATE_SCHEMA_VERSION)
-    _choice("stability-certificate")(_require(data, "kind", path), "kind", path)
-    return StabilityCertificate(
-        **{name: parse(_require(data, name, path), name, path) for name, parse in _CERTIFICATE_FIELDS.items()}
-    )
+    _read(data, "kind", path, str, allowed=("stability-certificate",))
+    family_kind = _read(_read(data, "family", path, dict), "kind", path, str, name="family.kind",
+                        allowed=tuple(_FAMILY_FIELDS))
+    record = {"family": {"kind": family_kind}, "tolerances": {}, "inputs": {}}
+    for field, kind, options in _CERTIFICATE_FIELDS + _FAMILY_FIELDS[family_kind]:
+        *outer, key = field.split(".")
+        node, into = (_read(data, outer[0], path, dict), record[outer[0]]) if outer else (data, record)
+        value = _read(node, key, path, kind, name=field, **options)
+        if key in node:
+            into[key] = value
+    return StabilityCertificate(**record)
 
 
 def trajectory_csv_bytes(traj: Trajectory) -> bytes:

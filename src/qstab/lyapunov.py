@@ -39,7 +39,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidCandidateError
-from .models import FLOW_NOISE_PARTS, STATE_NOISE_PARTS, QsdeModel, flow_generator, state_generator, validate
+from .models import FLOW_NOISE_PARTS, STATE_NOISE_PARTS, QsdeModel, flow_generator, require_model_dim
+from .models import state_generator, validate
 from .operators import DEFAULT_TOL, _times, adjoint, as_operator, spectral_norm
 
 DEGREE_BOUND = 6
@@ -250,8 +251,6 @@ def _ito_coefficients(model, candidate, point, picture, names, v=None) -> list[n
     maps = {"generator": generator, **noise}
     candidate = candidate if candidate.center is None else canonicalize(candidate)  # expands a non-scalar center
     point = np.asarray(point, dtype=complex)
-    if point.shape[-1] != candidate.dim:
-        raise DimensionMismatchError("argument dimension differs from candidate dimension")
     terms = candidate.terms
     if all(np.array_equal(t, t[0, 0] * np.eye(len(t))) for _, _, t in terms):  # V(j_t(X)) = j_t(V(X))
         v = evaluate(candidate, point) if v is None else v
@@ -283,6 +282,7 @@ def flow_ito_coefficients(model: QsdeModel, candidate: LyapunovCandidate, x: np.
     stack of points gives the stacks of coefficients.
     """
     validate(model)
+    require_model_dim(model, candidate=candidate, point=x)
     return ItoCoefficients(*_ito_coefficients(model, candidate, x, "flow", ItoCoefficients._fields))
 
 
@@ -293,4 +293,5 @@ def state_ito_coefficients(model: QsdeModel, candidate: LyapunovCandidate, rho: 
     state-picture coefficients, a homomorphism too for unitary S.
     """
     validate(model)
+    require_model_dim(model, candidate=candidate, point=rho)
     return ItoCoefficients(*_ito_coefficients(model, candidate, rho, "state", ItoCoefficients._fields))

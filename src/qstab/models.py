@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidModelError
+from .errors import DimensionMismatchError, InvalidModelError
 from .operators import (
     DEFAULT_TOL,
     _times,
@@ -131,6 +131,16 @@ def validate(model: QsdeModel, tol: float = DEFAULT_TOL) -> ModelDiagnostics:
     if not report.ok:
         raise InvalidModelError("; ".join(report.failures))
     return report
+
+
+def require_model_dim(model: QsdeModel, **inputs) -> None:
+    """Raise naming the first input whose dimension is not the model's; None inputs are skipped.
+
+    An input is an operator, a stack of them, or anything with a ``dim``.
+    """
+    for name, x in inputs.items():
+        if x is not None and (dim := x.dim if hasattr(x, "dim") else np.shape(x)[-1]) != model.dim:
+            raise DimensionMismatchError(f"{name} has dimension {dim}, model has dimension {model.dim}")
 
 
 class NoiseCoefficients(NamedTuple):

@@ -241,6 +241,12 @@ class TestCertifyCommand:
         main(argv)
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("value", ["abc", "1.5"])
+    def test_a_malformed_env_seed_exits_2_naming_it(self, files, capsys, monkeypatch, value):
+        monkeypatch.setenv("QSTAB_SEED", value)
+        assert main(self.common(files, "local")) == 2
+        assert f"error: QSTAB_SEED must be an integer, got {value!r}" in capsys.readouterr().err
+
     def test_state_mode(self, files, tmp_path):
         # state-local around I/2 with a traceless diagonal family
         center = tmp_path / "center_state.json"
@@ -373,9 +379,15 @@ DEMO_ARGV = {
 }
 # Fields a format defines beyond those in its demo file.
 OPTIONAL_FIELDS = {"square_candidate.json": ("hermitian_closure",)}
-# (field, value) pairs that are valid input: the documented optional nulls and a true closure flag.
-VALID = {("S", "null"), ("center", "null"), ("hermitian_closure", "true")}
-MALFORMED = {"null": None, "true": True, "x": "x", "[1]": [1], "{}": {}}
+# (field, value) pairs that are valid input: the documented optional nulls, a true closure flag and the optional
+# fields left out.
+VALID = {("S", "null"), ("center", "null"), ("hermitian_closure", "true")} | {
+    (field, "missing") for field in ("S", "center", "hermitian_closure", "scale_min", "scale_max")
+}
+INTEGER_FIELDS = {"schema_version", "dim", "terms[0].n", "terms[0].m"}
+MISSING = object()
+# Values of the wrong JSON type, a deleted field, and an integer-valued float, which only an integer field rejects.
+MALFORMED = {"null": None, "true": True, "x": "x", "[1]": [1], "{}": {}, "missing": MISSING, "1.0": 1.0}
 
 
 def demo_argv(command, swap=()):
@@ -399,23 +411,29 @@ MALFORMED_CASES = [
     for name in dict.fromkeys(a for a in argv if a.endswith(".json"))
     for path, label in demo_fields(name)
     for shown, value in MALFORMED.items()
-    if (label, shown) not in VALID
+    if (label, shown) not in VALID and (shown != "1.0" or label in INTEGER_FIELDS)
 ]
 
 
 @pytest.mark.parametrize("name, path, label, command, value", MALFORMED_CASES)
 def test_a_malformed_field_exits_2_naming_it(tmp_path, capsys, name, path, label, command, value):
-    """Each field of each demo file set to a value of the wrong JSON type, through each command that reads it."""
+    """Each field of each demo file set to a malformed value, through each command that reads it: the error names
+    the file and the field."""
     data = json.loads((DEMO_FILES / name).read_text())
     *parents, key = path
     node = data
     for step in parents:
         node = node[step]
-    node[key] = value
+    if value is MISSING:
+        del node[key]
+    else:
+        node[key] = value
     bad = tmp_path / name
     bad.write_text(json.dumps(data))
     assert main(demo_argv(command, {name: bad})) == 2
-    assert re.search(rf"(?<![\w.]){re.escape(label)}(?!\w)", capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert re.search(rf"(?<![\w.]){re.escape(label)}(?!\w)", err)
+    assert f"error: {bad}: " in err
 
 
 def test_the_demo_commands_pass():
@@ -424,14 +442,32 @@ def test_the_demo_commands_pass():
         assert main(demo_argv(command)) == 0
 
 
-@pytest.mark.parametrize("command", ["simulate", "simulate-master", "crosscheck"])
-def test_a_state_of_another_dimension_exits_2(tmp_path, capsys, command):
-    """A qutrit --psi0 on the qubit model is rejected before any arithmetic, naming both dimensions."""
-    psi0 = tmp_path / "psi0.json"
-    save_state_vector(np.array([1.0, 0.0, 0.0]), psi0)
-    argv = demo_argv(command.split("-")[0], {"psi0_excited.json": psi0})
-    assert main(argv + ["--method", "master"] * command.endswith("master")) == 2
-    assert "system state has dimension 3, model has dimension 2" in capsys.readouterr().err
+QUTRIT_INPUTS = {
+    "psi0_excited.json": lambda path: save_state_vector(np.array([1.0, 0.0, 0.0]), path),
+    "x0_sigma_z.json": lambda path: save_operator(np.diag([1.0, 0.0, -1.0]), path),
+    "square_candidate.json": lambda path: save_lyapunov(
+        LyapunovCandidate(terms=((1, 1, np.eye(3)),), center=-np.eye(3)), path
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, swap, name",
+    [(command, "psi0_excited.json", "system state") for command in ("simulate", "simulate-master", "crosscheck")]
+    + [(command, "x0_sigma_z.json", "x0") for command in ("simulate", "simulate-master", "crosscheck")]
+    + [(command, "x0_sigma_z.json", "point") for command in ("drift", "drift-state")]
+    + [(command, "square_candidate.json", "candidate")
+       for command in ("drift", "drift-state", "simulate", "simulate-master", "crosscheck")],
+)
+def test_a_state_of_another_dimension_exits_2(tmp_path, capsys, command, swap, name):
+    """A qutrit --psi0, --x0, --point or candidate on the qubit model is rejected before any arithmetic, naming
+    the input and both dimensions."""
+    qutrit = tmp_path / swap
+    QUTRIT_INPUTS[swap](qutrit)
+    command, _, variant = command.partition("-")
+    flags = {"": [], "master": ["--method", "master"], "state": ["--picture", "state"]}[variant]
+    assert main(demo_argv(command, {swap: qutrit}) + flags) == 2
+    assert f"error: {name} has dimension 3, model has dimension 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -208,6 +208,24 @@ class TestOperatorAndVectorFiles:
         save_state_vector(v, path)
         assert np.array_equal(load_state_vector(path), v)
 
+    @pytest.mark.parametrize(
+        "load, key, value, message",
+        [
+            (load_operator, "matrix", [[[1, 0], [0, 0]]],
+             "matrix: expected a square matrix of [re, im] pairs, got shape (1, 2, 2)"),
+            (load_operator, "matrix", [[[float("nan"), 0]]], "matrix: entries must be finite"),
+            (load_state_vector, "vector", [[[1, 0]]],
+             "vector: expected a vector of [re, im] pairs, got shape (1, 1, 2)"),
+            (load_state_vector, "vector", [[1, 0], [float("inf"), 0]], "vector: entries must be finite"),
+            (load_state_vector, "schema_version", 1.0, "schema_version must be a JSON integer, got 1.0"),
+        ],
+    )
+    def test_an_error_starts_with_the_path_and_names_the_field(self, tmp_path, load, key, value, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"schema_version": 1, key: value}))
+        with pytest.raises(FileFormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load(path)
+
     def test_family_file(self, tmp_path):
         path = tmp_path / "family.json"
         path.write_text(
@@ -275,7 +293,7 @@ class TestCertificateSerialization:
         assert certificate_bytes(load_certificate(path)) == path.read_bytes()
 
     @pytest.mark.parametrize("kind", ["ball", "family"])
-    @pytest.mark.parametrize("value", [None, True, "x", [1], {}, "missing"])
+    @pytest.mark.parametrize("value", [None, True, "x", [1], {}, "missing", 1.0])
     def test_a_missing_or_ill_typed_field_is_named(self, tmp_path, damping_model, damping_candidate, kind, value):
         family = HermitianBall(1.0) if kind == "ball" else DirectionFamily(directions=(NUMBER,))
         cert = check_exponential(damping_model, damping_candidate, -EYE2, LevelSetSpec(0.5, 8, 11, family), 2.0)
@@ -284,10 +302,12 @@ class TestCertificateSerialization:
         optional = {"worst_drift_eigenvalue", "worst_v_min_eigenvalue", "rate", "margin", "witness",
                     "violated_condition", "violation"}
         valid = [("violated_condition", "x"), ("inputs.model", "x")]
+        integers = {"schema_version", "sample_count_used", "seed", "family.count"}
         fields = [(key,) for key in data] + [(key, sub) for key in ("family", "tolerances") for sub in data[key]]
         for field in fields + [("inputs", "model")]:
             name = ".".join(field)
-            if (value is None and name in optional) or (name, value) in valid:
+            skip = (value is None and name in optional) or (name, value) in valid
+            if skip or (isinstance(value, float) and name not in integers):
                 continue
             broken = json.loads(json.dumps(data))
             *parents, key = field
@@ -298,7 +318,8 @@ class TestCertificateSerialization:
                 node[key] = value
             path = tmp_path / "cert.json"
             path.write_text(json.dumps(broken))
-            with pytest.raises(FileFormatError, match=rf"(?<![\w.]){re.escape(name)}(?!\w)"):
+            named = rf"^{re.escape(str(path))}: .*(?<![\w.]){re.escape(name)}(?!\w)"
+            with pytest.raises(FileFormatError, match=named):
                 load_certificate(path)
 
     @pytest.mark.parametrize("version", [1, 2])

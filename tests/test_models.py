@@ -5,6 +5,7 @@ from qstab import (
     DimensionMismatchError,
     InvalidModelError,
     QsdeModel,
+    QuantumState,
     adjoint,
     commutator,
     diagnose,
@@ -16,6 +17,7 @@ from qstab import (
     state_noise_coefficients,
     validate,
 )
+from qstab.models import require_model_dim
 
 from conftest import (
     EYE2,
@@ -214,6 +216,13 @@ class TestEquilibriumResidual:
     def test_unknown_picture(self, damping_model):
         with pytest.raises(ValueError):
             equilibrium_residual(damping_model, EYE2, "heisenberg")
+
+
+def test_require_model_dim_names_the_first_input_of_another_dimension(damping_model):
+    """An operator or a stack is sized by its last axis, anything else by its dim; None is skipped."""
+    require_model_dim(damping_model, point=EYE2, stack=np.zeros((5, 2, 2)), state=QuantumState(EYE2 / 2), absent=None)
+    with pytest.raises(DimensionMismatchError, match="^stack has dimension 3, model has dimension 2$"):
+        require_model_dim(damping_model, point=EYE2, stack=np.zeros((4, 3, 3)), later=np.eye(4))
 
 
 def test_scattering_defaults_to_identity(damping_model):
