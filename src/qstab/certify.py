@@ -29,13 +29,19 @@ sample.  The samples pass through one stacked point per block of at most
 2^13 matrix entries, and each condition is a mask: its measure runs only on
 the samples that no earlier condition decided, so the first violated one
 decides a sample, and the most violated sample, the first among ties, is the
-witness.  The sampler's re-check takes one guarded eigendecomposition of V
-per call, on the whole sample stack; each block reads its slice of V and of
+witness.  Off the ray route (below) the sampler's re-check takes one
+guarded eigendecomposition of V per call, on the whole sample stack; each block reads its slice of V and of
 that eigendecomposition, and asks for the drift alone, at that V for scalar
 Theta (one generator call).  :func:`recheck_witness` calls the stored
 condition's measure on a stack of one, with V from :func:`evaluate` guarded by
 the sampler's bound (:func:`_rounding`), so it reproduces the stored violation.
 The drift target's guard is that bound times 2||H|| + 4||L||^2 + rate.
+
+The ray route: where every canonical Theta is scalar, every term has one
+degree and the check's center is the candidate's own, V is homogeneous along
+each ray, and rays of more than one sample are decided from one eigensolve
+per ray, with a fallback to V at a sample within its forward-error band of a
+threshold (:mod:`qstab.rays`).
 
 Sample i reads row i of one row-ordered draw from the seed, and its scale
 is capped where its ray first leaves the level set: a polynomial eigenvalue
@@ -50,7 +56,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -77,6 +83,9 @@ from .operators import (
     require_positive,
     spectral_norm,
 )
+
+if TYPE_CHECKING:
+    from .rays import Rays
 
 TOL_STRICT = 1e-8
 SUPPORT_CUTOFF = 1e-10  # relative spectral cutoff defining the support of V(X)
@@ -140,11 +149,15 @@ class LevelSetSpec:
 
 @dataclass(frozen=True, eq=False)
 class LevelSetSamples(Sequence):
-    """A read-only sequence of (d, d) samples, stacked in ``x``, with V and its one eigendecomposition at each."""
+    """A read-only sequence of (d, d) samples, stacked in ``x``, with V and its one eigendecomposition at each.
+
+    On homogeneous scalar-Theta rays ``v`` and ``v_eigh`` are None and ``rays`` holds B_K and its eigenvalues.
+    """
 
     x: np.ndarray
-    v: np.ndarray
-    v_eigh: tuple[np.ndarray, np.ndarray]
+    v: np.ndarray | None
+    v_eigh: tuple[np.ndarray, np.ndarray] | None
+    rays: Rays | None = None
 
     def __len__(self) -> int:
         return len(self.x)
@@ -272,7 +285,7 @@ def sample_level_set(
     traceless: bool = False,
     tol: float = DEFAULT_TOL,
 ) -> LevelSetSamples:
-    """Hermitian samples X != center with max-eig V(X) <= epsilon + tol, with V and its eigh at each.
+    """Hermitian samples X != center with max-eig V(X) <= epsilon + tol, with V and its eigh at each, or B_K per ray.
 
     Sample i reads row i of the (N, 2d^2 + 1) uniforms (N x 1 for a family)
     that the seed draws in row order, so it depends on (seed, i) alone: u is
@@ -290,6 +303,13 @@ def sample_level_set(
     epsilon + max(tol, 1e-9, r): r = :func:`_rounding` at ||center - C|| + s
     (C the candidate's center) bounds V's rounding at scale s (27 eps in place
     of 256 eps was the most seen) and its Hermiticity defect, the eigh guard.
+    On the ray route (scalar Theta of one degree K from the candidate's own
+    center, rays of more than one sample; see :mod:`qstab.rays`) V =
+    s^K B_K on each ray: B_K is V less its center at the unit ray D, one
+    guarded eigensolve of its eigenvalues per distinct ray gives the caps in
+    closed form, and the re-check reads max-eig B_K s^K; ``v`` and ``v_eigh``
+    are None and ``rays`` holds B_K, its eigenvalues and each sample's ray
+    and scale.
 
     A center with max-eig V(center) >= epsilon, or a family with no feasible
     nonzero sample, raises :class:`SamplingError`.
@@ -320,7 +340,18 @@ def sample_level_set(
     ray_of = np.arange(count) % len(rays)
     u = 1.0 - rows[:, -1]  # uniform on (0, 1]
 
-    cap = np.minimum(scale_hi, _ray_exits(cand, center, rays, spec.epsilon, tol))[ray_of]
+    degree = None
+    if len(rays) < count:  # one eigensolve of B_K may serve several samples; with one each it saves nothing
+        from .rays import Rays, ray_degree  # here, not at the top: only such runs compile qstab.rays
+
+        degree = ray_degree(cand, center)
+    if degree is None:
+        exits = _ray_exits(cand, center, rays, spec.epsilon, tol)
+    else:  # V(C) = 0 < epsilon; V = s^K B_K on each ray, B_K being V less its center at D: one eigh per ray
+        b = evaluate(LyapunovCandidate(cand.terms), rays)
+        lead = hermitian_eigenvalues(b, tol=max(tol, 1e-7, _rounding(cand, 1.0)))
+        exits = _closed_form_exits(lead[:, -1], spec.epsilon, degree)
+    cap = np.minimum(scale_hi, exits)[ray_of]
     keep = cap > scale_min
     if not keep.any():
         raise SamplingError(
@@ -329,13 +360,26 @@ def sample_level_set(
     # u = 1 would put a sample on its computed exit, which rounding may place past epsilon.
     scale = np.minimum(scale_min + u[keep] * (cap[keep] - scale_min), cap[keep] * (1.0 - 8.0 * np.finfo(float).eps))
     samples = center + scale[:, None, None] * rays[ray_of[keep]]
-    rounding = _rounding(cand, spectral_norm(_offset(cand, center)) + scale)  # ||Y|| <= ||C - center of V|| + s
-    v = evaluate(cand, samples)
-    vals, vecs = np.linalg.eigh(require_hermitian(v, tol=max(tol, 1e-7, rounding.max())))
-    if np.any(vals[:, -1] > spec.epsilon + np.maximum(max(tol, 1e-9), rounding)):
+    if degree is None:
+        rounding = _rounding(cand, spectral_norm(_offset(cand, center)) + scale)  # ||Y|| <= ||C - center of V|| + s
+        v = evaluate(cand, samples)
+        vals, vecs = np.linalg.eigh(require_hermitian(v, tol=max(tol, 1e-7, rounding.max())))
+        top, on_rays, arrays = vals[:, -1], None, (samples, v, vals, vecs)
+    else:
+        rounding, v, vals, vecs = _rounding(cand, scale), None, None, None
+        on_rays = Rays(center + rays, b, lead, ray_of[keep], scale, degree)
+        top, arrays = lead[on_rays.of, -1] * scale**degree, (samples, on_rays.at_unit, b, lead)
+    if np.any(top > spec.epsilon + np.maximum(max(tol, 1e-9), rounding)):
         raise InternalCheckError("level-set sample failed its own constraint re-check")
-    samples.flags.writeable = v.flags.writeable = vals.flags.writeable = vecs.flags.writeable = False
-    return LevelSetSamples(samples, v, (vals, vecs))
+    for a in arrays:
+        a.flags.writeable = False
+    return LevelSetSamples(samples, v, None if vals is None else (vals, vecs), on_rays)
+
+
+def _closed_form_exits(lead, epsilon, degree) -> np.ndarray:
+    """The exits (epsilon / max-eig B_K)^(1/K) of rays where V = s^K B_K, inf where max-eig B_K <= 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(lead > 0.0, (epsilon / lead) ** (1.0 / degree), np.inf)
 
 
 def _rounding(cand, radius):
@@ -360,9 +404,8 @@ def _ray_exits(cand, center, rays, epsilon, tol) -> np.ndarray:
     if not top < epsilon:
         raise SamplingError(f"center is outside the level set: max-eig V(center) = {top:.6g} >= epsilon = {epsilon}")
     if not b[:-1].any():
-        lead = hermitian_eigenvalues(b[-1], tol=max(tol, 1e-7, _rounding(cand, 1.0)))[:, -1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(lead > 0.0, (epsilon / lead) ** (1.0 / degree), np.inf)
+        return _closed_form_exits(hermitian_eigenvalues(b[-1], tol=max(tol, 1e-7, _rounding(cand, 1.0)))[:, -1],
+                                  epsilon, degree)
     head = -np.linalg.solve(b[0, 0] - epsilon * np.eye(dim), b[1:]).transpose(1, 2, 0, 3).reshape(len(rays), dim, -1)
     shift = np.eye((degree - 1) * dim, degree * dim)  # [I 0] below the block row [-M^-1 B_1 ... -M^-1 B_K]
     companion = np.concatenate([head, np.broadcast_to(shift, (len(rays), *shift.shape))], axis=1)
@@ -496,7 +539,7 @@ def _shortfall(value, bound):  # the condition asks value > bound; 0.0 at the bo
 class _Condition(NamedTuple):
     label: str
     measure: Callable[[_Point], np.ndarray]
-    level: str = ""  # drift conditions: the point value recorded as the worst drift when this one decides a sample
+    level: str = ""  # the point value recorded when this one decides a sample: the worst drift, or the pencil
 
 
 _FLOW_EQUILIBRIUM = _Condition("center is not a flow equilibrium", lambda p: _above(p.residual, p.tol))
@@ -529,6 +572,11 @@ _E_RATE = _Condition(
     "drift plus rate*candidate expectation is not strictly negative on a sample",
     lambda p: _shortfall(-p.e_target, p.tol_strict),
     "e_target",
+)
+
+# Not a stability condition: the rate estimate's flag for drift that no rate repairs, recording the pencil.
+_SUPPORT_MISMATCH = _Condition(
+    "drift is positive off the support of the candidate", lambda p: _above(p.off_support_max, TOL_STRICT), "pencil_max"
 )
 
 # mode -> (picture, conditions at the center, on V at a sample, on the drift at a
@@ -581,6 +629,22 @@ def _blocks(samples: LevelSetSamples, point):
         yield block
 
 
+def _sampled(samples: LevelSetSamples, point, conditions):
+    """Per sample in order, :func:`_decide`'s violation, deciding condition and level, V's least eigenvalue (E[V]
+    in the state picture), and bounds on the violation: on rays (:func:`qstab.rays.decide_on_rays`), the deciding
+    measure at the values moved down and up by their bands; off them, the violation twice."""
+
+    def decide(p):
+        return (*_decide(conditions, p), p.e_v.real if p.picture == "state" else p.v_eigh[0][:, 0])
+
+    if samples.rays is None:
+        violation, *rest = map(np.concatenate, zip(*map(decide, _blocks(samples, point))))
+        return violation, *rest, violation, violation
+    from .rays import decide_on_rays  # here, not at the top: only a run on rays of several samples compiles it
+
+    return decide_on_rays(samples, point, conditions, decide)
+
+
 def _check(model, candidate, center, spec, mode, *, rate=None, margin=None, reference_state=None, tol):
     """Check one mode's conditions at the center, then on the level-set samples block by block, and certify."""
     cand, center = _inputs(model, candidate, center, spec, tol=tol, reference_state=reference_state)
@@ -597,10 +661,15 @@ def _check(model, candidate, center, spec, mode, *, rate=None, margin=None, refe
         points = (samples := sample_level_set(cand, center, spec, traceless=state, tol=tol)).x
         if state and np.any(np.abs(np.trace(points, axis1=1, axis2=2) - np.trace(center)) > max(tol, 1e-9)):
             raise InvalidStateError("state-picture sample lost unit trace")
-        blocks = [(p.e_v.real if state else p.v_eigh[0][:, 0], *_decide(conditions, p))
-                  for p in _blocks(samples, point)]
-        v_min, violation, decided_by, level = map(np.concatenate, zip(*blocks))
+        violation, decided_by, level, v_min, low, high = _sampled(samples, point, conditions)
         worst_v = float(v_min.min())
+        if samples.rays is not None and not np.isnan(violation).all():
+            # Each sample that may be the most violated, measured as recheck_witness measures it.
+            ties = np.flatnonzero(high >= np.nanmax(low))
+            for i in ties:
+                violation[i] = conditions[decided_by[i]].measure(point(points[i][None]))[0]
+            if np.isnan(violation[ties]).any():
+                raise InternalCheckError("a sample holds on its own V the condition that its ray violates")
     worst = _worst(violation)
     worst_drift = np.fmax.reduce(level, initial=-np.inf)
     return StabilityCertificate(
@@ -673,18 +742,16 @@ def estimate_max_rate(model, candidate, center, spec, *, tol=DEFAULT_TOL) -> Rat
     point = partial(_Point, model, cand, picture="flow", rate=None, margin=None, tol=tol, tol_strict=0.0,
                     reference_state=None)
     _, center_conditions, v_conditions = _FLOW
-    _raise_first(center_conditions, point(center[None]))
-    rates, mismatch = [], False
-    for p in _blocks(sample_level_set(cand, center, spec, tol=tol), point):
-        _raise_first(v_conditions, p)
-        rates += (-p.pencil_max).tolist()
-        mismatch = mismatch or bool(np.any(p.off_support_max > TOL_STRICT))
-    return RateEstimate(max(0.0, min(rates)), mismatch, tuple(rates))
+    _raise_first(center_conditions, _decide(center_conditions, point(center[None]))[1])
+    conditions = (*v_conditions, _SUPPORT_MISMATCH)
+    _, decided_by, pencil, *_ = _sampled(sample_level_set(cand, center, spec, tol=tol), point, conditions)
+    _raise_first(v_conditions, np.where(decided_by < len(v_conditions), decided_by, -1))
+    rates = (-pencil).tolist()
+    return RateEstimate(max(0.0, min(rates)), bool(np.any(decided_by == len(v_conditions))), tuple(rates))
 
 
-def _raise_first(conditions, point) -> None:
+def _raise_first(conditions, decided_by) -> None:
     """Raise ``ValueError`` with the label of the condition that decided the first failing point, if one fails."""
-    decided_by = _decide(conditions, point)[1]
     if np.any(decided_by >= 0):
         raise ValueError(conditions[decided_by[decided_by >= 0][0]].label)
 

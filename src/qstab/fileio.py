@@ -19,6 +19,7 @@ endings.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from copy import copy
 from dataclasses import fields
 from functools import partial
@@ -26,7 +27,7 @@ from functools import partial
 import numpy as np
 
 from .certify import _MODES, DirectionFamily, HermitianBall, LevelSetSpec, StabilityCertificate
-from .errors import FileFormatError, InvalidCandidateError
+from .errors import FileFormatError, InvalidCandidateError, QstabError
 from .evolve import Trajectory
 from .lyapunov import LyapunovCandidate, canonicalize
 from .models import QsdeModel, validate
@@ -114,6 +115,15 @@ def _read(data: dict, key, path, kind, *, name=None, default=_REQUIRED, nullable
     return float(value) if kind is float else value
 
 
+@contextmanager
+def _naming(path):
+    """Prefix the path to an error raised while checking a file's values, keeping the error's type."""
+    try:
+        yield
+    except (QstabError, ValueError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def _check_schema(data: dict, path, expected: int = SCHEMA_VERSION) -> None:
     _read(data, "schema_version", path, int, allowed=(expected,))
 
@@ -134,7 +144,8 @@ def load_model(path, tol: float = 1e-9) -> QsdeModel:
         if mat is not None and len(mat) != dim:
             raise FileFormatError(f"{path}: {name} has dimension {len(mat)}, header says {dim}")
     model = QsdeModel(hamiltonian=h, coupling=l, scattering=s)
-    validate(model, tol=tol)
+    with _naming(path):
+        validate(model, tol=tol)
     return model
 
 
@@ -170,7 +181,8 @@ def load_lyapunov(path) -> LyapunovCandidate:
         terms.append((n, m, _read(entry, "theta", path, decode_matrix, name=f"terms[{i}].theta")))
     center = _read(data, "center", path, decode_matrix, default=None, nullable=True)
     closure = _read(data, "hermitian_closure", path, bool, default=False)
-    return canonicalize(LyapunovCandidate(terms=tuple(terms), center=center), hermitian_closure=closure)
+    with _naming(path):
+        return canonicalize(LyapunovCandidate(terms=tuple(terms), center=center), hermitian_closure=closure)
 
 
 def save_lyapunov(candidate: LyapunovCandidate, path, *, hermitian_closure: bool = False) -> None:
@@ -210,11 +222,11 @@ def load_direction_family(path) -> DirectionFamily:
     data = _load_json(path)
     _check_schema(data, path)
     entries = dict(enumerate(_read(data, "directions", path, list, least=1)))
-    return DirectionFamily(
-        directions=tuple(_read(entries, i, path, decode_matrix, name=f"directions[{i}]") for i in entries),
-        scale_min=_read(data, "scale_min", path, float, default=0.0),
-        scale_max=_read(data, "scale_max", path, float, default=1.0),
-    )
+    directions = tuple(_read(entries, i, path, decode_matrix, name=f"directions[{i}]") for i in entries)
+    scale_min = _read(data, "scale_min", path, float, default=0.0)
+    scale_max = _read(data, "scale_max", path, float, default=1.0)
+    with _naming(path):
+        return DirectionFamily(directions, scale_min, scale_max)
 
 
 def save_direction_family(family: DirectionFamily, path) -> None:

@@ -133,9 +133,11 @@ def canonicalize(candidate: LyapunovCandidate, *, hermitian_closure: bool = Fals
     Parameters
     ----------
     hermitian_closure:
-        When the term list is not Hermitian-closed (a pair defect above
-        ``DEFAULT_TOL``), replace V by its Hermitian part (1/2)(V + V†)
-        instead of raising.
+        When the term list is not Hermitian-closed, replace V by its
+        Hermitian part (1/2)(V + V†) instead of raising.  A pair is closed
+        when its defect is within the larger of ``DEFAULT_TOL`` and the
+        rounding of the expansion's products that built it, 4 d eps times
+        the sum of ||C||_F^k ||Theta||_F over them.
 
     Raises
     ------
@@ -147,10 +149,12 @@ def canonicalize(candidate: LyapunovCandidate, *, hermitian_closure: bool = Fals
         return candidate
     dim = candidate.dim
     expanded: dict[tuple[int, int], np.ndarray] = {}
+    sizes: dict[tuple[int, int], float] = {}  # sum of ||C||_F^k ||Theta||_F over the products added to each key
 
-    def add(n, m, theta):
+    def add(n, m, theta, size):
         key = (n, m)
         expanded[key] = expanded.get(key, 0) + theta
+        sizes[key] = sizes.get(key, 0.0) + size
 
     center, c = None, candidate.center
     if c is not None:
@@ -161,17 +165,19 @@ def canonicalize(candidate: LyapunovCandidate, *, hermitian_closure: bool = Fals
             raise InvalidCandidateError(
                 "center expansion needs a scalar center for terms of degree 2 or higher in one factor"
             )
+    c_norm = 0.0 if c is None else np.linalg.norm(c)
     for n, m, theta in candidate.terms:  # (X - c)^n Theta (X - c)^m with n, m <= 1 where c is not None
-        for k, left in [(n, theta)] + ([(0, -(c @ theta))] if n and c is not None else []):
-            add(k, m, left)
+        t = np.linalg.norm(theta)
+        for k, left, size in [(n, theta, t)] + ([(0, -(c @ theta), c_norm * t)] if n and c is not None else []):
+            add(k, m, left, size)
             if m and c is not None:
-                add(k, 0, -(left @ c))
+                add(k, 0, -(left @ c), c_norm * size)
 
     merged = {key: th for key, th in expanded.items() if spectral_norm(th) > 0.0}
     if not merged:
         raise InvalidCandidateError("candidate is identically zero after expansion")
 
-    # Hermitian closure: pair (n, m) with (m, n, Theta†).
+    # Hermitian closure: pair (n, m) with (m, n, Theta†), within the rounding of the products that built them.
     keys = set(merged)
     closed: dict[tuple[int, int], np.ndarray] = {}
     needs_closure = False
@@ -179,7 +185,8 @@ def canonicalize(candidate: LyapunovCandidate, *, hermitian_closure: bool = Fals
         theta = merged.get((n, m), np.zeros((dim, dim), dtype=complex))
         partner = merged.get((m, n), np.zeros((dim, dim), dtype=complex))
         defect = spectral_norm(theta - adjoint(partner))
-        if defect > DEFAULT_TOL:
+        rounding = 4.0 * dim * np.finfo(float).eps * (sizes.get((n, m), 0.0) + sizes.get((m, n), 0.0))
+        if defect > max(DEFAULT_TOL, rounding):
             needs_closure = True
         closed[(n, m)] = 0.5 * (theta + adjoint(partner))
     if needs_closure and not hermitian_closure:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import re
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qstab.certify
+import qstab.rays
 from qstab import (
     DimensionMismatchError,
     DirectionFamily,
@@ -52,6 +54,7 @@ from conftest import (
     random_complex,
     random_density,
     random_hermitian,
+    random_model,
     random_unitary,
     reference_companion_exits,
 )
@@ -275,14 +278,20 @@ class TestAgainstReferenceSampler:
             return evaluate_stack(candidate, x)
 
         monkeypatch.setattr(qstab.certify, "evaluate", counting_evaluate)
-        # Feasible at scale_hi, and capped on every ray (max-eig V = s^2 reaches 0.5 at s = 0.71).
+        # Feasible at scale_hi, and capped on every ray (max-eig V <= s^2 reaches 0.5 at s >= 0.71).
         family = DirectionFamily(directions=(NUMBER, SIGMA_Z), scale_min=0.05, scale_max=0.1)
-        for epsilon, fam in ((1.0, family), (0.5, HermitianBall(1.0))):
-            for count in (6, 40):
-                calls.clear()
-                spec = LevelSetSpec(epsilon=epsilon, sample_count=count, seed=2, family=fam)
-                self.assert_same(damping_candidate, -EYE2, spec)
-                assert calls == [(count, 2, 2)]  # the re-check alone: caps come from the root solve
+        non_scalar = canonicalize(LyapunovCandidate(terms=((1, 1, np.diag([1.0, 0.5])),), center=-EYE2))
+        for cand in (damping_candidate, non_scalar):
+            for epsilon, fam in ((1.0, family), (0.5, HermitianBall(1.0))):
+                for count in (6, 40):
+                    calls.clear()
+                    spec = LevelSetSpec(epsilon=epsilon, sample_count=count, seed=2, family=fam)
+                    self.assert_same(cand, -EYE2, spec)
+                    # One evaluation: of V at the samples for the re-check, or on the ray route (the scalar Theta
+                    # of (X + I)^2 on the family; a ball has one sample per ray) of B_K on the two distinct rays,
+                    # whose eigenvalues give the caps and the re-check.
+                    on_rays = cand is damping_candidate and fam is family
+                    assert calls == [(2 if on_rays else count, 2, 2)]
 
     def test_same_errors(self):
         infeasible = canonicalize(LyapunovCandidate(terms=((1, 1, EYE2), (0, 0, EYE2))))
@@ -1176,10 +1185,47 @@ def reference_check(model, candidate, center, spec, mode, param=None, reference=
     )
 
 
+def ray_bands(model, cand, center, spec, mode, name, param=None, reference=None, *, tol_strict=None):
+    """Per sample of a check (or, with ``tol_strict`` 0, of the rate estimate), the ray route's band on the value
+    ``name`` from :func:`qstab.rays.ray_band`: 0.0 off the route, where a sample is decided on V at itself,
+    and where the band is infinite, which makes every condition that reads the value decide it so."""
+    certify = qstab.certify
+    picture = certify._MODES[mode][0]
+    cand = canonicalize(cand)
+    samples = sample_level_set(cand, center, spec, traceless=picture == "state")
+    bands = np.zeros(len(samples))
+    if samples.rays is not None:
+        point = functools.partial(
+            certify._Point, model, cand, picture=picture, rate=param if mode.endswith("exponential") else None,
+            margin=param if mode == "asymptotic" else None, tol=1e-9,
+            tol_strict=certify.TOL_STRICT if tol_strict is None else tol_strict, reference_state=reference,
+        )
+        for rows, p in qstab.rays.ray_blocks(samples, point):
+            band = qstab.rays.ray_band(p, name)
+            bands[rows] = np.where(np.isinf(band), 0.0, band)
+    return bands
+
+
 def assert_matches_reference(model, cand, center, spec, mode, param=None, reference=None):
-    """Run the stacked check, assert its certificate bytes equal the per-sample oracle's, and return it."""
+    """Run the stacked check, assert it is the per-sample oracle's certificate, and return it.
+
+    Every field is the oracle's bit for bit, but for the two margins on the ray route: V's least eigenvalue
+    (E[V] in the state picture) may differ within the route's band on V, and the worst drift within its band on
+    the drift values that the mode's conditions read.
+    """
     cert = run_check(model, cand, center, spec, mode, param, reference)
     oracle = reference_check(model, cand, center, spec, mode, param, reference)
+    if cert.sample_count_used:
+        drift = ("target", "support") if mode in ("asymptotic", "exponential") else ("target",)
+        for field, names in (("worst_v_min_eigenvalue", ("v",)), ("worst_drift_eigenvalue", drift)):
+            band = max(ray_bands(model, cand, center, spec, mode, name, param, reference).max() for name in names)
+            ours, theirs = getattr(cert, field), getattr(oracle, field)
+            assert (ours is None) == (theirs is None)
+            assert ours is None or abs(ours - theirs) <= band
+        margins = dict(
+            worst_v_min_eigenvalue=oracle.worst_v_min_eigenvalue, worst_drift_eigenvalue=oracle.worst_drift_eigenvalue
+        )
+        cert = dataclasses.replace(cert, **margins)
     assert certificate_bytes(cert) == certificate_bytes(oracle)
     return cert
 
@@ -1249,13 +1295,16 @@ class TestAgainstReferenceCheck:
 
     @staticmethod
     def assert_rate_estimate_matches_points_of_one(model, cand, center, spec):
-        """Assert the blocked rate estimate equals the pencil on stacks of one; return those points."""
+        """Assert the blocked rate estimate is the pencil on stacks of one, within the ray route's bands on the
+        pencil, and flags the same support mismatch; return those points."""
         est = estimate_max_rate(model, cand, center, spec)
         points = [
             qstab.certify._Point(model, cand, x[None], "flow", None, None, 1e-9, 1e-8, None)
             for x in sample_level_set(cand, center, spec)
         ]
-        assert est.per_sample == tuple(-float(p.pencil_max[0]) for p in points)
+        bands = ray_bands(model, cand, center, spec, "local", "pencil", tol_strict=0.0)
+        assert np.all(np.abs(np.array(est.per_sample) - [-float(p.pencil_max[0]) for p in points]) <= bands)
+        assert abs(est.rate - max(0.0, min(-float(p.pencil_max[0]) for p in points))) <= bands.max()
         assert est.support_mismatch == any(p.off_support_max[0] > qstab.certify.TOL_STRICT for p in points)
         return est, points
 
@@ -1273,7 +1322,8 @@ class TestAgainstReferenceCheck:
         assert all(p.on_support.all() for p in points) and not est.support_mismatch
 
     def test_one_ito_assembly_per_block(self, monkeypatch):
-        # (X + I)^2 has a scalar Theta: each block's drift is one generator call at the V the block holds.
+        # (X + I)^2 has a scalar Theta and one degree: from its own center every block of rays makes one generator
+        # call at the B_K it holds, and a sample makes one only as a possible witness, measured on its own.
         shapes, generated = [], []
         ito, generator = qstab.certify._ito_coefficients, qstab.lyapunov.flow_generator
         monkeypatch.setattr(
@@ -1286,14 +1336,19 @@ class TestAgainstReferenceCheck:
         model, cand, rotated_number = rotated_damped_oscillator(32, 3)
         spec = LevelSetSpec(0.25, 20, 3, DirectionFamily(directions=(rotated_number,), scale_min=0.1, scale_max=1.0))
         assert check_exponential(model, cand, -np.eye(32), spec, rate=0.5).passed
-        assert shapes == generated == [(8, 32, 32), (8, 32, 32), (4, 32, 32)]  # 2^13 entries hold eight 32 x 32 samples
+        assert shapes == generated == [(1, 32, 32)]  # the one ray
         shapes.clear(), generated.clear()
         assert estimate_max_rate(model, cand, -np.eye(32), spec).rate == pytest.approx(1.0, abs=1e-6)
-        assert shapes == generated == [(8, 32, 32), (8, 32, 32), (4, 32, 32)]
+        assert shapes == generated == [(1, 32, 32)]
         shapes.clear(), generated.clear()
-        qubit = LevelSetSpec(0.5, 256, 3, HermitianBall(1.0))
+        qubit = LevelSetSpec(0.5, 256, 3, HermitianBall(1.0))  # one sample per ray: the blocks of samples
         check_exponential(DAMPING, centered((1, 1, EYE2), center=-EYE2), -EYE2, qubit, rate=0.5)
         assert shapes == generated == [(256, 2, 2)]
+        shapes.clear(), generated.clear()
+        # A non-scalar Theta keeps the blocks of samples: 2^13 entries hold eight 32 x 32 samples.
+        theta = np.diag(np.linspace(1.0, 2.0, 32))
+        check_exponential(model, centered((1, 1, theta), center=-np.eye(32)), -np.eye(32), spec, rate=0.5)
+        assert shapes == generated == [(8, 32, 32), (8, 32, 32), (4, 32, 32)]
 
 
 # run -> a check or rate estimate, on a ball or a family, in the flow or the state picture
@@ -1311,24 +1366,46 @@ RUNS_ON_V = {
 
 @pytest.mark.parametrize("run", sorted(RUNS_ON_V))
 def test_v_and_its_spectrum_once_per_call(run, block_entries, monkeypatch):
-    """V is evaluated at the center, then once at all samples; one eigensolve takes that whole stack, none a block."""
+    """V is evaluated at the center, then once at all samples; one eigensolve takes that whole stack, none a block.
+
+    On the ray route, taken by the flow and rate runs on a family (a ball has one sample per ray and the state
+    runs a non-scalar Theta), the second evaluation is of B_K on the distinct rays, whose eigenvalues are
+    solved once, and its eigenvectors once more where a value on V's support is read; no solve takes more
+    members than there are rays, and V at a sample is evaluated only in a stack of one, to be measured as a
+    possible witness.
+    """
     values, solved = [], []
     evaluate_stack = qstab.certify.evaluate
     monkeypatch.setattr(qstab.certify, "evaluate", lambda cand, x: values.append(evaluate_stack(cand, x)) or values[-1])
     for name in ("eigh", "eigvalsh"):
         solver = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda a, *args, f=solver, **kw: solved.append(a) or f(a, *args, **kw))
+        monkeypatch.setattr(
+            np.linalg, name, lambda a, *args, f=solver, n=name, **kw: solved.append((n, a)) or f(a, *args, **kw)
+        )
     result = RUNS_ON_V[run]()
     count = len(result.per_sample) if run.startswith("rate") else result.sample_count_used
-    assert [len(v) for v in values] == [1, count]
+    sizes = [len(v) for v in values]
+    if run in ("flow-family", "rate-family"):
+        distinct = len(MIXED_RANKS.family.directions)
+        assert sizes[:2] == [1, distinct] and set(sizes[2:]) <= {1}
+        assert max(np.prod(np.shape(a)[:-2], dtype=int) for _, a in solved) <= distinct
+        stacked = hermitize(values[1])
+        assert sum(np.array_equal(a, stacked) for name, a in solved if name == "eigvalsh") == 1
+        of_rays = sum(members_of(a, stacked) for name, a in solved if name == "eigh")
+        assert of_rays == (distinct if run == "rate-family" else 0)  # the rate's pencil reads V's support
+        return
+    assert sizes == [1, count]
     sampled = hermitize(values[1])  # what a guarded solve of V at the samples receives, bit for bit
-
-    def holds_a_sampled_v(a):
-        members = np.reshape(a, (-1, *np.shape(a)[-2:]))
-        return np.shape(a)[-1] == sampled.shape[-1] and (members[:, None] == sampled).all(axis=(-2, -1)).any()
-
-    of_v = [a for a in solved if holds_a_sampled_v(a)]
+    of_v = [a for _, a in solved if members_of(a, sampled)]
     assert len(of_v) == 1 and np.array_equal(of_v[0], sampled)
+
+
+def members_of(a, stack) -> int:
+    """How many members of the stack ``a`` are members of ``stack``."""
+    members = np.reshape(a, (-1, *np.shape(a)[-2:]))
+    if np.shape(a)[-1] != stack.shape[-1]:
+        return 0
+    return int((members[:, None] == stack).all(axis=(-2, -1)).any(axis=1).sum())
 
 
 @given(**CHECK_CASES)
@@ -1368,3 +1445,117 @@ def test_permuting_the_samples_permutes_the_decisions(
     assert np.array_equal(violation[order], permuted[0], equal_nan=True)
     assert np.array_equal(decided_by[order], permuted[1])
     assert np.array_equal(level[order], permuted[2], equal_nan=True)
+
+
+def ray_candidate(degree, theta, dim, center):
+    """sum over n + m = K of (n, m, theta I): (K + 1) theta Y^K, scalar Theta of one degree K."""
+    return centered(*((n, degree - n, theta * np.eye(dim)) for n in range(degree + 1)), center=center)
+
+
+@given(
+    dim=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    picture=st.sampled_from(["flow", "state"]),
+    degree=st.integers(1, 4),
+    lam=st.sampled_from([0.0, -1.0, 2.5]),
+    rate=st.sampled_from([None, 0.5]),
+    scale_hi=st.sampled_from([1e-4, 1e-2, 1.0, 3.0]),
+)
+@settings(max_examples=150)
+def test_ray_values_are_the_points_values_within_their_bands(dim, seed, picture, degree, lam, rate, scale_hi):
+    """Random models with S != I: every value that the ray route gives a sample is its point's own, within the
+    band of :func:`qstab.rays.ray_band`.  The values are V's eigenvalues, the drift target's top eigenvalue,
+    its top eigenvalues on and off V's support, the pencil, E[V] and E[drift target]."""
+    certify = qstab.certify
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, dim)
+    cand = ray_candidate(degree, rng.uniform(0.2, 2.0), dim, lam * np.eye(dim))
+    directions = tuple(random_hermitian(rng, dim) for _ in range(2))
+    if picture == "state":
+        directions = tuple(d - np.trace(d) / dim * np.eye(dim) for d in directions)
+    family = DirectionFamily(directions, scale_min=0.0, scale_max=scale_hi)
+    samples = sample_level_set(cand, lam * np.eye(dim), LevelSetSpec(1e6, 6, seed, family))
+    assert samples.rays is not None
+    reference = QuantumState(random_density(rng, dim)) if picture == "state" else None
+    point = functools.partial(certify._Point, model, cand, picture=picture, rate=rate, margin=None, tol=1e-9,
+                              tol_strict=certify.TOL_STRICT, reference_state=reference)
+
+    def within(ours, theirs, band):
+        band = np.reshape(band, (-1,) + (1,) * (np.ndim(ours) - 1))
+        with np.errstate(invalid="ignore"):  # -inf on both routes where V's support is everything
+            assert np.all((ours == theirs) | (np.abs(ours - theirs) <= band))
+
+    for rows, on_rays in qstab.rays.ray_blocks(samples, point):
+        own = point(samples.x[rows])
+        if picture == "state":
+            within(on_rays.e_v, own.e_v, qstab.rays.ray_band(on_rays, "v"))
+            within(on_rays.e_target, own.e_target, qstab.rays.ray_band(on_rays, "target"))
+            continue
+        within(on_rays.v_eigh[0], own.v_eigh[0], qstab.rays.ray_band(on_rays, "v"))
+        within(on_rays.target_max, own.target_max, qstab.rays.ray_band(on_rays, "target"))
+        positive = own.v_eigh[0][:, -1] > 0.0  # where V at the point has a support of its own
+        on_rays, own = on_rays.take(positive), own.take(positive)
+        for name, band in (("support_max", "support"), ("off_support_max", "support"), ("pencil_max", "pencil")):
+            within(getattr(on_rays, name), getattr(own, name), qstab.rays.ray_band(on_rays, band))
+
+
+def level_projector(rng, dim):
+    """The projector on random levels that hold level 0 but not the last: never zero nor the identity, so a
+    rank-deficient candidate along it, traceless or not."""
+    levels = (rng.random(dim) < 0.5) | (np.arange(dim) == 0)
+    levels[-1] = False
+    return np.diag(levels.astype(float))
+
+
+def ray_check_case(dim, model_seed, spec_seed, mode, param, kind, cascade, ball):
+    """Arguments of run_check for a scalar-Theta candidate of one degree at its own center: the ray route on a
+    family of up to three directions with three samples each, the per-sample route on a ball."""
+    rng = np.random.default_rng(model_seed)
+    if cascade:
+        hamiltonian, coupling = np.diag(rng.normal(size=dim)), np.diag(rng.uniform(0.5, 1.5, dim - 1), -1)
+        model = QsdeModel(hamiltonian=hamiltonian, coupling=coupling)
+    else:
+        model = random_model(rng, dim)
+    state = mode.startswith("state-")
+    center = np.eye(dim) / dim if state else -np.eye(dim)
+    degree, theta = {"psd": (2, 1.0), "quartic": (4, 0.5), "tiny": (2, 1e-12), "indefinite": (2, -1.0),
+                     "linear": (1, 1.0)}[kind]
+    cand = ray_candidate(degree, theta, dim, center)
+    reference = QuantumState(random_density(rng, dim)) if state else None
+    if ball:
+        family, count = HermitianBall(1.0), 6
+    else:
+        directions = [random_hermitian(rng, dim) if rng.random() < 0.5 else level_projector(rng, dim)
+                      for _ in range(rng.integers(1, 4))]
+        if state:
+            directions = [d - np.trace(d) / dim * np.eye(dim) for d in directions]
+        family, count = DirectionFamily(tuple(directions), scale_min=0.0, scale_max=2.0), 3 * len(directions)
+    spec = LevelSetSpec(epsilon=0.5, sample_count=count, seed=spec_seed, family=family)
+    param = None if mode in ("local", "state-local", "state-asymptotic") else param
+    return model, cand, center, spec, mode, param, reference
+
+
+@given(
+    dim=st.integers(2, 4),
+    model_seed=st.integers(0, 2**32 - 1),
+    spec_seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(MODES),
+    param=st.sampled_from([0.05, 0.5, 2.0]),
+    kind=st.sampled_from(["psd", "quartic", "tiny", "indefinite", "linear"]),
+    cascade=st.booleans(),
+    ball=st.booleans(),
+)
+@settings(max_examples=300)
+def test_ray_route_decides_as_the_per_sample_oracle(dim, model_seed, spec_seed, mode, param, kind, cascade, ball):
+    """Every mode, on balls and on families: the verdict, label, witness and violation are the per-sample loop's,
+    and a failing witness rechecks to its violation."""
+    case = ray_check_case(dim, model_seed, spec_seed, mode, param, kind, cascade, ball)
+    model, cand, center, spec, mode, param, reference = case
+    try:
+        samples = sample_level_set(cand, center, spec, traceless=mode.startswith("state-"))
+        cert = assert_matches_reference(*case)
+    except SamplingError:
+        assume(False)
+    assert (samples.rays is None) == ball
+    if not cert.passed:
+        assert recheck_witness(model, cand, cert, reference_state=reference) == cert.violation

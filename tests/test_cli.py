@@ -436,6 +436,30 @@ def test_a_malformed_field_exits_2_naming_it(tmp_path, capsys, name, path, label
     assert f"error: {bad}: " in err
 
 
+# file -> (command, an edit that leaves every field well formed but fails the loader's checks, field named)
+REJECTED_VALUES = {
+    "damping_model.json": ("validate", lambda data: data["H"][0][1].__setitem__(1, 1.0), "H"),
+    "square_candidate.json": (
+        "certify", lambda data: data.update(center=encode_matrix(np.diag([-1.0, -2.0])), terms=[
+            {**data["terms"][0], "n": 2}, {**data["terms"][0], "m": 2}]), "center"),
+    "number_family.json": ("certify", lambda data: data.update(scale_max=-1.0), "scale_max"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_VALUES))
+def test_a_rejected_value_exits_2_naming_the_file_and_the_field(tmp_path, capsys, name):
+    """The model's invariants, the candidate's expansion and the family's range are checked after the field
+    reader; their errors name the file too."""
+    command, edit, field = REJECTED_VALUES[name]
+    data = json.loads((DEMO_FILES / name).read_text())
+    edit(data)
+    bad = tmp_path / name
+    bad.write_text(json.dumps(data))
+    assert main(demo_argv(command, {name: bad})) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and re.search(rf"(?<![\w.]){re.escape(field)}(?!\w)", err)
+
+
 def test_the_demo_commands_pass():
     """The unmutated inputs pass every command, so each malformed case fails for its own field."""
     for command in DEMO_ARGV:

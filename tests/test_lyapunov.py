@@ -70,6 +70,23 @@ class TestCanonicalize:
         with pytest.raises(InvalidCandidateError, match="not closed"):
             canonicalize(LyapunovCandidate(terms=((1, 1, theta),)))
 
+    @pytest.mark.parametrize("scale", [1e2, 1e3, 1e4, 1e6])
+    def test_closure_is_judged_within_the_rounding_of_the_expansion(self, scale):
+        # At a non-scalar center C the bilinear expansion builds -C Theta and -Theta C, and C Theta C, which are
+        # adjoints of each other only up to rounding: 1.5e-8 at ||C|| ~ 1e4, above an absolute 1e-9.
+        rng = np.random.default_rng(0)
+        theta, center = random_hermitian(rng, 3), random_hermitian(rng, 3)
+        cand = canonicalize(LyapunovCandidate(terms=((1, 1, theta),), center=scale * center))
+        assert set(terms_as_dict(cand)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+    @pytest.mark.parametrize("scale", [0.0, 1.0, 1e2, 1e4, 1e6])
+    def test_an_unclosed_term_list_is_rejected_at_every_center_scale(self, scale):
+        # Theta is Hermitian but for 1e-6 of an anti-Hermitian part, which no rounding of the expansion explains.
+        rng = np.random.default_rng(0)
+        theta, center = random_hermitian(rng, 3) + 1e-6j * random_hermitian(rng, 3), random_hermitian(rng, 3)
+        with pytest.raises(InvalidCandidateError, match="not closed"):
+            canonicalize(LyapunovCandidate(terms=((1, 1, theta),), center=scale * center))
+
     def test_auto_closure_takes_hermitian_part(self):
         theta = np.array([[1.0, 2.0], [0.0, 1.0]])
         cand = canonicalize(LyapunovCandidate(terms=((1, 1, theta),)), hermitian_closure=True)
