@@ -76,9 +76,9 @@ from .operators import (
     adjoint,
     as_operator,
     expectation,
-    hermiticity_defect,
     hermitize,
     hermitian_eigenvalues,
+    norm_above,
     require_hermitian,
     require_positive,
     spectral_norm,
@@ -125,7 +125,7 @@ class DirectionFamily:
             d = as_operator(d)
             if not d.any():
                 raise ValueError(f"directions[{i}] is zero; every direction needs a nonzero norm")
-            defect = hermiticity_defect(d)
+            defect = norm_above(d - adjoint(d), DEFAULT_TOL)
             if defect > DEFAULT_TOL:
                 raise NonHermitianError(f"directions must be Hermitian, defect {defect:.3e}")
             frozen.append(d)
@@ -544,7 +544,7 @@ class _Condition(NamedTuple):
 
 _FLOW_EQUILIBRIUM = _Condition("center is not a flow equilibrium", lambda p: _above(p.residual, p.tol))
 _STATE_EQUILIBRIUM = _Condition("center is not a state equilibrium", lambda p: _above(p.residual, p.tol))
-_V_AT_CENTER = _Condition("candidate does not vanish at the center", lambda p: _above(spectral_norm(p.v), p.tol))
+_V_AT_CENTER = _Condition("candidate does not vanish at the center", lambda p: _above(norm_above(p.v, p.tol), p.tol))
 _E_AT_CENTER = _Condition("candidate expectation does not vanish at the center", lambda p: _above(abs(p.e_v), p.tol))
 _NOT_PSD = _Condition("candidate is not positive semidefinite at a sample", lambda p: _above(-p.v_eigh[0][:, 0], p.tol))
 _V_VANISHES = _Condition(

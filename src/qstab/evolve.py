@@ -25,12 +25,12 @@ An independent oracle integrates the reduced master equation
 
     d rho / dt = -i[H, rho] + L rho L† - (1/2){L†L, rho}
 
-by stepping the vectorized state with one propagator exp(L h) per grid
-interval, so a uniform grid costs one matrix exponential, and checks the
-density-matrix invariants once on the stacked states; it shares no error
-source with the collision model.  Helper checks compare the two routes, reproduce
-the quantum Ito multiplication table on a vacuum ancilla, and test
-expectation trajectories against decay envelopes and transit-time bounds.
+by stepping the vectorized state with one propagator exp(L h) per run of evenly spaced
+grid times, found by a vectorized test, so a uniform grid costs one matrix exponential.
+It checks the density-matrix invariants once on the stacked states, Hermiticity by the
+Frobenius bound, and shares no error source with the collision model.  Helper checks
+compare the two routes, reproduce the quantum Ito multiplication table on a vacuum
+ancilla, and test expectation trajectories against decay envelopes and transit-time bounds.
 
 The stopped-process quantities of the theory use a genuine operator-valued
 stop time; everything here works at the expectation level, so exit times
@@ -58,6 +58,7 @@ from .operators import (
     QuantumState,
     adjoint,
     expectation,
+    norm_above,
     require_density,
     require_positive,
     spectral_norm,
@@ -78,10 +79,6 @@ class CollisionConfig:
             raise ValueError("steps must be at least 1")
         if self.ancilla_levels < 1:
             raise ValueError("ancilla_levels must be at least 1")
-
-    @property
-    def horizon(self) -> float:
-        return self.dt * self.steps
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,6 +105,10 @@ class Trajectory:
         object.__setattr__(self, "v_expect", v)
 
 
+def _kron(a, b):  # np.kron's own products a[i, k] * b[j, l], without its generic set-up (half its time at d = 8)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def collision_step_unitary(model: QsdeModel, dt: float, ancilla_levels: int = 1) -> np.ndarray:
     """One system (x) ancilla collision unitary exp(-iH dt + sqrt(dt) coupling).
 
@@ -115,20 +116,19 @@ def collision_step_unitary(model: QsdeModel, dt: float, ancilla_levels: int = 1)
     verified unitary to 1e-12.
     """
     validate(model)
-    if spectral_norm(model.scattering - np.eye(model.dim)) > DEFAULT_TOL:
+    if norm_above(model.scattering - np.eye(model.dim), DEFAULT_TOL) > DEFAULT_TOL:
         raise UnsupportedScatteringError(
             "the collision simulator supports S = I only; nontrivial scattering is not discretized"
         )
     require_positive(dt, "dt")
     a, a_dag, _ = ladder_operators(ancilla_levels)
     anc_eye = np.eye(ancilla_levels + 1)
-    exponent = (
-        np.kron(-1j * model.hamiltonian * dt, anc_eye)
-        + np.sqrt(dt) * (np.kron(model.coupling, a_dag) - np.kron(adjoint(model.coupling), a))
+    exponent = _kron(-1j * model.hamiltonian * dt, anc_eye) + np.sqrt(dt) * (
+        _kron(model.coupling, a_dag) - _kron(adjoint(model.coupling), a)
     )
     lam, w = np.linalg.eigh(1j * exponent)
     u = (w * np.exp(-1j * lam)) @ adjoint(w)
-    defect = spectral_norm(adjoint(u) @ u - np.eye(u.shape[0]))
+    defect = norm_above(adjoint(u) @ u - np.eye(u.shape[0]), 1e-12)
     if defect > 1e-12:
         raise InternalCheckError(f"collision step is not unitary: defect {defect:.3e}")
     return u
@@ -191,18 +191,22 @@ def simulate_flow_expectation(
     readout_flat = np.array(readout).reshape(-1)
     pairs = np.einsum("tpq,rs->tpqrs", np.array(thetas), rho)
 
+    # One pairwise contraction per factor, each O(width^2 d^5) per Theta, as np.tensordot computes it: w, its free
+    # axes first, times the factor's matrix, summed axes first, formed here once.  Comments: the axes of the new w.
+    factors = [
+        ((0, 1, 2, 4, 3), kraus.transpose(2, 0, 1).reshape(dim, -1)),  # t p q s b R
+        ((0, 1, 3, 5, 2, 4), blocks.conj().transpose(3, 0, 1, 2).reshape(dim * width, -1)),  # t p s R c Q
+        ((0, 2, 3, 5, 1, 4), blocks.transpose(3, 1, 0, 2).reshape(dim * width, -1)),  # t s R Q a P
+        ((0, 2, 3, 5, 1, 4), kraus.conj().transpose(2, 0, 1).reshape(dim * width, -1)),  # t R Q P 1 S
+    ]
     observables = dict(observables or {})
-    v_vals = []
-    obs_vals = {name: [] for name in observables}
+    v_vals, obs_vals = [], {name: [] for name in observables}
     for k in range(config.steps + 1):
         if k:
-            # One pairwise contraction per factor, each O(width^2 d^5) per Theta;
-            # the comments give the axes of the intermediate.
-            w = np.tensordot(pairs, kraus, axes=([3], [2]))  # t p q s b R
-            w = np.tensordot(w, blocks.conj(), axes=([2, 4], [3, 0]))  # t p s R c Q
-            w = np.tensordot(w, blocks, axes=([1, 4], [3, 1]))  # t s R Q a P
-            w = np.tensordot(w, kraus.conj(), axes=([1, 4], [2, 0]))  # t R Q P S
-            pairs = w.transpose(0, 3, 2, 1, 4)
+            w = pairs
+            for axes, mat in factors:
+                w = np.dot(w.transpose(axes).reshape(-1, len(mat)), mat).reshape(len(pairs), dim, dim, dim, -1, dim)
+            pairs = w[:, :, :, :, 0].transpose(0, 3, 2, 1, 4)
             rho = sum(e @ rho @ adjoint(e) for e in kraus)
         v_vals.append((readout_flat @ pairs.reshape(-1)).real)
         for name, op in observables.items():
@@ -224,32 +228,22 @@ def liouvillian_matrix(model: QsdeModel) -> np.ndarray:
     deliberately distinct from the state-picture drift of
     :func:`qstab.models.state_generator`.
     """
-    h, l = model.hamiltonian, model.coupling
-    eye = np.eye(model.dim)
+    h, l, eye = model.hamiltonian, model.coupling, np.eye(model.dim)
     ldl = adjoint(l) @ l
-
-    def left(a):
-        return np.kron(a, eye)
-
-    def right(a):
-        return np.kron(eye, a.T)
-
-    return (
-        -1j * (left(h) - right(h))
-        + left(l) @ right(adjoint(l))
-        - 0.5 * (left(ldl) + right(ldl))
-    )
+    left, right = (lambda a: _kron(a, eye)), (lambda a: _kron(eye, a.T))  # vec(a rho) and vec(rho a)
+    return -1j * (left(h) - right(h)) + left(l) @ right(adjoint(l)) - 0.5 * (left(ldl) + right(ldl))
 
 
 def master_evolve(model: QsdeModel, rho0: QuantumState, t_grid) -> np.ndarray:
     """Reduced states on ``t_grid`` as a ``(T, d, d)`` stack, stepped by one propagator per interval.
 
     ``P = expm(L h)`` steps each state to the next grid time and is kept while
-    ``|t_k - (t_j + (k - j) h)| <= 4 ulp(t_k)`` from its anchor ``t_j``; otherwise ``h = t_k - t_(k-1)``
-    and ``P`` are taken afresh.  Every state thus sits within rounding of its grid time, with no drift
-    over k, and a uniform grid costs one ``expm``.  Hermiticity, positivity (to 1e-10) and unit trace
-    (to 1e-12) are checked once on the stack; a failure names its grid index and time.  The Liouvillian
-    is not normal and needs scipy's ``expm``, imported here to keep scipy off the import path.
+    ``|t_k - (t_j + (k - j) h)| <= 4 ulp(t_k)`` from its anchor ``t_j``, a test evaluated on the grid as an
+    array; otherwise ``h = t_k - t_(k-1)`` and ``P`` are taken afresh.  Every state thus sits within rounding
+    of its grid time, with no drift over k, and a uniform grid costs one ``expm``.  Hermiticity, positivity
+    (to 1e-10) and unit trace (to 1e-12) are checked once on the stack; a failure names its grid index and
+    time.  The Liouvillian is not normal and needs scipy's ``expm``, imported here to keep scipy off the
+    import path.
     """
     import scipy.linalg
 
@@ -260,14 +254,20 @@ def master_evolve(model: QsdeModel, rho0: QuantumState, t_grid) -> np.ndarray:
         raise ValueError("t_grid must be a nonempty 1-D grid of finite times increasing strictly from 0")
     validate(model)
     liouville = liouvillian_matrix(model)
-    vecs = [rho0.rho.reshape(-1)]
-    anchor, h = 0, np.nan
-    for k in range(1, t_grid.size):
-        if not abs(t_grid[k] - (t_grid[anchor] + (k - anchor) * h)) <= 4 * np.spacing(t_grid[k]):
-            anchor, h = k - 1, t_grid[k] - t_grid[k - 1]
-            step = scipy.linalg.expm(liouville * h)
-        vecs.append(step @ vecs[-1])
-    states = np.reshape(vecs, (-1, model.dim, model.dim))
+    vecs = np.empty((t_grid.size, model.dim**2), dtype=complex)
+    vecs[0], k = rho0.rho.reshape(-1), 1
+    while k < t_grid.size:  # P anchored at t_(k-1) serves t_k and the later times up to the first failing the test
+        anchor, h, end, ok = k - 1, t_grid[k] - t_grid[k - 1], k + 1, True
+        while ok and end < t_grid.size:  # windows that double the run: finding a run costs O(its length)
+            ks = np.arange(end, min(2 * end - k + 8, t_grid.size))
+            held = np.abs(t_grid[ks] - (t_grid[anchor] + (ks - anchor) * h)) <= 4 * np.spacing(t_grid[ks])
+            ok = bool(held.all())
+            end += ks.size if ok else int(np.argmin(held))
+        step = scipy.linalg.expm(liouville * h)
+        for i in range(k, end):
+            np.matmul(step, vecs[i - 1], out=vecs[i])
+        k = end
+    states = vecs.reshape(-1, model.dim, model.dim)
     require_density(states, tol_herm=1e-10, tol_psd=1e-10, tol_trace=1e-12, times=t_grid)
     return states
 
@@ -428,12 +428,7 @@ def ito_table_check(ancilla_levels: int = 1, dt: float = 1e-3) -> ItoTableReport
             else:
                 maps_to = table.get((left, right), "0")
                 expected = vac_moment(increments[maps_to]) if maps_to in increments else 0.0
-            entries.append(
-                ItoTableEntry(
-                    left=left, right=right, maps_to=maps_to,
-                    moment=moment, expected=expected, deviation=abs(moment - expected),
-                )
-            )
+            entries.append(ItoTableEntry(left, right, maps_to, moment, expected, abs(moment - expected)))
     return ItoTableReport(dt=dt, ancilla_levels=ancilla_levels, entries=tuple(entries))
 
 

@@ -304,11 +304,10 @@ def load_certificate(path) -> StabilityCertificate:
 def trajectory_csv_bytes(traj: Trajectory) -> bytes:
     """CSV with header ``t,v_expect[,obs_*...]``, 17 significant digits, LF."""
     names = sorted(traj.obs_expect) if traj.obs_expect else []
+    columns = [traj.times, traj.v_expect] + [traj.obs_expect[n] for n in names]
+    row = ",".join(["%.17g"] * len(columns))  # one % per row, over Python floats: bytes of f"{x:.17g}" per value
     lines = [",".join(["t", "v_expect"] + [f"obs_{n}" for n in names])]
-    for i, t in enumerate(traj.times):
-        row = [f"{t:.17g}", f"{traj.v_expect[i]:.17g}"]
-        row += [f"{traj.obs_expect[n][i]:.17g}" for n in names]
-        lines.append(",".join(row))
+    lines += [row % values for values in zip(*(np.asarray(c).tolist() for c in columns))]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

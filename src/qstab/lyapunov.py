@@ -41,7 +41,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidCandidateError
 from .models import FLOW_NOISE_PARTS, STATE_NOISE_PARTS, QsdeModel, flow_generator, require_model_dim
 from .models import state_generator, validate
-from .operators import DEFAULT_TOL, _times, adjoint, as_operator, spectral_norm
+from .operators import DEFAULT_TOL, _times, adjoint, as_operator, norm_above
 
 DEGREE_BOUND = 6
 
@@ -114,8 +114,7 @@ class ItoCoefficients(NamedTuple):
 def _is_scalar_matrix(c: np.ndarray, tol: float) -> tuple[bool, complex]:
     exact = np.array_equal(c, c[0, 0] * np.eye(len(c)))  # then c[0, 0], from which trace / d may round away
     lam = complex(c[0, 0]) if exact else complex(np.trace(c)) / len(c)
-    off = spectral_norm(c - lam * np.eye(c.shape[0]))
-    return off <= tol, lam
+    return norm_above(c - lam * np.eye(c.shape[0]), tol) <= tol, lam
 
 
 def canonicalize(candidate: LyapunovCandidate, *, hermitian_closure: bool = False) -> LyapunovCandidate:
@@ -173,7 +172,7 @@ def canonicalize(candidate: LyapunovCandidate, *, hermitian_closure: bool = Fals
             if m and c is not None:
                 add(k, 0, -(left @ c), c_norm * size)
 
-    merged = {key: th for key, th in expanded.items() if spectral_norm(th) > 0.0}
+    merged = {key: th for key, th in expanded.items() if th.any()}
     if not merged:
         raise InvalidCandidateError("candidate is identically zero after expansion")
 
@@ -184,9 +183,8 @@ def canonicalize(candidate: LyapunovCandidate, *, hermitian_closure: bool = Fals
     for n, m in sorted(keys | {(m, n) for n, m in keys}):
         theta = merged.get((n, m), np.zeros((dim, dim), dtype=complex))
         partner = merged.get((m, n), np.zeros((dim, dim), dtype=complex))
-        defect = spectral_norm(theta - adjoint(partner))
-        rounding = 4.0 * dim * np.finfo(float).eps * (sizes.get((n, m), 0.0) + sizes.get((m, n), 0.0))
-        if defect > max(DEFAULT_TOL, rounding):
+        tol = max(DEFAULT_TOL, 4.0 * dim * np.finfo(float).eps * (sizes.get((n, m), 0.0) + sizes.get((m, n), 0.0)))
+        if norm_above(theta - adjoint(partner), tol) > tol:
             needs_closure = True
         closed[(n, m)] = 0.5 * (theta + adjoint(partner))
     if needs_closure and not hermitian_closure:
@@ -195,9 +193,7 @@ def canonicalize(candidate: LyapunovCandidate, *, hermitian_closure: bool = Fals
             "pass hermitian_closure=True to take the Hermitian part"
         )
     final = closed if needs_closure else merged
-    terms = tuple(
-        (n, m, final[(n, m)]) for n, m in sorted(final) if spectral_norm(final[(n, m)]) > 0.0
-    )
+    terms = tuple((n, m, final[(n, m)]) for n, m in sorted(final) if final[(n, m)].any())
     if not terms:
         raise InvalidCandidateError("candidate is identically zero after Hermitian closure")
     out = LyapunovCandidate(terms=terms, center=center)

@@ -41,6 +41,7 @@ from .operators import (
     as_operator,
     commutator,
     hermiticity_defect,
+    norm_above,
     require_positive,
     require_same_dim,
     spectral_norm,
@@ -76,7 +77,7 @@ class QsdeModel:
 
 @dataclass(frozen=True)
 class ModelDiagnostics:
-    """Defects and scales reported by :func:`diagnose` / :func:`validate`."""
+    """Defects and scales reported by :func:`diagnose`."""
 
     hamiltonian_defect: float
     scattering_defect: float
@@ -92,7 +93,7 @@ class ModelDiagnostics:
 
 
 def diagnose(model: QsdeModel, tol: float = DEFAULT_TOL) -> ModelDiagnostics:
-    """Measure all model invariants without raising.
+    """Measure all model invariants without raising, each by an exact spectral norm.
 
     Reports the Hermiticity defect of H, the unitarity defect of S (the
     worse of ||S†S - I|| and ||SS† - I||), operator norms, and the decay
@@ -119,18 +120,18 @@ def diagnose(model: QsdeModel, tol: float = DEFAULT_TOL) -> ModelDiagnostics:
     )
 
 
-def validate(model: QsdeModel, tol: float = DEFAULT_TOL) -> ModelDiagnostics:
-    """Like :func:`diagnose`, but raise on any violated invariant.
+def validate(model: QsdeModel, tol: float = DEFAULT_TOL) -> None:
+    """Raise unless H is self-adjoint and S unitary within ``tol``; defects cleared by their Frobenius bound.
 
     Raises
     ------
     InvalidModelError
-        Naming every violated invariant and its defect.
+        Naming every violated invariant and its defect, as worded by :func:`diagnose`.
     """
-    report = diagnose(model, tol=tol)
-    if not report.ok:
-        raise InvalidModelError("; ".join(report.failures))
-    return report
+    require_positive(tol, "tol")
+    h, s, eye = model.hamiltonian, model.scattering, np.eye(model.dim)
+    if np.max(norm_above(np.stack([h - adjoint(h), adjoint(s) @ s - eye, s @ adjoint(s) - eye]), tol)) > tol:
+        raise InvalidModelError("; ".join(diagnose(model, tol=tol).failures))
 
 
 def require_model_dim(model: QsdeModel, **inputs) -> None:
@@ -224,12 +225,9 @@ def equilibrium_residual(model: QsdeModel, point: np.ndarray, picture: str = "fl
     it is zero (within tolerance) iff the point is an equilibrium and
     otherwise reports the binding violation.
     """
-    if picture == "flow":
-        drift = flow_generator(model, point)
-        noise = flow_noise_coefficients(model, point)
-    elif picture == "state":
-        drift = state_generator(model, point)
-        noise = state_noise_coefficients(model, point)
-    else:
+    if picture not in ("flow", "state"):
         raise ValueError(f"picture must be 'flow' or 'state', got {picture!r}")
-    return max(spectral_norm(drift), *(spectral_norm(c) for c in noise))
+    generator, noise = (flow_generator, FLOW_NOISE_PARTS) if picture == "flow" else (state_generator, STATE_NOISE_PARTS)
+    point = np.asarray(point, dtype=complex)
+    parts = [generator(model, point)] + [part(model, point) for part in noise.values()]
+    return float(np.max(spectral_norm(np.stack(parts))))

@@ -104,11 +104,23 @@ def hermiticity_defect(x: np.ndarray) -> float | np.ndarray:
     return spectral_norm(x - adjoint(x))
 
 
+def norm_above(x: np.ndarray, tol: float) -> float | np.ndarray:
+    """Per member, the spectral norm where it may exceed ``tol``, 0.0 where its Frobenius bound clears it.
+
+    A member with ||X||_F <= tol/2 needs no SVD (||.||_2 <= ||.||_F; the margin keeps decisions the SVD's at the
+    rank-1 boundary, where the norms are equal).  NaN members, tol = 0 and tol < 1e-150 (squares underflow) take
+    the SVD, so each decision ``> tol`` and each value above ``tol`` are ``spectral_norm``'s, bit for bit.
+    """
+    loose = ~(np.linalg.norm(x, axis=(-2, -1)) <= tol / 2) | (tol < 1e-150)
+    norms = np.zeros(loose.shape)
+    if loose.any():
+        norms[loose] = spectral_norm(x[loose])
+    return float(norms) if norms.ndim == 0 else norms
+
+
 def require_hermitian(x: np.ndarray, tol: float) -> np.ndarray:
     """The Hermitian part (X + X†)/2; any member of a stack asymmetric beyond ``tol`` raises NonHermitianError."""
-    skew = x - adjoint(x)  # ||.||_2 <= ||.||_F: only members not within tol in Frobenius norm (or NaN) need an SVD
-    loose = skew[~(np.linalg.norm(skew, axis=(-2, -1)) <= tol)]
-    defect = np.max(spectral_norm(loose)) if len(loose) else 0.0
+    defect = np.max(norm_above(x - adjoint(x), tol), initial=0.0)
     if defect > tol:
         raise NonHermitianError(f"matrix is not Hermitian within tolerance: defect {defect:.3e} > {tol:.3e}")
     return hermitize(x)
@@ -154,8 +166,8 @@ def require_density(rho, tol_herm: float, tol_psd: float, tol_trace: float, time
     """
     stack = np.reshape(rho, (-1,) + np.shape(rho)[-2:])
     finite = np.isfinite(stack).all(axis=(1, 2))
-    stack = np.where(finite[:, None, None], stack, 0.0)
-    defect = hermiticity_defect(stack)
+    stack = stack if finite.all() else np.where(finite[:, None, None], stack, 0.0)
+    defect = norm_above(stack - adjoint(stack), tol_herm)
     min_eig = np.linalg.eigvalsh(hermitize(stack))[:, 0]
     trace_err = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
     bad = ~finite | (defect > tol_herm) | (min_eig < -tol_psd) | (trace_err > tol_trace)
@@ -211,7 +223,7 @@ class QuantumState:
         Purity is checked as ||rho^2 - rho|| <= DEFAULT_TOL.  The returned vector's
         global phase follows the eigen-solver and is physically irrelevant.
         """
-        defect = spectral_norm(self.rho @ self.rho - self.rho)
+        defect = norm_above(self.rho @ self.rho - self.rho, DEFAULT_TOL)
         if defect > DEFAULT_TOL:
             raise InvalidStateError(f"state is not pure: ||rho^2 - rho|| = {defect:.3e}")
         vals, vecs = np.linalg.eigh(hermitize(self.rho))

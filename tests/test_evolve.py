@@ -29,6 +29,9 @@ from qstab import (
     spectral_norm,
     transit_time_check,
 )
+from qstab.errors import InternalCheckError, InvalidModelError
+from qstab.models import validate
+from qstab.operators import require_density
 
 from conftest import (
     EYE2, KET_E, NUMBER, SIGMA_MINUS, SIGMA_X, SIGMA_Z, random_complex, random_density, random_hermitian, random_unitary,
@@ -238,6 +241,29 @@ class TestAgainstReferenceChain:
         assert np.max(np.abs(np.diff(v_ref))) > 1e-3  # the dynamics is not trivial
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_pair_states_equal_the_tensordot_recursion_bit_for_bit(dim, levels):
+    """The contraction runs np.tensordot's own products with each factor's matrix formed once: the same bits."""
+    rng = np.random.default_rng(400 + 10 * dim + levels)
+    model = QsdeModel(hamiltonian=random_hermitian(rng, dim), coupling=random_complex(rng, dim))
+    theta, x0, rho0 = random_hermitian(rng, dim), random_hermitian(rng, dim) + 0j, random_density(rng, dim)
+    config = CollisionConfig(dt=0.02, steps=6, ancilla_levels=levels)
+    traj = simulate_flow_expectation(model, LyapunovCandidate(terms=((1, 1, theta),)), x0, QuantumState(rho0), config)
+    width = levels + 1
+    blocks = collision_step_unitary(model, 0.02, levels).reshape(dim, width, dim, width).transpose(1, 3, 0, 2)
+    kraus, pairs = blocks[:, 0], np.einsum("tpq,rs->tpqrs", theta[None] + 0j, rho0)
+    readout = (np.zeros((dim,) * 4, dtype=complex) + np.einsum("sp,qr->pqrs", x0, x0)).reshape(-1)
+    values = [(readout @ pairs.reshape(-1)).real]
+    for _ in range(config.steps):
+        w = np.tensordot(pairs, kraus, axes=([3], [2]))
+        w = np.tensordot(w, blocks.conj(), axes=([2, 4], [3, 0]))
+        w = np.tensordot(w, blocks, axes=([1, 4], [3, 1]))
+        pairs = np.tensordot(w, kraus.conj(), axes=([1, 4], [2, 0])).transpose(0, 3, 2, 1, 4)
+        values.append((readout @ pairs.reshape(-1)).real)
+    assert traj.v_expect.tobytes() == np.array(values).tobytes()
+
+
 class TestMixedInitialState:
     """The pair-state recursion starts from W_0 = Theta (x) rho0, linear in rho0: any density matrix works."""
 
@@ -317,6 +343,22 @@ class TestSteppedMasterOracle:
         master_evolve(damping_model, QuantumState.maximally_mixed(2), t_grid)
         assert len(calls) == breaks
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_states_equal_a_scalar_anchor_loop_bit_for_bit(self, dim, grid):
+        rng = np.random.default_rng(80 + dim)
+        model = QsdeModel(hamiltonian=random_hermitian(rng, dim), coupling=random_complex(rng, dim))
+        rho0 = QuantumState(random_density(rng, dim))
+        t_grid = GRIDS[grid][0]
+        # The reference tests one grid time at a time whether the propagator of its anchor still serves it.
+        liouville, vecs, anchor, h = liouvillian_matrix(model), [rho0.rho.reshape(-1)], 0, np.nan
+        for k in range(1, t_grid.size):
+            if not abs(t_grid[k] - (t_grid[anchor] + (k - anchor) * h)) <= 4 * np.spacing(t_grid[k]):
+                anchor, h = k - 1, t_grid[k] - t_grid[k - 1]
+                step = scipy.linalg.expm(liouville * h)
+            vecs.append(step @ vecs[-1])
+        assert np.array_equal(master_evolve(model, rho0, t_grid), np.reshape(vecs, (-1, dim, dim)))
+
     def test_invalid_state_names_grid_index_and_time(self, damping_model, monkeypatch):
         expm = scipy.linalg.expm
         monkeypatch.setattr(scipy.linalg, "expm", lambda a: 1.5 * expm(a))
@@ -350,6 +392,20 @@ class TestMasterEvolve:
         states = master_evolve(model, rho0, np.linspace(0.0, 1.0, 5))
         for s in states:  # master_evolve checks the invariants once on the whole stack
             assert abs(np.trace(s) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_superoperators_equal_their_np_kron_construction_bit_for_bit(self, dim):
+        rng = np.random.default_rng(90 + dim)
+        model = QsdeModel(hamiltonian=random_hermitian(rng, dim), coupling=-random_complex(rng, dim))
+        h, l, eye = model.hamiltonian, model.coupling, np.eye(dim)
+        ldl = adjoint(l) @ l
+        left, right = (lambda a: np.kron(a, eye)), (lambda a: np.kron(eye, a.T))
+        want = -1j * (left(h) - right(h)) + left(l) @ right(adjoint(l)) - 0.5 * (left(ldl) + right(ldl))
+        assert liouvillian_matrix(model).tobytes() == want.tobytes()  # bytes: signed zeros too
+        dt, (a, a_dag, _) = 0.03, ladder_operators(2)
+        exponent = np.kron(-1j * h * dt, np.eye(3)) + np.sqrt(dt) * (np.kron(l, a_dag) - np.kron(adjoint(l), a))
+        lam, w = np.linalg.eigh(1j * exponent)
+        assert collision_step_unitary(model, dt, 2).tobytes() == ((w * np.exp(-1j * lam)) @ adjoint(w)).tobytes()
 
     def test_liouvillian_is_trace_dual_of_flow_generator(self, damping_model):
         from qstab import flow_generator
@@ -575,3 +631,38 @@ def test_a_state_of_another_dimension_is_rejected_first(damping_model, damping_c
         monkeypatch.setattr(qstab.evolve, name, lambda *a, **k: pytest.fail("arithmetic ran before the check"))
     with pytest.raises(DimensionMismatchError, match="system state has dimension 3, model has dimension 2"):
         run(damping_model, damping_candidate, QuantumState.maximally_mixed(3))
+
+
+class TestGuardsWithoutSvd:
+    """Guards that pass by a wide margin are cleared by the Frobenius bound; failures report exact spectral norms."""
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        linalg = getattr(np.linalg, "_linalg", None) or np.linalg.linalg  # where np.linalg.norm finds svd
+        for module in {np.linalg, linalg}:
+            monkeypatch.setattr(module, "svd", lambda *a, **k: calls.append(np.shape(a[0])) or svd(*a, **k))
+        return calls
+
+    def test_valid_inputs_take_no_svd(self, damping_model, svd_calls):
+        validate(damping_model)
+        for t_grid, _ in GRIDS.values():
+            master_evolve(damping_model, QuantumState.maximally_mixed(2), t_grid)
+        collision_step_unitary(damping_model, dt=0.01, ancilla_levels=2)
+        assert svd_calls == []
+
+    def test_failing_inputs_keep_their_messages(self, monkeypatch):
+        # Each defect below has a spectral norm that differs from its Frobenius norm.
+        with pytest.raises(InvalidModelError, match=r"^H not self-adjoint, defect 1\.000e\+00$"):
+            validate(QsdeModel(hamiltonian=SIGMA_X + 0.5 * (SIGMA_X @ SIGMA_Z), coupling=SIGMA_MINUS))
+        with pytest.raises(InvalidModelError, match=r"^S not unitary, defect 3\.000e\+00$"):
+            validate(QsdeModel(hamiltonian=SIGMA_Z, coupling=SIGMA_MINUS, scattering=2.0 * EYE2))
+        rho = np.stack([EYE2 / 2, EYE2 / 2 + 1e-3 * (SIGMA_X @ SIGMA_Z)])
+        message = r"^state 1 at t = 0\.5 is not Hermitian: defect 2\.000e-03 > 1\.000e-10$"
+        with pytest.raises(InvalidStateError, match=message):
+            require_density(rho, tol_herm=1e-10, tol_psd=1e-10, tol_trace=1e-12, times=[0.0, 0.5])
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0], 1.001 * eigh(a)[1]))
+        with pytest.raises(InternalCheckError, match=r"^collision step is not unitary: defect 4\.006e-03$"):
+            collision_step_unitary(QsdeModel(hamiltonian=SIGMA_Z, coupling=SIGMA_MINUS), dt=0.01)

@@ -510,6 +510,19 @@ class TestTrajectoryCsv:
         assert t_back == times[1]
         assert v_back == np.pi
 
+    def test_bytes_equal_one_format_per_value(self):
+        special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.0 / 3.0, 7.0]
+        rng = np.random.default_rng(3)
+        values = np.concatenate([special, rng.normal(size=6) * 10.0 ** rng.integers(-300, 300, size=6)])
+        times = np.arange(values.size) * 0.1
+        traj = Trajectory(times=times, v_expect=values, method="master",
+                          obs_expect={"b": values[::-1].copy(), "a": np.roll(values, 3)})
+        rows = ["t,v_expect,obs_a,obs_b"] + [
+            ",".join(f"{x:.17g}" for x in (times[i], values[i], traj.obs_expect["a"][i], traj.obs_expect["b"][i]))
+            for i in range(values.size)
+        ]
+        assert trajectory_csv_bytes(traj) == ("\n".join(rows) + "\n").encode("utf-8")
+
     def test_write_file(self, tmp_path):
         path = tmp_path / "traj.csv"
         write_trajectory_csv(self.make_traj(), path)

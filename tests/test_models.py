@@ -36,7 +36,8 @@ from conftest import (
 
 class TestValidate:
     def test_damping_model_valid(self, damping_model):
-        report = validate(damping_model)
+        assert validate(damping_model) is None
+        report = diagnose(damping_model)
         assert report.ok
         assert report.decay_scale == pytest.approx(1.0)
 

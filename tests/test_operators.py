@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qstab.operators
 from qstab import (
@@ -22,7 +24,7 @@ from qstab import (
     is_psd,
     spectral_norm,
 )
-from qstab.operators import _times, require_density
+from qstab.operators import _times, norm_above, require_density
 
 from conftest import EYE2, KET_E, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, random_complex, random_hermitian
 
@@ -172,10 +174,59 @@ class TestHermitianEigenvalues:
     def test_no_svd_where_every_member_is_within_tol(self, monkeypatch):
         calls = []
         monkeypatch.setattr(qstab.operators, "spectral_norm", lambda x: calls.append(x.shape) or spectral_norm(x))
-        hermitian_eigenvalues(np.stack([SIGMA_Z + 0.25e-9j * np.eye(2)] * 3), tol=1e-9)
-        assert calls == []
-        hermitian_eigenvalues(np.stack([SIGMA_Z, SIGMA_Z + 0.45e-9j * np.eye(2)]), tol=1e-9)
-        assert calls == [(1, 2, 2)]  # Frobenius norm 0.9e-9 sqrt(2) > tol: only that member gets an SVD
+        hermitian_eigenvalues(np.stack([SIGMA_Z + 0.15e-9j * np.eye(2)] * 3), tol=1e-9)
+        assert calls == []  # Frobenius norm 0.3e-9 sqrt(2) <= tol/2: cleared
+        hermitian_eigenvalues(np.stack([SIGMA_Z, SIGMA_Z + 0.25e-9j * np.eye(2)]), tol=1e-9)
+        assert calls == [(1, 2, 2)]  # Frobenius norm 0.5e-9 sqrt(2) > tol/2: only that member gets an SVD; it passes
+
+
+def _outcome(f, x):
+    """f(x), or the type of what it raises."""
+    try:
+        return f(x)
+    except np.linalg.LinAlgError as e:
+        return type(e)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 5),
+    tol=st.sampled_from([0.0, 1e-200, 1e-12, 1e-9, 1e-3, 1.0, 1e6]),
+    # Spectral norms of the members in units of tol: about the Frobenius screen's tol/2 and the guard's tol.
+    factors=st.lists(
+        st.sampled_from([0.0, 1e-3, 0.5 - 5e-4, 0.5 + 5e-4, 1 - 1e-3, 1.0, 1 + 1e-3, 10.0]), min_size=1, max_size=6
+    ),
+    rank_one=st.lists(st.booleans(), min_size=6, max_size=6),
+    nan_member=st.booleans(),
+)
+@settings(max_examples=300)
+def test_norm_above_decides_and_reports_as_the_spectral_norm(seed, dim, tol, factors, rank_one, nan_member):
+    rng = np.random.default_rng(seed)
+    members = []
+    for factor, one in zip(factors, rank_one):
+        m = np.outer(random_complex(rng, dim)[:, 0], random_complex(rng, dim)[0]) if one else random_complex(rng, dim)
+        members.append(m * (factor * (tol or 1e-9) / spectral_norm(m)))
+    if nan_member:
+        members[int(rng.integers(len(members)))][0, 0] = np.nan
+    x = np.stack(members)
+    for arg in (x, x[0]):
+        got, exact = _outcome(lambda a: norm_above(a, tol), arg), _outcome(spectral_norm, arg)
+        if isinstance(exact, type):  # a NaN member: the helper takes the SVD, so it fails the same way
+            assert got is exact
+            continue
+        assert np.array_equal(got > tol, exact > tol)
+        loose_exact = (got == exact) | (np.isnan(got) & np.isnan(exact))  # where the SVD is taken, bit for bit
+        assert np.all(loose_exact | ((got == 0.0) & (exact <= tol / 2 * (1 + 1e-12))))
+
+
+def test_norm_above_takes_no_svd_where_the_frobenius_bound_clears(monkeypatch):
+    calls = []
+    monkeypatch.setattr(qstab.operators, "spectral_norm", lambda x: calls.append(x.shape) or spectral_norm(x))
+    x = np.stack([0.35 * SIGMA_X, 0.3 * SIGMA_Z, 0.6 * SIGMA_MINUS, 0.4 * SIGMA_X])  # ||.||_F 0.495, 0.42, 0.6, 0.57
+    assert np.array_equal(norm_above(x, 1.0), [0.0, 0.0, 0.6, 0.4])
+    assert calls == [(2, 2, 2)]
+    assert norm_above(np.full((2, 2), 1e-160), 1e-200) == spectral_norm(np.full((2, 2), 1e-160))  # squares underflow
+    assert norm_above(np.zeros((2, 2)), 0.0) == 0.0 and calls[-1] == (1, 2, 2)  # tol = 0 always takes the SVD
 
 
 class TestStacks:
