@@ -27,6 +27,7 @@ An independent oracle integrates the reduced master equation
 
 by stepping the vectorized state with one propagator exp(L h) per run of evenly spaced
 grid times, found by a vectorized test, so a uniform grid costs one matrix exponential.
+That exponential is a scaling-and-squaring Pade method on numpy alone (:mod:`qstab._expm`).
 It checks the density-matrix invariants once on the stacked states, Hermiticity by the
 Frobenius bound, and shares no error source with the collision model.  Helper checks
 compare the two routes, reproduce the quantum Ito multiplication table on a vacuum
@@ -61,7 +62,6 @@ from .operators import (
     norm_above,
     require_density,
     require_positive,
-    spectral_norm,
 )
 
 
@@ -242,10 +242,11 @@ def master_evolve(model: QsdeModel, rho0: QuantumState, t_grid) -> np.ndarray:
     array; otherwise ``h = t_k - t_(k-1)`` and ``P`` are taken afresh.  Every state thus sits within rounding
     of its grid time, with no drift over k, and a uniform grid costs one ``expm``.  Hermiticity, positivity
     (to 1e-10) and unit trace (to 1e-12) are checked once on the stack; a failure names its grid index and
-    time.  The Liouvillian is not normal and needs scipy's ``expm``, imported here to keep scipy off the
-    import path.
+    time.  The Liouvillian is not normal, so ``P`` comes from a general matrix exponential,
+    :func:`qstab._expm.expm`, imported here so that processes that never run the oracle compile none of it.
+    A step so long that ``L h`` overflows gives a non-finite ``P`` and so an :class:`InvalidStateError`.
     """
-    import scipy.linalg
+    from ._expm import expm
 
     require_model_dim(model, **{"system state": rho0})
     t_grid = np.asarray(t_grid, dtype=float)
@@ -263,7 +264,8 @@ def master_evolve(model: QsdeModel, rho0: QuantumState, t_grid) -> np.ndarray:
             held = np.abs(t_grid[ks] - (t_grid[anchor] + (ks - anchor) * h)) <= 4 * np.spacing(t_grid[ks])
             ok = bool(held.all())
             end += ks.size if ok else int(np.argmin(held))
-        step = scipy.linalg.expm(liouville * h)
+        with np.errstate(over="ignore"):
+            step = expm(liouville * h)
         for i in range(k, end):
             np.matmul(step, vecs[i - 1], out=vecs[i])
         k = end
@@ -287,11 +289,14 @@ def master_flow_expectation(
     expectation is Tr(rho_t V(x0)) with rho_t the reduced state.  Candidates
     with non-scalar coefficients interleave unflowed operators between
     flowed factors and are not reduced-state computable; they are rejected.
+    A Theta counts as scalar within 1e-12 max(1, ||Theta||_F / sqrt(d)), a
+    lower bound on 1e-12 max(1, ||Theta||_2) that equals it at theta I and
+    takes no SVD.
     """
     require_model_dim(model, **{"system state": system_state}, candidate=candidate, x0=x0)
     cand = canonicalize(candidate)
     for n, m, theta in cand.terms:
-        if not _is_scalar_matrix(theta, 1e-12 * max(1.0, spectral_norm(theta)))[0]:
+        if not _is_scalar_matrix(theta, 1e-12 * max(1.0, np.linalg.norm(theta) / np.sqrt(len(theta))))[0]:
             raise InvalidCandidateError(
                 "the master oracle needs scalar term coefficients; "
                 f"term ({n}, {m}) has a non-scalar Theta"

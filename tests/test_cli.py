@@ -524,12 +524,62 @@ class TestUsageErrors:
         assert main(["--help"]) == 0
 
 
-def test_import_leaves_scipy_unloaded():
-    """The package and its CLI need numpy only; scipy loads inside the master oracle, hashlib inside the digest."""
+def src_env():
     env = dict(os.environ)
     src = Path(__file__).resolve().parents[1] / "src"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    code = "import sys, qstab, qstab.cli; print('scipy' in sys.modules, 'hashlib' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    return env
+
+
+def test_import_leaves_scipy_unloaded():
+    """The package, its CLI and the master oracle need numpy only; hashlib loads inside the digest."""
+    code = "\n".join([
+        "import sys, numpy as np, qstab, qstab.cli",
+        "print('scipy' in sys.modules, 'hashlib' in sys.modules)",
+        "from qstab import LyapunovCandidate, QsdeModel, QuantumState, master_flow_expectation",
+        "model = QsdeModel(hamiltonian=np.zeros((2, 2)), coupling=np.array([[0.0, 0.0], [1.0, 0.0]]))",
+        "cand = LyapunovCandidate(terms=((1, 1, np.eye(2)),), center=-np.eye(2))",
+        "rho0 = QuantumState.maximally_mixed(2)",
+        "master_flow_expectation(model, cand, np.diag([1.0, -1.0]), rho0, np.linspace(0.0, 4.0, 201))",
+        "print('scipy' in sys.modules)",
+    ])
+    result = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False False"
+    assert result.stdout.split() == ["False", "False", "False"]
+
+
+def test_readme_master_simulate_runs_with_scipy_blocked(tmp_path, capsys):
+    """With scipy unimportable, the README master run exits 0 and writes the bytes of a normal run."""
+    argv = demo_argv("simulate") + ["--method", "master"]
+    argv[argv.index("--steps") + 1] = "100"
+    normal, blocked = tmp_path / "normal.csv", tmp_path / "blocked.csv"
+    assert main(argv + ["--out", str(normal)]) == 0
+    code = "import sys; sys.modules['scipy'] = None; from qstab.cli import main; sys.exit(main(sys.argv[1:]))"
+    result = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(blocked)],
+                            env=src_env(), capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert blocked.read_bytes() == normal.read_bytes()
+
+
+@pytest.mark.parametrize("dt", ["1e-300", "1e30", "1e300"])
+@pytest.mark.parametrize("model", ["demo", "random-qutrit"])
+def test_master_simulate_at_extreme_steps_is_never_an_internal_error(tmp_path, capsys, model, dt):
+    """A step from 1e-300 to 1e300 exits 0 or names the bad state (2), never 3.  The demo's propagator stays finite
+    and trace-preserving at every step, so every row is finite; a full random Liouvillian's may not."""
+    swap = {}
+    if model == "random-qutrit":
+        rng = np.random.default_rng(3)
+        h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        swap["damping_model.json"] = tmp_path / "model.json"
+        save_model(QsdeModel(hamiltonian=h + h.conj().T, coupling=rng.normal(size=(3, 3))), swap["damping_model.json"])
+        for name, write in QUTRIT_INPUTS.items():
+            write(tmp_path / name)
+            swap[name] = tmp_path / name
+    argv = demo_argv("simulate", swap) + ["--method", "master"]
+    argv[argv.index("--dt") + 1] = dt
+    status, (out, err) = main(argv), capsys.readouterr()
+    if model == "demo":
+        assert status == 0, err
+        assert all(np.isfinite(float(line.split(",")[1])) for line in out.split()[1:])
+    else:
+        assert status in (0, 2), err

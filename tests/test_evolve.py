@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import qstab._expm
 import qstab.evolve
 import qstab.lyapunov
 from qstab import (
@@ -337,8 +338,8 @@ class TestSteppedMasterOracle:
     @pytest.mark.parametrize("grid", sorted(GRIDS))
     def test_one_expm_per_grid_break(self, damping_model, monkeypatch, grid):
         calls = []
-        expm = scipy.linalg.expm
-        monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm(a))
+        expm = qstab._expm.expm
+        monkeypatch.setattr(qstab._expm, "expm", lambda a: calls.append(a) or expm(a))
         t_grid, breaks = GRIDS[grid]
         master_evolve(damping_model, QuantumState.maximally_mixed(2), t_grid)
         assert len(calls) == breaks
@@ -355,13 +356,19 @@ class TestSteppedMasterOracle:
         for k in range(1, t_grid.size):
             if not abs(t_grid[k] - (t_grid[anchor] + (k - anchor) * h)) <= 4 * np.spacing(t_grid[k]):
                 anchor, h = k - 1, t_grid[k] - t_grid[k - 1]
-                step = scipy.linalg.expm(liouville * h)
+                step = qstab._expm.expm(liouville * h)
             vecs.append(step @ vecs[-1])
         assert np.array_equal(master_evolve(model, rho0, t_grid), np.reshape(vecs, (-1, dim, dim)))
 
+    def test_a_step_whose_generator_overflows_names_the_state(self):
+        rng = np.random.default_rng(3)
+        model = QsdeModel(hamiltonian=random_hermitian(rng, 3), coupling=4 * random_complex(rng, 3))
+        with pytest.raises(InvalidStateError, match=r"^state 1 at t = 1e\+308 has non-finite entries$"):
+            master_evolve(model, QuantumState.maximally_mixed(3), [0.0, 1e308])
+
     def test_invalid_state_names_grid_index_and_time(self, damping_model, monkeypatch):
-        expm = scipy.linalg.expm
-        monkeypatch.setattr(scipy.linalg, "expm", lambda a: 1.5 * expm(a))
+        expm = qstab._expm.expm
+        monkeypatch.setattr(qstab._expm, "expm", lambda a: 1.5 * expm(a))
         with pytest.raises(InvalidStateError, match=r"state 1 at t = 0\.5 trace differs"):
             master_evolve(damping_model, QuantumState.maximally_mixed(2), [0.0, 0.5, 1.0])
 
@@ -651,6 +658,20 @@ class TestGuardsWithoutSvd:
             master_evolve(damping_model, QuantumState.maximally_mixed(2), t_grid)
         collision_step_unitary(damping_model, dt=0.01, ancilla_levels=2)
         assert svd_calls == []
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_scalar_candidates_reach_the_oracle_without_svd(self, damping_model, svd_calls, scale):
+        cand = LyapunovCandidate(terms=((1, 1, scale * EYE2),), center=-EYE2)
+        master_flow_expectation(damping_model, cand, SIGMA_Z, QuantumState.maximally_mixed(2), GRIDS["pieces"][0])
+        assert svd_calls == []
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_a_theta_just_past_the_spectral_bound_stays_non_scalar(self, damping_model, scale):
+        # ||Theta - (trace / d) I||_2 = scale eps / 2, 1.01 times 1e-12 ||Theta||_2 = 1e-12 scale (1 + eps)
+        eps = 2.02e-12
+        cand = LyapunovCandidate(terms=((1, 1, scale * np.diag([1.0, 1.0 + eps])),), center=-EYE2)
+        with pytest.raises(InvalidCandidateError, match=r"term \(1, 1\) has a non-scalar Theta"):
+            master_flow_expectation(damping_model, cand, SIGMA_Z, QuantumState.maximally_mixed(2), [0.0, 0.1])
 
     def test_failing_inputs_keep_their_messages(self, monkeypatch):
         # Each defect below has a spectral norm that differs from its Frobenius norm.
