@@ -41,7 +41,9 @@ The ray route: where every canonical Theta is scalar, every term has one
 degree and the check's center is the candidate's own, V is homogeneous along
 each ray, and rays of more than one sample are decided from one eigensolve
 per ray, with a fallback to V at a sample within its forward-error band of a
-threshold (:mod:`qstab.rays`).
+threshold (:mod:`qstab.rays`).  No value a condition reads there needs a
+sample's matrix, so a sample is its ray and scale, and its matrix is formed
+only where read (:class:`LevelSetSamples`).
 
 Sample i reads row i of one row-ordered draw from the seed, and its scale
 is capped where its ray first leaves the level set: a polynomial eigenvalue
@@ -149,21 +151,34 @@ class LevelSetSpec:
 
 @dataclass(frozen=True, eq=False)
 class LevelSetSamples(Sequence):
-    """A read-only sequence of (d, d) samples, stacked in ``x``, with V and its one eigendecomposition at each.
+    """A read-only sequence of (d, d) samples center + s D, with V and its one eigendecomposition at each.
 
-    On homogeneous scalar-Theta rays ``v`` and ``v_eigh`` are None and ``rays`` holds B_K and its eigenvalues.
+    Sample i is ``center + scale[i] * directions[of[i]]``, D a unit ray.  ``x`` stacks every sample, formed on
+    its first read; ``[i]``, slices and index arrays form only the rows they ask for, with the stack's bits.
+    Off the ray route V needs the stack, so it is formed at sampling.  On homogeneous scalar-Theta rays ``v`` and
+    ``v_eigh`` are None and ``rays`` holds B_K and its eigenvalues; a check there forms the rows of its witness,
+    of the samples that may be it and of those decided from V at themselves, and in the state picture ``x``.
     """
 
-    x: np.ndarray
-    v: np.ndarray | None
-    v_eigh: tuple[np.ndarray, np.ndarray] | None
+    center: np.ndarray
+    directions: np.ndarray  # (R, d, d): the unit rays D
+    of: np.ndarray  # (N,): each sample's ray
+    scale: np.ndarray  # (N,): each sample's s
+    v: np.ndarray | None = None
+    v_eigh: tuple[np.ndarray, np.ndarray] | None = None
     rays: Rays | None = None
 
     def __len__(self) -> int:
-        return len(self.x)
+        return len(self.scale)
 
-    def __getitem__(self, i):
-        return self.x[i]
+    def __getitem__(self, i) -> np.ndarray:
+        x = self.center + self.scale[i, ..., None, None] * self.directions[self.of[i]]
+        x.flags.writeable = False
+        return x
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        return self[:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,8 +323,9 @@ def sample_level_set(
     s^K B_K on each ray: B_K is V less its center at the unit ray D, one
     guarded eigensolve of its eigenvalues per distinct ray gives the caps in
     closed form, and the re-check reads max-eig B_K s^K; ``v`` and ``v_eigh``
-    are None and ``rays`` holds B_K, its eigenvalues and each sample's ray
-    and scale.
+    are None, ``rays`` holds B_K and its eigenvalues, and no sample's matrix
+    is formed until it is read.  Off the ray route the samples are stacked
+    in ``x`` at sampling, since V is evaluated on them.
 
     A center with max-eig V(center) >= epsilon, or a family with no feasible
     nonzero sample, raises :class:`SamplingError`.
@@ -359,21 +375,23 @@ def sample_level_set(
         )
     # u = 1 would put a sample on its computed exit, which rounding may place past epsilon.
     scale = np.minimum(scale_min + u[keep] * (cap[keep] - scale_min), cap[keep] * (1.0 - 8.0 * np.finfo(float).eps))
-    samples = center + scale[:, None, None] * rays[ray_of[keep]]
+    of = ray_of[keep]
+    sampled = partial(LevelSetSamples, center, rays, of, scale)
     if degree is None:
+        x = sampled().x
         rounding = _rounding(cand, spectral_norm(_offset(cand, center)) + scale)  # ||Y|| <= ||C - center of V|| + s
-        v = evaluate(cand, samples)
+        v = evaluate(cand, x)
         vals, vecs = np.linalg.eigh(require_hermitian(v, tol=max(tol, 1e-7, rounding.max())))
-        top, on_rays, arrays = vals[:, -1], None, (samples, v, vals, vecs)
+        top, arrays, samples = vals[:, -1], (v, vals, vecs), sampled(v, (vals, vecs))
+        vars(samples)["x"] = x  # the stack that V was evaluated on, cached as ``x`` caches it
     else:
-        rounding, v, vals, vecs = _rounding(cand, scale), None, None, None
-        on_rays = Rays(center + rays, b, lead, ray_of[keep], scale, degree)
-        top, arrays = lead[on_rays.of, -1] * scale**degree, (samples, on_rays.at_unit, b, lead)
+        rounding, arrays = _rounding(cand, scale), (b, lead)
+        top, samples = lead[of, -1] * scale**degree, sampled(rays=Rays(b, lead, degree))
     if np.any(top > spec.epsilon + np.maximum(max(tol, 1e-9), rounding)):
         raise InternalCheckError("level-set sample failed its own constraint re-check")
-    for a in arrays:
+    for a in (rays, of, scale, *arrays):
         a.flags.writeable = False
-    return LevelSetSamples(samples, v, None if vals is None else (vals, vecs), on_rays)
+    return samples
 
 
 def _closed_form_exits(lead, epsilon, degree) -> np.ndarray:
@@ -622,7 +640,7 @@ def _worst(violation) -> int | None:
 
 def _blocks(samples: LevelSetSamples, point):
     """In order, points on slices of at most _BLOCK_ENTRIES matrix entries or one sample, holding V and its eigh."""
-    step = max(1, _BLOCK_ENTRIES // samples.x[0].size)
+    step = max(1, _BLOCK_ENTRIES // samples.center.size)
     for i in range(0, len(samples), step):
         block = point(samples.x[i : i + step])
         vars(block).update(v=samples.v[i : i + step], v_eigh=tuple(a[i : i + step] for a in samples.v_eigh))
@@ -658,8 +676,8 @@ def _check(model, candidate, center, spec, mode, *, rate=None, margin=None, refe
     conditions, points, worst_v = center_conditions, center[None], None
     if _worst(violation) is None:
         conditions = v_conditions + drift_conditions
-        points = (samples := sample_level_set(cand, center, spec, traceless=state, tol=tol)).x
-        if state and np.any(np.abs(np.trace(points, axis1=1, axis2=2) - np.trace(center)) > max(tol, 1e-9)):
+        points = samples = sample_level_set(cand, center, spec, traceless=state, tol=tol)  # rows formed where read
+        if state and np.any(np.abs(np.trace(samples.x, axis1=1, axis2=2) - np.trace(center)) > max(tol, 1e-9)):
             raise InvalidStateError("state-picture sample lost unit trace")
         violation, decided_by, level, v_min, low, high = _sampled(samples, point, conditions)
         worst_v = float(v_min.min())

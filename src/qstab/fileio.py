@@ -31,7 +31,7 @@ from .errors import FileFormatError, InvalidCandidateError, QstabError
 from .evolve import Trajectory
 from .lyapunov import LyapunovCandidate, canonicalize
 from .models import QsdeModel, validate
-from .operators import as_operator
+from .operators import as_operator, require_positive
 
 SCHEMA_VERSION = 1
 CERTIFICATE_SCHEMA_VERSION = 3
@@ -133,8 +133,9 @@ def load_model(path, tol: float = 1e-9) -> QsdeModel:
 
     Raises :class:`FileFormatError` for structural problems (naming the
     offending field) and :class:`InvalidModelError` for violated model
-    invariants (naming the check and its defect).
+    invariants (naming the check and its defect).  A bad ``tol`` raises before the file is read, not naming it.
     """
+    require_positive(tol, "tol")
     data = _load_json(path)
     _check_schema(data, path)
     dim = _read(data, "dim", path, int, least=1)

@@ -108,10 +108,12 @@ def norm_above(x: np.ndarray, tol: float) -> float | np.ndarray:
     """Per member, the spectral norm where it may exceed ``tol``, 0.0 where its Frobenius bound clears it.
 
     A member with ||X||_F <= tol/2 needs no SVD (||.||_2 <= ||.||_F; the margin keeps decisions the SVD's at the
-    rank-1 boundary, where the norms are equal).  NaN members, tol = 0 and tol < 1e-150 (squares underflow) take
-    the SVD, so each decision ``> tol`` and each value above ``tol`` are ``spectral_norm``'s, bit for bit.
+    rank-1 boundary, where the norms are equal).  NaN members, members whose squares overflow the screen, tol = 0
+    and tol < 1e-150 (squares underflow) take the SVD, so each decision ``> tol`` and each value above ``tol`` are
+    ``spectral_norm``'s, bit for bit.
     """
-    loose = ~(np.linalg.norm(x, axis=(-2, -1)) <= tol / 2) | (tol < 1e-150)
+    with np.errstate(over="ignore"):  # an infinite screen takes the SVD
+        loose = ~(np.linalg.norm(x, axis=(-2, -1)) <= tol / 2) | (tol < 1e-150)
     norms = np.zeros(loose.shape)
     if loose.any():
         norms[loose] = spectral_norm(x[loose])

@@ -40,13 +40,11 @@ from .operators import adjoint, spectral_norm
 
 
 class Rays(NamedTuple):
-    """Samples C + sD on homogeneous scalar-Theta rays, where V = s^K B_K(D) (see :func:`ray_degree`)."""
+    """B_K on the distinct unit rays D of homogeneous scalar-Theta samples, where V = s^K B_K(D) (see
+    :func:`ray_degree`)."""
 
-    at_unit: np.ndarray  # (R, d, d): C + D on each distinct unit ray D
     b: np.ndarray  # (R, d, d): B_K on each ray
     lead: np.ndarray  # (R, d): B_K's ascending eigenvalues
-    of: np.ndarray  # (N,): each sample's ray
-    scale: np.ndarray  # (N,): each sample's s
     degree: int  # K
 
 
@@ -173,12 +171,12 @@ def ray_blocks(samples, point):
     for i in range(0, len(rays.lead), step):
         live = i + np.flatnonzero(rays.lead[i : i + step, -1] > 0.0)
         index[live] = np.arange(len(live))
-        rows = np.flatnonzero((rays.of >= i) & (rays.of < i + step) & (index[rays.of] >= 0))
+        rows = np.flatnonzero((samples.of >= i) & (samples.of < i + step) & (index[samples.of] >= 0))
         if len(rows):
-            unit = point(rays.at_unit[live])
+            unit = point(samples.center + samples.directions[live])
             vars(unit).update(v=rays.b[live])  # its eigh is taken where a value on V's support is asked for
             block = on_rays(rows, unit=unit, lead=rays.lead[live])
-            vars(block).update(of=index[rays.of[rows]], scale=rays.scale[rows])
+            vars(block).update(of=index[samples.of[rows]], scale=samples.scale[rows])
             yield rows, block
 
 
@@ -203,9 +201,9 @@ def decide_on_rays(samples, point, conditions, decide):
             spread = np.sort(bounds[decided_by, :, np.flatnonzero(~near)], axis=-1)  # NaN where every one holds
             for array, value in zip(out, (violation, decided_by, level, v_min, *spread.T)):
                 array[rows[~near]] = value
-    rows, step = np.flatnonzero(exact), max(1, certify._BLOCK_ENTRIES // samples.x[0].size)
+    rows, step = np.flatnonzero(exact), max(1, certify._BLOCK_ENTRIES // samples.center.size)
     for i in range(0, len(rows), step):
-        violation, *rest = decide(point(samples.x[rows[i : i + step]]))
+        violation, *rest = decide(point(samples[rows[i : i + step]]))
         for array, value in zip(out, (violation, *rest, violation, violation)):
             array[rows[i : i + step]] = value
     return out

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ from qstab import (
     spectral_norm,
 )
 from qstab.cli import main
-from qstab.fileio import certificate_bytes, load_certificate, load_lyapunov, load_operator, save_certificate
+from qstab.fileio import certificate_bytes, load_certificate, load_lyapunov, load_model, load_operator, save_certificate
 from qstab.lyapunov import _sandwich
 
 from conftest import (
@@ -1559,3 +1560,119 @@ def test_ray_route_decides_as_the_per_sample_oracle(dim, model_seed, spec_seed, 
     assert (samples.rays is None) == ball
     if not cert.passed:
         assert recheck_witness(model, cand, cert, reference_state=reference) == cert.violation
+
+
+def oscillator_ray_spec(count):
+    """The rotated damped oscillator at d = 8 and ``count`` samples of the family on its rotated N, which share
+    one ray, so that the ray route decides them."""
+    model, cand, number = rotated_damped_oscillator(8, 3)
+    return model, cand, number, LevelSetSpec(0.25, count, 11, DirectionFamily((number,), 0.1, 1.0))
+
+
+class TestSamplesFormedWhereRead:
+    """On the ray route a sample's matrix center + s D is formed only where something reads it."""
+
+    @pytest.fixture
+    def formed(self, monkeypatch):
+        """The index of every row-forming read of a LevelSetSamples, and each LevelSetSamples a check sampled."""
+        reads, sampled = [], []
+        getitem, sample = qstab.certify.LevelSetSamples.__getitem__, qstab.certify.sample_level_set
+
+        def sample_and_keep(*args, **kwargs):
+            sampled.append(sample(*args, **kwargs))
+            return sampled[-1]
+
+        monkeypatch.setattr(qstab.certify.LevelSetSamples, "__getitem__", lambda s, i: reads.append(i) or getitem(s, i))
+        monkeypatch.setattr(qstab.certify, "sample_level_set", sample_and_keep)
+        return reads, sampled
+
+    def test_a_passing_check_and_rate_estimate_form_no_sample(self, formed):
+        reads, sampled = formed
+        model, cand, _, spec = oscillator_ray_spec(32)
+        assert check_exponential(model, cand, -np.eye(8), spec, 0.5).passed
+        assert estimate_max_rate(model, cand, -np.eye(8), spec).rate == pytest.approx(1.0, abs=1e-6)
+        assert len(sampled) == 2 and all(s.rays is not None and "x" not in vars(s) for s in sampled)
+        assert reads == []
+
+    @pytest.mark.parametrize("rate", [1.5, 50.0])
+    def test_a_failing_check_forms_only_the_witness_and_its_ties(self, formed, rate):
+        (reads, sampled), (model, cand, _, spec) = formed, oscillator_ray_spec(32)
+        cert = check_exponential(model, cand, -np.eye(8), spec, rate)
+        (samples,) = sampled
+        assert not cert.passed and samples.rays is not None and "x" not in vars(samples)
+        assert all(isinstance(i, (int, np.integer)) for i in reads) and len(set(map(int, reads))) < len(samples)
+        witness = int(reads[-1])  # the last row formed is the witness
+        assert np.array_equal(cert.witness, samples.x[witness])
+        assert recheck_witness(model, cand, cert) == cert.violation
+
+    def test_samples_decided_from_v_at_themselves_form_their_rows_alone(self, formed):
+        # V = 2 (X + I) is nowhere positive on the ray -N, so its samples are decided from V at themselves.
+        (reads, sampled), (model, _, number, _) = formed, oscillator_ray_spec(12)
+        cand = ray_candidate(1, 1.0, 8, -np.eye(8))
+        spec = LevelSetSpec(0.25, 12, 11, DirectionFamily((number, -number), scale_min=0.1, scale_max=1.0))
+        cert = check_exponential(model, cand, -np.eye(8), spec, 0.5)
+        (samples,) = sampled
+        assert cert.violated_condition == "candidate is not positive semidefinite at a sample"
+        dead = np.flatnonzero(samples.of == 1)
+        (rows,) = [i for i in reads if not isinstance(i, (int, np.integer))]
+        assert np.array_equal(rows, dead) and "x" not in vars(samples)
+        assert recheck_witness(model, cand, cert) == cert.violation
+
+    @pytest.mark.parametrize("route", ["rays", "one sample per ray", "ball", "ball-traceless"])
+    def test_reads_are_the_eager_stack_bit_for_bit_and_read_only(self, route):
+        model, cand, number, spec = oscillator_ray_spec(16)
+        if route == "one sample per ray":
+            spec = dataclasses.replace(spec, sample_count=2, family=DirectionFamily((number, number @ number)))
+        elif route.startswith("ball"):
+            spec = dataclasses.replace(spec, family=HermitianBall(1.0))
+        samples = sample_level_set(cand, -np.eye(8), spec, traceless=route == "ball-traceless")
+        assert (samples.rays is not None) == (route == "rays")
+        assert len(samples) == spec.sample_count
+        assert ("x" in vars(samples)) == (samples.rays is None)  # only the per-sample route forms it at sampling
+        if route != "one sample per ray" and not route.startswith("ball"):
+            assert np.array_equal(samples.directions[0], number / spectral_norm(number))
+        eager = -np.eye(8) + samples.scale[:, None, None] * samples.directions[samples.of]
+        n = len(samples)
+        index, mask = np.array([n - 1, 0, n // 2]), np.arange(n) % 3 == 1
+        reads = {
+            "[0]": (samples[0], eager[0]), "[-1]": (samples[-1], eager[-1]),
+            "[1:5:2]": (samples[1:5:2], eager[1:5:2]), "[::-1]": (samples[::-1], eager[::-1]),
+            "[array]": (samples[index], eager[index]), "[mask]": (samples[mask], eager[mask]),
+            **{f"iter[{i}]": (x, eager[i]) for i, x in enumerate(samples)}, "x": (samples.x, eager),
+        }
+        for name, (got, want) in reads.items():
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name  # bit for bit, signed zeros too
+            assert not got.flags.writeable, name
+            with pytest.raises(ValueError):
+                got[...] = 0.0
+        assert samples.x is samples.x and "x" in vars(samples)
+        with pytest.raises(IndexError):
+            samples[n]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            samples.scale = samples.scale
+        assert not any(a.flags.writeable for a in (samples.center, samples.directions, samples.of, samples.scale))
+
+    @pytest.mark.parametrize("run", ["local", "exponential", "estimate"])
+    def test_mixed_dimension_directions_are_rejected_naming_them(self, run):
+        model, cand, number, spec = oscillator_ray_spec(8)
+        spec = dataclasses.replace(spec, family=DirectionFamily((number, np.diag([1.0, 0.0, 0.0]))))
+        message = "directions[1] has dimension 3, model has dimension 8"
+        with pytest.raises(DimensionMismatchError, match=re.escape(message)):
+            if run == "estimate":
+                estimate_max_rate(model, cand, -np.eye(8), spec)
+            else:
+                _MODE_CHECKS[run](model, cand, -np.eye(8), spec)
+
+
+_MODE_CHECKS = {"local": check_local, "exponential": lambda *a: check_exponential(*a, 0.5)}
+
+
+def test_an_overflowing_drift_target_fails_with_its_label_and_no_warning():
+    """At rate 1e308 the target's Frobenius screen overflows; the SVD decides, and no RuntimeWarning escapes."""
+    model, cand = load_model(DEMO_FILES / "damping_model.json"), load_lyapunov(DEMO_FILES / "square_candidate.json")
+    spec = LevelSetSpec(1.0, 4, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = check_exponential(model, cand, load_operator(DEMO_FILES / "center.json"), spec, 1e308)
+    assert cert.violated_condition == "drift has a positive eigenvalue on a sample"
+    assert cert.violation > 1e307 and recheck_witness(model, cand, cert) == cert.violation

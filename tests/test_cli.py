@@ -364,6 +364,17 @@ class TestNumericFlags:
         assert main(argv) == 2
         assert f"{field} must be a finite positive number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("model", ["present", "missing"])
+    @pytest.mark.parametrize("case", ["tol", "tol-validate"])
+    def test_a_bad_tol_is_named_as_the_flag_before_any_file_is_read(self, files, tmp_path, capsys, case, model, value):
+        argv = self.argv(files, case)
+        argv[argv.index("--tol") + 1] = value
+        if model == "missing":
+            argv[1] = str(tmp_path / "missing.json")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: tol must be a finite positive number, got {float(value)!r}\n"
+
 
 # Each command on the demo input files, as in the README (certify with fewer samples).
 DEMO_ARGV = {

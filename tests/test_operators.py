@@ -229,6 +229,14 @@ def test_norm_above_takes_no_svd_where_the_frobenius_bound_clears(monkeypatch):
     assert norm_above(np.zeros((2, 2)), 0.0) == 0.0 and calls[-1] == (1, 2, 2)  # tol = 0 always takes the SVD
 
 
+@pytest.mark.parametrize("tol", [1e-9, 1.0, 1e300])
+def test_norm_above_takes_the_svd_where_the_frobenius_screen_overflows(tol):
+    """Squares of entries of 1e200 overflow the screen to inf, without a warning; the SVD decides instead."""
+    x = np.stack([np.full((2, 2), 1e200), 1e200 * SIGMA_MINUS, 0.1 * SIGMA_X])
+    assert np.array_equal(norm_above(x, tol), [*spectral_norm(x[:2]), 0.1 if tol < 0.2 else 0.0])
+    assert norm_above(x[0], tol) == spectral_norm(x[0]) == 2e200
+
+
 class TestStacks:
     """On an (N, d, d) stack each function equals its per-matrix result bit for bit."""
 
