@@ -6,7 +6,7 @@ Walks through the primitive layer everything else builds on:
   * commutator / anticommutator arithmetic on the Pauli algebra,
   * the spectral norm and its C*-identities,
   * the norm bound ||X^n Theta X^m|| <= ||X||^(n+m) ||Theta||,
-  * positivity reports with explicit eigenvalue margins,
+  * positivity from guarded Hermitian eigenvalues,
   * density-operator validation and expectations.
 
 Everything prints its check inline; the script ends with a PASS/FAIL line.
@@ -20,7 +20,7 @@ from qstab import (
     anticommutator,
     commutator,
     expectation,
-    is_psd,
+    hermitian_eigenvalues,
     spectral_norm,
 )
 
@@ -64,11 +64,11 @@ for _ in range(200):
 check(f"bound holds on 200 random draws (worst ratio {worst:.6f})", worst <= 1 + 1e-12)
 
 print("Positivity reports")
-report = is_psd(sigma_z, tol=0.0)
-print(f"  sigma_z: is_psd={report.is_psd}, min eigenvalue {report.min_eigenvalue:+.3f}")
-check("sigma_z is not PSD", not report.is_psd)
-gram = is_psd(adjoint(a) @ a, tol=1e-12)
-check(f"A†A is PSD (min eig {gram.min_eigenvalue:.2e})", gram.is_psd)
+least = hermitian_eigenvalues(sigma_z, tol=0.0)[0]  # PSD iff the least eigenvalue is at least -tol
+print(f"  sigma_z: is_psd={least >= 0.0}, min eigenvalue {least:+.3f}")
+check("sigma_z is not PSD", not least >= 0.0)
+gram = hermitian_eigenvalues(adjoint(a) @ a, tol=1e-12)[0]
+check(f"A†A is PSD (min eig {gram:.2e})", gram >= -1e-12)
 
 print("States and expectations")
 mixed = QuantumState.maximally_mixed(2)

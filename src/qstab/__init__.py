@@ -80,7 +80,6 @@ from .models import (
 )
 from .operators import (
     DEFAULT_TOL,
-    PsdReport,
     QuantumState,
     adjoint,
     anticommutator,
@@ -90,7 +89,6 @@ from .operators import (
     hermitian_eigenvalues,
     hermiticity_defect,
     hermitize,
-    is_psd,
     spectral_norm,
 )
 

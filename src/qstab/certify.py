@@ -157,7 +157,7 @@ class LevelSetSamples(Sequence):
     its first read; ``[i]``, slices and index arrays form only the rows they ask for, with the stack's bits.
     Off the ray route V needs the stack, so it is formed at sampling.  On homogeneous scalar-Theta rays ``v`` and
     ``v_eigh`` are None and ``rays`` holds B_K and its eigenvalues; a check there forms the rows of its witness,
-    of the samples that may be it and of those decided from V at themselves, and in the state picture ``x``.
+    of the samples that may be it and of those decided from V at themselves.
     """
 
     center: np.ndarray
@@ -320,12 +320,11 @@ def sample_level_set(
     of 256 eps was the most seen) and its Hermiticity defect, the eigh guard.
     On the ray route (scalar Theta of one degree K from the candidate's own
     center, rays of more than one sample; see :mod:`qstab.rays`) V =
-    s^K B_K on each ray: B_K is V less its center at the unit ray D, one
-    guarded eigensolve of its eigenvalues per distinct ray gives the caps in
-    closed form, and the re-check reads max-eig B_K s^K; ``v`` and ``v_eigh``
-    are None, ``rays`` holds B_K and its eigenvalues, and no sample's matrix
-    is formed until it is read.  Off the ray route the samples are stacked
-    in ``x`` at sampling, since V is evaluated on them.
+    s^K B_K on each ray, and the re-check reads max-eig B_K s^K from the B_K
+    and eigenvalues that the exit solve returns; ``v`` and ``v_eigh`` are
+    None, ``rays`` holds them, and no sample's matrix is formed until it is
+    read.  Off the ray route the samples are stacked in ``x`` at sampling,
+    since V is evaluated on them.
 
     A center with max-eig V(center) >= epsilon, or a family with no feasible
     nonzero sample, raises :class:`SamplingError`.
@@ -361,12 +360,7 @@ def sample_level_set(
         from .rays import Rays, ray_degree  # here, not at the top: only such runs compile qstab.rays
 
         degree = ray_degree(cand, center)
-    if degree is None:
-        exits = _ray_exits(cand, center, rays, spec.epsilon, tol)
-    else:  # V(C) = 0 < epsilon; V = s^K B_K on each ray, B_K being V less its center at D: one eigh per ray
-        b = evaluate(LyapunovCandidate(cand.terms), rays)
-        lead = hermitian_eigenvalues(b, tol=max(tol, 1e-7, _rounding(cand, 1.0)))
-        exits = _closed_form_exits(lead[:, -1], spec.epsilon, degree)
+    exits, b_k = _ray_exits(cand, center, rays, spec.epsilon, tol)
     cap = np.minimum(scale_hi, exits)[ray_of]
     keep = cap > scale_min
     if not keep.any():
@@ -384,9 +378,9 @@ def sample_level_set(
         vals, vecs = np.linalg.eigh(require_hermitian(v, tol=max(tol, 1e-7, rounding.max())))
         top, arrays, samples = vals[:, -1], (v, vals, vecs), sampled(v, (vals, vecs))
         vars(samples)["x"] = x  # the stack that V was evaluated on, cached as ``x`` caches it
-    else:
-        rounding, arrays = _rounding(cand, scale), (b, lead)
-        top, samples = lead[of, -1] * scale**degree, sampled(rays=Rays(b, lead, degree))
+    else:  # V = s^K B_K on each ray: the exit solve's B_K and eigenvalues serve the re-check and the rays
+        rounding, arrays = _rounding(cand, scale), b_k
+        top, samples = b_k[1][of, -1] * scale**degree, sampled(rays=Rays(*b_k, degree))
     if np.any(top > spec.epsilon + np.maximum(max(tol, 1e-9), rounding)):
         raise InternalCheckError("level-set sample failed its own constraint re-check")
     for a in (rays, of, scale, *arrays):
@@ -394,36 +388,37 @@ def sample_level_set(
     return samples
 
 
-def _closed_form_exits(lead, epsilon, degree) -> np.ndarray:
-    """The exits (epsilon / max-eig B_K)^(1/K) of rays where V = s^K B_K, inf where max-eig B_K <= 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(lead > 0.0, (epsilon / lead) ** (1.0 / degree), np.inf)
-
-
 def _rounding(cand, radius):
     """256 eps sum_k ||Theta_k||_F radius^(n_k + m_k): bounds V's rounding and asymmetry at ||X - center|| <= radius."""
     return 256.0 * np.finfo(float).eps * sum(np.linalg.norm(t) * radius ** (n + m) for n, m, t in cand.terms)
 
 
-def _ray_exits(cand, center, rays, epsilon, tol) -> np.ndarray:
-    """Per ray D, the first s > 0 where max-eig V(C + sD) reaches epsilon; inf if none.
+def _ray_exits(cand, center, rays, epsilon, tol) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """Per ray D, the first s > 0 where max-eig V(C + sD) reaches epsilon, inf if none, and B_K with its eigenvalues.
 
     V(C + sD) = sum_k s^k B_k, the B_k from the power engine of :mod:`qstab.lyapunov` at Y = C - cand.center.  Where
-    B_0 ... B_{K-1} are all exact zeros, as for a homogeneous candidate at its own center, V = s^K B_K and the exit
-    is (eps / max-eig B_K)^(1/K), inf where max-eig B_K <= 0.  Otherwise, in mu = 1/s the leading block
-    M = B_0 - eps I = V(C) - eps I is negative definite, so the roots are the eigenvalues of the block companion of
-    the monic mu^K + sum_k mu^(K-k) M^-1 B_k, with no infinite ones.  The exit is 1/mu for the largest real positive
-    mu, a root being real when |Im mu| <= 64 eps ||companion||_F, eps = 2^-52.  B_0 and B_K are guarded by the
-    sampler's bound :func:`_rounding`, at ||Y|| and at 1 (the rays are unit).
+    B_0 ... B_{K-1} are all exact zeros, as for a homogeneous candidate at its own center, V = s^K B_K, the exit is
+    (eps / max-eig B_K)^(1/K), inf where max-eig B_K <= 0, and B_K and its eigenvalues are returned, None elsewhere.
+    Otherwise, in mu = 1/s the leading block M = B_0 - eps I = V(C) - eps I is negative definite, so the roots are
+    the eigenvalues of the block companion of the monic mu^K + sum_k mu^(K-k) M^-1 B_k, with no infinite ones.  The
+    exit is 1/mu for the largest real positive mu, a root being real when |Im mu| <= 64 eps ||companion||_F,
+    eps = 2^-52.  B_0 and B_K are guarded by the sampler's bound :func:`_rounding`, at ||Y|| and at 1 (unit rays).
     """
     dim, degree, offset = cand.dim, max(cand.degree, 1), _offset(cand, center)  # a constant V gets a zero B_1
-    b = _sandwich(cand.terms, np.zeros((degree + 1, len(rays), dim, dim), dtype=complex), offset, rays)
-    top = hermitian_eigenvalues(b[0, 0], tol=max(tol, 1e-7, _rounding(cand, spectral_norm(offset))))[-1]
-    if not top < epsilon:
-        raise SamplingError(f"center is outside the level set: max-eig V(center) = {top:.6g} >= epsilon = {epsilon}")
+    b = np.zeros((degree + 1, len(rays), dim, dim), dtype=complex)
+    if offset.any():
+        _sandwich(cand.terms, b, offset, rays)
+    else:  # from the candidate's own center B_k is its terms of degree k at D: no product with Y = 0 is taken
+        for n, m, theta in cand.terms:
+            _sandwich(((n, m, theta),), b[n + m :], rays)
+    if b[0, 0].any():  # else max-eig V(C) = 0 < epsilon exactly
+        v0 = hermitian_eigenvalues(b[0, 0], tol=max(tol, 1e-7, _rounding(cand, spectral_norm(offset))))[-1]
+        if not v0 < epsilon:
+            raise SamplingError(f"center is outside the level set: max-eig V(center) = {v0:.6g} >= epsilon = {epsilon}")
     if not b[:-1].any():
-        return _closed_form_exits(hermitian_eigenvalues(b[-1], tol=max(tol, 1e-7, _rounding(cand, 1.0)))[:, -1],
-                                  epsilon, degree)
+        lead = hermitian_eigenvalues(b[-1], tol=max(tol, 1e-7, _rounding(cand, 1.0)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(lead[:, -1] > 0.0, (epsilon / lead[:, -1]) ** (1.0 / degree), np.inf), (b[-1], lead)
     head = -np.linalg.solve(b[0, 0] - epsilon * np.eye(dim), b[1:]).transpose(1, 2, 0, 3).reshape(len(rays), dim, -1)
     shift = np.eye((degree - 1) * dim, degree * dim)  # [I 0] below the block row [-M^-1 B_1 ... -M^-1 B_K]
     companion = np.concatenate([head, np.broadcast_to(shift, (len(rays), *shift.shape))], axis=1)
@@ -431,7 +426,7 @@ def _ray_exits(cand, center, rays, epsilon, tol) -> np.ndarray:
     slack = 64.0 * np.finfo(float).eps * np.linalg.norm(companion, axis=(-2, -1))
     exits = np.where((np.abs(mu.imag) <= slack[:, None]) & (mu.real > 0.0), mu.real, 0.0)
     with np.errstate(divide="ignore"):
-        return 1.0 / exits.max(axis=-1, initial=0.0)
+        return 1.0 / exits.max(axis=-1, initial=0.0), None
 
 
 _BLOCK_ENTRIES = 2**13  # bound on the matrix entries of one sample stack that a _Point holds
@@ -677,7 +672,8 @@ def _check(model, candidate, center, spec, mode, *, rate=None, margin=None, refe
     if _worst(violation) is None:
         conditions = v_conditions + drift_conditions
         points = samples = sample_level_set(cand, center, spec, traceless=state, tol=tol)  # rows formed where read
-        if state and np.any(np.abs(np.trace(samples.x, axis1=1, axis2=2) - np.trace(center)) > max(tol, 1e-9)):
+        # |tr(X - center)| = |s tr D| per sample, from its unit ray: no sample's matrix is formed
+        if state and np.any(np.abs(samples.scale * samples.directions.trace(0, 1, 2)[samples.of]) > max(tol, 1e-9)):
             raise InvalidStateError("state-picture sample lost unit trace")
         violation, decided_by, level, v_min, low, high = _sampled(samples, point, conditions)
         worst_v = float(v_min.min())

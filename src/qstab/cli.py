@@ -24,7 +24,7 @@ from .certify import (
     check_state,
     estimate_max_rate,
 )
-from .errors import InternalCheckError, QstabError
+from .errors import InternalCheckError, InvalidStateError, QstabError
 from .evolve import (
     CollisionConfig,
     finite_difference_drift_check,
@@ -177,7 +177,11 @@ def _cmd_certify(args) -> int:
             raise QstabCliInputError("exponential mode needs --rate")
         cert = check_exponential(model, candidate, center, spec, args.rate, tol=args.tol)
     else:
-        reference = QuantumState(fileio.load_operator(args.reference) if args.reference else center)
+        try:
+            reference = QuantumState(fileio.load_operator(args.reference) if args.reference else center)
+        except InvalidStateError as exc:
+            flag = "--reference" if args.reference else "--center (the default --reference)"
+            raise QstabCliInputError(f"{flag} is not a density matrix: {exc}") from None
         state_mode = args.mode.removeprefix("state-")
         cert = check_state(model, candidate, center, reference, spec, state_mode, rate=args.rate, tol=args.tol)
 
@@ -235,6 +239,8 @@ def _cmd_crosscheck(args) -> int:
     x0 = fileio.load_operator(args.x0)
     psi0 = QuantumState.from_vector(fileio.load_state_vector(args.psi0))
     config = CollisionConfig(dt=args.dt, steps=1, ancilla_levels=args.ancilla_levels)
+    if args.dt / 2 == 0.0 or args.dt * args.dt == float("inf"):
+        raise QstabCliInputError(f"dt must halve to a nonzero step and square to a finite one, got {args.dt!r}")
 
     fd = finite_difference_drift_check(model, candidate, x0, psi0, config)
     print("finite-difference drift check:")

@@ -245,6 +245,11 @@ def _sandwich(terms, b, x: np.ndarray, direction: np.ndarray | None = None):
     return b
 
 
+def _scalar_thetas(terms) -> bool:
+    """Whether every Theta is exactly a multiple of the identity, so that the drift and noise are linear in V."""
+    return all(np.array_equal(t, t[0, 0] * np.eye(len(t))) for _, _, t in terms)
+
+
 def _ito_coefficients(model, candidate, point, picture, names, v=None) -> list[np.ndarray]:
     """The dV coefficients named in ``names``, in order, at a point or stack, for a model validated by the caller.
 
@@ -255,7 +260,7 @@ def _ito_coefficients(model, candidate, point, picture, names, v=None) -> list[n
     candidate = candidate if candidate.center is None else canonicalize(candidate)  # expands a non-scalar center
     point = np.asarray(point, dtype=complex)
     terms = candidate.terms
-    if all(np.array_equal(t, t[0, 0] * np.eye(len(t))) for _, _, t in terms):  # V(j_t(X)) = j_t(V(X))
+    if _scalar_thetas(terms):  # V(j_t(X)) = j_t(V(X))
         v = evaluate(candidate, point) if v is None else v
         return [maps[_ITO_ROUTES[name][0]](model, v) for name in names]  # V = V I I: only dP's own part survives
     powers = [row[0] for row in _powers(_offset(candidate, point), terms)]

@@ -126,10 +126,14 @@ def validate(model: QsdeModel, tol: float = DEFAULT_TOL) -> None:
     Raises
     ------
     InvalidModelError
-        Naming every violated invariant and its defect, as worded by :func:`diagnose`.
+        Naming H where ||H||_F overflows, L where ||L||_F^2 does, else each violated invariant (:func:`diagnose`).
     """
     require_positive(tol, "tol")
-    h, s, eye = model.hamiltonian, model.scattering, np.eye(model.dim)
+    h, l, s, eye = model.hamiltonian, model.coupling, model.scattering, np.eye(model.dim)
+    with np.errstate(over="ignore"):  # a norm past the float range is an input error, not a warning
+        for name, label, size in (("H", "||H||_F", np.linalg.norm(h)), ("L", "||L||_F^2", np.linalg.norm(l) ** 2)):
+            if not np.isfinite(size):
+                raise InvalidModelError(f"{name} is too large: {label} overflows")
     if np.max(norm_above(np.stack([h - adjoint(h), adjoint(s) @ s - eye, s @ adjoint(s) - eye]), tol)) > tol:
         raise InvalidModelError("; ".join(diagnose(model, tol=tol).failures))
 

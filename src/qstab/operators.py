@@ -2,9 +2,9 @@
 
 Operators are plain ``numpy`` complex matrices; this module supplies the
 adjoint/commutator arithmetic, the spectral norm, guarded Hermitian
-eigenvalue computation, positivity tests and state expectations that the
-rest of the library builds on.  Everything here is a pure function of its
-inputs and safe for concurrent use.
+eigenvalue computation, density-operator validation and state
+expectations that the rest of the library builds on.  Everything here is a
+pure function of its inputs and safe for concurrent use.
 
 Conventions
 -----------
@@ -133,33 +133,6 @@ def hermitian_eigenvalues(x: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray
     return np.linalg.eigvalsh(require_hermitian(x, tol))
 
 
-@dataclass(frozen=True)
-class PsdReport:
-    """Outcome of a positive-semidefiniteness test with its margin."""
-
-    is_psd: bool
-    min_eigenvalue: float
-    hermiticity_defect: float
-
-    def __bool__(self) -> bool:
-        return self.is_psd
-
-
-def is_psd(x: np.ndarray, tol: float = DEFAULT_TOL) -> PsdReport:
-    """Test X >= 0 for a Hermitian X, reporting the minimum eigenvalue.
-
-    The matrix is Hermitized before the eigen-test and the asymmetry is
-    reported; asymmetry beyond ``tol`` is rejected with
-    :class:`NonHermitianError`.  Passes iff the minimum eigenvalue is at
-    least ``-tol``.
-    """
-    defect = hermiticity_defect(x)
-    if defect > tol:
-        raise NonHermitianError(f"is_psd requires a Hermitian input: defect {defect:.3e} > {tol:.3e}")
-    min_eig = float(np.linalg.eigvalsh(hermitize(x))[0])
-    return PsdReport(is_psd=min_eig >= -tol, min_eigenvalue=min_eig, hermiticity_defect=defect)
-
-
 def require_density(rho, tol_herm: float, tol_psd: float, tol_trace: float, times=None) -> None:
     """Raise :class:`InvalidStateError` unless ``rho`` is a density matrix or an ``(N, d, d)`` stack of them.
 
@@ -218,18 +191,6 @@ class QuantumState:
     @classmethod
     def maximally_mixed(cls, dim: int) -> "QuantumState":
         return cls(np.eye(dim, dtype=complex) / dim)
-
-    def pure_vector(self) -> np.ndarray:
-        """Extract |psi> from a pure state; error if the state is mixed.
-
-        Purity is checked as ||rho^2 - rho|| <= DEFAULT_TOL.  The returned vector's
-        global phase follows the eigen-solver and is physically irrelevant.
-        """
-        defect = norm_above(self.rho @ self.rho - self.rho, DEFAULT_TOL)
-        if defect > DEFAULT_TOL:
-            raise InvalidStateError(f"state is not pure: ||rho^2 - rho|| = {defect:.3e}")
-        vals, vecs = np.linalg.eigh(hermitize(self.rho))
-        return np.ascontiguousarray(vecs[:, -1])
 
 
 def expectation(rho, x: np.ndarray) -> complex | np.ndarray:

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import certify
 from .certify import SUPPORT_CUTOFF, _Point, _rounding
-from .lyapunov import _offset
+from .lyapunov import _offset, _scalar_thetas
 from .operators import adjoint, spectral_norm
 
 
@@ -52,9 +52,7 @@ def ray_degree(cand, center) -> int | None:
     """K where V(C + sD) = s^K B_K(D) with a drift linear in V: every Theta scalar, every term of degree K >= 1,
     and the check's center C the candidate's own; None elsewhere."""
     degrees = {n + m for n, m, _ in cand.terms}
-    if len(degrees) > 1 or 0 in degrees or _offset(cand, center).any():
-        return None
-    if not all(np.array_equal(t, t[0, 0] * np.eye(len(t))) for _, _, t in cand.terms):
+    if len(degrees) > 1 or 0 in degrees or _offset(cand, center).any() or not _scalar_thetas(cand.terms):
         return None
     return degrees.pop()
 

@@ -271,28 +271,36 @@ class TestAgainstReferenceSampler:
         self.assert_same(cand, 0.5 * np.eye(dim), spec)
 
     def test_feasible_scale_hi_runs_no_bisection(self, damping_candidate, monkeypatch):
-        calls = []
-        evaluate_stack = qstab.certify.evaluate
-
-        def counting_evaluate(candidate, x):
-            calls.append(x.shape)
-            return evaluate_stack(candidate, x)
-
-        monkeypatch.setattr(qstab.certify, "evaluate", counting_evaluate)
+        calls, solved = [], []
+        evaluate_stack, sandwich, eigenvalues = (
+            qstab.certify.evaluate, qstab.certify._sandwich, qstab.certify.hermitian_eigenvalues
+        )
+        monkeypatch.setattr(
+            qstab.certify, "evaluate", lambda candidate, x: calls.append(("V", x.shape)) or evaluate_stack(candidate, x)
+        )
+        monkeypatch.setattr(
+            qstab.certify, "_sandwich", lambda terms, b, *x: calls.append(("B", b[0].shape)) or sandwich(terms, b, *x)
+        )
+        monkeypatch.setattr(
+            qstab.certify, "hermitian_eigenvalues", lambda a, tol: solved.append(a.shape) or eigenvalues(a, tol)
+        )
         # Feasible at scale_hi, and capped on every ray (max-eig V <= s^2 reaches 0.5 at s >= 0.71).
         family = DirectionFamily(directions=(NUMBER, SIGMA_Z), scale_min=0.05, scale_max=0.1)
         non_scalar = canonicalize(LyapunovCandidate(terms=((1, 1, np.diag([1.0, 0.5])),), center=-EYE2))
         for cand in (damping_candidate, non_scalar):
             for epsilon, fam in ((1.0, family), (0.5, HermitianBall(1.0))):
                 for count in (6, 40):
-                    calls.clear()
+                    calls.clear(), solved.clear()
                     spec = LevelSetSpec(epsilon=epsilon, sample_count=count, seed=2, family=fam)
                     self.assert_same(cand, -EYE2, spec)
-                    # One evaluation: of V at the samples for the re-check, or on the ray route (the scalar Theta
-                    # of (X + I)^2 on the family; a ball has one sample per ray) of B_K on the two distinct rays,
-                    # whose eigenvalues give the caps and the re-check.
+                    # One solve for the caps: B_K on the distinct rays (the family's two, or a ball's one per
+                    # sample) and one eigensolve of it, none of V at the center, where B_0 is an exact zero.  Then
+                    # one evaluation of V at the samples for the re-check, but on the ray route (the scalar Theta
+                    # of (X + I)^2 on the family), whose re-check reads B_K's eigenvalues.
                     on_rays = cand is damping_candidate and fam is family
-                    assert calls == [(2 if on_rays else count, 2, 2)]
+                    rays = (2 if fam is family else count, 2, 2)
+                    assert calls == [("B", rays)] + ([] if on_rays else [("V", (count, 2, 2))])
+                    assert solved == [rays]
 
     def test_same_errors(self):
         infeasible = canonicalize(LyapunovCandidate(terms=((1, 1, EYE2), (0, 0, EYE2))))
@@ -416,8 +424,13 @@ class TestExactExits:
     def test_recheck_catches_a_sample_past_its_cap_by_1e_9(self, monkeypatch, epsilon):
         cand, spec = cubic_candidate(3, 6), self.large_spec(6, epsilon)
         monkeypatch.setattr(qstab.certify.np.random, "default_rng", lambda seed: AtCap())
-        exits = qstab.certify._ray_exits
-        monkeypatch.setattr(qstab.certify, "_ray_exits", lambda *args: exits(*args) * (1.0 + 1e-9))
+        solve = qstab.certify._ray_exits
+
+        def late(*args):
+            exits, b_k = solve(*args)
+            return exits * (1.0 + 1e-9), b_k
+
+        monkeypatch.setattr(qstab.certify, "_ray_exits", late)
         with pytest.raises(InternalCheckError):
             sample_level_set(cand, 0.5 * np.eye(3), spec)
 
@@ -468,10 +481,12 @@ class TestClosedFormExits:
         """Within 64 eps relative, times the condition ||B_K|| / |max-eig B_K| of the top eigenvalue."""
         reference = reference_companion_exits(cand, center, rays, epsilon)
         monkeypatch.setattr(qstab.certify.np.linalg, "eigvals", None)  # no companion solve
-        exits = qstab.certify._ray_exits(cand, center, rays, epsilon, 1e-9)
+        exits, (b_k, lead) = qstab.certify._ray_exits(cand, center, rays, epsilon, 1e-9)
         monkeypatch.undo()
         zero = np.zeros((cand.dim, cand.dim), dtype=complex)
-        b_k = _sandwich(cand.terms, np.zeros((cand.degree + 1, len(rays), *zero.shape), dtype=complex), zero, rays)[-1]
+        shape = (cand.degree + 1, len(rays), *zero.shape)
+        assert np.array_equal(b_k, _sandwich(cand.terms, np.zeros(shape, dtype=complex), zero, rays)[-1])
+        assert np.array_equal(lead, np.linalg.eigvalsh(hermitize(b_k)))  # B_K's eigenvalues, returned with it
         with np.errstate(divide="ignore"):
             condition = spectral_norm(b_k) / np.abs(np.linalg.eigvalsh(b_k)[:, -1])
         finite = np.isfinite(reference)
@@ -536,7 +551,7 @@ def test_caps_are_exact_exits(dim, degree, seed, scalar_center, ball, epsilon):
     samples = sample_level_set(cand, center, spec)
     for x in samples:
         direction = (x - center) / spectral_norm(x - center)
-        cap = min(scale_hi, qstab.certify._ray_exits(cand, center, direction[None], epsilon, 1e-9)[0])
+        cap = min(scale_hi, qstab.certify._ray_exits(cand, center, direction[None], epsilon, 1e-9)[0][0])
         grid = np.linspace(0.0, cap, 41)[:, None, None] * direction
         assert np.all(hermitian_eigenvalues(evaluate(cand, center + grid))[:, -1] <= epsilon + 1e-9)
         if cap < scale_hi:
@@ -1370,14 +1385,17 @@ def test_v_and_its_spectrum_once_per_call(run, block_entries, monkeypatch):
     """V is evaluated at the center, then once at all samples; one eigensolve takes that whole stack, none a block.
 
     On the ray route, taken by the flow and rate runs on a family (a ball has one sample per ray and the state
-    runs a non-scalar Theta), the second evaluation is of B_K on the distinct rays, whose eigenvalues are
-    solved once, and its eigenvectors once more where a value on V's support is read; no solve takes more
-    members than there are rays, and V at a sample is evaluated only in a stack of one, to be measured as a
-    possible witness.
+    runs a non-scalar Theta), V at the samples is not evaluated: the exit solve's B_K on the distinct rays, the
+    one set of ray coefficients computed, has its eigenvalues solved once, and its eigenvectors once more where
+    a value on V's support is read; no solve takes more members than there are rays, and V at a sample is
+    evaluated only in a stack of one, to be measured as a possible witness.
     """
-    values, solved = [], []
-    evaluate_stack = qstab.certify.evaluate
+    values, coefficients, solved = [], [], []
+    evaluate_stack, sandwich = qstab.certify.evaluate, qstab.certify._sandwich
     monkeypatch.setattr(qstab.certify, "evaluate", lambda cand, x: values.append(evaluate_stack(cand, x)) or values[-1])
+    monkeypatch.setattr(
+        qstab.certify, "_sandwich", lambda *args: coefficients.append(sandwich(*args)) or coefficients[-1]
+    )
     for name in ("eigh", "eigvalsh"):
         solver = getattr(np.linalg, name)
         monkeypatch.setattr(
@@ -1388,9 +1406,10 @@ def test_v_and_its_spectrum_once_per_call(run, block_entries, monkeypatch):
     sizes = [len(v) for v in values]
     if run in ("flow-family", "rate-family"):
         distinct = len(MIXED_RANKS.family.directions)
-        assert sizes[:2] == [1, distinct] and set(sizes[2:]) <= {1}
+        assert sizes[0] == 1 and set(sizes[1:]) <= {1}
+        assert [b.shape[1] for b in coefficients] == [distinct]
         assert max(np.prod(np.shape(a)[:-2], dtype=int) for _, a in solved) <= distinct
-        stacked = hermitize(values[1])
+        stacked = hermitize(coefficients[0][-1])
         assert sum(np.array_equal(a, stacked) for name, a in solved if name == "eigvalsh") == 1
         of_rays = sum(members_of(a, stacked) for name, a in solved if name == "eigh")
         assert of_rays == (distinct if run == "rate-family" else 0)  # the rate's pencil reads V's support
@@ -1594,6 +1613,18 @@ class TestSamplesFormedWhereRead:
         assert len(sampled) == 2 and all(s.rays is not None and "x" not in vars(s) for s in sampled)
         assert reads == []
 
+    def test_a_passing_state_check_forms_no_sample(self, formed):
+        # V = (X - I/8)^2 about the maximally mixed state, on the traceless part of the rotated N: the unit-trace
+        # check reads each sample's ray and scale, not its matrix.
+        reads, sampled = formed
+        model, _, number = rotated_damped_oscillator(8, 3)
+        mixed, traceless = np.eye(8) / 8, number - np.trace(number) / 8 * np.eye(8)
+        spec = LevelSetSpec(0.25, 32, 11, DirectionFamily((traceless,), 0.1, 1.0))
+        cert = check_state(model, centered((1, 1, np.eye(8)), center=mixed), mixed, QuantumState(mixed), spec, "local")
+        (samples,) = sampled
+        assert cert.passed and cert.sample_count_used == 32
+        assert samples.rays is not None and "x" not in vars(samples) and reads == []
+
     @pytest.mark.parametrize("rate", [1.5, 50.0])
     def test_a_failing_check_forms_only_the_witness_and_its_ties(self, formed, rate):
         (reads, sampled), (model, cand, _, spec) = formed, oscillator_ray_spec(32)
@@ -1662,6 +1693,17 @@ class TestSamplesFormedWhereRead:
                 estimate_max_rate(model, cand, -np.eye(8), spec)
             else:
                 _MODE_CHECKS[run](model, cand, -np.eye(8), spec)
+
+
+@pytest.mark.parametrize("count", [1, 6], ids=["one sample per ray", "rays"])
+def test_a_state_sample_off_the_unit_trace_fails_the_check(count):
+    """A direction whose trace, 8e-10, is within tol is accepted, but at scales of 10 to 100 its samples move
+    the trace by more than max(tol, 1e-9)."""
+    cand, center = centered((1, 1, EYE2), center=EYE2 / 2), EYE2 / 2
+    spec = LevelSetSpec(1e4, count, 0, DirectionFamily((SIGMA_Z + 4e-10 * EYE2,), scale_min=10.0, scale_max=100.0))
+    assert (sample_level_set(cand, center, spec, traceless=True).rays is not None) == (count > 1)
+    with pytest.raises(InvalidStateError, match="^state-picture sample lost unit trace$"):
+        check_state(DAMPING, cand, center, MIXED, spec, "local")
 
 
 _MODE_CHECKS = {"local": check_local, "exponential": lambda *a: check_exponential(*a, 0.5)}

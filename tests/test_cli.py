@@ -268,6 +268,20 @@ class TestCertifyCommand:
         assert main(argv) == 1
 
 
+    @pytest.mark.parametrize("reference", [None, "x0_sigma_z.json"], ids=["default", "given"])
+    def test_a_reference_that_is_not_a_state_exits_2_naming_its_flag(self, capsys, reference):
+        # The demo center -I is the default reference; sigma_z given as --reference is not a state either.
+        argv = demo_argv("certify")
+        argv[argv.index("--mode") + 1] = "state-local"
+        del argv[argv.index("--rate"):argv.index("--rate") + 2]
+        flag = "--center (the default --reference)"
+        if reference:
+            argv, flag = argv + ["--reference", str(DEMO_FILES / reference)], "--reference"
+        assert main(argv) == 2
+        message = "is not a density matrix: state is not positive semidefinite: min eigenvalue -1.000e+00"
+        assert capsys.readouterr().err == f"error: {flag} {message}\n"
+
+
 class TestSimulateCommand:
     def args(self, files, method, out):
         return [
@@ -331,6 +345,17 @@ class TestCrosscheckCommand:
         out = capsys.readouterr().out
         assert "finite-difference drift check" in out
         assert "Ito table check" in out
+
+
+    @pytest.mark.parametrize("dt", ["5e-324", "1e155", "1e300"])
+    def test_a_dt_whose_half_or_square_is_not_representable_exits_2_before_any_table(self, capsys, dt):
+        # 5e-324 halves to 0.0, and from 1e155 on dt * dt overflows in the Ito table.
+        argv = demo_argv("crosscheck")
+        argv[argv.index("--dt") + 1] = dt
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        message = f"dt must halve to a nonzero step and square to a finite one, got {float(dt)!r}"
+        assert out == "" and err == f"error: {message}\n"
 
 
 class TestNumericFlags:
@@ -522,6 +547,20 @@ def test_a_certify_input_of_another_dimension_exits_2_naming_it(tmp_path, capsys
     del argv[argv.index("--rate"):argv.index("--rate") + 2]
     assert main(argv + ["--reference", str(qutrit)] * (swap is None)) == 2
     assert f"error: {name} has dimension 3, model has dimension 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "drift", "certify"])
+@pytest.mark.parametrize("field, label, factor", [("L", "||L||_F^2", 1e200), ("L", "||L||_F^2", 1e160),
+                                                  ("H", "||H||_F", 1e160)])
+def test_a_model_whose_norm_overflows_exits_2_naming_its_operator(tmp_path, capsys, command, field, label, factor):
+    """The demo model with L, or H = diag(1, 0), scaled past the float range of its norm: no overflow warning
+    (an error under pytest) reaches the arithmetic."""
+    data = json.loads((DEMO_FILES / "damping_model.json").read_text())
+    data[field] = encode_matrix(factor * (SIGMA_MINUS if field == "L" else np.diag([1.0, 0.0])))
+    bad = tmp_path / "damping_model.json"
+    bad.write_text(json.dumps(data))
+    assert main(demo_argv(command, {"damping_model.json": bad})) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {field} is too large: {label} overflows\n"
 
 
 class TestUsageErrors:

@@ -229,13 +229,14 @@ class TestAgainstReferenceChain:
         )
         x0 = unit(random_hermitian(rng, 3))
         psi0 = rng.normal(size=3) + 1j * rng.normal(size=3)
-        state = QuantumState.from_vector(psi0 / np.linalg.norm(psi0))
+        psi0 = psi0 / np.linalg.norm(psi0)
+        state = QuantumState.from_vector(psi0)
         observables = {"sandwich": sandwich, "x0": x0}
 
         traj = simulate_flow_expectation(
             model, cand, x0, state, CollisionConfig(dt=0.05, steps=steps, ancilla_levels=levels), observables
         )
-        v_ref, obs_ref = reference_chain(model, cand, x0, state.pure_vector(), 0.05, steps, levels, observables)
+        v_ref, obs_ref = reference_chain(model, cand, x0, psi0, 0.05, steps, levels, observables)
         assert np.max(np.abs(traj.v_expect - v_ref)) <= 1e-12
         for name in observables:
             assert np.max(np.abs(traj.obs_expect[name] - obs_ref[name])) <= 1e-12
@@ -618,8 +619,7 @@ def test_vacuum_noise_cancellation(damping_model, damping_candidate, excited):
         damping_model, damping_candidate, SIGMA_Z, excited, CollisionConfig(dt=dt, steps=1)
     )
     drift = flow_ito_coefficients(damping_model, damping_candidate, SIGMA_Z).drift
-    psi = excited.pure_vector()
-    analytic = np.vdot(psi, drift @ psi).real
+    analytic = np.vdot(KET_E, drift @ KET_E).real  # the vector that built ``excited``
     assert abs(traj.v_expect[1] - traj.v_expect[0] - dt * analytic) <= 10.0 * dt**2
 
 

@@ -462,7 +462,7 @@ class TestRayCoefficients:
         cand = random_closed_candidate(rng, 3, 0)
         rays = np.stack([random_hermitian(rng, 3) for _ in range(3)])
         epsilon = spectral_norm(cand.terms[0][2]) + 1.0
-        assert np.all(_ray_exits(cand, np.zeros((3, 3)), rays, epsilon, 1e-9) == np.inf)
+        assert np.all(_ray_exits(cand, np.zeros((3, 3)), rays, epsilon, 1e-9)[0] == np.inf)
 
 
 @given(

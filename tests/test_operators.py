@@ -21,7 +21,6 @@ from qstab import (
     hermitian_eigenvalues,
     hermiticity_defect,
     hermitize,
-    is_psd,
     spectral_norm,
 )
 from qstab.operators import _times, norm_above, require_density
@@ -124,30 +123,6 @@ class TestSpectralNorm:
             lhs = spectral_norm(np.linalg.matrix_power(x, n) @ theta @ np.linalg.matrix_power(x, m))
             rhs = spectral_norm(x) ** (n + m) * spectral_norm(theta)
             assert lhs <= rhs * (1 + 1e-12)
-
-
-class TestIsPsd:
-    def test_identity(self):
-        report = is_psd(np.eye(3), tol=0.0)
-        assert report.is_psd and report.min_eigenvalue == pytest.approx(1.0)
-
-    def test_sigma_z_indefinite(self):
-        report = is_psd(SIGMA_Z, tol=0.0)
-        assert not report.is_psd
-        assert report.min_eigenvalue == pytest.approx(-1.0)
-
-    def test_gram_matrices_psd(self):
-        rng = np.random.default_rng(10)
-        for _ in range(40):
-            a = random_complex(rng, int(rng.integers(2, 7)))
-            assert is_psd(adjoint(a) @ a, tol=1e-12).is_psd
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(NonHermitianError):
-            is_psd(SIGMA_MINUS)
-
-    def test_boolean_protocol(self):
-        assert bool(is_psd(np.eye(2)))
 
 
 class TestHermitianEigenvalues:
@@ -323,17 +298,6 @@ class TestQuantumState:
     def test_trace_rejected(self):
         with pytest.raises(InvalidStateError):
             QuantumState(np.diag([0.5, 0.3]))
-
-    def test_pure_vector_roundtrip(self):
-        psi = np.array([1.0, 1j]) / np.sqrt(2)
-        state = QuantumState.from_vector(psi)
-        back = state.pure_vector()
-        overlap = abs(np.vdot(psi, back))
-        assert overlap == pytest.approx(1.0, abs=1e-12)
-
-    def test_mixed_state_has_no_pure_vector(self):
-        with pytest.raises(InvalidStateError):
-            QuantumState.maximally_mixed(2).pure_vector()
 
     def test_operator_validation(self):
         with pytest.raises(InvalidOperatorError):
