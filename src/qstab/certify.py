@@ -405,12 +405,7 @@ def _ray_exits(cand, center, rays, epsilon, tol) -> tuple[np.ndarray, tuple[np.n
     eps = 2^-52.  B_0 and B_K are guarded by the sampler's bound :func:`_rounding`, at ||Y|| and at 1 (unit rays).
     """
     dim, degree, offset = cand.dim, max(cand.degree, 1), _offset(cand, center)  # a constant V gets a zero B_1
-    b = np.zeros((degree + 1, len(rays), dim, dim), dtype=complex)
-    if offset.any():
-        _sandwich(cand.terms, b, offset, rays)
-    else:  # from the candidate's own center B_k is its terms of degree k at D: no product with Y = 0 is taken
-        for n, m, theta in cand.terms:
-            _sandwich(((n, m, theta),), b[n + m :], rays)
+    b = _sandwich(cand.terms, np.zeros((degree + 1, len(rays), dim, dim), dtype=complex), offset, rays)
     if b[0, 0].any():  # else max-eig V(C) = 0 < epsilon exactly
         v0 = hermitian_eigenvalues(b[0, 0], tol=max(tol, 1e-7, _rounding(cand, spectral_norm(offset))))[-1]
         if not v0 < epsilon:

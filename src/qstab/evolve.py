@@ -336,6 +336,8 @@ def finite_difference_drift_check(
     [1.5, 2.5] (trivially satisfied when both gaps are below 1e-12).
     """
     require_model_dim(model, **{"system state": system_state}, candidate=candidate, x0=x0)
+    if config.dt / 2 == 0.0:
+        raise ValueError(f"dt must halve to a nonzero step, got {config.dt!r}")
     cand = canonicalize(candidate)
     [drift] = _ito_coefficients(model, cand, np.asarray(x0, dtype=complex), "flow", ("drift",))
     analytic = float(expectation(system_state, drift).real)
@@ -410,6 +412,8 @@ def ito_table_check(ancilla_levels: int = 1, dt: float = 1e-3) -> ItoTableReport
     if ancilla_levels < 1:
         raise ValueError("ancilla_levels must be at least 1")
     require_positive(dt, "dt")
+    if float(dt) * float(dt) == float("inf"):
+        raise ValueError(f"dt must square to a finite number, got {dt!r}")
     a, a_dag, number = ladder_operators(ancilla_levels)
     eye = np.eye(ancilla_levels + 1)
     vac = vacuum_vector(ancilla_levels)

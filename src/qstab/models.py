@@ -126,14 +126,14 @@ def validate(model: QsdeModel, tol: float = DEFAULT_TOL) -> None:
     Raises
     ------
     InvalidModelError
-        Naming H where ||H||_F overflows, L where ||L||_F^2 does, else each violated invariant (:func:`diagnose`).
+        Naming H or L where its ||X||_F^2 overflows, else each violated invariant (:func:`diagnose`).
     """
     require_positive(tol, "tol")
     h, l, s, eye = model.hamiltonian, model.coupling, model.scattering, np.eye(model.dim)
     with np.errstate(over="ignore"):  # a norm past the float range is an input error, not a warning
-        for name, label, size in (("H", "||H||_F", np.linalg.norm(h)), ("L", "||L||_F^2", np.linalg.norm(l) ** 2)):
-            if not np.isfinite(size):
-                raise InvalidModelError(f"{name} is too large: {label} overflows")
+        for name, x in (("H", h), ("L", l)):
+            if not np.isfinite(np.linalg.norm(x)):  # the root of an unscaled sum of squares: inf where that overflows
+                raise InvalidModelError(f"{name} is too large: ||{name}||_F^2 overflows")
     if np.max(norm_above(np.stack([h - adjoint(h), adjoint(s) @ s - eye, s @ adjoint(s) - eye]), tol)) > tol:
         raise InvalidModelError("; ".join(diagnose(model, tol=tol).failures))
 

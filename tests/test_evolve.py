@@ -496,6 +496,10 @@ class TestFiniteDifferenceDriftCheck:
         assert report.analytic == pytest.approx(-4.0 * GAMMA)
         assert 1.5 <= report.ratio <= 2.5
 
+    def test_a_dt_that_halves_to_zero_is_rejected_naming_it(self, damping_model, v_linear, excited):
+        with pytest.raises(ValueError, match=r"dt must halve to a nonzero step, got 5e-324"):
+            finite_difference_drift_check(damping_model, v_linear, NUMBER, excited, CollisionConfig(dt=5e-324, steps=1))
+
 
 class TestItoTableCheck:
     @pytest.mark.parametrize("levels", [1, 2])
@@ -520,6 +524,12 @@ class TestItoTableCheck:
         # Swapping the drift's cross column to dA† dA is a wrong table: its vacuum moment is 0, not dt.
         monkeypatch.setitem(qstab.lyapunov._ITO_ROUTES, "drift", ("generator", "generator", "creation", "annihilation"))
         assert ito_table_check(ancilla_levels=1, dt=1e-3).max_deviation > 1e-12
+
+    @pytest.mark.parametrize("dt", [1e155, 1e300, np.float64(1e300)])
+    def test_a_dt_whose_square_overflows_is_rejected_naming_it(self, dt):
+        # No overflow warning (an error under pytest) is reached: the square is taken in Python floats.
+        with pytest.raises(ValueError, match=r"dt must square to a finite number, got "):
+            ito_table_check(ancilla_levels=1, dt=dt)
 
 
 class TestTrajectoryChecks:
