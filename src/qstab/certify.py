@@ -37,13 +37,13 @@ condition's measure on a stack of one, with V from :func:`evaluate` guarded by
 the sampler's bound (:func:`_rounding`), so it reproduces the stored violation.
 The drift target's guard is that bound times 2||H|| + 4||L||^2 + rate.
 
-The ray route: where every canonical Theta is scalar, every term has one
-degree and the check's center is the candidate's own, V is homogeneous along
-each ray, and rays of more than one sample are decided from one eigensolve
-per ray, with a fallback to V at a sample within its forward-error band of a
-threshold (:mod:`qstab.rays`).  No value a condition reads there needs a
-sample's matrix, so a sample is its ray and scale, and its matrix is formed
-only where read (:class:`LevelSetSamples`).
+The ray route: where the exit solve finds V homogeneous along each ray
+(below) and every canonical Theta is exactly scalar, rays of more than one
+sample are decided from one eigensolve per ray (:mod:`qstab.rays`).  One
+loop decides each sample from its ray's values, or from V at itself within
+its forward-error band of a threshold and off the rays (:func:`_sampled`).
+No value a condition reads on a ray needs a sample's matrix, so a sample is
+its ray and scale, and its matrix is formed only where read.
 
 Sample i reads row i of one row-ordered draw from the seed, and its scale
 is capped where its ray first leaves the level set: a polynomial eigenvalue
@@ -70,7 +70,7 @@ from .errors import (
     NonHermitianError,
     SamplingError,
 )
-from .lyapunov import LyapunovCandidate, _ito_coefficients, _offset, _sandwich, canonicalize, evaluate
+from .lyapunov import LyapunovCandidate, _ito_coefficients, _offset, _sandwich, _scalar_thetas, canonicalize, evaluate
 from .models import QsdeModel, equilibrium_residual, require_model_dim, validate
 from .operators import (
     DEFAULT_TOL,
@@ -318,8 +318,8 @@ def sample_level_set(
     epsilon + max(tol, 1e-9, r): r = :func:`_rounding` at ||center - C|| + s
     (C the candidate's center) bounds V's rounding at scale s (27 eps in place
     of 256 eps was the most seen) and its Hermiticity defect, the eigh guard.
-    On the ray route (scalar Theta of one degree K from the candidate's own
-    center, rays of more than one sample; see :mod:`qstab.rays`) V =
+    On the ray route (the exit solve returns B_K, every Theta is exactly
+    scalar and rays carry more than one sample; see :mod:`qstab.rays`) V =
     s^K B_K on each ray, and the re-check reads max-eig B_K s^K from the B_K
     and eigenvalues that the exit solve returns; ``v`` and ``v_eigh`` are
     None, ``rays`` holds them, and no sample's matrix is formed until it is
@@ -355,11 +355,6 @@ def sample_level_set(
     ray_of = np.arange(count) % len(rays)
     u = 1.0 - rows[:, -1]  # uniform on (0, 1]
 
-    degree = None
-    if len(rays) < count:  # one eigensolve of B_K may serve several samples; with one each it saves nothing
-        from .rays import Rays, ray_degree  # here, not at the top: only such runs compile qstab.rays
-
-        degree = ray_degree(cand, center)
     exits, b_k = _ray_exits(cand, center, rays, spec.epsilon, tol)
     cap = np.minimum(scale_hi, exits)[ray_of]
     keep = cap > scale_min
@@ -371,16 +366,19 @@ def sample_level_set(
     scale = np.minimum(scale_min + u[keep] * (cap[keep] - scale_min), cap[keep] * (1.0 - 8.0 * np.finfo(float).eps))
     of = ray_of[keep]
     sampled = partial(LevelSetSamples, center, rays, of, scale)
-    if degree is None:
+    # V = s^K B_K per ray, the drift linear in V: B_K serves the re-check and each ray's samples, where it has several
+    if b_k is not None and len(rays) < count and _scalar_thetas(cand.terms):
+        from .rays import Rays  # here, not at the top: only such runs compile qstab.rays
+
+        rounding, arrays = _rounding(cand, scale), b_k
+        top, samples = b_k[1][of, -1] * scale**cand.degree, sampled(rays=Rays(*b_k, cand.degree))
+    else:
         x = sampled().x
         rounding = _rounding(cand, spectral_norm(_offset(cand, center)) + scale)  # ||Y|| <= ||C - center of V|| + s
         v = evaluate(cand, x)
         vals, vecs = np.linalg.eigh(require_hermitian(v, tol=max(tol, 1e-7, rounding.max())))
         top, arrays, samples = vals[:, -1], (v, vals, vecs), sampled(v, (vals, vecs))
         vars(samples)["x"] = x  # the stack that V was evaluated on, cached as ``x`` caches it
-    else:  # V = s^K B_K on each ray: the exit solve's B_K and eigenvalues serve the re-check and the rays
-        rounding, arrays = _rounding(cand, scale), b_k
-        top, samples = b_k[1][of, -1] * scale**degree, sampled(rays=Rays(*b_k, degree))
     if np.any(top > spec.epsilon + np.maximum(max(tol, 1e-9), rounding)):
         raise InternalCheckError("level-set sample failed its own constraint re-check")
     for a in (rays, of, scale, *arrays):
@@ -628,29 +626,45 @@ def _worst(violation) -> int | None:
     return None if np.isnan(violation).all() else int(np.nanargmax(violation))
 
 
-def _blocks(samples: LevelSetSamples, point):
-    """In order, points on slices of at most _BLOCK_ENTRIES matrix entries or one sample, holding V and its eigh."""
-    step = max(1, _BLOCK_ENTRIES // samples.center.size)
-    for i in range(0, len(samples), step):
-        block = point(samples.x[i : i + step])
-        vars(block).update(v=samples.v[i : i + step], v_eigh=tuple(a[i : i + step] for a in samples.v_eigh))
-        yield block
-
-
 def _sampled(samples: LevelSetSamples, point, conditions):
     """Per sample in order, :func:`_decide`'s violation, deciding condition and level, V's least eigenvalue (E[V]
-    in the state picture), and bounds on the violation: on rays (:func:`qstab.rays.decide_on_rays`), the deciding
-    measure at the values moved down and up by their bands; off them, the violation twice."""
+    in the state picture), and bounds on the violation: the deciding measure at its ray's values moved down and up
+    by their bands (:func:`qstab.rays.ray_blocks`).  Where a condition holds at one and not the other, on rays where
+    V is nowhere positive, and off the rays, a sample is decided from V at itself instead, the sampler's V and eigh
+    where it took them, in blocks of at most _BLOCK_ENTRIES matrix entries, and its bounds are its violation."""
 
     def decide(p):
         return (*_decide(conditions, p), p.e_v.real if p.picture == "state" else p.v_eigh[0][:, 0])
 
-    if samples.rays is None:
-        violation, *rest = map(np.concatenate, zip(*map(decide, _blocks(samples, point))))
-        return violation, *rest, violation, violation
-    from .rays import decide_on_rays  # here, not at the top: only a run on rays of several samples compiles it
+    n = len(samples)
+    out = (np.empty(n), np.empty(n, dtype=int), np.empty(n), np.empty(n), np.empty(n), np.empty(n))
+    exact = np.ones(n, dtype=bool)
+    if samples.rays is not None:
+        from .rays import ray_blocks  # here, not at the top: only a run on rays of several samples compiles it
 
-    return decide_on_rays(samples, point, conditions, decide)
+        for rows, p in ray_blocks(samples, point):
+            lo, hi = p.shifted(-1.0), p.shifted(1.0)
+            bounds = np.array([(c.measure(lo), c.measure(hi)) for c in conditions])  # (conditions, 2, points)
+            near = np.any(np.isnan(bounds[:, 0]) != np.isnan(bounds[:, 1]), axis=0)
+            exact[rows] = near
+            if not near.all():
+                violation, decided_by, level, v_min = decide(p.take(~near))
+                spread = np.sort(bounds[decided_by, :, np.flatnonzero(~near)], axis=-1)  # NaN where every one holds
+                for array, value in zip(out, (violation, decided_by, level, v_min, *spread.T)):
+                    array[rows[~near]] = value
+    rows, step = np.flatnonzero(exact), max(1, _BLOCK_ENTRIES // samples.center.size)
+    for i in range(0, len(rows), step):
+        if samples.v is None:  # on rays: form the rows decided from V at themselves
+            block = rows[i : i + step]
+            p = point(samples[block])
+        else:  # off them every sample is, and slices of the sampler's stack, V and eigh are views, not copies
+            block = slice(i, i + step)
+            p = point(samples.x[block])
+            vars(p).update(v=samples.v[block], v_eigh=tuple(a[block] for a in samples.v_eigh))
+        violation, *rest = decide(p)
+        for array, value in zip(out, (violation, *rest, violation, violation)):
+            array[block] = value
+    return out
 
 
 def _check(model, candidate, center, spec, mode, *, rate=None, margin=None, reference_state=None, tol):

@@ -345,7 +345,11 @@ def finite_difference_drift_check(
     def one_step_slope(dt):
         cfg = CollisionConfig(dt=dt, steps=1, ancilla_levels=config.ancilla_levels)
         traj = simulate_flow_expectation(model, cand, x0, system_state, cfg)
-        return (traj.v_expect[1] - traj.v_expect[0]) / dt
+        with np.errstate(over="ignore"):
+            slope = (traj.v_expect[1] - traj.v_expect[0]) / dt
+        if not np.isfinite(slope):
+            raise ValueError(f"dt must give a finite one-step slope, got {config.dt!r}")
+        return slope
 
     empirical = float(one_step_slope(config.dt))
     empirical_half = float(one_step_slope(config.dt / 2))

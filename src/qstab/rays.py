@@ -1,25 +1,25 @@
-"""The ray route of :mod:`qstab.certify`: one eigensolve per ray, not per sample.
+"""The values and bands of the ray route of :mod:`qstab.certify`: one eigensolve per ray, not per sample.
 
-Where every canonical Theta is scalar, every term has one degree K >= 1 and
-the check's center is the candidate's own, V(C + sD) = s^K B_K(D) on each
-ray, and the drift, a linear map of V for scalar Theta, is s^K times its
+Where the exit solve :func:`qstab.certify._ray_exits` finds B_0 ... B_{K-1}
+exact zeros, V(C + sD) = s^K B_K(D) on each ray, and where every canonical
+Theta is also exactly scalar, the drift, a linear map of V, is s^K times its
 value at B_K (Higham, Functions of Matrices, 2008, ch. 1).  Where rays carry
 more than one sample, as a user family's do when samples outnumber
-directions, the sampler solves for the eigenvalues of B_K once per distinct
-ray and takes no eigendecomposition of V (:class:`Rays`).
-Here every value a condition reads is computed once per ray at s = 1 and
-scaled to its samples by s^K (the degree-0 pencil unscaled), in blocks of
-rays.  Values differ from the per-sample route's by at most their
-forward-error bands (:func:`ray_band`).  A sample whose values, moved down
-and up by their bands, could decide a condition either way is decided from
-V at itself, as is every sample of a ray where V is nowhere positive, so
-every verdict and label is the per-sample route's.  The certifying check
-measures each sample that may be the most violated as
-:func:`qstab.certify.recheck_witness` does, so the witness and its
-violation are the per-sample route's as well.  Only the worst drift, the
-worst V and the rate estimate may differ from it, within the bands: in their
-last bits, but for the per-sample rates of an ill-conditioned pencil, which
-the per-sample route scatters along one ray by as much.
+directions, the sampler keeps B_K and its eigenvalues per distinct ray and
+takes no eigendecomposition of V (:class:`Rays`).  Here every value a
+condition reads is computed once per ray at s = 1 and scaled to its samples
+by s^K (the degree-0 pencil unscaled), in blocks of rays
+(:func:`ray_blocks`).  Values differ from the per-sample route's by at most
+their forward-error bands (:func:`ray_band`).  :func:`qstab.certify._sampled`
+decides each sample from them, or from V at itself where its values, moved
+down and up by their bands, could decide a condition either way, so every
+verdict and label is the per-sample route's, and the witness and its
+violation too (:func:`qstab.certify._check` measures each sample that may
+be the most violated as :func:`qstab.certify.recheck_witness` does).  Only
+the worst drift, the worst V and the rate estimate may differ from it,
+within the bands: in their last bits, but for the per-sample rates of an
+ill-conditioned pencil, which the per-sample route scatters along one ray
+by as much.
 
 :mod:`qstab.certify` imports this module only for rays of more than one
 sample: every process compiles what it imports, and the rest need none of it.
@@ -35,26 +35,15 @@ import numpy as np
 
 from . import certify
 from .certify import SUPPORT_CUTOFF, _Point, _rounding
-from .lyapunov import _offset, _scalar_thetas
 from .operators import adjoint, spectral_norm
 
 
 class Rays(NamedTuple):
-    """B_K on the distinct unit rays D of homogeneous scalar-Theta samples, where V = s^K B_K(D) (see
-    :func:`ray_degree`)."""
+    """B_K on the distinct unit rays D of homogeneous scalar-Theta samples, where V = s^K B_K(D)."""
 
     b: np.ndarray  # (R, d, d): B_K on each ray
     lead: np.ndarray  # (R, d): B_K's ascending eigenvalues
     degree: int  # K
-
-
-def ray_degree(cand, center) -> int | None:
-    """K where V(C + sD) = s^K B_K(D) with a drift linear in V: every Theta scalar, every term of degree K >= 1,
-    and the check's center C the candidate's own; None elsewhere."""
-    degrees = {n + m for n, m, _ in cand.terms}
-    if len(degrees) > 1 or 0 in degrees or _offset(cand, center).any() or not _scalar_thetas(cand.terms):
-        return None
-    return degrees.pop()
 
 
 def _on_ray(name: str, band: str, scaled: bool = True) -> cached_property:
@@ -144,7 +133,7 @@ def _band(point: OnRays, name: str) -> np.ndarray:
     top, norm = vals[:, -1], np.maximum(vals[:, -1], -vals[:, 0])
     low = np.where(support, vals, np.inf).min(axis=-1)
     gap = low - np.where(support, -np.inf, vals).max(axis=-1)  # inf where the support is everything
-    turn = 2.0 * v / gap
+    turn = np.minimum(2.0 * v / gap, 1.0)  # sin t <= 1 keeps turn^2 finite at a tiny gap, where no support is sound
     on_v = 2.0 * turn**2 * norm
     sound = (np.abs(vals - SUPPORT_CUTOFF * top[:, None]).min(axis=-1) > 2.0 * v) & (gap > 2.0 * v) & (low > v + on_v)
     if name == "support":
@@ -176,32 +165,3 @@ def ray_blocks(samples, point):
             block = on_rays(rows, unit=unit, lead=rays.lead[live])
             vars(block).update(of=index[samples.of[rows]], scale=samples.scale[rows])
             yield rows, block
-
-
-def decide_on_rays(samples, point, conditions, decide):
-    """``decide`` (:func:`qstab.certify._sampled`'s) per sample in order, then the deciding measure at the values
-    moved down and up by their bands (the violation twice where decided from V at the sample).
-
-    Each sample reads its ray's values, except where a condition holds at the values moved down and not at those
-    moved up, or the reverse: that sample, and each sample of a ray where V is nowhere positive, is decided
-    from V at itself, in blocks as off the rays.
-    """
-    n = len(samples)
-    out = (np.empty(n), np.empty(n, dtype=int), np.empty(n), np.empty(n), np.empty(n), np.empty(n))
-    exact = np.ones(n, dtype=bool)
-    for rows, p in ray_blocks(samples, point):
-        lo, hi = p.shifted(-1.0), p.shifted(1.0)
-        bounds = np.array([(c.measure(lo), c.measure(hi)) for c in conditions])  # (conditions, 2, points)
-        near = np.any(np.isnan(bounds[:, 0]) != np.isnan(bounds[:, 1]), axis=0)
-        exact[rows] = near
-        if not near.all():
-            violation, decided_by, level, v_min = decide(p.take(~near))
-            spread = np.sort(bounds[decided_by, :, np.flatnonzero(~near)], axis=-1)  # NaN where every one holds
-            for array, value in zip(out, (violation, decided_by, level, v_min, *spread.T)):
-                array[rows[~near]] = value
-    rows, step = np.flatnonzero(exact), max(1, certify._BLOCK_ENTRIES // samples.center.size)
-    for i in range(0, len(rows), step):
-        violation, *rest = decide(point(samples[rows[i : i + step]]))
-        for array, value in zip(out, (violation, *rest, violation, violation)):
-            array[rows[i : i + step]] = value
-    return out

@@ -41,7 +41,15 @@ from qstab import (
     spectral_norm,
 )
 from qstab.cli import main
-from qstab.fileio import certificate_bytes, load_certificate, load_lyapunov, load_model, load_operator, save_certificate
+from qstab.fileio import (
+    certificate_bytes,
+    load_certificate,
+    load_direction_family,
+    load_lyapunov,
+    load_model,
+    load_operator,
+    save_certificate,
+)
 from qstab.lyapunov import _sandwich
 
 from conftest import (
@@ -1581,6 +1589,51 @@ def test_ray_route_decides_as_the_per_sample_oracle(dim, model_seed, spec_seed, 
         assert recheck_witness(model, cand, cert, reference_state=reference) == cert.violation
 
 
+def ray_degree(cand, center):
+    """The ray route's predicate on the candidate's terms and the check's center: K where every canonical Theta is
+    exactly scalar, every term has one degree K >= 1 and the check's center is the candidate's own; None elsewhere."""
+    degrees = {n + m for n, m, _ in cand.terms}
+    own = np.array_equal(center, np.zeros_like(center) if cand.center is None else cand.center)
+    scalar = all(np.array_equal(t, t[0, 0] * np.eye(len(t))) for _, _, t in cand.terms)
+    return degrees.pop() if len(degrees) == 1 and 0 not in degrees and own and scalar else None
+
+
+@given(
+    dim=st.integers(2, 3),
+    seed=st.integers(0, 2**32 - 1),
+    degrees=st.sampled_from([(1,), (2,), (3,), (1, 2), (0, 2), (2, 4)]),
+    scalar=st.booleans(),
+    lam=st.sampled_from([0.0, -1.0, 2.5]),
+    where=st.sampled_from(["own", "offset", "shifted"]),
+    directions=st.integers(0, 3),
+    extra=st.integers(0, 2),
+)
+@settings(max_examples=300)
+def test_the_ray_route_runs_where_the_old_route_test_holds_on_rays_of_several_samples(
+    dim, seed, degrees, scalar, lam, where, directions, extra
+):
+    """Scalar and non-scalar Theta of each degree set, from the candidate's own center, from one offset by a
+    non-scalar matrix and from one shifted by a multiple of I, on the ball (``directions`` 0) and on families
+    of one to three directions with ``extra`` samples beyond one per direction."""
+    rng = np.random.default_rng(seed)
+    terms = []
+    for k in degrees:
+        theta = rng.uniform(0.5, 2.0) * np.eye(dim) if scalar else random_hermitian(rng, dim)
+        terms += [(n, k - n, 0.1 * theta if k == 0 else theta) for n in range(k + 1)]  # V(C) inside the level set
+    cand = centered(*terms, center=lam * np.eye(dim))
+    move = {"own": 0.0, "offset": 0.1 * random_hermitian(rng, dim), "shifted": 0.25 * np.eye(dim)}[where]
+    center = lam * np.eye(dim) + move
+    family = DirectionFamily(tuple(random_hermitian(rng, dim) for _ in range(directions))) if directions else None
+    spec = LevelSetSpec(1.0, max(directions, 1) + extra, seed, family or HermitianBall(1.0))
+    try:
+        samples = sample_level_set(cand, center, spec)
+    except SamplingError:
+        assume(False)
+    degree = ray_degree(cand, center)
+    assert (samples.rays is not None) == (degree is not None and 0 < directions < spec.sample_count)
+    assert samples.rays is None or samples.rays.degree == degree
+
+
 def oscillator_ray_spec(count):
     """The rotated damped oscillator at d = 8 and ``count`` samples of the family on its rotated N, which share
     one ray, so that the ray route decides them."""
@@ -1718,3 +1771,19 @@ def test_an_overflowing_drift_target_fails_with_its_label_and_no_warning():
         cert = check_exponential(model, cand, load_operator(DEMO_FILES / "center.json"), spec, 1e308)
     assert cert.violated_condition == "drift has a positive eigenvalue on a sample"
     assert cert.violation > 1e307 and recheck_witness(model, cand, cert) == cert.violation
+
+
+@pytest.mark.parametrize("model, mode, param", [("demo", "exponential", 0.5), ("still", "asymptotic", 0.1)])
+def test_the_readme_check_at_epsilon_1e_300_is_the_per_sample_routes_with_no_warning(model, mode, param):
+    """At epsilon 1e-300 V's eigenvalue gap on the family's ray is at the 1e-300 scale, and the turn of V's support
+    in the ray route's band is far past 1: no support is sound, so the samples are decided from V at themselves.
+    The README command, and the asymptotic check on H = L = 0, whose support band has no Lipschitz term.  The
+    verdict is not pinned: it fails on TOL_STRICT, as at every epsilon <= 1e-8."""
+    still = QsdeModel(hamiltonian=np.zeros((2, 2)), coupling=np.zeros((2, 2)))
+    model = load_model(DEMO_FILES / "damping_model.json") if model == "demo" else still
+    cand, center = load_lyapunov(DEMO_FILES / "square_candidate.json"), load_operator(DEMO_FILES / "center.json")
+    spec = LevelSetSpec(1e-300, 16, 7, load_direction_family(DEMO_FILES / "number_family.json"))
+    assert sample_level_set(cand, center, spec).rays is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_matches_reference(model, cand, center, spec, mode, param)

@@ -348,10 +348,12 @@ class TestCrosscheckCommand:
 
 
     @pytest.mark.parametrize("dt, message", [("5e-324", "halve to a nonzero step"),
+                                             ("1e-323", "give a finite one-step slope"),
                                              ("1e155", "square to a finite number"),
                                              ("1e300", "square to a finite number")])
     def test_a_dt_whose_half_or_square_is_not_representable_exits_2_before_any_table(self, capsys, dt, message):
-        # 5e-324 halves to 0.0, and from 1e155 on dt * dt overflows in the Ito table.
+        # 5e-324 halves to 0.0, over 1e-323 a rounding-level change of E[V] overflows the one-step slope, and from
+        # 1e155 on dt * dt overflows in the Ito table.
         argv = demo_argv("crosscheck")
         argv[argv.index("--dt") + 1] = dt
         assert main(argv) == 2

@@ -500,6 +500,12 @@ class TestFiniteDifferenceDriftCheck:
         with pytest.raises(ValueError, match=r"dt must halve to a nonzero step, got 5e-324"):
             finite_difference_drift_check(damping_model, v_linear, NUMBER, excited, CollisionConfig(dt=5e-324, steps=1))
 
+    def test_a_dt_whose_one_step_slope_overflows_is_rejected_naming_it(self, damping_model, damping_candidate, excited):
+        # 1e-323 halves to a nonzero step, but a rounding-level change of E[V] over it overflows the slope.
+        config = CollisionConfig(dt=1e-323, steps=1)
+        with pytest.raises(ValueError, match=r"dt must give a finite one-step slope, got 1e-323"):
+            finite_difference_drift_check(damping_model, damping_candidate, SIGMA_Z, excited, config)
+
 
 class TestItoTableCheck:
     @pytest.mark.parametrize("levels", [1, 2])
