@@ -410,8 +410,11 @@ def _ray_exits(cand, center, rays, epsilon, tol) -> tuple[np.ndarray, tuple[np.n
             raise SamplingError(f"center is outside the level set: max-eig V(center) = {v0:.6g} >= epsilon = {epsilon}")
     if not b[:-1].any():
         lead = hermitian_eigenvalues(b[-1], tol=max(tol, 1e-7, _rounding(cand, 1.0)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(lead[:, -1] > 0.0, (epsilon / lead[:, -1]) ** (1.0 / degree), np.inf), (b[-1], lead)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratio, root = epsilon / lead[:, -1], 1.0 / degree
+            normal = (ratio >= np.finfo(float).tiny) & (ratio < np.inf)  # else the roots first, then their ratio
+            exits = np.where(normal, ratio**root, epsilon**root / lead[:, -1] ** root)
+            return np.where(lead[:, -1] > 0.0, exits, np.inf), (b[-1], lead)
     head = -np.linalg.solve(b[0, 0] - epsilon * np.eye(dim), b[1:]).transpose(1, 2, 0, 3).reshape(len(rays), dim, -1)
     shift = np.eye((degree - 1) * dim, degree * dim)  # [I 0] below the block row [-M^-1 B_1 ... -M^-1 B_K]
     companion = np.concatenate([head, np.broadcast_to(shift, (len(rays), *shift.shape))], axis=1)
@@ -668,7 +671,14 @@ def _sampled(samples: LevelSetSamples, point, conditions):
 
 
 def _check(model, candidate, center, spec, mode, *, rate=None, margin=None, reference_state=None, tol):
-    """Check one mode's conditions at the center, then on the level-set samples block by block, and certify."""
+    """Check one mode's conditions at the center, then on the level-set samples block by block, and certify: the
+    certificate and the samples it decided on, None where a center condition failed."""
+    if mode.endswith("exponential"):
+        if rate is None:
+            raise ValueError("exponential mode needs a rate")
+        require_positive(rate, "rate")
+    if mode == "asymptotic":
+        require_positive(margin, "margin")
     cand, center = _inputs(model, candidate, center, spec, tol=tol, reference_state=reference_state)
     picture, center_conditions, v_conditions, drift_conditions = _MODES[mode]
     state = picture == "state"
@@ -677,7 +687,7 @@ def _check(model, candidate, center, spec, mode, *, rate=None, margin=None, refe
 
     at_center = point(center[None])
     violation, decided_by, level = _decide(center_conditions, at_center)
-    conditions, points, worst_v = center_conditions, center[None], None
+    conditions, points, worst_v, samples = center_conditions, center[None], None, None
     if _worst(violation) is None:
         conditions = v_conditions + drift_conditions
         points = samples = sample_level_set(cand, center, spec, traceless=state, tol=tol)  # rows formed where read
@@ -712,7 +722,7 @@ def _check(model, candidate, center, spec, mode, *, rate=None, margin=None, refe
         family=_family_description(spec.family),
         tolerances={"tol": float(tol), "tol_strict": TOL_STRICT, "support_cutoff": SUPPORT_CUTOFF},
         inputs=_input_digests(model, cand, center=center, family=spec.family, reference_state=reference_state),
-    )
+    ), samples
 
 
 def check_local(model, candidate, center, spec, *, tol=DEFAULT_TOL) -> StabilityCertificate:
@@ -723,7 +733,7 @@ def check_local(model, candidate, center, spec, *, tol=DEFAULT_TOL) -> Stability
     and nonvanishing (top eigenvalue above ``TOL_STRICT``) at every sample,
     (iv) the drift is nonpositive (within ``tol``) at every sample.
     """
-    return _check(model, candidate, center, spec, "local", tol=tol)
+    return _check(model, candidate, center, spec, "local", tol=tol)[0]
 
 
 def check_asymptotic(model, candidate, center, spec, margin: float, *, tol=DEFAULT_TOL) -> StabilityCertificate:
@@ -732,8 +742,7 @@ def check_asymptotic(model, candidate, center, spec, margin: float, *, tol=DEFAU
     On every sample the drift must be nonpositive and, on the support of
     the candidate there, at most ``-margin`` (the explicit strict bound b).
     """
-    require_positive(margin, "margin")
-    return _check(model, candidate, center, spec, "asymptotic", margin=margin, tol=tol)
+    return _check(model, candidate, center, spec, "asymptotic", margin=margin, tol=tol)[0]
 
 
 def check_exponential(model, candidate, center, spec, rate: float, *, tol=DEFAULT_TOL) -> StabilityCertificate:
@@ -743,8 +752,7 @@ def check_exponential(model, candidate, center, spec, rate: float, *, tol=DEFAUL
     negative (below ``-TOL_STRICT``) on the support of V at every sample;
     the certificate records the rate.
     """
-    require_positive(rate, "rate")
-    return _check(model, candidate, center, spec, "exponential", rate=rate, tol=tol)
+    return _check(model, candidate, center, spec, "exponential", rate=rate, tol=tol)[0]
 
 
 def estimate_max_rate(model, candidate, center, spec, *, tol=DEFAULT_TOL) -> RateEstimate:
@@ -762,12 +770,17 @@ def estimate_max_rate(model, candidate, center, spec, *, tol=DEFAULT_TOL) -> Rat
     eigenvalue is not positive, not below ``TOL_STRICT`` as in the checks.
     """
     cand, center = _inputs(model, candidate, center, spec, tol=tol)
+    at_center = _Point(model, cand, center[None], "flow", None, None, tol, 0.0, None)
+    _raise_first(_FLOW[1], _decide(_FLOW[1], at_center)[1])
+    return _rate(model, cand, sample_level_set(cand, center, spec, tol=tol), tol)
+
+
+def _rate(model, cand, samples, tol) -> RateEstimate:
+    """:func:`estimate_max_rate` on samples of the canonical candidate whose center conditions held."""
     point = partial(_Point, model, cand, picture="flow", rate=None, margin=None, tol=tol, tol_strict=0.0,
                     reference_state=None)
-    _, center_conditions, v_conditions = _FLOW
-    _raise_first(center_conditions, _decide(center_conditions, point(center[None]))[1])
-    conditions = (*v_conditions, _SUPPORT_MISMATCH)
-    _, decided_by, pencil, *_ = _sampled(sample_level_set(cand, center, spec, tol=tol), point, conditions)
+    v_conditions = _FLOW[2]
+    _, decided_by, pencil, *_ = _sampled(samples, point, (*v_conditions, _SUPPORT_MISMATCH))
     _raise_first(v_conditions, np.where(decided_by < len(v_conditions), decided_by, -1))
     rates = (-pencil).tolist()
     return RateEstimate(max(0.0, min(rates)), bool(np.any(decided_by == len(v_conditions))), tuple(rates))
@@ -795,16 +808,10 @@ def check_state(
     """
     if mode not in ("local", "asymptotic", "exponential"):
         raise ValueError(f"mode must be local, asymptotic or exponential, got {mode!r}")
-    if mode == "exponential":
-        if rate is None:
-            raise ValueError("exponential mode needs a rate")
-        require_positive(rate, "rate")
-    elif rate is not None:
+    if mode != "exponential" and rate is not None:
         raise ValueError(f"rate applies only to exponential mode, got rate={rate!r} in {mode} mode")
-    return _check(
-        model, candidate, center, spec, f"state-{mode}",
-        rate=rate, reference_state=reference_state, tol=tol,
-    )
+    return _check(model, candidate, center, spec, f"state-{mode}", rate=rate, reference_state=reference_state,
+                  tol=tol)[0]
 
 
 def chebyshev_bound(expected_v0: float, alpha: float) -> ChebyshevBound:

@@ -2,10 +2,11 @@
 certification, simulation and cross-checks.
 
 Exit codes are the machine contract: 0 success / verdict pass, 1 verdict
-fail, 2 input error, 3 internal error.  The environment variable
-``QSTAB_SEED`` overrides ``--seed`` when set.  Human-readable report text
-may evolve; files written via ``--out`` are byte-stable given identical
-inputs and seed.
+fail, 2 input error, 3 internal error.  ``certify`` runs every mode through
+one check, and ``--estimate-rate`` reads that check's own samples.  The
+environment variable ``QSTAB_SEED`` overrides ``--seed`` when set.
+Human-readable report text may evolve; files written via ``--out`` are
+byte-stable given identical inputs and seed.
 """
 
 from __future__ import annotations
@@ -17,13 +18,7 @@ import sys
 import numpy as np
 
 from . import fileio
-from .certify import (
-    check_asymptotic,
-    check_exponential,
-    check_local,
-    check_state,
-    estimate_max_rate,
-)
+from .certify import _check, _rate
 from .errors import InternalCheckError, InvalidStateError, QstabError
 from .evolve import (
     CollisionConfig,
@@ -165,25 +160,18 @@ def _cmd_certify(args) -> int:
     center = fileio.load_operator(args.center)
     seed = _seed_override(args.seed)
     spec = fileio.level_set_spec_from_args(args.epsilon, args.samples, seed, args.family)
-
-    if args.mode == "local":
-        cert = check_local(model, candidate, center, spec, tol=args.tol)
-    elif args.mode == "asymptotic":
-        if args.margin is None:
-            raise QstabCliInputError("asymptotic mode needs --margin")
-        cert = check_asymptotic(model, candidate, center, spec, args.margin, tol=args.tol)
-    elif args.mode == "exponential":
-        if args.rate is None:
-            raise QstabCliInputError("exponential mode needs --rate")
-        cert = check_exponential(model, candidate, center, spec, args.rate, tol=args.tol)
-    else:
+    needs = {"asymptotic": "margin", "exponential": "rate"}.get(args.mode)
+    if needs and getattr(args, needs) is None:
+        raise QstabCliInputError(f"{args.mode} mode needs --{needs}")
+    reference = None
+    if args.mode.startswith("state-"):
         try:
             reference = QuantumState(fileio.load_operator(args.reference) if args.reference else center)
         except InvalidStateError as exc:
             flag = "--reference" if args.reference else "--center (the default --reference)"
             raise QstabCliInputError(f"{flag} is not a density matrix: {exc}") from None
-        state_mode = args.mode.removeprefix("state-")
-        cert = check_state(model, candidate, center, reference, spec, state_mode, rate=args.rate, tol=args.tol)
+    cert, samples = _check(model, candidate, center, spec, args.mode, rate=args.rate, margin=args.margin,
+                           reference_state=reference, tol=args.tol)
 
     print(f"mode {cert.mode}: verdict {cert.verdict}")
     print(f"  equilibrium residual: {cert.equilibrium_residual:.3e}")
@@ -197,9 +185,11 @@ def _cmd_certify(args) -> int:
         print(f"  margin: {cert.margin:.6g}")
     if cert.verdict == "fail":
         print(f"  violated condition: {cert.violated_condition} (violation {cert.violation:.3e})")
-    if args.estimate_rate:
-        try:  # the check above accepted every input, so only a center or V condition can raise here
-            est = estimate_max_rate(model, candidate, center, spec, tol=args.tol)
+    if args.estimate_rate and samples is None:  # a center condition failed, the one estimate_max_rate raises
+        print(f"  max supported rate: not estimated ({cert.violated_condition})")
+    elif args.estimate_rate:
+        try:  # on the check's own samples, so only a condition on V can raise here
+            est = _rate(model, candidate, samples, args.tol)
         except ValueError as exc:
             print(f"  max supported rate: not estimated ({exc})")
         else:

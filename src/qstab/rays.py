@@ -133,7 +133,8 @@ def _band(point: OnRays, name: str) -> np.ndarray:
     top, norm = vals[:, -1], np.maximum(vals[:, -1], -vals[:, 0])
     low = np.where(support, vals, np.inf).min(axis=-1)
     gap = low - np.where(support, -np.inf, vals).max(axis=-1)  # inf where the support is everything
-    turn = np.minimum(2.0 * v / gap, 1.0)  # sin t <= 1 keeps turn^2 finite at a tiny gap, where no support is sound
+    with np.errstate(divide="ignore", invalid="ignore"):  # the gap is zero where s^K underflows
+        turn = np.minimum(2.0 * v / gap, 1.0)  # sin t <= 1 keeps turn^2 finite at a tiny or zero gap, never sound
     on_v = 2.0 * turn**2 * norm
     sound = (np.abs(vals - SUPPORT_CUTOFF * top[:, None]).min(axis=-1) > 2.0 * v) & (gap > 2.0 * v) & (low > v + on_v)
     if name == "support":

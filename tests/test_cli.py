@@ -3,17 +3,36 @@ import os
 import re
 import subprocess
 import sys
+import warnings
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import qstab.certify
 import qstab.cli
-from qstab import LyapunovCandidate, QsdeModel
+import qstab.fileio
+from qstab import (
+    InternalCheckError,
+    LyapunovCandidate,
+    QsdeModel,
+    QuantumState,
+    check_asymptotic,
+    check_exponential,
+    check_local,
+    check_state,
+    estimate_max_rate,
+)
 from qstab.cli import main
 from qstab.fileio import (
+    certificate_bytes,
     encode_matrix,
+    level_set_spec_from_args,
+    load_lyapunov,
+    load_model,
+    load_operator,
     save_lyapunov,
     save_model,
     save_operator,
@@ -247,8 +266,9 @@ class TestCertifyCommand:
         assert main(self.common(files, "local")) == 2
         assert f"error: QSTAB_SEED must be an integer, got {value!r}" in capsys.readouterr().err
 
-    def test_state_mode(self, files, tmp_path):
-        # state-local around I/2 with a traceless diagonal family
+    @staticmethod
+    def state_argv(files, tmp_path, mode):
+        """state-* around I/2 with a traceless diagonal family, on the model of ``files``."""
         center = tmp_path / "center_state.json"
         save_operator(EYE2 / 2, center)
         lyap = tmp_path / "lyap_state.json"
@@ -257,16 +277,94 @@ class TestCertifyCommand:
         family.write_text(
             json.dumps({"schema_version": 1, "directions": [encode_matrix(SIGMA_Z / 2)], "scale_max": 1.0})
         )
-        argv = [
+        return [
             "certify", files["model"], str(lyap),
-            "--center", str(center), "--mode", "state-local",
+            "--center", str(center), "--mode", mode,
             "--epsilon", "0.5", "--samples", "6", "--seed", "1",
             "--family", str(family),
         ]
-        assert main(argv) == 0
-        argv[argv.index("state-local")] = "state-asymptotic"
-        assert main(argv) == 1
 
+    def test_state_mode(self, files, tmp_path):
+        assert main(self.state_argv(files, tmp_path, "state-local")) == 0
+        assert main(self.state_argv(files, tmp_path, "state-asymptotic")) == 1
+
+    @pytest.mark.parametrize("estimate", [False, True], ids=["check", "estimate-rate"])
+    @pytest.mark.parametrize("family", [None, "number_family.json"], ids=["ball", "family"])
+    @pytest.mark.parametrize("center", ["center.json", "off_center"])
+    @pytest.mark.parametrize("mode, extra", [("local", ()), ("asymptotic", ("--margin", "0.1")),
+                                             ("exponential", ("--rate", "0.5"))])
+    def test_a_flow_mode_writes_what_the_library_calls_give(self, tmp_path, capsys, mode, extra, center, family,
+                                                            estimate):
+        if center == "off_center":  # fails the center's equilibrium condition, so the level set is never sampled
+            center = tmp_path / "off_center.json"
+            save_operator(-EYE2 + 0.05 * SIGMA_X, center)
+        model, candidate, out = DEMO_FILES / "damping_model.json", DEMO_FILES / "square_candidate.json", tmp_path / "c"
+        argv = ["certify", str(model), str(candidate), "--center", str(DEMO_FILES / center), "--mode", mode,
+                "--epsilon", "1", "--samples", "16", "--seed", "7", *extra, "--out", str(out)]
+        argv += (["--family", str(DEMO_FILES / family)] if family else []) + (["--estimate-rate"] if estimate else [])
+        code, printed = main(argv), capsys.readouterr().out
+
+        inputs = (load_model(model), load_lyapunov(candidate), load_operator(DEMO_FILES / center),
+                  level_set_spec_from_args(1.0, 16, 7, family and DEMO_FILES / family))
+        check = {"local": check_local, "asymptotic": partial(check_asymptotic, margin=0.1),
+                 "exponential": partial(check_exponential, rate=0.5)}[mode]
+        cert = check(*inputs)
+        assert code == (0 if cert.passed else 1)
+        assert out.read_bytes() == certificate_bytes(cert)
+        assert ("  margin: 0.1" in printed.splitlines()) == (mode == "asymptotic")
+        expected = []
+        if estimate:
+            try:
+                est = estimate_max_rate(*inputs)
+            except ValueError as exc:
+                expected = [f"  max supported rate: not estimated ({exc})"]
+            else:
+                flag = " (positive drift off the candidate support)" if est.support_mismatch else ""
+                expected = [f"  max supported rate: {est.rate:.6g}{flag}"]
+        assert [line for line in printed.splitlines() if "max supported rate" in line] == expected
+
+    @pytest.mark.parametrize("mode, rate", [("local", None), ("asymptotic", None), ("exponential", 0.5)])
+    def test_a_state_mode_writes_what_check_state_gives(self, files, tmp_path, capsys, mode, rate):
+        out = tmp_path / "cert.json"
+        argv = self.state_argv(files, tmp_path, f"state-{mode}") + ["--out", str(out)]
+        code = main(argv + (["--rate", str(rate)] if rate else []))
+        center = load_operator(argv[argv.index("--center") + 1])
+        spec = level_set_spec_from_args(0.5, 6, 1, argv[argv.index("--family") + 1])
+        cert = check_state(load_model(files["model"]), load_lyapunov(argv[2]), center, QuantumState(center), spec,
+                           mode, rate)
+        assert code == (0 if cert.passed else 1)
+        assert out.read_bytes() == certificate_bytes(cert)
+
+    def test_estimate_rate_samples_the_level_set_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sample_level_set(*args, **kwargs)
+
+        sample_level_set = qstab.certify.sample_level_set
+        monkeypatch.setattr(qstab.certify, "sample_level_set", counted)
+        assert main(self.readme_certify(7) + ["--estimate-rate"]) == 0
+        assert "max supported rate: " in capsys.readouterr().out
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("family", [False, True], ids=["ball", "family"])
+    @pytest.mark.parametrize("at", [-1.0, 0.0])
+    def test_a_huge_theta_at_a_tiny_epsilon_still_samples(self, tmp_path, capsys, at, family):
+        # Theta = 1e30 I at epsilon 1e-300: eps / lambda = 1e-330 underflows, but the exit s = 1e-165 does not.
+        # At the flow equilibrium 0 the candidate keeps no center, and the ray route's s^2 underflows to 0 too.
+        huge, center = tmp_path / "huge_theta.json", tmp_path / "center.json"
+        save_lyapunov(LyapunovCandidate(terms=((1, 1, 1e30 * EYE2),), center=at * EYE2), huge)
+        save_operator(at * EYE2, center)
+        argv = self.readme_certify(7) + ["--epsilon", "1e-300", "--estimate-rate"]  # the last --epsilon wins
+        argv[2], argv[argv.index("--center") + 1] = str(huge), str(center)
+        if not family:
+            del argv[argv.index("--family"):argv.index("--family") + 2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+        # The verdict is not pinned: every V here lies below the absolute tol_strict.
+        assert code in (0, 1), capsys.readouterr().err
 
     @pytest.mark.parametrize("reference", [None, "x0_sigma_z.json"], ids=["default", "given"])
     def test_a_reference_that_is_not_a_state_exits_2_naming_its_flag(self, capsys, reference):
@@ -568,6 +666,14 @@ def test_a_model_whose_norm_overflows_exits_2_naming_its_operator(tmp_path, caps
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_an_internal_check_error_exits_3(self, files, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise InternalCheckError("a re-check failed")
+
+        monkeypatch.setattr(qstab.fileio, "load_model", broken)
+        assert main(["validate", files["model"]]) == 3
+        assert capsys.readouterr().err == "internal error: a re-check failed\n"
 
     def test_unknown_flag(self, files, capsys):
         assert main(["validate", files["model"], "--bogus"]) == 2

@@ -464,6 +464,20 @@ class TestRayCoefficients:
         epsilon = spectral_norm(cand.terms[0][2]) + 1.0
         assert np.all(_ray_exits(cand, np.zeros((3, 3)), rays, epsilon, 1e-9)[0] == np.inf)
 
+    @pytest.mark.parametrize("epsilon, lam", [(1e-300, 1e30), (1e300, 1e-30)], ids=["underflow", "overflow"])
+    def test_a_homogeneous_exit_outside_the_range_of_eps_over_lambda(self, epsilon, lam):
+        # V = lam s^2 D^2: eps / lam is not a normal float, but its square root is.
+        cand = canonicalize(LyapunovCandidate(terms=((1, 1, lam * EYE2),), center=-EYE2))
+        rays = np.stack([NUMBER, SIGMA_Z])
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            exits = _ray_exits(cand, -EYE2, rays, epsilon, 1e-9)[0]
+        np.testing.assert_allclose(exits, np.sqrt(epsilon) / np.sqrt(lam), rtol=4 * np.finfo(float).eps)
+
+    def test_a_homogeneous_exit_inside_the_normal_range_is_the_closed_form(self):
+        cand = canonicalize(LyapunovCandidate(terms=((1, 1, 1e30 * EYE2),), center=-EYE2))
+        exits, (_, lead) = _ray_exits(cand, -EYE2, np.stack([NUMBER, SIGMA_Z]), 1e-200, 1e-9)
+        assert np.array_equal(exits, (1e-200 / lead[:, -1]) ** 0.5)
+
 
 @given(
     dim=st.integers(2, 4),
