@@ -110,6 +110,7 @@ class DirectionFamily:
     Directions are normalized to unit spectral norm and cycled through in
     order; the scalar multiplying a direction is drawn uniformly from
     (scale_min, scale_max], further capped by the level-set constraint.
+    Each is divided by its :func:`spectral_norm` once, at construction.
     """
 
     directions: tuple[np.ndarray, ...]
@@ -132,6 +133,7 @@ class DirectionFamily:
                 raise NonHermitianError(f"directions must be Hermitian, defect {defect:.3e}")
             frozen.append(d)
         object.__setattr__(self, "directions", tuple(frozen))
+        object.__setattr__(self, "_rays", tuple(d / spectral_norm(d) for d in frozen))
 
 
 @dataclass(frozen=True)
@@ -343,13 +345,13 @@ def sample_level_set(
         rays = hermitize((r * np.cos(theta) + 1j * r * np.sin(theta)).reshape(count, dim, dim))
         if traceless:
             rays = rays - (np.trace(rays, axis1=1, axis2=2) / dim)[:, None, None] * np.eye(dim)
+        norms = spectral_norm(rays)
+        if np.any(norms == 0.0):
+            raise SamplingError("degenerate random direction")
+        rays = rays / norms[:, None, None]
     else:
         scale_min, scale_hi = family.scale_min, family.scale_max
-        rays = np.stack(family.directions[:count])
-    norms = spectral_norm(rays)
-    if np.any(norms == 0.0):
-        raise SamplingError("degenerate random direction")
-    rays = rays / norms[:, None, None]
+        rays = np.stack(family._rays[:count])
     if traceless and not ball and np.any(np.abs(np.trace(rays, axis1=1, axis2=2)) > tol):
         raise InvalidStateError("state-picture directions must be traceless to keep unit trace")
     ray_of = np.arange(count) % len(rays)
@@ -367,14 +369,20 @@ def sample_level_set(
     of = ray_of[keep]
     sampled = partial(LevelSetSamples, center, rays, of, scale)
     # V = s^K B_K per ray, the drift linear in V: B_K serves the re-check and each ray's samples, where it has several
-    if b_k is not None and len(rays) < count and _scalar_thetas(cand.terms):
+    on_rays = b_k is not None and len(rays) < count and _scalar_thetas(cand.terms)
+    radius = scale if on_rays else spectral_norm(_offset(cand, center)) + scale  # ||X - C|| <= ||center - C|| + s
+    with np.errstate(over="ignore"):  # a sample past the float range is an input error, not a warning
+        power = radius**cand.degree
+    if not np.isfinite(power).all():
+        name = "radius" if ball else "scale_max"
+        raise ValueError(f"samples leave the float range: lower {name} ({scale_hi:g}) or epsilon ({spec.epsilon:g})")
+    rounding = _rounding(cand, radius)
+    if on_rays:
         from .rays import Rays  # here, not at the top: only such runs compile qstab.rays
 
-        rounding, arrays = _rounding(cand, scale), b_k
-        top, samples = b_k[1][of, -1] * scale**cand.degree, sampled(rays=Rays(*b_k, cand.degree))
+        arrays, top, samples = b_k, b_k[1][of, -1] * power, sampled(rays=Rays(*b_k, cand.degree))
     else:
         x = sampled().x
-        rounding = _rounding(cand, spectral_norm(_offset(cand, center)) + scale)  # ||Y|| <= ||C - center of V|| + s
         v = evaluate(cand, x)
         vals, vecs = np.linalg.eigh(require_hermitian(v, tol=max(tol, 1e-7, rounding.max())))
         top, arrays, samples = vals[:, -1], (v, vals, vecs), sampled(v, (vals, vecs))
@@ -477,9 +485,14 @@ class _Point:
 
     @cached_property
     def v_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """V's ascending eigenvalues and eigenvectors under the sampler's guard; sampled blocks hold the sampler's."""
-        rounding = _rounding(self.cand, spectral_norm(_offset(self.cand, self.x)))
-        return np.linalg.eigh(require_hermitian(self.v, tol=max(self.tol, 1e-7, *rounding)))
+        """V's ascending eigenvalues and eigenvectors under the sampler's guard; sampled blocks hold the sampler's.
+        Where V's Frobenius asymmetry clears half the guard's floor max(tol, 1e-7), no guard raises, so the sampler's
+        bound (an SVD of X - C) is sized only where it does not."""
+        tol = max(self.tol, 1e-7)
+        with np.errstate(over="ignore"):  # an infinite screen sizes the bound
+            if not np.all(np.linalg.norm(self.v - adjoint(self.v), axis=(-2, -1)) <= tol / 2):
+                tol = max(tol, *_rounding(self.cand, spectral_norm(_offset(self.cand, self.x))))
+        return np.linalg.eigh(require_hermitian(self.v, tol=tol))
 
     @cached_property
     def on_support(self) -> np.ndarray:

@@ -28,6 +28,7 @@ All functions are pure and safe for concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -54,7 +55,9 @@ class QsdeModel:
 
     Construction only enforces shape consistency.  Semantic invariants
     (H self-adjoint, S unitary) are checked by :func:`validate`, so invalid
-    triples can be built, inspected and reported on.
+    triples can be built, inspected and reported on.  The stored arrays are
+    read-only, so the spectral and Frobenius norms of H and L (``_norms``)
+    are taken once per model, on first use.
     """
 
     hamiltonian: np.ndarray
@@ -73,6 +76,11 @@ class QsdeModel:
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
+
+    @cached_property
+    def _norms(self) -> tuple[float, float, float, float]:
+        h, l = self.hamiltonian, self.coupling
+        return (*spectral_norm(np.stack([h, l])), np.linalg.norm(h), np.linalg.norm(l))
 
 
 @dataclass(frozen=True)
@@ -227,7 +235,8 @@ def equilibrium_residual(model: QsdeModel, point: np.ndarray, picture: str = "fl
     An equilibrium must annihilate the drift and all three noise
     coefficients; the residual is the max spectral norm over the four, so
     it is zero (within tolerance) iff the point is an equilibrium and
-    otherwise reports the binding violation.
+    otherwise reports the binding violation.  Parts that are exact zeros, as
+    at an equilibrium such as the identity, take no SVD (:func:`spectral_norm`).
     """
     if picture not in ("flow", "state"):
         raise ValueError(f"picture must be 'flow' or 'state', got {picture!r}")

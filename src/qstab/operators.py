@@ -89,8 +89,13 @@ def anticommutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def spectral_norm(x: np.ndarray) -> float | np.ndarray:
-    """Largest singular value; equals max |eigenvalue| for normal matrices."""
-    norms = np.linalg.norm(np.asarray(x), ord=2, axis=(-2, -1))
+    """Largest singular value (max |eigenvalue| for normal matrices), per member ``np.linalg.norm(x, 2)``'s bit for
+    bit: an exact zero (every entry +-0) is 0.0, LAPACK's value for it, without an SVD; every other member takes one."""
+    x = np.asarray(x)
+    nonzero = x.any(axis=(-2, -1))
+    norms = np.zeros(nonzero.shape)
+    if nonzero.any():
+        norms[nonzero] = np.linalg.norm(x[nonzero], ord=2, axis=(-2, -1))
     return float(norms) if norms.ndim == 0 else norms
 
 

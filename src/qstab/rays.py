@@ -35,7 +35,7 @@ import numpy as np
 
 from . import certify
 from .certify import SUPPORT_CUTOFF, _Point, _rounding
-from .operators import adjoint, spectral_norm
+from .operators import adjoint
 
 
 class Rays(NamedTuple):
@@ -73,7 +73,6 @@ class OnRays(_Point):
     unit: _Point | None = None
     lead: np.ndarray | None = None  # B_K's eigenvalues on the rays of ``unit``
     degree: int = 0
-    norms: tuple[float, ...] = ()  # ||H||_2, ||L||_2, ||H||_F, ||L||_F
     shift: float = 0.0
     base: OnRays | None = None
 
@@ -123,7 +122,7 @@ def _band(point: OnRays, name: str) -> np.ndarray:
     if name == "v":
         delta = 4.0 * eps * np.sqrt(cand.dim) * ((0.0 if cand.center is None else abs(cand.center[0, 0])) + s)
         return 2.0 * _rounding(cand, s + delta) + thetas * ((s + delta) ** degree - s**degree)
-    v, power, (h2, l2, hf, lf) = ray_band(point, "v"), s**degree, point.norms
+    v, power, (h2, l2, hf, lf) = ray_band(point, "v"), s**degree, point.model._norms
     rate = point.rate or 0.0
     lipschitz = 2.0 * h2 + 2.0 * l2**2 + rate
     if name == "target":
@@ -149,11 +148,10 @@ def _band(point: OnRays, name: str) -> np.ndarray:
 
 def ray_blocks(samples, point):
     """Per slice of at most ``certify._BLOCK_ENTRIES`` matrix entries or one ray, the rows of the samples on its
-    live rays (where V is somewhere positive, so that it has a support) and an :class:`OnRays` point on them."""
-    rays, model = samples.rays, point.args[0]
-    h, l = model.hamiltonian, model.coupling
-    norms = (*spectral_norm(np.stack([h, l])), np.linalg.norm(h), np.linalg.norm(l))
-    on_rays = partial(OnRays, *point.args, **point.keywords, degree=rays.degree, norms=norms)
+    live rays (where V is somewhere positive, so that it has a support) and an :class:`OnRays` point on them.
+    The bands read the model's norms of H and L, taken once per model object."""
+    rays = samples.rays
+    on_rays = partial(OnRays, *point.args, **point.keywords, degree=rays.degree)
     index = np.full(len(rays.lead), -1)
     step = max(1, certify._BLOCK_ENTRIES // rays.lead[0].size**2)
     for i in range(0, len(rays.lead), step):

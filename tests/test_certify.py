@@ -158,6 +158,15 @@ class TestSampleLevelSet:
             assert abs(part.mean()) <= 5.0 / np.sqrt(z.size)
             assert abs(part.var() - 1.0) <= 5.0 * np.sqrt(2.0 / z.size)
 
+    def test_family_rays_are_each_direction_over_its_spectral_norm(self):
+        rng = np.random.default_rng(4)
+        directions = tuple(random_hermitian(rng, 4) * 10.0**k for k in (-3, 0, 5))
+        cand = canonicalize(LyapunovCandidate(terms=((1, 1, np.eye(4)),)))
+        samples = sample_level_set(cand, np.zeros((4, 4)), LevelSetSpec(1.0, 8, 2, DirectionFamily(directions)))
+        assert len(samples.directions) == len(directions)
+        for d, ray in zip(directions, samples.directions):
+            assert np.array_equal(ray, d / spectral_norm(d))
+
     def test_traceless_sampling_keeps_trace(self):
         cand = canonicalize(LyapunovCandidate(terms=((1, 1, EYE2),), center=EYE2 / 2))
         spec = LevelSetSpec(epsilon=0.5, sample_count=10, seed=5)
@@ -1787,3 +1796,48 @@ def test_the_readme_check_at_epsilon_1e_300_is_the_per_sample_routes_with_no_war
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert_matches_reference(model, cand, center, spec, mode, param)
+
+
+class TestNoSvdInARepeatedCheck:
+    """The model's and the family's norms are taken once per object, an exact zero takes no SVD, and V's guard
+    sizes its bound only where V's asymmetry is not cleared by the guard's floor."""
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        linalg = getattr(np.linalg, "_linalg", None) or np.linalg.linalg  # where np.linalg.norm finds svd
+        for module in {np.linalg, linalg}:
+            monkeypatch.setattr(module, "svd", lambda *a, **k: calls.append(np.shape(a[0])) or svd(*a, **k))
+        return calls
+
+    def test_a_second_check_and_rate_on_the_same_model_and_family_take_no_svd(self, svd_calls):
+        model, cand, _, spec = oscillator_ray_spec(32)
+        for calls in ([(2, 8, 8)], []):  # ||H||_2 and ||L||_2, on the model's first ray route
+            svd_calls.clear()
+            assert check_exponential(model, cand, -np.eye(8), spec, 0.5).passed
+            assert estimate_max_rate(model, cand, -np.eye(8), spec).rate == pytest.approx(1.0, abs=1e-6)
+            assert svd_calls == calls
+
+    def test_a_ball_check_takes_one_svd_per_sampling_call(self, svd_calls, damping_model, damping_candidate):
+        spec = LevelSetSpec(0.5, 64, 5, HermitianBall(1.0))
+        cert = check_exponential(damping_model, damping_candidate, -EYE2, spec, 0.5)
+        estimate_max_rate(damping_model, damping_candidate, -EYE2, spec)
+        recheck_witness(damping_model, damping_candidate, cert)
+        assert svd_calls == [(64, 2, 2)] * 2  # the ball's ray normalization
+
+
+@pytest.mark.parametrize(
+    "family, name",
+    [(DirectionFamily((NUMBER,), scale_max=1e300), "scale_max"), (HermitianBall(1e300), "radius")],
+    ids=["family", "ball"],
+)
+def test_samples_past_the_float_range_are_an_input_error_with_no_warning(damping_model, family, name):
+    """Theta = 1e-300 I at epsilon 1e10 caps the scale near 1e155, where s^2 overflows; the family's samples
+    share one ray (the ray route), the ball's do not."""
+    cand = LyapunovCandidate(terms=((1, 1, 1e-300 * EYE2),), center=-EYE2)
+    message = rf"^samples leave the float range: lower {name} \(1e\+300\) or epsilon \(1e\+10\)$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            check_local(damping_model, cand, -EYE2, LevelSetSpec(1e10, 16, 7, family))

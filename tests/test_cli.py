@@ -15,6 +15,7 @@ import qstab.certify
 import qstab.cli
 import qstab.fileio
 from qstab import (
+    DirectionFamily,
     InternalCheckError,
     LyapunovCandidate,
     QsdeModel,
@@ -33,6 +34,7 @@ from qstab.fileio import (
     load_lyapunov,
     load_model,
     load_operator,
+    save_direction_family,
     save_lyapunov,
     save_model,
     save_operator,
@@ -365,6 +367,21 @@ class TestCertifyCommand:
             code = main(argv)
         # The verdict is not pinned: every V here lies below the absolute tol_strict.
         assert code in (0, 1), capsys.readouterr().err
+
+    def test_samples_past_the_float_range_exit_2_naming_scale_max_and_epsilon(self, tmp_path, capsys):
+        # Theta = 1e-300 I at epsilon 1e10 on diag(1, 0) up to 1e300: the cap is near 1e155, where s^2 overflows.
+        tiny, family = tmp_path / "tiny_theta.json", tmp_path / "far_family.json"
+        save_lyapunov(LyapunovCandidate(terms=((1, 1, 1e-300 * EYE2),), center=-EYE2), tiny)
+        save_direction_family(DirectionFamily((NUMBER,), scale_max=1e300), family)
+        center = str(DEMO_FILES / "center.json")
+        argv = ["certify", str(DEMO_FILES / "damping_model.json"), str(tiny), "--center", center]
+        argv += ["--mode", "local", "--epsilon", "1e10", "--samples", "16", "--seed", "7", "--family", str(family)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: samples leave the float range: ")
+        assert err.endswith("lower scale_max (1e+300) or epsilon (1e+10)\n")
 
     @pytest.mark.parametrize("reference", [None, "x0_sigma_z.json"], ids=["default", "given"])
     def test_a_reference_that_is_not_a_state_exits_2_naming_its_flag(self, capsys, reference):

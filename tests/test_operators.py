@@ -212,6 +212,38 @@ def test_norm_above_takes_the_svd_where_the_frobenius_screen_overflows(tol):
     assert norm_above(x[0], tol) == spectral_norm(x[0]) == 2e200
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 5),
+    kinds=st.lists(st.sampled_from(["random", "zero", "negative zero", "nan"]), min_size=1, max_size=6),
+)
+@settings(max_examples=200)
+def test_spectral_norm_is_the_svd_norm_bit_for_bit(seed, dim, kinds):
+    """An exact zero takes no SVD and keeps LAPACK's 0.0; every member, and a single matrix as a float, has the
+    bits of np.linalg.norm(x, 2), and a NaN member raises the same error."""
+    rng = np.random.default_rng(seed)
+    members = {"random": lambda: random_complex(rng, dim), "zero": lambda: np.zeros((dim, dim), complex),
+               "negative zero": lambda: np.full((dim, dim), complex(-0.0, -0.0)),
+               "nan": lambda: np.where(np.eye(dim, k=dim - 1) > 0, np.nan, random_complex(rng, dim))}
+    x = np.stack([members[kind]() for kind in kinds])
+    for arg in (x, x[0]):
+        got, exact = _outcome(spectral_norm, arg), _outcome(lambda a: np.linalg.norm(a, 2, axis=(-2, -1)), arg)
+        if isinstance(exact, type):
+            assert got is exact
+            continue
+        assert type(got) is (float if arg.ndim == 2 else np.ndarray)
+        assert np.asarray(got).tobytes() == exact.tobytes()
+
+
+def test_an_exact_zero_takes_no_svd(monkeypatch):
+    calls, svd = [], np.linalg.svd
+    linalg = getattr(np.linalg, "_linalg", None) or np.linalg.linalg  # where np.linalg.norm finds svd
+    monkeypatch.setattr(linalg, "svd", lambda a, *args, **kw: calls.append(np.shape(a)) or svd(a, *args, **kw))
+    assert spectral_norm(np.zeros((3, 3))) == 0.0 and calls == []
+    assert np.array_equal(spectral_norm(np.stack([-0.0 * SIGMA_X, SIGMA_Z, 0.0 * SIGMA_Z])), [0.0, 1.0, 0.0])
+    assert calls == [(1, 2, 2)]
+
+
 class TestStacks:
     """On an (N, d, d) stack each function equals its per-matrix result bit for bit."""
 
