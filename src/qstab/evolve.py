@@ -18,9 +18,12 @@ construction and is rejected rather than approximated.
 
 Every ancilla meets the system exactly once, so the chain is a sequentially
 generated matrix-product state of bond dimension d and each ancilla is
-traced out as soon as its collision ends: the simulation carries one pair
-state of d^4 entries per distinct candidate coefficient, each step costs
-O((levels+1)^2 d^5) for each of them, and a run grows linearly in steps.
+traced out as soon as its collision ends.  The simulation steps the reduced
+state at O((levels+1) d^3) per step; since the flow is a *-homomorphism,
+the terms whose coefficient is a multiple of the identity are read from it
+like an observable.  Only a non-scalar coefficient carries a pair state of
+d^4 entries, at O((levels+1)^2 d^5) per step, and a run grows linearly in
+steps.
 An independent oracle integrates the reduced master equation
 
     d rho / dt = -i[H, rho] + L rho L† - (1/2){L†L, rho}
@@ -28,8 +31,9 @@ An independent oracle integrates the reduced master equation
 by stepping the vectorized state with one propagator exp(L h) per run of evenly spaced
 grid times, found by a vectorized test, so a uniform grid costs one matrix exponential.
 That exponential is a scaling-and-squaring Pade method on numpy alone (:mod:`qstab._expm`).
-It checks the density-matrix invariants once on the stacked states, Hermiticity by the
-Frobenius bound, and shares no error source with the collision model.  Helper checks
+It checks the density-matrix invariants once on the stacked states, within a rounding bound
+that grows with the steps, and shares no error source with the collision model.  Both
+engines read E[V] and the observables from their stack of states in one product.  Helper checks
 compare the two routes, reproduce the quantum Ito multiplication table on a vacuum
 ancilla, and test expectation trajectories against decay envelopes and transit-time bounds.
 
@@ -52,7 +56,7 @@ from .errors import (
 )
 from .fock import ladder_operators, vacuum_vector
 from .lyapunov import _ITO_ROUTES, LyapunovCandidate, _is_scalar_matrix, _ito_coefficients, _offset, _powers
-from .lyapunov import canonicalize, evaluate
+from .lyapunov import _scalar_thetas, canonicalize, evaluate
 from .models import QsdeModel, require_model_dim, validate
 from .operators import (
     DEFAULT_TOL,
@@ -112,8 +116,9 @@ def _kron(a, b):  # np.kron's own products a[i, k] * b[j, l], without its generi
 def collision_step_unitary(model: QsdeModel, dt: float, ancilla_levels: int = 1) -> np.ndarray:
     """One system (x) ancilla collision unitary exp(-iH dt + sqrt(dt) coupling).
 
-    Requires trivial scattering (||S - I|| <= DEFAULT_TOL); the result is
-    verified unitary to 1e-12.
+    Requires trivial scattering (||S - I|| <= DEFAULT_TOL) and a ``dt`` whose
+    products with ||H||_F and ||L||_F^2 are finite; the result is verified
+    unitary to 1e-12.
     """
     validate(model)
     if norm_above(model.scattering - np.eye(model.dim), DEFAULT_TOL) > DEFAULT_TOL:
@@ -121,6 +126,10 @@ def collision_step_unitary(model: QsdeModel, dt: float, ancilla_levels: int = 1)
             "the collision simulator supports S = I only; nontrivial scattering is not discretized"
         )
     require_positive(dt, "dt")
+    h_norm, l_norm = np.linalg.norm(model.hamiltonian), np.linalg.norm(model.coupling)  # Frobenius: no SVD
+    with np.errstate(over="ignore"):  # a step past the float range is an input error, not a warning
+        if not (np.isfinite(dt * h_norm) and np.isfinite(dt * l_norm * l_norm)):
+            raise ValueError(f"dt must give finite dt ||H||_F and dt ||L||_F^2, got {dt!r}")
     a, a_dag, _ = ladder_operators(ancilla_levels)
     anc_eye = np.eye(ancilla_levels + 1)
     exponent = _kron(-1j * model.hamiltonian * dt, anc_eye) + np.sqrt(dt) * (
@@ -151,73 +160,94 @@ def simulate_flow_expectation(
     exactly once, so it is traced out as soon as its collision ends and
     nothing grows with k.
 
-    With E_ab = <a|U_step|b> the system blocks of the step unitary, each
-    distinct Theta carries a pair state W of d^4 entries, started at
-    W_0 = Theta (x) rho0 and advanced by the recursion
+    With E_ab = <a|U_step|b> the system blocks of the step unitary, the loop
+    steps the reduced state rho -> sum_a E_a0 rho E_a0†, at O((levels+1) d^3)
+    per step.  The flow is a *-homomorphism, so a term whose Theta is exactly
+    Theta[0,0] I reads f(Y^n) Theta f(Y^m) = f(Theta Y^(n+m)), Y = x0 - center
+    (the step fixes a scalar center): these terms sum into one operator V_s(x0)
+    that is read from the reduced states like an observable.  Each distinct
+    non-scalar Theta carries a pair state W of d^4 entries in the same loop,
+    started at W_0 = Theta (x) rho0 and advanced by the recursion
 
         W'[P,Q,R,S] = sum_abc E_ac[P,p] W[p,q,r,s] conj(E_bc[Q,q])
                               E_b0[R,r] conj(E_a0[S,s]),
 
-    and a term reads sum Y^n[s,p] W_k[p,q,r,s] Y^m[q,r], Y = x0 - center (the
-    step fixes a scalar center).  Constant, one-sided and two-sided terms all
-    take this one path, and terms that share a Theta share one W.  The
-    contraction is factored pairwise, so a step costs O((levels+1)^2 d^5) for
-    each distinct Theta and a run costs that times the number of steps.  The
-    k = 0 value is the expectation of V(x0) in the initial state.
+    and its terms read sum Y^n[s,p] W_k[p,q,r,s] Y^m[q,r].  Terms that share
+    a Theta share one W, and the contraction is factored pairwise, so a step
+    costs O((levels+1)^2 d^5) for each of them; a candidate with scalar Theta
+    only forms no d^4 array.  A run costs the step cost times the number of
+    steps.  The k = 0 value is the expectation of V(x0) in the initial state.
 
     ``observables`` maps names to system operators whose flowed
     expectations are recorded alongside E[V]; they are read from the
-    reduced state, advanced by rho -> sum_a E_a0 rho E_a0†.
+    reduced states.
     """
     require_model_dim(model, **{"system state": system_state}, candidate=candidate, x0=x0)
     cand = canonicalize(candidate)
     x0 = np.asarray(x0, dtype=complex)
-    rho = system_state.rho
 
     dim, width = model.dim, config.ancilla_levels + 1
     u_step = collision_step_unitary(model, config.dt, config.ancilla_levels)
     blocks = u_step.reshape(dim, width, dim, width).transpose(1, 3, 0, 2)  # blocks[a, b] = E_ab
     kraus = blocks[:, 0]
 
-    powers = _powers(_offset(cand, x0), cand.terms)
-    thetas: list[np.ndarray] = []
-    readout: list[np.ndarray] = []  # per distinct Theta, the sum of Y^n[s,p] Y^m[q,r] over its terms
-    for n, m, theta in cand.terms:
-        i = next((i for i, t in enumerate(thetas) if np.array_equal(t, theta)), len(thetas))
-        if i == len(thetas):
-            thetas.append(theta)
-            readout.append(np.zeros((dim,) * 4, dtype=complex))
-        readout[i] += np.einsum("sp,qr->pqrs", powers[n][0], powers[m][0])
-    readout_flat = np.array(readout).reshape(-1)
-    pairs = np.einsum("tpq,rs->tpqrs", np.array(thetas), rho)
+    scalar, paired = [], []
+    for term in cand.terms:
+        (scalar if _scalar_thetas([term]) else paired).append(term)
+    v_scalar = [evaluate(LyapunovCandidate(tuple(scalar), cand.center), x0)] if scalar else []  # V_s(x0)
+    if paired:
+        powers = _powers(_offset(cand, x0), paired)
+        thetas: list[np.ndarray] = []
+        readout: list[np.ndarray] = []  # per distinct Theta, the sum of Y^n[s,p] Y^m[q,r] over its terms
+        for n, m, theta in paired:
+            i = next((i for i, t in enumerate(thetas) if np.array_equal(t, theta)), len(thetas))
+            if i == len(thetas):
+                thetas.append(theta)
+                readout.append(np.zeros((dim,) * 4, dtype=complex))
+            readout[i] += np.einsum("sp,qr->pqrs", powers[n][0], powers[m][0])
+        readout_flat = np.array(readout).reshape(-1)
+        pairs = np.einsum("tpq,rs->tpqrs", np.array(thetas), system_state.rho)
 
-    # One pairwise contraction per factor, each O(width^2 d^5) per Theta, as np.tensordot computes it: w, its free
-    # axes first, times the factor's matrix, summed axes first, formed here once.  Comments: the axes of the new w.
-    factors = [
-        ((0, 1, 2, 4, 3), kraus.transpose(2, 0, 1).reshape(dim, -1)),  # t p q s b R
-        ((0, 1, 3, 5, 2, 4), blocks.conj().transpose(3, 0, 1, 2).reshape(dim * width, -1)),  # t p s R c Q
-        ((0, 2, 3, 5, 1, 4), blocks.transpose(3, 1, 0, 2).reshape(dim * width, -1)),  # t s R Q a P
-        ((0, 2, 3, 5, 1, 4), kraus.conj().transpose(2, 0, 1).reshape(dim * width, -1)),  # t R Q P 1 S
-    ]
-    observables = dict(observables or {})
-    v_vals, obs_vals = [], {name: [] for name in observables}
-    for k in range(config.steps + 1):
-        if k:
+        # One pairwise contraction per factor, each O(width^2 d^5) per Theta, as np.tensordot computes it: w, its
+        # free axes first, times the factor's matrix, summed axes first, formed here once.  Comments: the axes of
+        # the new w.
+        factors = [
+            ((0, 1, 2, 4, 3), kraus.transpose(2, 0, 1).reshape(dim, -1)),  # t p q s b R
+            ((0, 1, 3, 5, 2, 4), blocks.conj().transpose(3, 0, 1, 2).reshape(dim * width, -1)),  # t p s R c Q
+            ((0, 2, 3, 5, 1, 4), blocks.transpose(3, 1, 0, 2).reshape(dim * width, -1)),  # t s R Q a P
+            ((0, 2, 3, 5, 1, 4), kraus.conj().transpose(2, 0, 1).reshape(dim * width, -1)),  # t R Q P 1 S
+        ]
+        pair_vals = [(readout_flat @ pairs.reshape(-1)).real]
+    kraus_dag = adjoint(kraus)
+    rhos = np.empty((config.steps + 1, dim, dim), dtype=complex)
+    rhos[0] = system_state.rho
+    for k in range(1, config.steps + 1):
+        np.matmul(kraus @ rhos[k - 1], kraus_dag).sum(axis=0, out=rhos[k])
+        if paired:
             w = pairs
             for axes, mat in factors:
                 w = np.dot(w.transpose(axes).reshape(-1, len(mat)), mat).reshape(len(pairs), dim, dim, dim, -1, dim)
             pairs = w[:, :, :, :, 0].transpose(0, 3, 2, 1, 4)
-            rho = sum(e @ rho @ adjoint(e) for e in kraus)
-        v_vals.append((readout_flat @ pairs.reshape(-1)).real)
-        for name, op in observables.items():
-            obs_vals[name].append(np.trace(op @ rho).real)
+            pair_vals.append((readout_flat @ pairs.reshape(-1)).real)
 
+    observables = dict(observables or {})
+    reads = _traces(rhos, [*v_scalar, *observables.values()])
+    parts = ([np.array(pair_vals)] if paired else []) + list(reads[: len(v_scalar)])
     return Trajectory(
         times=config.dt * np.arange(config.steps + 1),
-        v_expect=np.array(v_vals),
+        v_expect=np.sum(parts, axis=0),
         method="collision",
-        obs_expect={k: np.array(v) for k, v in obs_vals.items()} or None,
+        obs_expect=dict(zip(observables, reads[len(v_scalar):])) or None,
     )
+
+
+def _traces(states: np.ndarray, ops) -> np.ndarray:
+    """Re Tr(rho X) for each operator X of ``ops`` (rows) and each state rho of a (T, d, d) stack (columns).
+
+    Tr(rho X) = sum_ij rho_ij X_ji, so this is one product of the stacked vec(X^T) with the flattened stack.
+    """
+    d = states.shape[-1]
+    return (np.reshape(ops, (-1, d, d)).transpose(0, 2, 1).reshape(-1, d * d) @ states.reshape(-1, d * d).T).real
 
 
 def liouvillian_matrix(model: QsdeModel) -> np.ndarray:
@@ -240,11 +270,21 @@ def master_evolve(model: QsdeModel, rho0: QuantumState, t_grid) -> np.ndarray:
     ``P = expm(L h)`` steps each state to the next grid time and is kept while
     ``|t_k - (t_j + (k - j) h)| <= 4 ulp(t_k)`` from its anchor ``t_j``, a test evaluated on the grid as an
     array; otherwise ``h = t_k - t_(k-1)`` and ``P`` are taken afresh.  Every state thus sits within rounding
-    of its grid time, with no drift over k, and a uniform grid costs one ``expm``.  Hermiticity, positivity
-    (to 1e-10) and unit trace (to 1e-12) are checked once on the stack; a failure names its grid index and
-    time.  The Liouvillian is not normal, so ``P`` comes from a general matrix exponential,
-    :func:`qstab._expm.expm`, imported here so that processes that never run the oracle compile none of it.
-    A step so long that ``L h`` overflows gives a non-finite ``P`` and so an :class:`InvalidStateError`.
+    of its grid time, with no drift over k, and a uniform grid costs one ``expm``.  Hermiticity, positivity and
+    unit trace are checked once on the stack; a failure names its grid index and time.  The Liouvillian is not
+    normal, so ``P`` comes from a general matrix exponential, :func:`qstab._expm.expm`, imported here so that
+    processes that never run the oracle compile none of it.  A step so long that ``L h`` overflows gives a
+    non-finite ``P`` and so an :class:`InvalidStateError`.
+
+    State k is checked against the rounding bound ``b_k = 8 u sum_(j <= k) (d^2 + ||L h_j||_1)``, with u = 2^-52
+    and h_j the step that made state j: unit trace within ``max(1e-12, b_k)``, Hermiticity and positivity within
+    ``max(1e-10, b_k)``.  The exact ``P`` keeps the trace (1^T L = 0 for 1 = vec(I)), commutes with the adjoint
+    and contracts the trace norm, so it passes the error of each earlier step on without growth: the errors of
+    the steps add up.  One step errs by ``P``'s own error and the product's rounding.  The first grows with the
+    ``2^s ~ ||L h||_1`` squarings of scaling and squaring, each of which doubles the error it is given; the
+    second is bounded by u d^2 |P| |v|, from the length-d^2 inner products of the product.  Over 450 random
+    models (d = 2-5, ||H||, ||L|| in [1e-2, 10^1.5]) and six grids up to ``[0, 1e3, 1e6]``, the trace error and
+    the Hermiticity defect stayed below 0.53 u and 0.84 u of that sum, about a tenth of ``b_k``.
     """
     from ._expm import expm
 
@@ -255,7 +295,9 @@ def master_evolve(model: QsdeModel, rho0: QuantumState, t_grid) -> np.ndarray:
         raise ValueError("t_grid must be a nonempty 1-D grid of finite times increasing strictly from 0")
     validate(model)
     liouville = liouvillian_matrix(model)
+    norm1 = np.abs(liouville).sum(axis=0).max()  # ||L||_1, the largest column sum
     vecs = np.empty((t_grid.size, model.dim**2), dtype=complex)
+    moves = np.zeros(t_grid.size)  # per state, the bound on its step's error, in units of 8 u
     vecs[0], k = rho0.rho.reshape(-1), 1
     while k < t_grid.size:  # P anchored at t_(k-1) serves t_k and the later times up to the first failing the test
         anchor, h, end, ok = k - 1, t_grid[k] - t_grid[k - 1], k + 1, True
@@ -266,11 +308,14 @@ def master_evolve(model: QsdeModel, rho0: QuantumState, t_grid) -> np.ndarray:
             end += ks.size if ok else int(np.argmin(held))
         with np.errstate(over="ignore"):
             step = expm(liouville * h)
+            moves[k:end] = model.dim**2 + norm1 * h
         for i in range(k, end):
-            np.matmul(step, vecs[i - 1], out=vecs[i])
+            step.dot(vecs[i - 1], out=vecs[i])
         k = end
     states = vecs.reshape(-1, model.dim, model.dim)
-    require_density(states, tol_herm=1e-10, tol_psd=1e-10, tol_trace=1e-12, times=t_grid)
+    bound = 8 * np.finfo(float).eps * np.cumsum(moves)
+    tol = np.maximum(1e-10, bound)
+    require_density(states, tol_herm=tol, tol_psd=tol, tol_trace=np.maximum(1e-12, bound), times=t_grid)
     return states
 
 
@@ -303,8 +348,9 @@ def master_flow_expectation(
             )
     v0 = evaluate(cand, np.asarray(x0, dtype=complex))
     states = master_evolve(model, system_state, t_grid)
-    obs = {name: expectation(states, op).real for name, op in (observables or {}).items()} or None
-    v_vals = expectation(states, v0).real
+    observables = observables or {}
+    v_vals, *obs_vals = _traces(states, [v0, *observables.values()])
+    obs = dict(zip(observables, obs_vals)) or None
     return Trajectory(times=np.asarray(t_grid, dtype=float), v_expect=v_vals, method="master", obs_expect=obs)
 
 

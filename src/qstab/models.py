@@ -131,12 +131,19 @@ def diagnose(model: QsdeModel, tol: float = DEFAULT_TOL) -> ModelDiagnostics:
 def validate(model: QsdeModel, tol: float = DEFAULT_TOL) -> None:
     """Raise unless H is self-adjoint and S unitary within ``tol``; defects cleared by their Frobenius bound.
 
+    Passing is monotone in ``tol``: the Frobenius screen at ``tol/2`` and the spectral test at ``tol`` both
+    loosen as it grows.  So the model records the smallest ``tol`` at which it passed, and a later call at a
+    ``tol`` no smaller returns at once; a failing model records nothing.  The stored arrays are read-only, so the
+    record cannot go stale.
+
     Raises
     ------
     InvalidModelError
         Naming H or L where its ||X||_F^2 overflows, else each violated invariant (:func:`diagnose`).
     """
     require_positive(tol, "tol")
+    if tol >= vars(model).get("_valid_at", np.inf):
+        return
     h, l, s, eye = model.hamiltonian, model.coupling, model.scattering, np.eye(model.dim)
     with np.errstate(over="ignore"):  # a norm past the float range is an input error, not a warning
         for name, x in (("H", h), ("L", l)):
@@ -144,6 +151,7 @@ def validate(model: QsdeModel, tol: float = DEFAULT_TOL) -> None:
                 raise InvalidModelError(f"{name} is too large: ||{name}||_F^2 overflows")
     if np.max(norm_above(np.stack([h - adjoint(h), adjoint(s) @ s - eye, s @ adjoint(s) - eye]), tol)) > tol:
         raise InvalidModelError("; ".join(diagnose(model, tol=tol).failures))
+    object.__setattr__(model, "_valid_at", tol)
 
 
 def require_model_dim(model: QsdeModel, **inputs) -> None:

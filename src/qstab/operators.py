@@ -138,11 +138,12 @@ def hermitian_eigenvalues(x: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray
     return np.linalg.eigvalsh(require_hermitian(x, tol))
 
 
-def require_density(rho, tol_herm: float, tol_psd: float, tol_trace: float, times=None) -> None:
+def require_density(rho, tol_herm, tol_psd, tol_trace, times=None) -> None:
     """Raise :class:`InvalidStateError` unless ``rho`` is a density matrix or an ``(N, d, d)`` stack of them.
 
     Members must be finite, Hermitian within ``tol_herm``, ``>= -tol_psd`` and of unit trace within
-    ``tol_trace``.  For a stack the message names the first failing member's index and, given ``times``, time.
+    ``tol_trace``; each tolerance is a number or one per member.  For a stack the message names the first
+    failing member's index and, given ``times``, time.
     """
     stack = np.reshape(rho, (-1,) + np.shape(rho)[-2:])
     finite = np.isfinite(stack).all(axis=(1, 2))
@@ -154,6 +155,7 @@ def require_density(rho, tol_herm: float, tol_psd: float, tol_trace: float, time
     if not bad.any():
         return
     i = int(np.argmax(bad))
+    tol_herm, tol_psd = (np.broadcast_to(tol, bad.shape)[i] for tol in (tol_herm, tol_psd))
     who = "state" if np.ndim(rho) == 2 else f"state {i}" + ("" if times is None else f" at t = {times[i]:g}")
     if not finite[i]:
         raise InvalidStateError(f"{who} has non-finite entries")

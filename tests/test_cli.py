@@ -736,6 +736,16 @@ def test_readme_master_simulate_runs_with_scipy_blocked(tmp_path, capsys):
     assert blocked.read_bytes() == normal.read_bytes()
 
 
+def test_a_collision_step_past_the_float_range_is_an_input_error(tmp_path, capsys):
+    """With H = 1e10 sigma_z and L = 1e10 sigma_-, dt = 1e300 overflows dt ||H||: exit 2 naming dt, no warning."""
+    path = tmp_path / "model.json"
+    save_model(QsdeModel(hamiltonian=1e10 * SIGMA_Z, coupling=1e10 * SIGMA_MINUS), path)
+    argv = demo_argv("simulate", {"damping_model.json": path})
+    argv[argv.index("--dt") + 1] = "1e300"
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: dt must give finite dt ||H||_F and dt ||L||_F^2, got 1e+300\n")
+
+
 @pytest.mark.parametrize("dt", ["1e-300", "1e30", "1e300"])
 @pytest.mark.parametrize("model", ["demo", "random-qutrit"])
 def test_master_simulate_at_extreme_steps_is_never_an_internal_error(tmp_path, capsys, model, dt):

@@ -1,6 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qstab._expm
 import qstab.evolve
@@ -16,8 +20,10 @@ from qstab import (
     Trajectory,
     UnsupportedScatteringError,
     adjoint,
+    canonicalize,
     collision_step_unitary,
     envelope_check,
+    evaluate,
     exit_time_estimate,
     finite_difference_drift_check,
     flow_ito_coefficients,
@@ -104,6 +110,13 @@ class TestCollisionStepUnitary:
         r1, r2 = residual(1e-2), residual(5e-3)
         assert r1 <= 1e-3
         assert r1 / r2 == pytest.approx(4.0, rel=0.2)
+
+    @pytest.mark.parametrize("h, l, dt", [(1e10, 1.0, 1e300), (1.0, 1e10, 1e290)])
+    def test_a_dt_whose_products_with_the_model_overflow_is_rejected_naming_it(self, h, l, dt):
+        model = QsdeModel(hamiltonian=h * SIGMA_Z, coupling=l * SIGMA_MINUS)  # dt ||H|| or dt ||L||^2 is 1e310
+        with pytest.raises(ValueError, match=r"^dt must give finite dt \|\|H\|\|_F and dt \|\|L\|\|_F\^2, got 1e\+"):
+            collision_step_unitary(model, dt)
+        collision_step_unitary(model, dt / 1e3)  # a step just inside the float range is computed
 
     def test_scattering_rejected(self):
         model = QsdeModel(hamiltonian=np.zeros((2, 2)), coupling=SIGMA_MINUS, scattering=SIGMA_X)
@@ -242,20 +255,32 @@ class TestAgainstReferenceChain:
             assert np.max(np.abs(traj.obs_expect[name] - obs_ref[name])) <= 1e-12
         assert np.max(np.abs(np.diff(v_ref))) > 1e-3  # the dynamics is not trivial
 
+    def test_scalar_and_nonscalar_terms_together(self):
+        rng = np.random.default_rng(304)
+        model = QsdeModel(hamiltonian=random_hermitian(rng, 3), coupling=random_complex(rng, 3))
+        sandwich, x0 = random_hermitian(rng, 3), random_hermitian(rng, 3)
+        cand = LyapunovCandidate(terms=((1, 1, sandwich), (2, 0, 0.6 * np.eye(3)), (0, 2, 0.6 * np.eye(3)),
+                                        (0, 0, -0.4 * np.eye(3))))
+        psi0 = rng.normal(size=3) + 1j * rng.normal(size=3)
+        psi0 = psi0 / np.linalg.norm(psi0)
+        traj = simulate_flow_expectation(
+            model, cand, x0, QuantumState.from_vector(psi0), CollisionConfig(dt=0.05, steps=6, ancilla_levels=2)
+        )
+        v_ref, _ = reference_chain(model, cand, x0, psi0, 0.05, 6, 2, {})
+        assert np.max(np.abs(traj.v_expect - v_ref)) <= 1e-12
+        assert np.max(np.abs(np.diff(v_ref))) > 1e-3  # the dynamics is not trivial
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("levels", [1, 2, 3])
-def test_pair_states_equal_the_tensordot_recursion_bit_for_bit(dim, levels):
-    """The contraction runs np.tensordot's own products with each factor's matrix formed once: the same bits."""
-    rng = np.random.default_rng(400 + 10 * dim + levels)
-    model = QsdeModel(hamiltonian=random_hermitian(rng, dim), coupling=random_complex(rng, dim))
-    theta, x0, rho0 = random_hermitian(rng, dim), random_hermitian(rng, dim) + 0j, random_density(rng, dim)
-    config = CollisionConfig(dt=0.02, steps=6, ancilla_levels=levels)
-    traj = simulate_flow_expectation(model, LyapunovCandidate(terms=((1, 1, theta),)), x0, QuantumState(rho0), config)
-    width = levels + 1
-    blocks = collision_step_unitary(model, 0.02, levels).reshape(dim, width, dim, width).transpose(1, 3, 0, 2)
-    kraus, pairs = blocks[:, 0], np.einsum("tpq,rs->tpqrs", theta[None] + 0j, rho0)
-    readout = (np.zeros((dim,) * 4, dtype=complex) + np.einsum("sp,qr->pqrs", x0, x0)).reshape(-1)
+
+def tensordot_pair_values(model, terms, y, rho0, config):
+    """E[V] per step from one pair state per term, each advanced by np.tensordot: the pair-state reference.
+
+    A term (n, m, Theta) reads sum Y^n[s,p] W_k[p,q,r,s] Y^m[q,r] from W_0 = Theta (x) rho0."""
+    dim, width, dt, levels = model.dim, config.ancilla_levels + 1, config.dt, config.ancilla_levels
+    blocks = collision_step_unitary(model, dt, levels).reshape(dim, width, dim, width).transpose(1, 3, 0, 2)
+    kraus, pairs = blocks[:, 0], np.einsum("tpq,rs->tpqrs", np.array([t for *_, t in terms]) + 0j, rho0)
+    power = np.linalg.matrix_power
+    readout = np.array([np.zeros((dim,) * 4, dtype=complex) + np.einsum("sp,qr->pqrs", power(y, n), power(y, m))
+                        for n, m, _ in terms]).reshape(-1)
     values = [(readout @ pairs.reshape(-1)).real]
     for _ in range(config.steps):
         w = np.tensordot(pairs, kraus, axes=([3], [2]))
@@ -263,7 +288,86 @@ def test_pair_states_equal_the_tensordot_recursion_bit_for_bit(dim, levels):
         w = np.tensordot(w, blocks, axes=([1, 4], [3, 1]))
         pairs = np.tensordot(w, kraus.conj(), axes=([1, 4], [2, 0])).transpose(0, 3, 2, 1, 4)
         values.append((readout @ pairs.reshape(-1)).real)
-    assert traj.v_expect.tobytes() == np.array(values).tobytes()
+    return np.array(values)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_pair_states_equal_the_tensordot_recursion_bit_for_bit(dim, levels):
+    """A non-scalar Theta's contraction runs np.tensordot's own products, each factor formed once: the same bits."""
+    rng = np.random.default_rng(400 + 10 * dim + levels)
+    model = QsdeModel(hamiltonian=random_hermitian(rng, dim), coupling=random_complex(rng, dim))
+    theta, x0, rho0 = random_hermitian(rng, dim), random_hermitian(rng, dim) + 0j, random_density(rng, dim)
+    config = CollisionConfig(dt=0.02, steps=6, ancilla_levels=levels)
+    traj = simulate_flow_expectation(model, LyapunovCandidate(terms=((1, 1, theta),)), x0, QuantumState(rho0), config)
+    assert traj.v_expect.tobytes() == tensordot_pair_values(model, ((1, 1, theta),), x0, rho0, config).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_scalar_theta_terms_equal_a_kraus_loop_bit_for_bit(dim, levels):
+    """Scalar-Theta terms sum into V_s(x0), read as Tr(rho_k V_s) from the states that a plain Kraus loop steps.
+
+    A 1 x 1 Theta is always scalar, so at dim = 1 every candidate takes this route."""
+    rng = np.random.default_rng(400 + 10 * dim + levels)
+    model = QsdeModel(hamiltonian=random_hermitian(rng, dim), coupling=random_complex(rng, dim))
+    x0, rho0 = random_hermitian(rng, dim) + 0j, random_density(rng, dim)
+    cand = canonicalize(LyapunovCandidate(terms=((1, 1, 0.7 * np.eye(dim)), (2, 0, -0.2 * np.eye(dim)),
+                                                 (0, 2, -0.2 * np.eye(dim)), (0, 0, 1.3 * np.eye(dim)))))
+    config = CollisionConfig(dt=0.02, steps=6, ancilla_levels=levels)
+    traj = simulate_flow_expectation(model, cand, x0, QuantumState(rho0), config, {"x0": x0})
+    width = levels + 1
+    kraus = collision_step_unitary(model, 0.02, levels).reshape(dim, width, dim, width)[:, :, :, 0].transpose(1, 0, 2)
+    states = [rho0 + 0j]
+    for _ in range(config.steps):
+        states.append(np.matmul(kraus @ states[-1], kraus.conj().transpose(0, 2, 1)).sum(axis=0))
+    # Tr(rho X) = sum_ij rho_ij X_ji, for V_s = V(x0) and the observable in one product
+    ops = np.stack([evaluate(cand, x0), x0]).transpose(0, 2, 1).reshape(2, -1)
+    v_expect, x_expect = (ops @ np.reshape(states, (len(states), -1)).T).real
+    assert traj.v_expect.tobytes() == v_expect.tobytes()
+    assert traj.obs_expect["x0"].tobytes() == x_expect.tobytes()
+
+
+@settings(max_examples=25)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 8),
+    levels=st.integers(1, 2),
+    steps=st.integers(1, 6),
+    terms=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.floats(-2.0, 2.0).filter(lambda c: c != 0)),
+                   min_size=1, max_size=4),
+    center=st.floats(-1.0, 1.0),
+)
+def test_scalar_theta_reduced_state_equals_the_pair_state_recursion(seed, dim, levels, steps, terms, center):
+    """The flow is a *-homomorphism: reading V_s(x0) from the reduced state gives the pair states' E[V]."""
+    rng = np.random.default_rng(seed)
+    model = QsdeModel(hamiltonian=random_hermitian(rng, dim), coupling=random_complex(rng, dim))
+    x0, rho0 = random_hermitian(rng, dim) + 0j, random_density(rng, dim)
+    cand = canonicalize(
+        LyapunovCandidate(terms=tuple((n, m, c * np.eye(dim)) for n, m, c in terms), center=center * np.eye(dim)),
+        hermitian_closure=True,
+    )
+    config = CollisionConfig(dt=0.05, steps=steps, ancilla_levels=levels)
+    traj = simulate_flow_expectation(model, cand, x0, QuantumState(rho0), config)
+    y = x0 if cand.center is None else x0 - cand.center
+    ref = tensordot_pair_values(model, cand.terms, y, rho0, config)
+    scale = sum(abs(t[0, 0]) * max(1.0, spectral_norm(y)) ** (n + m) for n, m, t in cand.terms)
+    assert np.max(np.abs(traj.v_expect - ref)) <= 1e-13 * scale
+
+
+def test_scalar_theta_collision_at_d32_over_1000_steps_tracks_master():
+    """Scalar Theta reads the reduced state, O((levels+1) d^3) per step: no d^4 pair state along d."""
+    a, _, number = ladder_operators(31)
+    model, dt = QsdeModel(hamiltonian=number, coupling=a), 0.001
+    cand = LyapunovCandidate(terms=((1, 1, np.eye(32)),))  # V(X) = X^2
+    x0, psi0 = number / 31, QuantumState.from_vector(np.eye(32)[-1])
+    start = time.perf_counter()
+    coll = simulate_flow_expectation(model, cand, x0, psi0, CollisionConfig(dt, 1000, ancilla_levels=2))
+    assert time.perf_counter() - start < 5.0
+    oracle = master_flow_expectation(model, cand, x0, psi0, coll.times)
+    allowance = 1e-12 + dt * coll.times * np.max(np.abs(oracle.v_expect))  # first order in dt
+    assert np.all(np.abs(coll.v_expect - oracle.v_expect) <= allowance)
+    assert oracle.v_expect[-1] < 0.2 * oracle.v_expect[0]  # the dynamics is not trivial
 
 
 class TestMixedInitialState:
@@ -372,6 +476,26 @@ class TestSteppedMasterOracle:
         monkeypatch.setattr(qstab._expm, "expm", lambda a: 1.5 * expm(a))
         with pytest.raises(InvalidStateError, match=r"state 1 at t = 0\.5 trace differs"):
             master_evolve(damping_model, QuantumState.maximally_mixed(2), [0.0, 0.5, 1.0])
+
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_a_propagator_off_by_1e_9_is_rejected(self, damping_model, monkeypatch, grid):
+        expm = qstab._expm.expm
+        monkeypatch.setattr(qstab._expm, "expm", lambda a: (1 + 1e-9) * expm(a))
+        with pytest.raises(InvalidStateError, match=r"^state 1 at t = \S+ trace differs from 1 by 1\.0\d\de-09$"):
+            master_evolve(damping_model, QuantumState.maximally_mixed(2), GRIDS[grid][0])
+
+    def test_stiff_models_on_a_long_grid_pass_their_rounding_bound(self):
+        """The state checks scale with the steps and ||L h||_1: rounding far above 1e-12 passes, as it should."""
+        rng, worst = np.random.default_rng(58), 0.0
+        for _ in range(20):
+            dim = int(rng.integers(2, 6))
+            h, l = random_hermitian(rng, dim), random_complex(rng, dim)
+            h, l = (x / spectral_norm(x) * 10 ** rng.uniform(-2, 1.5) for x in (h, l))
+            states = master_evolve(QsdeModel(hamiltonian=h, coupling=l), QuantumState(random_density(rng, dim)),
+                                   [0.0, 1e3, 1e6])
+            worst = max(worst, np.max(np.abs(np.trace(states, axis1=1, axis2=2) - 1)))
+        assert worst > 1e-12  # the rounding that a fixed 1e-12 rejected
 
 
 class TestMasterEvolve:

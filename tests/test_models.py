@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qstab.models
 from qstab import (
     DimensionMismatchError,
     InvalidModelError,
@@ -50,6 +51,23 @@ class TestValidate:
         model = QsdeModel(hamiltonian=SIGMA_Z, coupling=SIGMA_MINUS, scattering=np.diag([1.0, 2.0]))
         with pytest.raises(InvalidModelError, match="S not unitary"):
             validate(model)
+
+    def test_a_pass_is_recorded_for_every_tol_no_smaller(self, monkeypatch):
+        model = QsdeModel(hamiltonian=SIGMA_Z + 1e-11 * SIGMA_PLUS, coupling=SIGMA_MINUS)  # H - H† has norm 1e-11
+        validate(model, tol=1e-9)
+        monkeypatch.setattr(qstab.models, "norm_above", lambda *a: pytest.fail("validated again"))
+        validate(model, tol=1e-9)
+        validate(model, tol=1.0)
+        monkeypatch.undo()
+        with pytest.raises(InvalidModelError, match=r"^H not self-adjoint, defect 1\.000e-11$"):
+            validate(model, tol=1e-12)
+        validate(model, tol=1e-10)
+
+    def test_a_failing_model_fails_again(self):
+        model = QsdeModel(hamiltonian=SIGMA_PLUS, coupling=SIGMA_MINUS)
+        for _ in range(2):
+            with pytest.raises(InvalidModelError, match="H not self-adjoint"):
+                validate(model)
 
     def test_diagnose_reports_without_raising(self):
         model = QsdeModel(hamiltonian=SIGMA_PLUS, coupling=SIGMA_MINUS, scattering=np.diag([1.0, 2.0]))
