@@ -25,25 +25,25 @@ One condition table serves every check, the rate estimate and every
 witness recheck: each label has one ``measure(point)`` giving, per point of
 a stack, the violation, or NaN where the condition holds.  A mode is its
 ordered conditions at the center, on V at a sample, and on the drift at a
-sample.  The samples pass through one stacked point per block of at most
-2^13 matrix entries, and each condition is a mask: its measure runs only on
-the samples that no earlier condition decided, so the first violated one
-decides a sample, and the most violated sample, the first among ties, is the
-witness.  Off the ray route (below) the sampler's re-check takes one
-guarded eigendecomposition of V per call, on the whole sample stack; each block reads its slice of V and of
-that eigendecomposition, and asks for the drift alone, at that V for scalar
-Theta (one generator call).  :func:`recheck_witness` calls the stored
-condition's measure on a stack of one, with V from :func:`evaluate` guarded by
-the sampler's bound (:func:`_rounding`), so it reproduces the stored violation.
-The drift target's guard is that bound times 2||H|| + 4||L||^2 + rate.
+sample.  Each condition is a mask: its measure runs only on the points that
+no earlier condition decided, so the first violated one decides a point,
+and the most violated sample, the first among ties, is the witness.  Each
+point's eigensolves are guarded by one bound, :func:`_rounding` at
+||X - C||_F (the drift target's times 2||H|| + 4||L||^2 + rate).  Off the
+ray route (below) one stacked point decides every sample on the sampler's
+stack, V and eigendecomposition, and asks for the drift alone, at that V
+for scalar Theta (one generator call).  A point of a stack is decided as it
+is alone, so :func:`recheck_witness`, which calls the stored condition's
+measure on a stack of one, reproduces the stored violation.
 
 The ray route: where the exit solve finds V homogeneous along each ray
 (below) and every canonical Theta is exactly scalar, rays of more than one
 sample are decided from one eigensolve per ray (:mod:`qstab.rays`).  One
-loop decides each sample from its ray's values, or from V at itself within
-its forward-error band of a threshold and off the rays (:func:`_sampled`).
-No value a condition reads on a ray needs a sample's matrix, so a sample is
-its ray and scale, and its matrix is formed only where read.
+pass decides each sample from its ray's values, or from V at itself in one
+stacked point: within its forward-error band of a threshold, off the live
+rays, and where it may be the witness (:func:`_sampled`).  No value a
+condition reads on a ray needs a sample's matrix, so a sample is its ray
+and scale, and its matrix is formed only where read.
 
 Sample i reads row i of one row-ordered draw from the seed, and its scale
 is capped where its ray first leaves the level set: a polynomial eigenvalue
@@ -75,6 +75,7 @@ from .models import QsdeModel, equilibrium_residual, require_model_dim, validate
 from .operators import (
     DEFAULT_TOL,
     QuantumState,
+    _frobenius,
     adjoint,
     as_operator,
     expectation,
@@ -396,7 +397,7 @@ def sample_level_set(
 
 def _rounding(cand, radius):
     """256 eps sum_k ||Theta_k||_F radius^(n_k + m_k): bounds V's rounding and asymmetry at ||X - center|| <= radius."""
-    return 256.0 * np.finfo(float).eps * sum(np.linalg.norm(t) * radius ** (n + m) for n, m, t in cand.terms)
+    return 256.0 * np.finfo(float).eps * sum(_frobenius(t) * radius ** (n + m) for n, m, t in cand.terms)
 
 
 def _ray_exits(cand, center, rays, epsilon, tol) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
@@ -431,9 +432,6 @@ def _ray_exits(cand, center, rays, epsilon, tol) -> tuple[np.ndarray, tuple[np.n
     exits = np.where((np.abs(mu.imag) <= slack[:, None]) & (mu.real > 0.0), mu.real, 0.0)
     with np.errstate(divide="ignore"):
         return 1.0 / exits.max(axis=-1, initial=0.0), None
-
-
-_BLOCK_ENTRIES = 2**13  # bound on the matrix entries of one sample stack that a _Point holds
 
 
 @dataclass(eq=False)
@@ -476,23 +474,23 @@ class _Point:
         return self.drift if self.rate is None else self.drift + self.rate * self.v
 
     @cached_property
+    def _rounding(self) -> np.ndarray:
+        """V's rounding per point, :func:`_rounding` at ||X - center||_F: it guards each eigensolve of the point."""
+        with np.errstate(over="ignore"):  # an infinite bound guards nothing, which is no warning
+            return _rounding(self.cand, np.linalg.norm(_offset(self.cand, self.x), axis=(-2, -1)))
+
+    @cached_property
     def target_max(self) -> np.ndarray:
-        """Guarded by the target's forward error: V's rounding (at ||X - center||_F) times 2||H|| + 4||L||^2 + rate."""
+        """Guarded by the target's forward error: V's rounding (:attr:`_rounding`) times 2||H|| + 4||L||^2 + rate."""
         h, l = (np.linalg.norm(a) for a in (self.model.hamiltonian, self.model.coupling))
-        r = np.linalg.norm(_offset(self.cand, self.x), axis=(-2, -1))
-        guard = (2.0 * h + 4.0 * l**2 + (self.rate or 0.0)) * _rounding(self.cand, r).max()
+        guard = (2.0 * h + 4.0 * l**2 + (self.rate or 0.0)) * self._rounding.max()
         return hermitian_eigenvalues(self.target, tol=max(self.tol, 1e-7, guard))[:, -1]
 
     @cached_property
     def v_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """V's ascending eigenvalues and eigenvectors under the sampler's guard; sampled blocks hold the sampler's.
-        Where V's Frobenius asymmetry clears half the guard's floor max(tol, 1e-7), no guard raises, so the sampler's
-        bound (an SVD of X - C) is sized only where it does not."""
-        tol = max(self.tol, 1e-7)
-        with np.errstate(over="ignore"):  # an infinite screen sizes the bound
-            if not np.all(np.linalg.norm(self.v - adjoint(self.v), axis=(-2, -1)) <= tol / 2):
-                tol = max(tol, *_rounding(self.cand, spectral_norm(_offset(self.cand, self.x))))
-        return np.linalg.eigh(require_hermitian(self.v, tol=tol))
+        """V's ascending eigenvalues and eigenvectors, guarded by V's rounding (:attr:`_rounding`); a point on the
+        sampler's whole stack holds the sampler's."""
+        return np.linalg.eigh(require_hermitian(self.v, tol=max(self.tol, 1e-7, self._rounding.max())))
 
     @cached_property
     def on_support(self) -> np.ndarray:
@@ -643,48 +641,54 @@ def _worst(violation) -> int | None:
 
 
 def _sampled(samples: LevelSetSamples, point, conditions):
-    """Per sample in order, :func:`_decide`'s violation, deciding condition and level, V's least eigenvalue (E[V]
-    in the state picture), and bounds on the violation: the deciding measure at its ray's values moved down and up
-    by their bands (:func:`qstab.rays.ray_blocks`).  Where a condition holds at one and not the other, on rays where
-    V is nowhere positive, and off the rays, a sample is decided from V at itself instead, the sampler's V and eigh
-    where it took them, in blocks of at most _BLOCK_ENTRIES matrix entries, and its bounds are its violation."""
+    """Per sample in order, :func:`_decide`'s violation, deciding condition and level, and V's least eigenvalue
+    (E[V] in the state picture).  A sample on a live ray is decided from its ray's values
+    (:func:`qstab.rays.ray_block`) unless a condition holds at them moved down by their bands and not moved up, or
+    the reverse.  Those samples, those off the live rays, and each that may be the witness (its violation moved up
+    reaches the largest moved down) are decided from V at themselves in one stacked point: off the route, the
+    sampler's stack, V and eigh.  A possible witness keeps its ray's level and V minimum, takes its violation at
+    V itself, as :func:`recheck_witness` measures it, and must be decided there by its ray's condition."""
 
     def decide(p):
         return (*_decide(conditions, p), p.e_v.real if p.picture == "state" else p.v_eigh[0][:, 0])
 
     n = len(samples)
-    out = (np.empty(n), np.empty(n, dtype=int), np.empty(n), np.empty(n), np.empty(n), np.empty(n))
-    exact = np.ones(n, dtype=bool)
+    out = (np.empty(n), np.empty(n, dtype=int), np.empty(n), np.empty(n))
+    exact, ties = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
     if samples.rays is not None:
-        from .rays import ray_blocks  # here, not at the top: only a run on rays of several samples compiles it
+        from .rays import ray_block  # here, not at the top: only a run on rays of several samples compiles it
 
-        for rows, p in ray_blocks(samples, point):
+        block = ray_block(samples, point)
+        if block is not None:
+            rows, p = block
             lo, hi = p.shifted(-1.0), p.shifted(1.0)
             bounds = np.array([(c.measure(lo), c.measure(hi)) for c in conditions])  # (conditions, 2, points)
             near = np.any(np.isnan(bounds[:, 0]) != np.isnan(bounds[:, 1]), axis=0)
             exact[rows] = near
-            if not near.all():
-                violation, decided_by, level, v_min = decide(p.take(~near))
-                spread = np.sort(bounds[decided_by, :, np.flatnonzero(~near)], axis=-1)  # NaN where every one holds
-                for array, value in zip(out, (violation, decided_by, level, v_min, *spread.T)):
-                    array[rows[~near]] = value
-    rows, step = np.flatnonzero(exact), max(1, _BLOCK_ENTRIES // samples.center.size)
-    for i in range(0, len(rows), step):
+            rows = rows[~near]
+            for array, value in zip(out, decide(p.take(~near))):
+                array[rows] = value
+            low, high = np.sort(bounds[out[1][rows], :, np.flatnonzero(~near)], axis=-1).T  # NaN where all hold
+            ties[rows] = high >= np.fmax.reduce(low, initial=-np.inf)
+    rows = np.flatnonzero(exact | ties)
+    if len(rows):
         if samples.v is None:  # on rays: form the rows decided from V at themselves
-            block = rows[i : i + step]
-            p = point(samples[block])
-        else:  # off them every sample is, and slices of the sampler's stack, V and eigh are views, not copies
-            block = slice(i, i + step)
-            p = point(samples.x[block])
-            vars(p).update(v=samples.v[block], v_eigh=tuple(a[block] for a in samples.v_eigh))
-        violation, *rest = decide(p)
-        for array, value in zip(out, (violation, *rest, violation, violation)):
-            array[block] = value
+            p = point(samples[rows])
+        else:  # off them every sample is, and the sampler's stack, V and eigh serve as they are
+            p = point(samples.x)
+            vars(p).update(v=samples.v, v_eigh=samples.v_eigh)
+        violation, decided_by, *kept = decide(p)
+        tie = ties[rows]
+        if np.any(decided_by[tie] != out[1][rows[tie]]):
+            raise InternalCheckError("a sample that may be the witness is decided on its own V by another condition")
+        out[0][rows], out[1][rows] = violation, decided_by
+        for array, value in zip(out[2:], kept):
+            array[rows[~tie]] = value[~tie]
     return out
 
 
 def _check(model, candidate, center, spec, mode, *, rate=None, margin=None, reference_state=None, tol):
-    """Check one mode's conditions at the center, then on the level-set samples block by block, and certify: the
+    """Check one mode's conditions at the center, then on the level-set samples in one pass, and certify: the
     certificate and the samples it decided on, None where a center condition failed."""
     if mode.endswith("exponential"):
         if rate is None:
@@ -707,15 +711,8 @@ def _check(model, candidate, center, spec, mode, *, rate=None, margin=None, refe
         # |tr(X - center)| = |s tr D| per sample, from its unit ray: no sample's matrix is formed
         if state and np.any(np.abs(samples.scale * samples.directions.trace(0, 1, 2)[samples.of]) > max(tol, 1e-9)):
             raise InvalidStateError("state-picture sample lost unit trace")
-        violation, decided_by, level, v_min, low, high = _sampled(samples, point, conditions)
+        violation, decided_by, level, v_min = _sampled(samples, point, conditions)
         worst_v = float(v_min.min())
-        if samples.rays is not None and not np.isnan(violation).all():
-            # Each sample that may be the most violated, measured as recheck_witness measures it.
-            ties = np.flatnonzero(high >= np.nanmax(low))
-            for i in ties:
-                violation[i] = conditions[decided_by[i]].measure(point(points[i][None]))[0]
-            if np.isnan(violation[ties]).any():
-                raise InternalCheckError("a sample holds on its own V the condition that its ray violates")
     worst = _worst(violation)
     worst_drift = np.fmax.reduce(level, initial=-np.inf)
     return StabilityCertificate(
@@ -793,7 +790,7 @@ def _rate(model, cand, samples, tol) -> RateEstimate:
     point = partial(_Point, model, cand, picture="flow", rate=None, margin=None, tol=tol, tol_strict=0.0,
                     reference_state=None)
     v_conditions = _FLOW[2]
-    _, decided_by, pencil, *_ = _sampled(samples, point, (*v_conditions, _SUPPORT_MISMATCH))
+    _, decided_by, pencil, _ = _sampled(samples, point, (*v_conditions, _SUPPORT_MISMATCH))
     _raise_first(v_conditions, np.where(decided_by < len(v_conditions), decided_by, -1))
     rates = (-pencil).tolist()
     return RateEstimate(max(0.0, min(rates)), bool(np.any(decided_by == len(v_conditions))), tuple(rates))

@@ -61,6 +61,7 @@ from .models import QsdeModel, require_model_dim, validate
 from .operators import (
     DEFAULT_TOL,
     QuantumState,
+    _frobenius,
     adjoint,
     expectation,
     norm_above,
@@ -261,7 +262,7 @@ def liouvillian_matrix(model: QsdeModel) -> np.ndarray:
     h, l, eye = model.hamiltonian, model.coupling, np.eye(model.dim)
     ldl = adjoint(l) @ l
     left, right = (lambda a: _kron(a, eye)), (lambda a: _kron(eye, a.T))  # vec(a rho) and vec(rho a)
-    return -1j * (left(h) - right(h)) + left(l) @ right(adjoint(l)) - 0.5 * (left(ldl) + right(ldl))
+    return -1j * (left(h) - right(h)) + _kron(l, l.conj()) - 0.5 * (left(ldl) + right(ldl))  # vec(L rho L†)
 
 
 def master_evolve(model: QsdeModel, rho0: QuantumState, t_grid) -> np.ndarray:
@@ -341,7 +342,7 @@ def master_flow_expectation(
     require_model_dim(model, **{"system state": system_state}, candidate=candidate, x0=x0)
     cand = canonicalize(candidate)
     for n, m, theta in cand.terms:
-        if not _is_scalar_matrix(theta, 1e-12 * max(1.0, np.linalg.norm(theta) / np.sqrt(len(theta))))[0]:
+        if not _is_scalar_matrix(theta, 1e-12 * max(1.0, _frobenius(theta) / np.sqrt(len(theta))))[0]:
             raise InvalidCandidateError(
                 "the master oracle needs scalar term coefficients; "
                 f"term ({n}, {m}) has a non-scalar Theta"

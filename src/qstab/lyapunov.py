@@ -41,7 +41,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidCandidateError
 from .models import FLOW_NOISE_PARTS, STATE_NOISE_PARTS, QsdeModel, flow_generator, require_model_dim
 from .models import state_generator, validate
-from .operators import DEFAULT_TOL, _times, adjoint, as_operator, norm_above
+from .operators import DEFAULT_TOL, _frobenius, _times, adjoint, as_operator, norm_above
 
 DEGREE_BOUND = 6
 
@@ -164,9 +164,9 @@ def canonicalize(candidate: LyapunovCandidate, *, hermitian_closure: bool = Fals
             raise InvalidCandidateError(
                 "center expansion needs a scalar center for terms of degree 2 or higher in one factor"
             )
-    c_norm = 0.0 if c is None else np.linalg.norm(c)
+    c_norm = 0.0 if c is None else _frobenius(c)
     for n, m, theta in candidate.terms:  # (X - c)^n Theta (X - c)^m with n, m <= 1 where c is not None
-        t = np.linalg.norm(theta)
+        t = _frobenius(theta)
         for k, left, size in [(n, theta, t)] + ([(0, -(c @ theta), c_norm * t)] if n and c is not None else []):
             add(k, m, left, size)
             if m and c is not None:

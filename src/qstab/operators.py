@@ -99,6 +99,18 @@ def spectral_norm(x: np.ndarray) -> float | np.ndarray:
     return float(norms) if norms.ndim == 0 else norms
 
 
+def _frobenius(x: np.ndarray) -> float:
+    """||x||_F: ``np.linalg.norm(x)``'s bits where its unscaled sum of squares is a normal float, elsewhere the
+    norm of x scaled by a power of two to a largest entry in [1/2, 1), so that no square overflows or underflows."""
+    with np.errstate(over="ignore"):  # a norm past the float range is inf, which is no warning
+        norm = np.linalg.norm(x)
+        if 2.0**-511 <= norm < np.inf:  # 2^-511 = sqrt(2^-1022), the least normal sum of squares
+            return float(norm)
+        parts = np.array([np.real(x), np.imag(x)])
+        exponent = np.frexp(np.max(np.abs(parts)))[1]
+        return float(np.ldexp(np.linalg.norm(np.ldexp(parts, -exponent)), exponent))
+
+
 def hermitize(x: np.ndarray) -> np.ndarray:
     """Hermitian part (X + X†)/2."""
     return (x + adjoint(x)) / 2.0

@@ -8,18 +8,18 @@ more than one sample, as a user family's do when samples outnumber
 directions, the sampler keeps B_K and its eigenvalues per distinct ray and
 takes no eigendecomposition of V (:class:`Rays`).  Here every value a
 condition reads is computed once per ray at s = 1 and scaled to its samples
-by s^K (the degree-0 pencil unscaled), in blocks of rays
-(:func:`ray_blocks`).  Values differ from the per-sample route's by at most
+by s^K (the degree-0 pencil unscaled), on one point over the live rays
+(:func:`ray_block`).  Values differ from the per-sample route's by at most
 their forward-error bands (:func:`ray_band`).  :func:`qstab.certify._sampled`
 decides each sample from them, or from V at itself where its values, moved
 down and up by their bands, could decide a condition either way, so every
-verdict and label is the per-sample route's, and the witness and its
-violation too (:func:`qstab.certify._check` measures each sample that may
-be the most violated as :func:`qstab.certify.recheck_witness` does).  Only
-the worst drift, the worst V and the rate estimate may differ from it,
+verdict and label is the per-sample route's.  So are the witness and its
+violation: the same pass decides each sample that may be the most violated
+from V at itself too, as :func:`qstab.certify.recheck_witness` measures it.
+Only the worst drift, the worst V and the rate estimate may differ from it,
 within the bands: in their last bits, but for the per-sample rates of an
-ill-conditioned pencil, which the per-sample route scatters along one ray
-by as much.
+ill-conditioned pencil, which the per-sample route scatters along one ray by
+as much.
 
 :mod:`qstab.certify` imports this module only for rays of more than one
 sample: every process compiles what it imports, and the rest need none of it.
@@ -28,14 +28,13 @@ sample: every process compiles what it imports, and the rest need none of it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from . import certify
 from .certify import SUPPORT_CUTOFF, _Point, _rounding
-from .operators import adjoint
+from .operators import _frobenius, adjoint
 
 
 class Rays(NamedTuple):
@@ -118,7 +117,7 @@ def ray_band(point: OnRays, name: str) -> np.ndarray:
 
 def _band(point: OnRays, name: str) -> np.ndarray:
     cand, s, degree, eps = point.cand, point.scale, point.degree, np.finfo(float).eps
-    thetas = sum(np.linalg.norm(t) for _, _, t in cand.terms)
+    thetas = sum(_frobenius(t) for _, _, t in cand.terms)
     if name == "v":
         delta = 4.0 * eps * np.sqrt(cand.dim) * ((0.0 if cand.center is None else abs(cand.center[0, 0])) + s)
         return 2.0 * _rounding(cand, s + delta) + thetas * ((s + delta) ** degree - s**degree)
@@ -146,21 +145,19 @@ def _band(point: OnRays, name: str) -> np.ndarray:
         return np.where(sound, (ray_band(point, "support") + mu * (v + on_v)) / (low - v - on_v), np.inf)
 
 
-def ray_blocks(samples, point):
-    """Per slice of at most ``certify._BLOCK_ENTRIES`` matrix entries or one ray, the rows of the samples on its
-    live rays (where V is somewhere positive, so that it has a support) and an :class:`OnRays` point on them.
-    The bands read the model's norms of H and L, taken once per model object."""
+def ray_block(samples, point) -> tuple[np.ndarray, OnRays] | None:
+    """The rows of the samples on live rays (where V is somewhere positive, so that it has a support) and an
+    :class:`OnRays` point on them, None where no sample is on one.  The bands read the model's norms of H and L,
+    taken once per model object."""
     rays = samples.rays
-    on_rays = partial(OnRays, *point.args, **point.keywords, degree=rays.degree)
+    live = np.flatnonzero(rays.lead[:, -1] > 0.0)
     index = np.full(len(rays.lead), -1)
-    step = max(1, certify._BLOCK_ENTRIES // rays.lead[0].size**2)
-    for i in range(0, len(rays.lead), step):
-        live = i + np.flatnonzero(rays.lead[i : i + step, -1] > 0.0)
-        index[live] = np.arange(len(live))
-        rows = np.flatnonzero((samples.of >= i) & (samples.of < i + step) & (index[samples.of] >= 0))
-        if len(rows):
-            unit = point(samples.center + samples.directions[live])
-            vars(unit).update(v=rays.b[live])  # its eigh is taken where a value on V's support is asked for
-            block = on_rays(rows, unit=unit, lead=rays.lead[live])
-            vars(block).update(of=index[samples.of[rows]], scale=samples.scale[rows])
-            yield rows, block
+    index[live] = np.arange(len(live))
+    rows = np.flatnonzero(index[samples.of] >= 0)
+    if not len(rows):
+        return None
+    unit = point(samples.center + samples.directions[live])
+    vars(unit).update(v=rays.b[live])  # its eigh is taken where a value on V's support is asked for
+    block = OnRays(*point.args, rows, **point.keywords, unit=unit, lead=rays.lead[live], degree=rays.degree)
+    vars(block).update(of=index[samples.of[rows]], scale=samples.scale[rows])
+    return rows, block

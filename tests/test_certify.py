@@ -1153,7 +1153,7 @@ def test_failing_certificates_recheck_to_their_violation(
 
 
 def reference_check(model, candidate, center, spec, mode, param=None, reference=None):
-    """The check written one sample at a time: the oracle for the stacked, masked and blocked check.
+    """The check written one sample at a time: the oracle for the stacked and masked check.
 
     Every point is a stack of one.  The first violated condition decides a
     sample, and only a strictly larger violation replaces the witness, so the
@@ -1233,7 +1233,9 @@ def ray_bands(model, cand, center, spec, mode, name, param=None, reference=None,
             margin=param if mode == "asymptotic" else None, tol=1e-9,
             tol_strict=certify.TOL_STRICT if tol_strict is None else tol_strict, reference_state=reference,
         )
-        for rows, p in qstab.rays.ray_blocks(samples, point):
+        block = qstab.rays.ray_block(samples, point)
+        if block is not None:
+            rows, p = block
             band = qstab.rays.ray_band(p, name)
             bands[rows] = np.where(np.isinf(band), 0.0, band)
     return bands
@@ -1288,28 +1290,21 @@ PASSING_CASES = {
 MIXED_RANKS = LevelSetSpec(1.0, 12, 8, DirectionFamily(directions=(GROUND, NUMBER, SIGMA_Z), scale_min=0.2))
 
 
-@pytest.fixture(params=[2**13, 8, 4], ids=["one-block", "two-per-block", "one-per-block"])
-def block_entries(request, monkeypatch):
-    """Run under the module's block bound and under bounds that put one or two qubit samples in a block."""
-    monkeypatch.setattr(qstab.certify, "_BLOCK_ENTRIES", request.param)
-    return request.param
-
-
 class TestAgainstReferenceCheck:
     """The stacked check writes the per-sample loop's certificates byte for byte."""
 
     @pytest.mark.parametrize("label", sorted(FAILING_RUNS))
-    def test_failing_runs(self, label, block_entries):
+    def test_failing_runs(self, label):
         model, cand, center, spec, mode, *rest = FAILING_RUNS[label]
         cert = assert_matches_reference(model, cand, center, spec, mode, *rest)
         assert cert.violated_condition == label
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_passing_runs(self, mode, block_entries):
+    def test_passing_runs(self, mode):
         assert assert_matches_reference(*PASSING_CASES[mode]).passed
 
     @pytest.mark.parametrize("mode, param", [("local", None), ("asymptotic", 0.1), ("exponential", 0.5)])
-    def test_support_rank_varies_across_samples(self, damping_model, damping_candidate, mode, param, block_entries):
+    def test_support_rank_varies_across_samples(self, damping_model, damping_candidate, mode, param):
         samples = np.stack(sample_level_set(damping_candidate, -EYE2, MIXED_RANKS))
         point = qstab.certify._Point(damping_model, damping_candidate, samples, "flow", None, None, 1e-9, 1e-8, None)
         assert set(point.on_support.sum(axis=-1)) == {1, 2}
@@ -1328,7 +1323,7 @@ class TestAgainstReferenceCheck:
 
     @staticmethod
     def assert_rate_estimate_matches_points_of_one(model, cand, center, spec):
-        """Assert the blocked rate estimate is the pencil on stacks of one, within the ray route's bands on the
+        """Assert the stacked rate estimate is the pencil on stacks of one, within the ray route's bands on the
         pencil, and flags the same support mismatch; return those points."""
         est = estimate_max_rate(model, cand, center, spec)
         points = [
@@ -1341,11 +1336,11 @@ class TestAgainstReferenceCheck:
         assert est.support_mismatch == any(p.off_support_max[0] > qstab.certify.TOL_STRICT for p in points)
         return est, points
 
-    def test_rate_estimate_matches_points_of_one(self, damping_model, damping_candidate, block_entries):
+    def test_rate_estimate_matches_points_of_one(self, damping_model, damping_candidate):
         est, _ = self.assert_rate_estimate_matches_points_of_one(damping_model, damping_candidate, -EYE2, MIXED_RANKS)
         assert est.support_mismatch  # along G (samples 0, 3, 6, 9) the drift y^2 N is positive off the support
 
-    def test_full_rank_rate_estimate_matches_points_of_one(self, block_entries):
+    def test_full_rank_rate_estimate_matches_points_of_one(self):
         # Along N + I the candidate (X + I)^2 is s^2 (N + I)^2, of full rank at every sample.
         model, cand, rotated_number = rotated_damped_oscillator(32, 3)
         family = DirectionFamily(directions=(rotated_number + np.eye(32),), scale_min=0.1, scale_max=1.0)
@@ -1354,9 +1349,9 @@ class TestAgainstReferenceCheck:
         )
         assert all(p.on_support.all() for p in points) and not est.support_mismatch
 
-    def test_one_ito_assembly_per_block(self, monkeypatch):
-        # (X + I)^2 has a scalar Theta and one degree: from its own center every block of rays makes one generator
-        # call at the B_K it holds, and a sample makes one only as a possible witness, measured on its own.
+    def test_one_ito_assembly_per_route_pass(self, monkeypatch):
+        # (X + I)^2 has a scalar Theta and one degree: from its own center the rays make one generator call at the
+        # B_K they hold, and the samples decided from V at themselves, possible witnesses included, make one more.
         shapes, generated = [], []
         ito, generator = qstab.certify._ito_coefficients, qstab.lyapunov.flow_generator
         monkeypatch.setattr(
@@ -1374,14 +1369,14 @@ class TestAgainstReferenceCheck:
         assert estimate_max_rate(model, cand, -np.eye(32), spec).rate == pytest.approx(1.0, abs=1e-6)
         assert shapes == generated == [(1, 32, 32)]
         shapes.clear(), generated.clear()
-        qubit = LevelSetSpec(0.5, 256, 3, HermitianBall(1.0))  # one sample per ray: the blocks of samples
+        qubit = LevelSetSpec(0.5, 256, 3, HermitianBall(1.0))  # one sample per ray: the sampler's whole stack
         check_exponential(DAMPING, centered((1, 1, EYE2), center=-EYE2), -EYE2, qubit, rate=0.5)
         assert shapes == generated == [(256, 2, 2)]
         shapes.clear(), generated.clear()
-        # A non-scalar Theta keeps the blocks of samples: 2^13 entries hold eight 32 x 32 samples.
+        # A non-scalar Theta takes the per-sample route: one assembly on the whole stack.
         theta = np.diag(np.linspace(1.0, 2.0, 32))
         check_exponential(model, centered((1, 1, theta), center=-np.eye(32)), -np.eye(32), spec, rate=0.5)
-        assert shapes == generated == [(8, 32, 32), (8, 32, 32), (4, 32, 32)]
+        assert shapes == generated == [(20, 32, 32)]
 
 
 # run -> a check or rate estimate, on a ball or a family, in the flow or the state picture
@@ -1398,8 +1393,8 @@ RUNS_ON_V = {
 
 
 @pytest.mark.parametrize("run", sorted(RUNS_ON_V))
-def test_v_and_its_spectrum_once_per_call(run, block_entries, monkeypatch):
-    """V is evaluated at the center, then once at all samples; one eigensolve takes that whole stack, none a block.
+def test_v_and_its_spectrum_once_per_call(run, monkeypatch):
+    """V is evaluated at the center, then once at all samples; one eigensolve takes that whole stack.
 
     On the ray route, taken by the flow and rate runs on a family (a ball has one sample per ray and the state
     runs a non-scalar Theta), V at the samples is not evaluated: the exit solve's B_K on the distinct rays, the
@@ -1484,6 +1479,31 @@ def test_permuting_the_samples_permutes_the_decisions(
     assert np.array_equal(level[order], permuted[2], equal_nan=True)
 
 
+@pytest.mark.parametrize("run", [*sorted(FAILING_RUNS), *(f"passing {mode}" for mode in MODES)])
+def test_a_stack_decides_each_point_as_alone_bit_for_bit(run):
+    """The center and the samples of each failing and passing run, in one stack: each point's violation, deciding
+    condition and level are its own on a stack of one, bit for bit.  A check rests on this where it decides the
+    samples that may be its witness in one stack with the others decided from V at themselves, and
+    :func:`recheck_witness` measures the witness alone."""
+    model, cand, center, spec, mode, *rest = PASSING_CASES[run[8:]] if run.startswith("passing ") else FAILING_RUNS[run]
+    param, reference = (*rest, None, None)[:2]
+    picture, _, v_conditions, drift_conditions = qstab.certify._MODES[mode]
+    cand = canonicalize(cand)
+    try:
+        samples = sample_level_set(cand, center, spec, traceless=picture == "state")
+    except SamplingError:  # V(center) = I: the samples of a level set that holds the center
+        samples = sample_level_set(cand, center, dataclasses.replace(spec, epsilon=10.0))
+    point = functools.partial(
+        qstab.certify._Point, model, cand, picture=picture, rate=param if mode.endswith("exponential") else None,
+        margin=param if mode == "asymptotic" else None, tol=1e-9, tol_strict=qstab.certify.TOL_STRICT,
+        reference_state=reference,
+    )
+    stack, conditions = np.stack([center, *samples]), v_conditions + drift_conditions
+    alone = [qstab.certify._decide(conditions, point(x[None])) for x in stack]
+    for together, each in zip(qstab.certify._decide(conditions, point(stack)), zip(*alone)):
+        assert together.tobytes() == np.concatenate(each).tobytes()
+
+
 def ray_candidate(degree, theta, dim, center):
     """sum over n + m = K of (n, m, theta I): (K + 1) theta Y^K, scalar Theta of one degree K."""
     return centered(*((n, degree - n, theta * np.eye(dim)) for n in range(degree + 1)), center=center)
@@ -1522,7 +1542,8 @@ def test_ray_values_are_the_points_values_within_their_bands(dim, seed, picture,
         with np.errstate(invalid="ignore"):  # -inf on both routes where V's support is everything
             assert np.all((ours == theirs) | (np.abs(ours - theirs) <= band))
 
-    for rows, on_rays in qstab.rays.ray_blocks(samples, point):
+    block = qstab.rays.ray_block(samples, point)
+    for rows, on_rays in [] if block is None else [block]:
         own = point(samples.x[rows])
         if picture == "state":
             within(on_rays.e_v, own.e_v, qstab.rays.ray_band(on_rays, "v"))
@@ -1689,14 +1710,30 @@ class TestSamplesFormedWhereRead:
 
     @pytest.mark.parametrize("rate", [1.5, 50.0])
     def test_a_failing_check_forms_only_the_witness_and_its_ties(self, formed, rate):
+        # The samples that may be the witness are formed in one index-array read; then the witness itself.
         (reads, sampled), (model, cand, _, spec) = formed, oscillator_ray_spec(32)
         cert = check_exponential(model, cand, -np.eye(8), spec, rate)
         (samples,) = sampled
         assert not cert.passed and samples.rays is not None and "x" not in vars(samples)
-        assert all(isinstance(i, (int, np.integer)) for i in reads) and len(set(map(int, reads))) < len(samples)
-        witness = int(reads[-1])  # the last row formed is the witness
+        ties, witness = reads
+        assert np.ndim(ties) == 1 and len(ties) < len(samples)
+        assert isinstance(witness, (int, np.integer)) and witness in ties
         assert np.array_equal(cert.witness, samples.x[witness])
         assert recheck_witness(model, cand, cert) == cert.violation
+
+    def test_a_possible_witness_decided_otherwise_on_its_own_v_is_an_internal_error(self, monkeypatch):
+        # Samples that may be the witness are decided again on V at themselves, by every condition in order: where
+        # one holds on the ray and fails there, the ray's values were wrong, whichever condition decided the ray.
+        certify = qstab.certify
+        model, cand, _, spec = oscillator_ray_spec(32)
+        assert not check_exponential(model, cand, -np.eye(8), spec, 50.0).passed
+        picture, at_center, (psd, *on_v), on_drift = certify._MODES["exponential"]
+        fails_on_own_v = psd._replace(
+            measure=lambda p: psd.measure(p) if isinstance(p, qstab.rays.OnRays) else np.ones(len(p.x))
+        )
+        monkeypatch.setitem(certify._MODES, "exponential", (picture, at_center, (fails_on_own_v, *on_v), on_drift))
+        with pytest.raises(InternalCheckError, match="^a sample that may be the witness is decided on its own V"):
+            check_exponential(model, cand, -np.eye(8), spec, 50.0)
 
     def test_samples_decided_from_v_at_themselves_form_their_rows_alone(self, formed):
         # V = 2 (X + I) is nowhere positive on the ray -N, so its samples are decided from V at themselves.
@@ -1819,12 +1856,33 @@ class TestNoSvdInARepeatedCheck:
             assert estimate_max_rate(model, cand, -np.eye(8), spec).rate == pytest.approx(1.0, abs=1e-6)
             assert svd_calls == calls
 
+    def test_v_eigh_takes_no_svd_where_v_is_asymmetric_beyond_half_the_floor(self, svd_calls):
+        # V = X Theta X at ||X|| ~ 1e5 is asymmetric by rounding beyond 5e-8, half the floor max(tol, 1e-7), and
+        # within V's rounding bound at ||X||_F, which guards the eigensolve: no SVD sizes it, nor tests V.
+        rng = np.random.default_rng(0)
+        cand = canonicalize(LyapunovCandidate(terms=((1, 1, random_hermitian(rng, 4)),)))
+        point = qstab.certify._Point(
+            random_model(rng, 4), cand, 1e5 * random_hermitian(rng, 4)[None], "flow", None, None, 1e-9, 1e-8, None
+        )
+        assert np.linalg.norm(point.v - point.v.conj().T) > 0.5e-7
+        vals, vecs = point.v_eigh
+        assert svd_calls == []
+        want = np.linalg.eigh(hermitize(point.v))
+        assert np.array_equal(vals, want[0]) and np.array_equal(vecs, want[1])
+
     def test_a_ball_check_takes_one_svd_per_sampling_call(self, svd_calls, damping_model, damping_candidate):
         spec = LevelSetSpec(0.5, 64, 5, HermitianBall(1.0))
         cert = check_exponential(damping_model, damping_candidate, -EYE2, spec, 0.5)
         estimate_max_rate(damping_model, damping_candidate, -EYE2, spec)
         recheck_witness(damping_model, damping_candidate, cert)
         assert svd_calls == [(64, 2, 2)] * 2  # the ball's ray normalization
+
+
+def test_the_rounding_bound_of_a_tiny_theta_is_positive():
+    """At Theta = 1e-300 I the unscaled squares of ||Theta||_F underflow to zero; the bound must not."""
+    cand = canonicalize(LyapunovCandidate(terms=((1, 1, 1e-300 * EYE2),), center=-EYE2))
+    assert qstab.certify._rounding(cand, 1.0) == 256 * np.finfo(float).eps * qstab.operators._frobenius(1e-300 * EYE2)
+    assert qstab.certify._rounding(cand, 1.0) > 0.0
 
 
 @pytest.mark.parametrize(

@@ -368,6 +368,21 @@ class TestCertifyCommand:
         # The verdict is not pinned: every V here lies below the absolute tol_strict.
         assert code in (0, 1), capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", [False, True], ids=["ball", "family"])
+    def test_a_theta_whose_squares_overflow_reaches_a_verdict_with_no_warning(self, tmp_path, capsys, family):
+        # Theta = 1e154 I: ||Theta||_F^2 = 2e308 overflows, so the candidate's norms are taken scaled.
+        huge = tmp_path / "huge_theta.json"
+        save_lyapunov(LyapunovCandidate(terms=((1, 1, 1e154 * EYE2),), center=-EYE2), huge)
+        center = str(DEMO_FILES / "center.json")
+        argv = ["certify", str(DEMO_FILES / "damping_model.json"), str(huge), "--center", center, "--mode", "local"]
+        argv += ["--epsilon", "1", "--samples", "16", "--seed", "7"]
+        argv += ["--family", str(DEMO_FILES / "number_family.json")] if family else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+        # The verdict is not pinned: a sample this close to the center is within rounding of it.
+        assert code in (0, 1), capsys.readouterr().err
+
     def test_samples_past_the_float_range_exit_2_naming_scale_max_and_epsilon(self, tmp_path, capsys):
         # Theta = 1e-300 I at epsilon 1e10 on diag(1, 0) up to 1e300: the cap is near 1e155, where s^2 overflows.
         tiny, family = tmp_path / "tiny_theta.json", tmp_path / "far_family.json"

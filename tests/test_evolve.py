@@ -532,12 +532,27 @@ class TestMasterEvolve:
         h, l, eye = model.hamiltonian, model.coupling, np.eye(dim)
         ldl = adjoint(l) @ l
         left, right = (lambda a: np.kron(a, eye)), (lambda a: np.kron(eye, a.T))
-        want = -1j * (left(h) - right(h)) + left(l) @ right(adjoint(l)) - 0.5 * (left(ldl) + right(ldl))
+        want = -1j * (left(h) - right(h)) + np.kron(l, l.conj()) - 0.5 * (left(ldl) + right(ldl))
         assert liouvillian_matrix(model).tobytes() == want.tobytes()  # bytes: signed zeros too
         dt, (a, a_dag, _) = 0.03, ladder_operators(2)
         exponent = np.kron(-1j * h * dt, np.eye(3)) + np.sqrt(dt) * (np.kron(l, a_dag) - np.kron(adjoint(l), a))
         lam, w = np.linalg.eigh(1j * exponent)
         assert collision_step_unitary(model, dt, 2).tobytes() == ((w * np.exp(-1j * lam)) @ adjoint(w)).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("real", [True, False], ids=["real-L", "complex-L"])
+    def test_the_sandwich_term_is_the_product_form(self, dim, real):
+        """vec(L rho L†) = (L ⊗ I)(I ⊗ conj L) vec(rho), the d^2 x d^2 product that the Kronecker form replaces: within
+        a few ulps of ||L||_F^2, and its bits for a real L, whose products have one nonzero term per entry."""
+        rng = np.random.default_rng(190 + dim)
+        h, l = random_hermitian(rng, dim), ladder_operators(dim - 1)[0] if real else random_complex(rng, dim)
+        model, eye = QsdeModel(hamiltonian=h, coupling=l), np.eye(dim)
+        ldl = adjoint(l) @ l
+        left, right = (lambda a: np.kron(a, eye)), (lambda a: np.kron(eye, a.T))
+        product = -1j * (left(h) - right(h)) + left(l) @ right(adjoint(l)) - 0.5 * (left(ldl) + right(ldl))
+        if real:
+            assert liouvillian_matrix(model).tobytes() == product.tobytes()
+        assert np.abs(liouvillian_matrix(model) - product).max() <= 4 * np.finfo(float).eps * np.linalg.norm(l) ** 2
 
     def test_liouvillian_is_trace_dual_of_flow_generator(self, damping_model):
         from qstab import flow_generator

@@ -13,6 +13,7 @@ from qstab import (
     equilibrium_residual,
     flow_generator,
     flow_noise_coefficients,
+    ladder_operators,
     spectral_norm,
     state_generator,
     state_noise_coefficients,
@@ -62,6 +63,28 @@ class TestValidate:
         with pytest.raises(InvalidModelError, match=r"^H not self-adjoint, defect 1\.000e-11$"):
             validate(model, tol=1e-12)
         validate(model, tol=1e-10)
+
+    @staticmethod
+    def rotated_oscillator(dim, c):
+        """H = c U N U† and L = U a U†, with U Haar from a seeded QR: H as formed, not made Hermitian."""
+        rng = np.random.default_rng(np.random.SeedSequence([3, 0xD3]))
+        q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        u = q * (np.diag(r) / np.abs(np.diag(r)))
+        a, _, number = ladder_operators(dim - 1)
+        return QsdeModel(hamiltonian=c * (u @ number @ u.conj().T), coupling=u @ a @ u.conj().T)
+
+    @pytest.mark.parametrize("c", [1.0, 1e6, 1e7, 1e8])
+    @pytest.mark.parametrize("dim", [3, 4, 8, 32])
+    def test_a_computed_hamiltonian_passes_at_any_scale(self, dim, c):
+        # At d = 32 and c = 1e6 the defect, 4.1e-9, is 1.3e-16 of ||H||_2: rounding, not a defect.
+        model = self.rotated_oscillator(dim, c)
+        assert validate(model) is None and diagnose(model).ok
+
+    def test_a_genuine_defect_of_a_large_hamiltonian_is_rejected(self):
+        model = QsdeModel(hamiltonian=np.diag([1e8, 2e8]) + SIGMA_PLUS, coupling=SIGMA_MINUS)
+        with pytest.raises(InvalidModelError, match=r"^H not self-adjoint, defect 1\.000e\+00$"):
+            validate(model)
+        assert diagnose(model).failures == ("H not self-adjoint, defect 1.000e+00",)
 
     def test_a_failing_model_fails_again(self):
         model = QsdeModel(hamiltonian=SIGMA_PLUS, coupling=SIGMA_MINUS)

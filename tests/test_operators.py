@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from qstab import (
     hermitize,
     spectral_norm,
 )
-from qstab.operators import _times, norm_above, require_density
+from qstab.operators import _frobenius, _times, norm_above, require_density
 
 from conftest import EYE2, KET_E, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, random_complex, random_hermitian
 
@@ -233,6 +235,47 @@ def test_spectral_norm_is_the_svd_norm_bit_for_bit(seed, dim, kinds):
             continue
         assert type(got) is (float if arg.ndim == 2 else np.ndarray)
         assert np.asarray(got).tobytes() == exact.tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 4),
+    exponent=st.integers(-330, 310),
+    spread=st.integers(0, 30),
+    kind=st.sampled_from(["real", "complex"]),
+)
+@settings(max_examples=300)
+def test_the_frobenius_norm_is_numpys_in_the_normal_range_and_within_2_eps_past_it(seed, dim, exponent, spread, kind):
+    """Entries of magnitudes 10^(exponent +- spread), from 5e-324 to past the float range: where the exact sum of
+    squares is a normal float (with a factor 4 of margin), the norm is ``np.linalg.norm``'s bit for bit; everywhere
+    it is within 2 eps, relative, of the exact norm correctly rounded, inf where that is past the float range."""
+    import decimal
+    from fractions import Fraction
+
+    rng = np.random.default_rng(seed)
+    mantissas = rng.uniform(-1.0, 1.0, size=(2, dim, dim)) * (kind == "complex" or [[[1.0]], [[0.0]]])
+    with np.errstate(over="ignore", under="ignore"):
+        parts = mantissas * 10.0 ** (exponent + rng.integers(-spread, spread + 1, size=(2, dim, dim)))
+    parts[~np.isfinite(parts)] = 1.7e308
+    x = parts[0] + 1j * parts[1] if kind == "complex" else parts[0]
+    exact = sum(Fraction(float(v)) ** 2 for v in parts.ravel())
+    with decimal.localcontext(decimal.Context(prec=60, Emax=10**6, Emin=-(10**6))):
+        want = float((decimal.Decimal(exact.numerator) / decimal.Decimal(exact.denominator)).sqrt())
+    norm = _frobenius(x)
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    if 4 * Fraction(tiny) <= exact <= Fraction(huge) / 4:
+        assert norm == np.linalg.norm(x)
+    assert norm == want or abs(norm - want) <= 2 * np.finfo(float).eps * want
+
+
+def test_the_frobenius_norm_of_a_tiny_theta_is_positive_and_of_a_huge_one_finite():
+    """At 1e-300 I the unscaled squares underflow to zero, at 1e154 I their sum overflows."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _frobenius(1e-300 * np.eye(2)) == pytest.approx(np.sqrt(2) * 1e-300, rel=1e-15)
+        assert _frobenius(1e154 * np.eye(2, dtype=complex)) == pytest.approx(np.sqrt(2) * 1e154, rel=1e-15)
+        assert _frobenius(np.zeros((3, 3))) == 0.0
+        assert _frobenius(1e308 * np.ones((2, 2))) == np.inf
 
 
 def test_an_exact_zero_takes_no_svd(monkeypatch):
