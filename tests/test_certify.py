@@ -1504,6 +1504,37 @@ def test_a_stack_decides_each_point_as_alone_bit_for_bit(run):
         assert together.tobytes() == np.concatenate(each).tobytes()
 
 
+# The failing and passing runs whose samples lie on live rays of several samples each: the ray route decides them
+RAY_ROUTE_RUNS = [
+    "candidate is not positive semidefinite at a sample",
+    "candidate vanishes at a sample away from the center",
+    "drift has a positive eigenvalue on a sample",
+    "drift exceeds -margin on the support of the candidate",
+    "drift plus rate*candidate is not strictly negative on the support",
+    "candidate expectation vanishes at a sample away from the center",
+    "drift expectation is not strictly negative on a sample",
+    "drift plus rate*candidate expectation is not strictly negative on a sample",
+    *(f"passing {mode}" for mode in ("local", "asymptotic", "exponential", "state-exponential")),
+]
+
+
+@pytest.mark.parametrize("run", RAY_ROUTE_RUNS)
+def test_a_run_decided_wholly_from_v_at_its_samples_is_the_references_bit_for_bit(run, monkeypatch):
+    """With no ray route every sample of a run on rays is decided from V at itself, all in one stacked point: the
+    certificate is the per-sample oracle's bit for bit, its worst V and worst drift too, which the ray route
+    leaves within its bands."""
+    model, cand, center, spec, mode, *rest = PASSING_CASES[run[8:]] if run.startswith("passing ") else FAILING_RUNS[run]
+    on_rays, ray_block = [], qstab.rays.ray_block
+    monkeypatch.setattr(qstab.rays, "ray_block", lambda *args: on_rays.append(ray_block(*args)) or on_rays[-1])
+    run_check(model, cand, center, spec, mode, *rest)
+    assert len(on_rays) == 1 and on_rays[0] is not None  # the run does take the ray route
+    monkeypatch.setattr(qstab.rays, "ray_block", lambda samples, point: None)
+    assert ray_bands(model, cand, center, spec, mode, "v", *rest).max() == 0.0  # so the margins are compared exactly
+    cert = assert_matches_reference(model, cand, center, spec, mode, *rest)
+    assert cert.passed == run.startswith("passing ")
+    assert cert.passed or cert.violated_condition == run
+
+
 def ray_candidate(degree, theta, dim, center):
     """sum over n + m = K of (n, m, theta I): (K + 1) theta Y^K, scalar Theta of one degree K."""
     return centered(*((n, degree - n, theta * np.eye(dim)) for n in range(degree + 1)), center=center)
